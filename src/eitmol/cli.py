@@ -7,6 +7,7 @@ machine-readable JSON object on stderr.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys as _sys
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .features import predict_dip_position
 from .fitting import FitProblem, fit, fit_report_dict, model_spectrum
-from .spectrum import ScanConfig, per_m_components, simulate, write_spectrum
+from .spectrum import per_m_components, simulate, write_spectrum
 from .sublevels import build_channels
 
 EXIT_OK = 0
@@ -111,16 +112,7 @@ def _prepare(args):
     cfg = load_config(args.config)
     scan = cfg.scan
     if getattr(args, "engine", None):
-        scan = ScanConfig(
-            delta1_mhz=scan.delta1_mhz,
-            delta2_mhz=scan.delta2_mhz,
-            channels=scan.channels,
-            doppler_on=scan.doppler_on,
-            m_sum_on=scan.m_sum_on,
-            engine=args.engine,
-            verify_quadrature=scan.verify_quadrature,
-            feature_resolution_mhz=scan.feature_resolution_mhz,
-        )
+        scan = dataclasses.replace(scan, engine=args.engine)
     channelset = build_channels(cfg.system, cfg.mu_probe_au,
                                 cfg.mu_coupling_au, cfg.lasers.field_probe,
                                 cfg.lasers.field_coupling)

@@ -14,7 +14,6 @@ import numpy as np
 from .doppler import (
     CO_PROPAGATING,
     COUNTER_PROPAGATING,
-    GAUSS_HERMITE,
     TRAPEZOID,
     Ensemble,
     QuadratureSpec,
@@ -325,8 +324,12 @@ def parse_config(text: str, path="<config>") -> RunConfig:
     mass = ens_sec.quantity("mass", MASS_AMU)
     fwhm = ens_sec.quantity("doppler_fwhm", FREQUENCY_MHZ)
     if fwhm is not None:  # a measured width overrides the thermal estimate
-        ensemble = Ensemble.from_doppler_fwhm(fwhm, system.omega21_cm,
-                                              geometry)
+        try:
+            ensemble = Ensemble.from_doppler_fwhm(fwhm, system.omega21_cm,
+                                                  geometry)
+        except ValueError as exc:
+            raise ValidationError(
+                f"{path}: [ensemble] doppler_fwhm: {exc}") from exc
     elif temp is not None and mass is not None:
         ensemble = Ensemble(temperature_k=temp, mass_amu=mass,
                             geometry=geometry)
@@ -360,9 +363,8 @@ def parse_config(text: str, path="<config>") -> RunConfig:
     scan_sec.reject_unknown()
 
     quad_sec = section("quadrature")
+    quad_sec.word("scheme", {TRAPEZOID}, default=TRAPEZOID)  # the only rule
     quadrature = QuadratureSpec(
-        scheme=quad_sec.word("scheme", {TRAPEZOID, GAUSS_HERMITE},
-                             default=TRAPEZOID),
         node_count=quad_sec.integer("nodes", default=4001),
         span=quad_sec.number("span", default=4.0),
         refinement_tolerance=quad_sec.number("refinement_tolerance",

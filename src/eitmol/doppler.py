@@ -14,26 +14,27 @@ Observables are averaged over the one-dimensional Maxwellian
 
     N(vz) = exp(-(vz/u_p)^2) / (sqrt(pi) u_p),   u_p = sqrt(2 k T / m).
 
-The default quadrature is a uniform trapezoid rule over +-span*u_p: the
-integrand contains sub-natural-width coherence structures that defeat
-low-order Gauss-Hermite, and for an analytic integrand the trapezoid rule is
+There is one quadrature rule: a uniform trapezoid over +-span*u_p with
+Maxwellian-folded weights.  The integrand contains sub-natural-width
+coherence structures, and for an analytic integrand the trapezoid rule is
 spectrally accurate once the narrowest Lorentzian is resolved by the node
-spacing.  Convergence is enforced, not assumed: every average is re-checked
-on a doubled grid and rejected if it moved more than the refinement
-tolerance.
+spacing.  Convergence is enforced, not assumed: ``node_plan`` lays out the
+doubled rule (2N - 1 nodes), whose every second node is the N-node rule, so
+one evaluation of the integrand yields both averages, and an average is
+rejected if it moved by more than the refinement tolerance between them.
+A Doppler-free scan uses the same plan shape with the single node vz = 0.
 """
 
 from dataclasses import dataclass
 from math import log, pi, sqrt
+from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .constants import ATOMIC_MASS_KG, BOLTZMANN_K, SPEED_OF_LIGHT
 from .errors import QuadratureNotConverged
 
-TRAPEZOID = "uniform_trapezoid"
-GAUSS_HERMITE = "gauss_hermite"
+TRAPEZOID = "uniform_trapezoid"   # the rule's name, echoed in outputs
 
 COUNTER_PROPAGATING = "counter_propagating"
 CO_PROPAGATING = "co_propagating"
@@ -54,6 +55,8 @@ class Ensemble:
         if self.u_p_override is None and (self.temperature_k <= 0
                                           or self.mass_amu <= 0):
             raise ValueError("temperature and mass must be > 0")
+        if self.u_p_override is not None and not self.u_p_override > 0:
+            raise ValueError("Doppler width must be > 0")
 
     @property
     def u_p(self) -> float:
@@ -75,28 +78,19 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    scheme: str = TRAPEZOID
     node_count: int = 4001
     span: float = 4.0                    # trapezoid half-width in units of u_p
     refinement_tolerance: float = 1e-4   # relative, against the peak value
 
     def __post_init__(self):
-        if self.scheme not in (TRAPEZOID, GAUSS_HERMITE):
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
-        if self.scheme == TRAPEZOID:
-            if self.node_count < 51 or self.node_count % 2 == 0:
-                raise ValueError("trapezoid node_count must be odd and >= 51")
-        elif self.node_count < 2:
-            raise ValueError("node_count must be >= 2")
+        if self.node_count < 51 or self.node_count % 2 == 0:
+            raise ValueError("trapezoid node_count must be odd and >= 51")
         if self.span <= 0 or self.refinement_tolerance <= 0:
             raise ValueError("span and refinement_tolerance must be > 0")
 
     def doubled(self) -> "QuadratureSpec":
-        if self.scheme == TRAPEZOID:
-            n = 2 * self.node_count - 1   # halves the step, keeps nodes odd
-        else:
-            n = 2 * self.node_count
-        return QuadratureSpec(self.scheme, n, self.span,
+        # halves the step and keeps the node count odd
+        return QuadratureSpec(2 * self.node_count - 1, self.span,
                               self.refinement_tolerance)
 
 
@@ -145,13 +139,41 @@ def maxwellian_trapezoid_weights(vz: np.ndarray, ens: Ensemble) -> np.ndarray:
 def quadrature_nodes(ens: Ensemble, q: QuadratureSpec):
     """Velocity nodes and Maxwellian-folded weights, weights summing to 1."""
     u = ens.u_p
-    if q.scheme == TRAPEZOID:
-        vz = np.linspace(-q.span * u, q.span * u, q.node_count)
-        return vz, maxwellian_trapezoid_weights(vz, ens)
-    t, gw = hermgauss(q.node_count)
-    vz = t * u
-    w = gw / sqrt(pi)
-    return vz, w / compensated_sum(w)
+    vz = np.linspace(-q.span * u, q.span * u, q.node_count)
+    return vz, maxwellian_trapezoid_weights(vz, ens)
+
+
+class NodePlan(NamedTuple):
+    """Velocity nodes plus the (slice, weights) rules that reduce them.
+
+    ``coarse`` is the rule whose average is reported; ``fine`` is the
+    doubled rule it is checked against, or None when nothing is checked.
+    """
+
+    vz: np.ndarray
+    coarse: tuple
+    fine: tuple | None
+
+
+def node_plan(ens: Ensemble, q: QuadratureSpec, verified=True) -> NodePlan:
+    """Nodes on which an integrand is evaluated once for ``q``.
+
+    Verified, the nodes are those of the doubled rule and the coarse rule
+    takes every second one of them.  Unverified, they are the nodes of ``q``
+    itself.
+    """
+    if not verified:
+        vz, w = quadrature_nodes(ens, q)
+        return NodePlan(vz, (slice(None), w), None)
+    vz, w_fine = quadrature_nodes(ens, q.doubled())
+    w_coarse = maxwellian_trapezoid_weights(vz[::2], ens)
+    return NodePlan(vz, (slice(None, None, 2), w_coarse),
+                    (slice(None), w_fine))
+
+
+def rest_frame_plan() -> NodePlan:
+    """The Doppler-free limit: the single node vz = 0 with weight 1."""
+    return NodePlan(np.zeros(1), (slice(None), np.ones(1)), None)
 
 
 def compensated_sum(values: np.ndarray):
@@ -188,31 +210,28 @@ def compensated_weighted_sum(values, weights):
 def doppler_average(observable, ens: Ensemble, q: QuadratureSpec) -> float:
     """Maxwellian-weighted average of ``observable(vz)``.
 
-    The value at ``q.node_count`` nodes is returned only after a doubled-node
-    re-evaluation agrees within ``q.refinement_tolerance`` (relative to the
-    larger magnitude); otherwise QuadratureNotConverged is raised, which
-    signals that the node count is too low for the sharpest feature present.
+    ``observable`` is evaluated once, on the 2N - 1 nodes of ``node_plan``.
+    The N-node average is returned only after the doubled rule agrees with it
+    within ``q.refinement_tolerance`` (relative to the larger magnitude);
+    otherwise QuadratureNotConverged is raised, which signals that the node
+    count is too low for the sharpest feature present.
     """
-    coarse, _ = _average_once(observable, ens, q)
-    fine, peak = _average_once(observable, ens, q.doubled())
+    plan = node_plan(ens, q)
+    try:
+        y = np.asarray(observable(plan.vz), float)
+        if y.shape != plan.vz.shape:
+            raise TypeError
+    except (TypeError, ValueError):  # scalar-only observable
+        y = np.array([float(observable(v)) for v in plan.vz])
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observable is not finite on the integration span")
+    coarse, fine = (float(compensated_weighted_sum(y[sl], w))
+                    for sl, w in (plan.coarse, plan.fine))
     # averages much smaller than the integrand magnitude are cancellation
     # values; judge those against the integrand scale, not themselves
-    scale = max(abs(coarse), abs(fine), 1e-3 * peak)
+    scale = max(abs(coarse), abs(fine), 1e-3 * float(np.max(np.abs(y))))
     if scale > 0 and abs(fine - coarse) > q.refinement_tolerance * scale:
         raise QuadratureNotConverged(
             f"average moved by {abs(fine - coarse) / scale:.3e} (relative) on"
             f" node doubling; increase node_count above {q.node_count}")
-    return float(coarse)
-
-
-def _average_once(observable, ens, q):
-    vz, w = quadrature_nodes(ens, q)
-    try:
-        y = np.asarray(observable(vz), float)
-        if y.shape != vz.shape:
-            raise TypeError
-    except (TypeError, ValueError):  # scalar-only observable
-        y = np.array([float(observable(v)) for v in vz])
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observable is not finite on the integration span")
-    return float(compensated_weighted_sum(y, w)), float(np.max(np.abs(y)))
+    return coarse

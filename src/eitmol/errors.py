@@ -29,6 +29,10 @@ class QuadratureNotConverged(EitmolError):
     """Velocity average failed the doubled-node refinement check."""
 
 
+class UnphysicalSignal(EitmolError):
+    """Scan produced a non-finite or clearly negative population signal."""
+
+
 class NoDipFound(EitmolError):
     """Spectrum has no local minimum between its two largest peaks."""
 

@@ -25,16 +25,15 @@ from .analytic import population_rho22, population_rho33
 from .bloch import populations_grid
 from .doppler import (
     CO_PROPAGATING,
-    GAUSS_HERMITE,
     TRAPEZOID,
     Ensemble,
     QuadratureSpec,
     compensated_weighted_sum,
-    maxwellian_trapezoid_weights,
-    quadrature_nodes,
+    node_plan,
+    rest_frame_plan,
     velocity_detunings,
 )
-from .errors import QuadratureNotConverged
+from .errors import QuadratureNotConverged, UnphysicalSignal
 from .sublevels import ChannelSet
 from .system import CascadeSystem, LaserPair
 from .units import angular_from_mhz
@@ -105,23 +104,8 @@ def simulate(sys: CascadeSystem, lasers: LaserPair, ensemble: Ensemble | None,
     channels = _active_channels(channelset, scan)
     per = _per_channel_spectra(sys, ensemble, channels, scan, quadrature,
                                threads)
-    n = scan.delta1_mhz.size
-    coarse = {RHO22: np.zeros(n), RHO33: np.zeros(n)}
-    fine = {RHO22: np.zeros(n), RHO33: np.zeros(n)} if per.verified else None
-    for i, ch in enumerate(channels):
-        for sig in scan.channels:
-            coarse[sig] += ch.multiplicity * per.coarse[sig][i]
-            if fine is not None:
-                fine[sig] += ch.multiplicity * per.fine[sig][i]
-    shift = _check_refinement(coarse, fine, scan, quadrature)
-    meta = _metadata(sys, lasers, ensemble, channelset, scan, quadrature,
-                     shift)
-    return Spectrum(
-        delta1_mhz=scan.delta1_mhz.copy(),
-        signal_rho22=_finalize(coarse[RHO22]),
-        signal_rho33=_finalize(coarse[RHO33]),
-        metadata=meta,
-    )
+    return _spectrum(per, channels, sys, lasers, ensemble, channelset, scan,
+                     quadrature)
 
 
 def per_m_components(sys: CascadeSystem, lasers: LaserPair,
@@ -136,37 +120,18 @@ def per_m_components(sys: CascadeSystem, lasers: LaserPair,
                                threads)
     out = []
     for i, ch in enumerate(channels):
-        coarse = {sig: ch.multiplicity * per.coarse[sig][i]
-                  for sig in (RHO22, RHO33) if sig in scan.channels}
-        fine = None
-        if per.verified:
-            fine = {sig: ch.multiplicity * per.fine[sig][i]
-                    for sig in coarse}
-        for sig in (RHO22, RHO33):
-            coarse.setdefault(sig, np.zeros(scan.delta1_mhz.size))
-        shift = _check_refinement(coarse, fine, scan, quadrature)
-        meta = _metadata(sys, lasers, ensemble, channelset, scan, quadrature,
-                         shift)
-        meta["component.abs_m"] = ch.abs_m
-        meta["component.multiplicity"] = ch.multiplicity
-        out.append(Spectrum(
-            delta1_mhz=scan.delta1_mhz.copy(),
-            signal_rho22=_finalize(coarse[RHO22]),
-            signal_rho33=_finalize(coarse[RHO33]),
-            metadata=meta,
-        ))
+        rows = tuple(None if p is None else p[:, i:i + 1] for p in per)
+        spec = _spectrum(rows, [ch], sys, lasers, ensemble, channelset, scan,
+                         quadrature)
+        spec.metadata["component.abs_m"] = ch.abs_m
+        spec.metadata["component.multiplicity"] = ch.multiplicity
+        out.append(spec)
     return out
 
 
 # engine internals -----------------------------------------------------------
 
-class _PerChannel:
-    def __init__(self, n_channels, n_grid, verified):
-        self.coarse = {RHO22: [np.zeros(n_grid) for _ in range(n_channels)],
-                       RHO33: [np.zeros(n_grid) for _ in range(n_channels)]}
-        self.fine = {RHO22: [np.zeros(n_grid) for _ in range(n_channels)],
-                     RHO33: [np.zeros(n_grid) for _ in range(n_channels)]}
-        self.verified = verified
+SIGNALS = (RHO22, RHO33)  # row order of the per-channel signal arrays
 
 
 def _active_channels(channelset: ChannelSet, scan: ScanConfig):
@@ -186,112 +151,98 @@ def _populations(sys, engine, g1, g2, d1, d2, rho11_init, wanted):
 
 
 def _per_channel_spectra(sys, ensemble, channels, scan, quadrature, threads):
+    """Velocity-averaged signals of each channel, before multiplicity.
+
+    Returns (coarse, fine), each of shape (signals, channels, points); fine
+    is None when the quadrature is not verified.  A Doppler-free scan runs
+    the same path on the single node vz = 0.
+    """
     if scan.doppler_on and ensemble is None:
         raise ValueError("doppler_on scan requires an Ensemble")
+    if scan.doppler_on:
+        plan = node_plan(ensemble, quadrature, scan.verify_quadrature)
+    else:
+        plan = rest_frame_plan()
+    geometry = ensemble.geometry if ensemble is not None else CO_PROPAGATING
     n = scan.delta1_mhz.size
-    verified = scan.doppler_on and scan.verify_quadrature
-    per = _PerChannel(len(channels), n, verified)
-    rho11_init = sys.rho11_init
+    shape = (len(SIGNALS), len(channels), n)
+    coarse = np.zeros(shape)
+    fine = None if plan.fine is None else np.zeros(shape)
 
     # The analytic rho33 carries an explicit factor g2^2, so it is exactly
-    # zero when no channel is driven by the coupling; it is then left at its
-    # zero initial value instead of being evaluated and averaged.  The oracle
-    # solve yields both populations together, so nothing is skipped there.
-    signals = tuple(
-        sig for sig in scan.channels
-        if not (sig == RHO33 and scan.engine == ENGINE_ANALYTIC
-                and all(ch.g2 == 0.0 for ch in channels)))
+    # zero in a channel the coupling does not drive; its rows are left at
+    # their zero initial value instead of being evaluated and averaged.  The
+    # oracle solve yields both populations together, so nothing is skipped
+    # there.
+    wanted = [tuple(sig for sig in scan.channels
+                    if not (sig == RHO33 and scan.engine == ENGINE_ANALYTIC
+                            and ch.g2 == 0.0))
+              for ch in channels]
 
-    nodes = _node_plan(ensemble, quadrature, verified) if scan.doppler_on \
-        else None
-    chunks = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+    def work(lo):
+        hi = min(lo + _CHUNK, n)
+        d1 = angular_from_mhz(scan.delta1_mhz[lo:hi])[:, None]
+        d2 = angular_from_mhz(scan.delta2_mhz)
+        big_d1, big_d2 = velocity_detunings(
+            d1, d2, sys.omega21_angular + d1, sys.omega32_angular + d2,
+            plan.vz[None, :], geometry)
+        pops = [_populations(sys, scan.engine, ch.g1, ch.g2, big_d1, big_d2,
+                             sys.rho11_init, want)
+                for ch, want in zip(channels, wanted)]
+        for s, sig in enumerate(SIGNALS):
+            rows = [i for i, want in enumerate(wanted) if sig in want]
+            if not rows:
+                continue
+            vals = np.stack([pops[i][s] for i in rows])  # rows, points, nodes
+            for out, rule in ((coarse, plan.coarse), (fine, plan.fine)):
+                if rule is not None:
+                    sl, w = rule
+                    out[s, rows, lo:hi] = compensated_weighted_sum(
+                        vals[..., sl], w)
 
-    def work(bounds):
-        lo, hi = bounds
-        d1_mhz = scan.delta1_mhz[lo:hi]
-        if scan.doppler_on:
-            res = _doppler_chunk(sys, ensemble, channels, scan, signals,
-                                 nodes, d1_mhz, rho11_init)
-        else:
-            res = _rest_frame_chunk(sys, channels, scan, signals, d1_mhz,
-                                    rho11_init)
-        for sig in signals:
-            for i in range(len(channels)):
-                per.coarse[sig][i][lo:hi] = res[0][sig][i]
-                if verified:
-                    per.fine[sig][i][lo:hi] = res[1][sig][i]
-
+    chunks = range(0, n, _CHUNK)
     if threads <= 1:
-        for c in chunks:
-            work(c)
+        for lo in chunks:
+            work(lo)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, chunks))
-    return per
-
-
-def _node_plan(ensemble, quadrature, verified):
-    """Evaluation nodes plus (slice, weights) for the coarse and fine rules.
-
-    For the trapezoid rule the coarse nodes are every second node of the
-    doubled rule, so one integrand evaluation serves both.
-    """
-    if not verified:
-        vz, w = quadrature_nodes(ensemble, quadrature)
-        return vz, (slice(None), w), None
-    if quadrature.scheme == TRAPEZOID:
-        vz_f, w_f = quadrature_nodes(ensemble, quadrature.doubled())
-        vz_c = vz_f[::2]
-        w_c = maxwellian_trapezoid_weights(vz_c, ensemble)
-        return vz_f, (slice(None, None, 2), w_c), (slice(None), w_f)
-    vz_c, w_c = quadrature_nodes(ensemble, quadrature)
-    vz_f, w_f = quadrature_nodes(ensemble, quadrature.doubled())
-    vz = np.concatenate([vz_c, vz_f])
-    return vz, (slice(0, vz_c.size), w_c), (slice(vz_c.size, None), w_f)
-
-
-def _doppler_chunk(sys, ensemble, channels, scan, signals, nodes, d1_mhz,
-                   rho11_init):
-    vz, coarse_rule, fine_rule = nodes
-    d1 = angular_from_mhz(d1_mhz)[:, None]
-    d2 = angular_from_mhz(scan.delta2_mhz)
-    omega1 = sys.omega21_angular + d1
-    omega2 = sys.omega32_angular + d2
-    geometry = ensemble.geometry if ensemble is not None else CO_PROPAGATING
-    big_d1, big_d2 = velocity_detunings(d1, d2, omega1, omega2, vz[None, :],
-                                        geometry)
-    stacks = {RHO22: [], RHO33: []}
-    for ch in channels:
-        r22, r33 = _populations(sys, scan.engine, ch.g1, ch.g2, big_d1,
-                                big_d2, rho11_init, signals)
-        if r22 is not None:
-            stacks[RHO22].append(r22)
-        if r33 is not None:
-            stacks[RHO33].append(r33)
-    coarse = {}
-    fine = {}
-    for sig in signals:
-        vals = np.stack(stacks[sig])            # (channels, grid, nodes)
-        sl, w = coarse_rule
-        coarse[sig] = compensated_weighted_sum(vals[..., sl], w)
-        if fine_rule is not None:
-            sl, w = fine_rule
-            fine[sig] = compensated_weighted_sum(vals[..., sl], w)
     return coarse, fine
 
 
-def _rest_frame_chunk(sys, channels, scan, signals, d1_mhz, rho11_init):
-    d1 = angular_from_mhz(d1_mhz)
-    d2 = angular_from_mhz(scan.delta2_mhz)
-    coarse = {RHO22: [], RHO33: []}
-    for ch in channels:
-        r22, r33 = _populations(sys, scan.engine, ch.g1, ch.g2, d1, d2,
-                                rho11_init, signals)
-        if r22 is not None:
-            coarse[RHO22].append(r22)
-        if r33 is not None:
-            coarse[RHO33].append(r33)
-    return coarse, None
+def _spectrum(per, channels, sys, lasers, ensemble, channelset, scan,
+              quadrature):
+    """Sum per-channel rows over ``channels``, check and finalize them."""
+    coarse, fine = (None if p is None else _channel_sum(p, channels)
+                    for p in per)
+    for total in (coarse, fine):
+        if total is not None:
+            _require_finite(total, scan)
+    shift = _check_refinement(coarse, fine, scan, quadrature)
+    return Spectrum(
+        delta1_mhz=scan.delta1_mhz.copy(),
+        signal_rho22=_finalize(coarse[0]),
+        signal_rho33=_finalize(coarse[1]),
+        metadata=_metadata(sys, lasers, ensemble, channelset, scan,
+                           quadrature, shift),
+    )
+
+
+def _channel_sum(per, channels):
+    """Multiplicity-weighted channel sum, accumulated in ascending |M|."""
+    total = np.zeros((per.shape[0], per.shape[2]))
+    for i, ch in enumerate(channels):
+        total += ch.multiplicity * per[:, i]
+    return total
+
+
+def _require_finite(total, scan):
+    bad = np.argwhere(~np.isfinite(total))
+    if bad.size:
+        s, k = bad[0]
+        raise UnphysicalSignal(
+            f"non-finite {SIGNALS[s]} signal at delta1 ="
+            f" {scan.delta1_mhz[k]:g} MHz")
 
 
 def _check_refinement(coarse, fine, scan, quadrature):
@@ -300,10 +251,11 @@ def _check_refinement(coarse, fine, scan, quadrature):
         return None
     worst = 0.0
     for sig in scan.channels:
-        peak = float(np.max(np.abs(coarse[sig])))
+        s = SIGNALS.index(sig)
+        peak = float(np.max(np.abs(coarse[s])))
         if peak == 0.0:
             continue
-        shift = float(np.max(np.abs(fine[sig] - coarse[sig]))) / peak
+        shift = float(np.max(np.abs(fine[s] - coarse[s]))) / peak
         worst = max(worst, shift)
     if worst > quadrature.refinement_tolerance:
         raise QuadratureNotConverged(
@@ -316,7 +268,8 @@ def _finalize(signal):
     """Clip negative rounding noise; genuine negatives indicate a bug."""
     floor = -1e-12 * max(float(np.max(np.abs(signal))), np.finfo(float).tiny)
     if float(np.min(signal)) < floor:
-        raise RuntimeError("negative population signal beyond rounding noise")
+        raise UnphysicalSignal(
+            "negative population signal beyond rounding noise")
     return np.clip(signal, 0.0, None)
 
 
@@ -349,7 +302,7 @@ def _metadata(sys, lasers, ensemble, channelset, scan, quadrature, shift):
         "channels.coupling_coupled": channelset.coupling_coupled_count,
         "channels.g1_bare_Mrad_s": channelset.g1_bare,
         "channels.g2_bare_Mrad_s": channelset.g2_bare,
-        "quadrature.scheme": quadrature.scheme,
+        "quadrature.scheme": TRAPEZOID,
         "quadrature.node_count": quadrature.node_count,
         "quadrature.span_u_p": quadrature.span,
         "quadrature.refinement_tolerance": quadrature.refinement_tolerance,

@@ -241,6 +241,37 @@ def test_cli_exit_code_for_unconverged_quadrature(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("ensemble, quadrature", [
+    ("doppler_fwhm = 0 MHz", "nodes = 101"),
+    ("doppler_fwhm = -2600 MHz", "nodes = 101"),
+    ("temperature = 1000 K\nmass = 14 amu",
+     "scheme = gauss_hermite\nnodes = 101"),
+])
+def test_cli_rejects_unusable_quadrature_input(tmp_path, capsys, ensemble,
+                                               quadrature):
+    cfg = small_run_config(tmp_path, tmp_path,
+                           **{"doppler = off": "doppler = on"})
+    with open(cfg, "a") as fh:
+        fh.write(f"\n[ensemble]\n{ensemble}\n\n[quadrature]\n{quadrature}\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_cli_nonfinite_signal_exits_numeric(tmp_path, capsys, monkeypatch):
+    from eitmol import spectrum
+
+    def nan_kernel(sys, g1, g2, d1, d2, rho11_init=1.0):
+        return np.full(np.broadcast(d1, d2).shape, np.nan)
+
+    monkeypatch.setattr(spectrum, "population_rho22", nan_kernel)
+    cfg = small_run_config(tmp_path, tmp_path)
+    code = main(["simulate", "--config", cfg, "--json-errors"])
+    assert code == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "UnphysicalSignal"
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_cli_oracle_check_passes_on_preset(capsys):
     assert main(["oracle-check", "--config", "li2_fig4"]) == 0
     out = capsys.readouterr().out

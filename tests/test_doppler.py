@@ -8,7 +8,6 @@ from eitmol.constants import SPEED_OF_LIGHT
 from eitmol.doppler import (
     CO_PROPAGATING,
     COUNTER_PROPAGATING,
-    GAUSS_HERMITE,
     Ensemble,
     QuadratureSpec,
     doppler_average,
@@ -83,15 +82,31 @@ def test_quadrature_spec_validation():
         QuadratureSpec(node_count=50)       # even
     with pytest.raises(ValueError):
         QuadratureSpec(node_count=31)       # too few
-    with pytest.raises(ValueError):
-        QuadratureSpec(scheme="simpson")
 
 
 def test_weights_normalized(li2_ensemble):
-    for spec in (QuadratureSpec(node_count=201),
-                 QuadratureSpec(scheme=GAUSS_HERMITE, node_count=64)):
-        _, w = quadrature_nodes(li2_ensemble, spec)
-        assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
+    _, w = quadrature_nodes(li2_ensemble, QuadratureSpec(node_count=201))
+    assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_nonpositive_doppler_width_rejected():
+    for fwhm in (0.0, -2600.0):
+        with pytest.raises(ValueError):
+            Ensemble.from_doppler_fwhm(fwhm, 15642.636)
+
+
+def test_average_evaluates_observable_once_on_doubled_nodes(li2_ensemble):
+    q = QuadratureSpec(node_count=201)
+    calls = []
+
+    def obs(vz):
+        calls.append(np.array(vz))
+        return np.cos(vz / li2_ensemble.u_p)
+
+    doppler_average(obs, li2_ensemble, q)
+    assert len(calls) == 1
+    vz_fine, _ = quadrature_nodes(li2_ensemble, q.doubled())
+    assert np.array_equal(calls[0], vz_fine)
 
 
 def test_average_of_unity(li2_ensemble):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from eitmol import spectrum
-from eitmol.analytic import population_rho33
+from eitmol.analytic import population_rho22, population_rho33
 from eitmol.config import preset_config
-from eitmol.errors import FewerThanTwoPeaks
+from eitmol.errors import FewerThanTwoPeaks, UnphysicalSignal
 from eitmol.features import extract_features, profile_fwhm
 from eitmol.spectrum import (
     ScanConfig,
@@ -131,12 +131,13 @@ def test_components_metadata_and_upper_level_count(li2, li2_lasers,
 
 
 def counting_rho33(monkeypatch):
-    """Route the scan engine's rho33 kernel through a call counter."""
+    """Route the scan engine's rho33 kernel through a recorder of the g2
+    value of every call."""
     calls = []
 
-    def counted(*args, **kw):
-        calls.append(1)
-        return population_rho33(*args, **kw)
+    def counted(sys, g1, g2, *args, **kw):
+        calls.append(g2)
+        return population_rho33(sys, g1, g2, *args, **kw)
 
     monkeypatch.setattr(spectrum, "population_rho33", counted)
     return calls
@@ -163,16 +164,39 @@ def test_coupling_off_never_evaluates_rho33(monkeypatch, li2, li2_lasers,
 
 
 def test_weak_coupling_still_evaluates_rho33(monkeypatch):
+    """rho33 is evaluated in every channel the coupling drives, and in no
+    channel it does not (the |M| = 0 channel of the Q-branch coupling)."""
     calls = counting_rho33(monkeypatch)
     cfg = preset_config("li2_fig3b")
     cs = build_channels(cfg.system, cfg.mu_probe_au, cfg.mu_coupling_au,
                         cfg.lasers.field_probe, cfg.lasers.field_coupling)
     assert any(ch.g2 > 0 for ch in cs)
+    assert any(ch.g2 == 0 for ch in cs)
     q = QuadratureSpec(node_count=501, refinement_tolerance=1.0)
     sp = simulate(cfg.system, cfg.lasers, cfg.ensemble, cs,
                   scan(np.linspace(-800, 800, 41)), quadrature=q)
     assert len(calls) > 0
+    assert 0.0 not in calls
+    assert set(calls) == {ch.g2 for ch in cs if ch.g2 != 0}
     assert sp.signal_rho33.max() > 0
+
+
+@pytest.mark.parametrize("doppler_on", [True, False])
+def test_nonfinite_signal_raises(monkeypatch, li2, li2_lasers, li2_ensemble,
+                                 li2_channels, doppler_on):
+    """A NaN from the kernel at a single node must stop the scan, not be
+    dropped by the refinement check or the negativity floor."""
+    def poisoned(*args, **kw):
+        r = population_rho22(*args, **kw)
+        r.flat[r.size // 2 + 1] = np.nan
+        return r
+
+    monkeypatch.setattr(spectrum, "population_rho22", poisoned)
+    q = QuadratureSpec(node_count=501, refinement_tolerance=1.0)
+    with pytest.raises(UnphysicalSignal):
+        simulate(li2, li2_lasers, li2_ensemble, li2_channels,
+                 scan(np.linspace(-800, 800, 41), doppler_on=doppler_on),
+                 quadrature=q)
 
 
 def test_engines_agree_in_weak_probe_regime(li2, li2_lasers):

@@ -20,10 +20,13 @@ g1^2.  The g2 = 0 limit reduces rho22 to the two-level Lorentzian and sends
 rho33 to zero; no special-casing is needed, the formulas are regular there.
 
 Every function accepts numpy arrays for the detunings and broadcasts.
+``doppler_averaged_populations`` gives the Maxwellian velocity averages of
+both populations in closed form.
 """
 
 import numpy as np
 
+from .doppler import plasma_dispersion
 from .system import CascadeSystem, DriveParams
 
 
@@ -75,25 +78,130 @@ def _probe_response(sys, g2, delta1, delta2):
 
 
 def population_rho22(sys, g1, g2, delta1, delta2, rho11_init=1.0):
+    D = _denominator(sys, g2, delta2)
+    frac = _rho22_numerator(sys, g2, delta1, delta2) \
+        / _probe_response(sys, g2, delta1, delta2)
+    return _rho22_from(g1, rho11_init, D, frac)
+
+
+def population_rho33(sys, g1, g2, delta1, delta2, rho11_init=1.0):
+    D = _denominator(sys, g2, delta2)
+    frac = _rho33_numerator(sys, delta1, delta2) \
+        / _probe_response(sys, g2, delta1, delta2)
+    return _rho33_from(sys, g1, g2, rho11_init, D, frac)
+
+
+def _rho22_numerator(sys, g2, delta1, delta2):
     w = sys.transit_rate
     G31 = sys.gamma31 + w
     G32 = sys.gamma32 + w
     G3 = sys.gamma3 + w
     A = _saturation_factor(sys, g2, delta2)
-    D = _denominator(sys, g2, delta2)
-    num = ((g2**2 / 4.0) * (1.0 - sys.W32 / G3) * (delta2 - 1j * G32)
-           + A * (delta1 + delta2 + 1j * G31))
-    frac = num / _probe_response(sys, g2, delta1, delta2)
-    return -(g1**2 * rho11_init) / (2.0 * D) * np.imag(frac)
+    return ((g2**2 / 4.0) * (1.0 - sys.W32 / G3) * (delta2 - 1j * G32)
+            + A * (delta1 + delta2 + 1j * G31))
 
 
-def population_rho33(sys, g1, g2, delta1, delta2, rho11_init=1.0):
+def _rho33_numerator(sys, delta1, delta2):
     w = sys.transit_rate
     G31 = sys.gamma31 + w
     G32 = sys.gamma32 + w
-    G3 = sys.gamma3 + w
     G2 = sys.gamma2 + w
-    D = _denominator(sys, g2, delta2)
-    num = -2.0 * G32 * (delta1 + delta2 + 1j * G31) + G2 * (delta2 - 1j * G32)
-    frac = num / _probe_response(sys, g2, delta1, delta2)
+    return -2.0 * G32 * (delta1 + delta2 + 1j * G31) + G2 * (delta2 - 1j * G32)
+
+
+def _rho22_from(g1, rho11_init, D, frac):
+    return -(g1**2 * rho11_init) / (2.0 * D) * np.imag(frac)
+
+
+def _rho33_from(sys, g1, g2, rho11_init, D, frac):
+    G3 = sys.gamma3 + sys.transit_rate
     return (g1**2 * g2**2 * rho11_init) / (8.0 * D * G3) * np.imag(frac)
+
+
+# Maxwellian average in closed form --------------------------------------------
+
+def doppler_averaged_populations(sys, g1, g2, delta1, delta2, slope1, slope2,
+                                 rho11_init=1.0, rho22=True, rho33=True):
+    """Maxwellian averages of ``population_rho22`` and ``population_rho33``.
+
+    With t = vz/u_p the detunings are D1 = delta1 + slope1*t and
+    D2 = delta2 + slope2*t, and t is distributed as exp(-t^2)/sqrt(pi).
+    Writing Dn for the real normalization D of the module docstring, each
+    population is Im{N/Q} times a constant, with Q = P*Dn quartic in t and
+    N of lower degree, so N/Q is a sum of simple poles:
+
+        <N/Q> = sum_k N(z_k)/Q'(z_k) * Z(z_k)
+
+    over the two roots of the probe response P and the conjugate pair of
+    roots t = (-delta2 +- i sqrt(K))/slope2 of Dn = G2 (D2^2 + K), where Z is
+    ``doppler.plasma_dispersion``.  Dn is real on the real axis, so Im and
+    the average commute.
+
+    ``g1``, ``g2`` are per-channel arrays of shape (C,); ``delta1`` and
+    ``slope1`` are per-point arrays of shape (n,) (or scalars); ``delta2``
+    and ``slope2`` are scalars.  Returns (rho22, rho33), each of shape
+    (C, n); a population not requested is left at +0.0, and so is rho33 in
+    channels with g2 == 0, where its factor g2^2 makes it exactly zero.
+    Neither is evaluated there.
+    """
+    g1 = np.asarray(g1, float)[:, None]
+    g2 = np.asarray(g2, float)[:, None]
+    delta1 = np.atleast_1d(delta1)
+    slope1 = np.atleast_1d(slope1)
+    out22 = np.zeros((g2.shape[0], np.broadcast(delta1, slope1).size))
+    out33 = np.zeros_like(out22)
+    lit = rho33 & (g2[:, 0] != 0.0)
+    rows = np.flatnonzero(rho22 | lit)
+    if rows.size == 0:
+        return out22, out33
+    z, weight = _pole_weights(sys, g2[rows], delta1, delta2, slope1, slope2)
+    d1 = delta1 + slope1 * z
+    d2 = delta2 + slope2 * z
+    if rho22:
+        frac = np.sum(_rho22_numerator(sys, g2[rows], d1, d2) * weight, axis=0)
+        out22[rows] = _rho22_from(g1[rows], rho11_init, 1.0, frac)
+    on = lit[rows]
+    if on.any():
+        frac = np.sum(_rho33_numerator(sys, d1[:, on], d2[:, on])
+                      * weight[:, on], axis=0)
+        up = rows[on]
+        out33[up] = _rho33_from(sys, g1[up], g2[up], rho11_init, 1.0, frac)
+    return out22, out33
+
+
+def _pole_weights(sys, g2, delta1, delta2, slope1, slope2):
+    """Poles z_k of 1/(P*Dn) in t, and Z(z_k)/Q'(z_k), stacked on axis 0."""
+    w = sys.transit_rate
+    G21 = sys.gamma21 + w
+    G31 = sys.gamma31 + w
+    G2 = sys.gamma2 + w
+    # P = (alpha + slope1 t)(beta + s t) - g2^2/4 = lead t^2 + b t + c
+    alpha = delta1 + 1j * G21
+    beta = delta1 + delta2 + 1j * G31
+    s = slope1 + slope2
+    lead = slope1 * s
+    b = slope1 * beta + s * alpha
+    c = alpha * beta - g2**2 / 4.0
+    # b^2 - 4 lead c, written without the cancellation at small g2
+    root = np.sqrt((slope1 * beta - s * alpha)**2 + lead * g2**2)
+    root = np.where(np.real(np.conj(b) * root) < 0.0, -root, root)
+    q = -0.5 * (b + root)
+    # As lead -> 0 (counter-propagating beams of equal wavenumber) the root
+    # q/lead leaves for infinity and its residue vanishes; at lead == 0 it
+    # is parked at 0 with zero weight.  The factor lead*(z_k - q/lead) of
+    # Q'(z_k) is written lead*z_k - q, which stays finite there.
+    finite = np.broadcast_to(lead != 0.0, q.shape)
+    far = np.divide(q, lead, out=np.zeros_like(q), where=finite)
+    # Dn = G2 (D2^2 + K) with G2 K = Dn(D2 = 0)
+    zn = (-delta2 + 1j * np.sqrt(_denominator(sys, g2, 0.0) / G2)) / slope2
+    z = np.stack(np.broadcast_arrays(far, c / q, zn, np.conj(zn)))
+    near = z[1:]
+    scale = G2 * slope2**2
+    dq = np.stack([scale * (lead * near[k] - q)
+                   * np.prod(near[k] - np.delete(near, k, axis=0), axis=0)
+                   for k in range(3)])
+    weight = plasma_dispersion(z)
+    weight[1:] /= dq
+    weight[0] = np.divide(weight[0], scale * lead * np.prod(far - near, axis=0),
+                          out=np.zeros_like(q), where=finite)
+    return z, weight

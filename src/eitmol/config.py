@@ -6,6 +6,8 @@ strict: unknown sections or keys, missing required keys, and wrong unit
 dimensions are all hard errors that name the offender.
 """
 
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 
@@ -242,6 +244,37 @@ _KNOWN_SECTIONS = {"system", "lasers", "ensemble", "scan", "quadrature",
                    "fit", "output"}
 
 
+@contextmanager
+def _rejected_as_key(path, section, keys):
+    """Re-raise a constructor's ValueError as a ValidationError naming keys.
+
+    ``keys`` maps the words a constructor's message may contain (field
+    names) to the config keys they come from; the keys whose words appear
+    are named, or all of them when none does.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        named = [key for word, key in keys.items()
+                 if re.search(rf"\b{word}\b", str(exc))]
+        names = ", ".join(dict.fromkeys(named or keys.values()))
+        raise ValidationError(
+            f"{path}: [{section}] {names}: {exc}") from exc
+
+
+_SYSTEM_KEYS = {"lifetime": "tau2, tau3", "gamma2": "tau2", "gamma3": "tau3",
+                "b2": "b2", "b3": "b3", "gamma12_col": "gamma12_col",
+                "gamma13_col": "gamma13_col", "gamma23_col": "gamma23_col",
+                "transit_rate": "transit_rate", "refill_rate": "refill_rate"}
+_ENSEMBLE_KEYS = {"temperature": "temperature", "mass": "mass",
+                  "Doppler width": "doppler_fwhm"}
+_SCAN_KEYS = {"delta1": "delta1_min, delta1_max, delta1_points",
+              "samples": "delta1_points", "channels": "channels",
+              "feature resolution": "feature_resolution"}
+_QUADRATURE_KEYS = {"node_count": "nodes", "span": "span",
+                    "refinement_tolerance": "refinement_tolerance"}
+
+
 def load_config(path_or_preset) -> RunConfig:
     """Load and validate a config file; bare preset names are also accepted."""
     import os
@@ -277,28 +310,34 @@ def parse_config(text: str, path="<config>") -> RunConfig:
     # rates quoted in cyclic MHz pick up their 2*pi here, once
     transit = sys_sec.quantity("transit_rate", ANGULAR_MRADS, default=0.0)
     refill = sys_sec.quantity("refill_rate", ANGULAR_MRADS, default=transit)
-    system = CascadeSystem(
-        omega21_cm=sys_sec.quantity("omega21", WAVENUMBER_CM, required=True),
-        omega32_cm=sys_sec.quantity("omega32", WAVENUMBER_CM, required=True),
-        gamma2=rate_from_lifetime_ns(
-            sys_sec.quantity("tau2", TIME_NS, required=True)),
-        gamma3=rate_from_lifetime_ns(
-            sys_sec.quantity("tau3", TIME_NS, required=True)),
-        b2=sys_sec.number("b2", required=True),
-        b3=sys_sec.number("b3", required=True),
-        gamma12_col=sys_sec.quantity("gamma12_col", ANGULAR_MRADS, default=0.0),
-        gamma13_col=sys_sec.quantity("gamma13_col", ANGULAR_MRADS, default=0.0),
-        gamma23_col=sys_sec.quantity("gamma23_col", ANGULAR_MRADS, default=0.0),
-        transit_rate=transit,
-        refill_rate=refill,
-        J1=sys_sec.integer("J1", required=True),
-        J2=sys_sec.integer("J2", required=True),
-        J3=sys_sec.integer("J3", required=True),
-        branch_probe=sys_sec.word("branch_probe", {"P", "Q", "R"},
-                                  required=True),
-        branch_coupling=sys_sec.word("branch_coupling", {"P", "Q", "R"},
-                                     required=True),
-    )
+    with _rejected_as_key(path, "system", _SYSTEM_KEYS):
+        system = CascadeSystem(
+            omega21_cm=sys_sec.quantity("omega21", WAVENUMBER_CM,
+                                        required=True),
+            omega32_cm=sys_sec.quantity("omega32", WAVENUMBER_CM,
+                                        required=True),
+            gamma2=rate_from_lifetime_ns(
+                sys_sec.quantity("tau2", TIME_NS, required=True)),
+            gamma3=rate_from_lifetime_ns(
+                sys_sec.quantity("tau3", TIME_NS, required=True)),
+            b2=sys_sec.number("b2", required=True),
+            b3=sys_sec.number("b3", required=True),
+            gamma12_col=sys_sec.quantity("gamma12_col", ANGULAR_MRADS,
+                                         default=0.0),
+            gamma13_col=sys_sec.quantity("gamma13_col", ANGULAR_MRADS,
+                                         default=0.0),
+            gamma23_col=sys_sec.quantity("gamma23_col", ANGULAR_MRADS,
+                                         default=0.0),
+            transit_rate=transit,
+            refill_rate=refill,
+            J1=sys_sec.integer("J1", required=True),
+            J2=sys_sec.integer("J2", required=True),
+            J3=sys_sec.integer("J3", required=True),
+            branch_probe=sys_sec.word("branch_probe", {"P", "Q", "R"},
+                                      required=True),
+            branch_coupling=sys_sec.word("branch_coupling", {"P", "Q", "R"},
+                                         required=True),
+        )
     mu_probe = sys_sec.quantity("mu_probe", DIPOLE_AU, required=True)
     mu_coupling = sys_sec.quantity("mu_coupling", DIPOLE_AU, required=True)
     sys_sec.reject_unknown()
@@ -324,15 +363,13 @@ def parse_config(text: str, path="<config>") -> RunConfig:
     mass = ens_sec.quantity("mass", MASS_AMU)
     fwhm = ens_sec.quantity("doppler_fwhm", FREQUENCY_MHZ)
     if fwhm is not None:  # a measured width overrides the thermal estimate
-        try:
+        with _rejected_as_key(path, "ensemble", _ENSEMBLE_KEYS):
             ensemble = Ensemble.from_doppler_fwhm(fwhm, system.omega21_cm,
                                                   geometry)
-        except ValueError as exc:
-            raise ValidationError(
-                f"{path}: [ensemble] doppler_fwhm: {exc}") from exc
     elif temp is not None and mass is not None:
-        ensemble = Ensemble(temperature_k=temp, mass_amu=mass,
-                            geometry=geometry)
+        with _rejected_as_key(path, "ensemble", _ENSEMBLE_KEYS):
+            ensemble = Ensemble(temperature_k=temp, mass_amu=mass,
+                                geometry=geometry)
     elif temp is not None or mass is not None:
         raise ValidationError(
             f"{path}: [ensemble] needs both 'temperature' and 'mass'"
@@ -349,27 +386,30 @@ def parse_config(text: str, path="<config>") -> RunConfig:
     if doppler_on and ensemble is None:
         raise ValidationError(
             f"{path}: [scan] doppler = on requires an [ensemble] section")
-    scan = ScanConfig(
-        delta1_mhz=np.linspace(d1_min, d1_max, points),
-        delta2_mhz=scan_sec.quantity("delta2", FREQUENCY_MHZ, required=True),
-        channels=scan_sec.words("channels", default=(RHO22, RHO33)),
-        doppler_on=doppler_on,
-        m_sum_on=scan_sec.flag("m_sum", default=True),
-        engine=scan_sec.word("engine", {ENGINE_ANALYTIC, ENGINE_ORACLE},
-                             default=ENGINE_ANALYTIC),
-        feature_resolution_mhz=scan_sec.quantity("feature_resolution",
-                                                 FREQUENCY_MHZ),
-    )
+    with _rejected_as_key(path, "scan", _SCAN_KEYS):
+        scan = ScanConfig(
+            delta1_mhz=np.linspace(d1_min, d1_max, points),
+            delta2_mhz=scan_sec.quantity("delta2", FREQUENCY_MHZ,
+                                         required=True),
+            channels=scan_sec.words("channels", default=(RHO22, RHO33)),
+            doppler_on=doppler_on,
+            m_sum_on=scan_sec.flag("m_sum", default=True),
+            engine=scan_sec.word("engine", {ENGINE_ANALYTIC, ENGINE_ORACLE},
+                                 default=ENGINE_ANALYTIC),
+            feature_resolution_mhz=scan_sec.quantity("feature_resolution",
+                                                     FREQUENCY_MHZ),
+        )
     scan_sec.reject_unknown()
 
     quad_sec = section("quadrature")
     quad_sec.word("scheme", {TRAPEZOID}, default=TRAPEZOID)  # the only rule
-    quadrature = QuadratureSpec(
-        node_count=quad_sec.integer("nodes", default=4001),
-        span=quad_sec.number("span", default=4.0),
-        refinement_tolerance=quad_sec.number("refinement_tolerance",
-                                             default=1e-4),
-    )
+    with _rejected_as_key(path, "quadrature", _QUADRATURE_KEYS):
+        quadrature = QuadratureSpec(
+            node_count=quad_sec.integer("nodes", default=4001),
+            span=quad_sec.number("span", default=4.0),
+            refinement_tolerance=quad_sec.number("refinement_tolerance",
+                                                 default=1e-4),
+        )
     quad_sec.reject_unknown()
 
     fit_settings = None

@@ -9,10 +9,22 @@ i.e. the per-channel steady-state population, Doppler averaged, then summed
 over magnetic sublevel channels.  Signals are non-normalized (arbitrary
 units); an overall scale is left to the fitting layer.
 
-Determinism: the grid is processed in fixed-size chunks whose boundaries do
-not depend on the thread count, every velocity reduction runs in fixed index
-order with compensated summation, and the channel sum runs in ascending-|M|
-order, so outputs are bit-identical for any ``threads`` value.
+The velocity integral is taken in one of two ways.  With the analytic
+engine and Doppler on, it is the closed form of
+``analytic.doppler_averaged_populations``, for all channels and delta1
+points at once.  When the quadrature is verified, that result is checked
+against the trapezoid of ``doppler.node_plan`` and its doubled rule at every
+50th point, the last point and the extremes of each summed signal, and the
+worst deviation is echoed as ``quadrature.max_refinement_shift`` with
+``quadrature.scheme = faddeeva``.  The oracle engine and Doppler-free scans
+average on the trapezoid itself (a single node vz = 0 without Doppler), and
+a verified oracle scan checks every point against the doubled rule.
+
+Determinism: the trapezoid grid is processed in fixed-size chunks whose
+boundaries do not depend on the thread count, every velocity reduction runs
+in fixed index order with compensated summation, the closed form runs in one
+thread, and the channel sum runs in ascending-|M| order, so outputs are
+bit-identical for any ``threads`` value.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -21,10 +33,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .analytic import population_rho22, population_rho33
+from .analytic import (
+    doppler_averaged_populations,
+    population_rho22,
+    population_rho33,
+)
 from .bloch import populations_grid
 from .doppler import (
     CO_PROPAGATING,
+    FADDEEVA,
     TRAPEZOID,
     Ensemble,
     QuadratureSpec,
@@ -45,6 +62,7 @@ RHO22 = "rho22"
 RHO33 = "rho33"
 
 _CHUNK = 32  # delta1 points per work unit; fixed so threading cannot reorder math
+_SPOT_CHECK_STRIDE = 50  # closed form: trapezoid-checked every 50th point
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,13 +134,15 @@ def per_m_components(sys: CascadeSystem, lasers: LaserPair,
     """Per-|M| spectra (multiplicity applied) before the channel sum."""
     quadrature = quadrature or QuadratureSpec()
     channels = _active_channels(channelset, scan)
-    per = _per_channel_spectra(sys, ensemble, channels, scan, quadrature,
-                               threads)
+    values, check = _per_channel_spectra(sys, ensemble, channels, scan,
+                                         quadrature, threads)
     out = []
     for i, ch in enumerate(channels):
-        rows = tuple(None if p is None else p[:, i:i + 1] for p in per)
-        spec = _spectrum(rows, [ch], sys, lasers, ensemble, channelset, scan,
-                         quadrature)
+        one = slice(i, i + 1)
+        row_check = None if check is None else \
+            (check[0], check[1][:, one], check[2][:, one])
+        spec = _spectrum((values[:, one], row_check), [ch], sys, lasers,
+                         ensemble, channelset, scan, quadrature)
         spec.metadata["component.abs_m"] = ch.abs_m
         spec.metadata["component.multiplicity"] = ch.multiplicity
         out.append(spec)
@@ -150,25 +170,25 @@ def _populations(sys, engine, g1, g2, d1, d2, rho11_init, wanted):
     return r22, r33
 
 
+def _closed_form(scan):
+    """True when the Doppler average is taken in closed form."""
+    return scan.engine == ENGINE_ANALYTIC and scan.doppler_on
+
+
 def _per_channel_spectra(sys, ensemble, channels, scan, quadrature, threads):
     """Velocity-averaged signals of each channel, before multiplicity.
 
-    Returns (coarse, fine), each of shape (signals, channels, points); fine
-    is None when the quadrature is not verified.  A Doppler-free scan runs
-    the same path on the single node vz = 0.
+    Returns (values, check).  ``values`` has shape (signals, channels,
+    points).  ``check`` is None when the quadrature is not verified, else
+    (idx, coarse, fine): the trapezoid averages on the N-node rule and on
+    its doubled rule at the delta1 indices ``idx``, shaped like ``values``
+    restricted to those points.  The analytic engine averages in closed form
+    and is checked at a few points; the oracle engine averages on the
+    trapezoid and is checked everywhere.  A Doppler-free scan runs the
+    trapezoid path on the single node vz = 0.
     """
     if scan.doppler_on and ensemble is None:
         raise ValueError("doppler_on scan requires an Ensemble")
-    if scan.doppler_on:
-        plan = node_plan(ensemble, quadrature, scan.verify_quadrature)
-    else:
-        plan = rest_frame_plan()
-    geometry = ensemble.geometry if ensemble is not None else CO_PROPAGATING
-    n = scan.delta1_mhz.size
-    shape = (len(SIGNALS), len(channels), n)
-    coarse = np.zeros(shape)
-    fine = None if plan.fine is None else np.zeros(shape)
-
     # The analytic rho33 carries an explicit factor g2^2, so it is exactly
     # zero in a channel the coupling does not drive; its rows are left at
     # their zero initial value instead of being evaluated and averaged.  The
@@ -178,10 +198,68 @@ def _per_channel_spectra(sys, ensemble, channels, scan, quadrature, threads):
                     if not (sig == RHO33 and scan.engine == ENGINE_ANALYTIC
                             and ch.g2 == 0.0))
               for ch in channels]
+    grid = scan.delta1_mhz
+    if _closed_form(scan):
+        values = _doppler_closed_form(sys, ensemble, channels, scan)
+        if not scan.verify_quadrature:
+            return values, None
+        idx = _spot_check_points(values, channels, scan)
+        coarse, fine = _trapezoid(sys, ensemble, channels, wanted, scan,
+                                  grid[idx], node_plan(ensemble, quadrature),
+                                  threads)
+        return values, (idx, coarse, fine)
+    if scan.doppler_on:
+        plan = node_plan(ensemble, quadrature, scan.verify_quadrature)
+    else:
+        plan = rest_frame_plan()
+    coarse, fine = _trapezoid(sys, ensemble, channels, wanted, scan, grid,
+                              plan, threads)
+    return coarse, None if fine is None else (np.arange(grid.size), coarse,
+                                              fine)
+
+
+def _doppler_closed_form(sys, ensemble, channels, scan):
+    """Closed-form Maxwellian averages of the analytic populations."""
+    d1 = angular_from_mhz(scan.delta1_mhz)
+    d2 = angular_from_mhz(scan.delta2_mhz)
+    # slopes of D1 and D2 in t = vz/u_p
+    b1, b2 = velocity_detunings(0.0, 0.0, sys.omega21_angular + d1,
+                                sys.omega32_angular + d2, ensemble.u_p,
+                                ensemble.geometry)
+    return np.stack(doppler_averaged_populations(
+        sys, [ch.g1 for ch in channels], [ch.g2 for ch in channels], d1, d2,
+        b1, b2, sys.rho11_init, RHO22 in scan.channels,
+        RHO33 in scan.channels))
+
+
+def _spot_check_points(values, channels, scan):
+    """Every 50th delta1 index, the last one, and the extremes of each
+    requested summed signal."""
+    n = scan.delta1_mhz.size
+    total = _channel_sum(values, channels)
+    idx = set(range(0, n, _SPOT_CHECK_STRIDE)) | {n - 1}
+    for sig in scan.channels:
+        s = SIGNALS.index(sig)
+        idx |= {int(np.argmax(total[s])), int(np.argmin(total[s]))}
+    return np.array(sorted(idx))
+
+
+def _trapezoid(sys, ensemble, channels, wanted, scan, delta1_mhz, plan,
+               threads):
+    """Trapezoid averages of each channel at ``delta1_mhz`` over ``plan``.
+
+    Returns (coarse, fine), each of shape (signals, channels, points); fine
+    is None when the plan carries no doubled rule.
+    """
+    geometry = ensemble.geometry if ensemble is not None else CO_PROPAGATING
+    n = delta1_mhz.size
+    shape = (len(SIGNALS), len(channels), n)
+    coarse = np.zeros(shape)
+    fine = None if plan.fine is None else np.zeros(shape)
 
     def work(lo):
         hi = min(lo + _CHUNK, n)
-        d1 = angular_from_mhz(scan.delta1_mhz[lo:hi])[:, None]
+        d1 = angular_from_mhz(delta1_mhz[lo:hi])[:, None]
         d2 = angular_from_mhz(scan.delta2_mhz)
         big_d1, big_d2 = velocity_detunings(
             d1, d2, sys.omega21_angular + d1, sys.omega32_angular + d2,
@@ -213,16 +291,20 @@ def _per_channel_spectra(sys, ensemble, channels, scan, quadrature, threads):
 def _spectrum(per, channels, sys, lasers, ensemble, channelset, scan,
               quadrature):
     """Sum per-channel rows over ``channels``, check and finalize them."""
-    coarse, fine = (None if p is None else _channel_sum(p, channels)
-                    for p in per)
-    for total in (coarse, fine):
-        if total is not None:
-            _require_finite(total, scan)
-    shift = _check_refinement(coarse, fine, scan, quadrature)
+    values, check = per
+    total = _channel_sum(values, channels)
+    _require_finite(total, scan.delta1_mhz)
+    shift = None
+    if check is not None:
+        idx, coarse, fine = check
+        coarse, fine = (_channel_sum(p, channels) for p in (coarse, fine))
+        for part in (coarse, fine):
+            _require_finite(part, scan.delta1_mhz[idx])
+        shift = _check_refinement(total, coarse, fine, idx, scan, quadrature)
     return Spectrum(
         delta1_mhz=scan.delta1_mhz.copy(),
-        signal_rho22=_finalize(coarse[0]),
-        signal_rho33=_finalize(coarse[1]),
+        signal_rho22=_finalize(total[0]),
+        signal_rho33=_finalize(total[1]),
         metadata=_metadata(sys, lasers, ensemble, channelset, scan,
                            quadrature, shift),
     )
@@ -236,31 +318,46 @@ def _channel_sum(per, channels):
     return total
 
 
-def _require_finite(total, scan):
+def _require_finite(total, delta1_mhz):
     bad = np.argwhere(~np.isfinite(total))
     if bad.size:
         s, k = bad[0]
         raise UnphysicalSignal(
             f"non-finite {SIGNALS[s]} signal at delta1 ="
-            f" {scan.delta1_mhz[k]:g} MHz")
+            f" {delta1_mhz[k]:g} MHz")
 
 
-def _check_refinement(coarse, fine, scan, quadrature):
-    """Largest relative move of any reported point on node doubling."""
-    if fine is None:
-        return None
-    worst = 0.0
+def _check_refinement(total, coarse, fine, idx, scan, quadrature):
+    """Largest move of a reported point against the doubled rule, relative
+    to the peak of its signal.
+
+    At each checked index both the reported value and the N-node trapezoid
+    are compared with the doubled-rule trapezoid; on the trapezoid path the
+    reported value is the N-node average itself.
+    """
+    worst, where = 0.0, None
     for sig in scan.channels:
         s = SIGNALS.index(sig)
-        peak = float(np.max(np.abs(coarse[s])))
+        peak = float(np.max(np.abs(total[s])))
         if peak == 0.0:
             continue
-        shift = float(np.max(np.abs(fine[s] - coarse[s]))) / peak
-        worst = max(worst, shift)
+        reported = np.abs(fine[s] - total[s, idx]) / peak
+        rule = np.abs(fine[s] - coarse[s]) / peak
+        dev = np.maximum(reported, rule)
+        k = int(np.argmax(dev))
+        if dev[k] > worst:
+            worst = float(dev[k])
+            where = sig, scan.delta1_mhz[idx[k]], rule[k] >= reported[k]
     if worst > quadrature.refinement_tolerance:
+        sig, x, by_rule = where
+        hint = (f"increase node_count above {quadrature.node_count}"
+                if by_rule else
+                "the trapezoid agrees with its doubled rule but not with the"
+                f" closed form; widen span above {quadrature.span} u_p")
         raise QuadratureNotConverged(
-            f"spectrum moved by {worst:.3e} of peak on node doubling;"
-            f" increase node_count above {quadrature.node_count}")
+            f"{sig} at delta1 = {x:g} MHz moved by {worst:.3e} of peak"
+            f" against the doubled {2 * quadrature.node_count - 1}-node"
+            f" trapezoid; {hint}")
     return worst
 
 
@@ -302,7 +399,7 @@ def _metadata(sys, lasers, ensemble, channelset, scan, quadrature, shift):
         "channels.coupling_coupled": channelset.coupling_coupled_count,
         "channels.g1_bare_Mrad_s": channelset.g1_bare,
         "channels.g2_bare_Mrad_s": channelset.g2_bare,
-        "quadrature.scheme": TRAPEZOID,
+        "quadrature.scheme": FADDEEVA if _closed_form(scan) else TRAPEZOID,
         "quadrature.node_count": quadrature.node_count,
         "quadrature.span_u_p": quadrature.span,
         "quadrature.refinement_tolerance": quadrature.refinement_tolerance,

@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eitmol import analytic
 from eitmol.analytic import (
     coupling_saturation_factor,
+    doppler_averaged_populations,
     population_rho22,
     population_rho33,
     rho22_analytic,
     rho33_analytic,
     steady_state_denominator,
 )
+from eitmol.config import preset_config
+from eitmol.doppler import QuadratureSpec, quadrature_nodes, velocity_detunings
+from eitmol.sublevels import build_channels
 from eitmol.system import CascadeSystem, DriveParams
+from eitmol.units import angular_from_mhz
 
 
 def drv(sys, g1=0.05, g2=0.0, d1=0.0, d2=0.0):
@@ -155,3 +161,110 @@ def test_populations_never_negative(gamma2, gamma3, b2, b3, w, g2, d1, d2):
     floor = -1e-12 * max(abs(r22), abs(r33), 1e-300)
     assert r22 >= floor
     assert r33 >= floor
+
+
+# closed-form Maxwellian average -----------------------------------------------
+
+def averaging_inputs(sys, ensemble, delta1_mhz, delta2_mhz):
+    """Detunings and their slopes in t = vz/u_p, as the scan engine builds
+    them."""
+    d1 = angular_from_mhz(np.asarray(delta1_mhz, float))
+    d2 = angular_from_mhz(delta2_mhz)
+    b1, b2 = velocity_detunings(0.0, 0.0, sys.omega21_angular + d1,
+                                sys.omega32_angular + d2, ensemble.u_p,
+                                ensemble.geometry)
+    return d1, d2, b1, b2
+
+
+def trapezoid_populations(sys, ensemble, g1, g2, d1, d2, nodes=8001):
+    """Unverified trapezoid averages of both populations, per channel."""
+    vz, w = quadrature_nodes(ensemble, QuadratureSpec(node_count=nodes))
+    big_d1, big_d2 = velocity_detunings(
+        d1[:, None], d2, sys.omega21_angular + d1[:, None],
+        sys.omega32_angular + d2, vz[None, :], ensemble.geometry)
+    return [np.array([kernel(sys, a, b, big_d1, big_d2, sys.rho11_init) @ w
+                      for a, b in zip(g1, g2)])
+            for kernel in (population_rho22, population_rho33)]
+
+
+@pytest.mark.parametrize("preset", ["li2_fig3b", "li2_fig4", "li2_fig6a",
+                                    "li2_fig6b"])
+def test_closed_form_matches_trapezoid_on_coupled_presets(preset):
+    """The |M|-summed closed-form averages agree with an 8001-node
+    trapezoid to 1e-6 of peak, for both populations."""
+    cfg = preset_config(preset)
+    sys, ens = cfg.system, cfg.ensemble
+    cs = build_channels(sys, cfg.mu_probe_au, cfg.mu_coupling_au,
+                        cfg.lasers.field_probe, cfg.lasers.field_coupling)
+    g1 = np.array([ch.g1 for ch in cs])
+    g2 = np.array([ch.g2 for ch in cs])
+    mult = np.array([ch.multiplicity for ch in cs])
+    d1, d2, b1, b2 = averaging_inputs(sys, ens, cfg.scan.delta1_mhz[::16],
+                                      cfg.scan.delta2_mhz)
+    closed = doppler_averaged_populations(sys, g1, g2, d1, d2, b1, b2,
+                                          sys.rho11_init)
+    trap = trapezoid_populations(sys, ens, g1, g2, d1, d2)
+    for c, t in zip(closed, trap):
+        summed_c, summed_t = mult @ c, mult @ t
+        peak = np.max(np.abs(summed_t))
+        assert peak > 0.0
+        assert np.max(np.abs(summed_c - summed_t)) <= 1e-6 * peak
+
+
+def test_closed_form_uses_lower_half_plane_poles(li2, li2_ensemble):
+    """With the coupling on, poles below the real axis carry a sizeable
+    share of the average, and the closed form still matches the trapezoid.
+    (With the coupling off only the pole above the axis has a residue, so a
+    coupling-off check cannot see a wrong lower-half-plane branch.)"""
+    g1, g2 = np.array([10.0]), np.array([800.0])
+    d1, d2, b1, b2 = averaging_inputs(li2, li2_ensemble,
+                                      np.linspace(-1500.0, 1500.0, 31), 300.0)
+    z, weight = analytic._pole_weights(li2, g2[:, None], d1, d2, b1, b2)
+    lower = z.imag < 0.0
+    assert lower.sum(axis=0).min() >= 1
+    frac = analytic._rho22_numerator(li2, g2[:, None], d1 + b1 * z,
+                                     d2 + b2 * z) * weight
+    share = (np.abs(np.sum(np.where(lower, frac, 0.0), axis=0))
+             / np.abs(np.sum(frac, axis=0)))
+    assert share.max() > 0.1
+
+    closed = doppler_averaged_populations(li2, g1, g2, d1, d2, b1, b2,
+                                          li2.rho11_init)
+    trap = trapezoid_populations(li2, li2_ensemble, g1, g2, d1, d2)
+    for c, t in zip(closed, trap):
+        assert np.max(np.abs(c - t)) <= 1e-6 * np.max(np.abs(t))
+
+
+def test_closed_form_skips_rho33_without_coupling(li2, li2_ensemble):
+    """rho33 stays +0.0 in a g2 = 0 channel; rho22 reduces to the Voigt
+    average of the two-level Lorentzian."""
+    d1, d2, b1, b2 = averaging_inputs(li2, li2_ensemble,
+                                      np.linspace(-3000.0, 3000.0, 41), 0.0)
+    r22, r33 = doppler_averaged_populations(
+        li2, [10.0, 10.0], [0.0, 500.0], d1, d2, b1, b2, li2.rho11_init)
+    assert np.all(r33[0] == 0.0) and not np.any(np.signbit(r33[0]))
+    assert np.all(r33[1] > 0.0)
+    trap = trapezoid_populations(li2, li2_ensemble, [10.0], [0.0], d1, d2)
+    assert np.max(np.abs(r22[0] - trap[0][0])) <= 1e-6 * np.max(trap[0][0])
+    unasked, _ = doppler_averaged_populations(
+        li2, [10.0], [500.0], d1, d2, b1, b2, li2.rho11_init, rho22=False)
+    assert np.all(unasked == 0.0)
+
+
+def test_closed_form_with_equal_wavenumbers(li2, li2_ensemble):
+    """Counter-propagating beams of equal wavenumber make the two-photon
+    detuning velocity independent at delta1 = delta2: one root of the probe
+    response goes to infinity and the closed form must drop it."""
+    from dataclasses import replace
+
+    sys = replace(li2, omega32_cm=li2.omega21_cm)
+    g1, g2 = np.array([10.0, 10.0]), np.array([0.0, 800.0])
+    d1, d2, b1, b2 = averaging_inputs(sys, li2_ensemble,
+                                      np.linspace(-600.0, 600.0, 25), 0.0)
+    assert np.any(b1 + b2 == 0.0)
+    closed = doppler_averaged_populations(sys, g1, g2, d1, d2, b1, b2,
+                                          sys.rho11_init)
+    trap = trapezoid_populations(sys, li2_ensemble, g1, g2, d1, d2)
+    for c, t in zip(closed, trap):
+        assert np.all(np.isfinite(c))
+        assert np.max(np.abs(c - t)) <= 1e-6 * np.max(np.abs(t))

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -239,6 +241,8 @@ def test_cli_exit_code_for_unconverged_quadrature(tmp_path, capsys):
         fh.write("\n[ensemble]\ntemperature = 1000 K\nmass = 14 amu\n"
                  "\n[quadrature]\nnodes = 51\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"rho(22|33) at delta1 = -?\d+(\.\d+)? MHz", err), err
 
 
 @pytest.mark.parametrize("ensemble, quadrature", [
@@ -255,6 +259,29 @@ def test_cli_rejects_unusable_quadrature_input(tmp_path, capsys, ensemble,
         fh.write(f"\n[ensemble]\n{ensemble}\n\n[quadrature]\n{quadrature}\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("temperature = 1000 K", "temperature = 0 K", "temperature"),
+    ("nodes = 4001", "nodes = 50", "nodes"),
+    ("b2 = 0.1", "b2 = 2", "b2"),
+    ("delta1_points = 801", "delta1_points = 1", "delta1_points"),
+])
+def test_cli_constructor_rejection_exits_config(tmp_path, capsys, old, new,
+                                                key):
+    """A value that parses but that a constructor rejects exits 2 with a
+    JSON error naming the key, and writes no CSV."""
+    text = (resources.files("eitmol") / "presets" / "li2_fig3a.cfg") \
+        .read_text("utf-8")
+    assert old in text
+    cfg = write_config(tmp_path, text.replace(old, new))
+    code = main(["simulate", "--config", cfg, "--json-errors",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ValidationError"
+    assert key in payload["message"]
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_cli_nonfinite_signal_exits_numeric(tmp_path, capsys, monkeypatch):

@@ -11,6 +11,8 @@ from eitmol.doppler import (
     Ensemble,
     QuadratureSpec,
     doppler_average,
+    faddeeva,
+    plasma_dispersion,
     quadrature_nodes,
     two_photon_velocity,
     velocity_detunings,
@@ -172,3 +174,27 @@ def test_nonfinite_observable_rejected(li2_ensemble):
     q = QuadratureSpec(node_count=51)
     with np.errstate(invalid="ignore"), pytest.raises(ValueError):
         doppler_average(lambda v: v / v, li2_ensemble, q)  # NaN at vz = 0
+
+
+def test_faddeeva_matches_scipy():
+    """Weideman's N = 32 rational approximation against scipy's w(z)."""
+    from scipy.special import wofz
+
+    z = (np.linspace(-20.0, 20.0, 401)[:, None]
+         + 1j * np.geomspace(1e-5, 5.0, 120)[None, :])
+    assert np.max(np.abs(faddeeva(z) / wofz(z) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("z", [0.3 + 0.2j, 2.0 + 1.0j, -1.1 - 0.05j,
+                               -0.5 - 2.0j])
+def test_plasma_dispersion_is_maxwellian_average_of_a_pole(z):
+    """Z(z) = (1/sqrt(pi)) int exp(-t^2)/(t - z) dt on both sides of the
+    real axis."""
+    from scipy.integrate import quad
+
+    def part(f):
+        return quad(lambda t: f(np.exp(-t * t) / (t - z)), -np.inf, np.inf,
+                    epsabs=1e-13, limit=400)[0]
+
+    ref = (part(np.real) + 1j * part(np.imag)) / np.sqrt(np.pi)
+    assert abs(plasma_dispersion(z) - ref) <= 1e-10 * abs(ref)

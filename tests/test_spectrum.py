@@ -8,7 +8,11 @@ import pytest
 from eitmol import spectrum
 from eitmol.analytic import population_rho22, population_rho33
 from eitmol.config import preset_config
-from eitmol.errors import FewerThanTwoPeaks, UnphysicalSignal
+from eitmol.errors import (
+    FewerThanTwoPeaks,
+    QuadratureNotConverged,
+    UnphysicalSignal,
+)
 from eitmol.features import extract_features, profile_fwhm
 from eitmol.spectrum import (
     ScanConfig,
@@ -199,6 +203,65 @@ def test_nonfinite_signal_raises(monkeypatch, li2, li2_lasers, li2_ensemble,
                  quadrature=q)
 
 
+def test_spot_check_catches_a_wrong_closed_form(monkeypatch, li2,
+                                                li2_lasers, li2_ensemble,
+                                                li2_channels, fast_quadrature):
+    """The verified closed form is compared with the doubled trapezoid; an
+    error of 1e-3 in its rho33 is reported with the signal and delta1."""
+    real = spectrum.doppler_averaged_populations
+
+    def off_by_1e3(*args, **kw):
+        r22, r33 = real(*args, **kw)
+        return r22, r33 * (1.0 + 1e-3)
+
+    monkeypatch.setattr(spectrum, "doppler_averaged_populations", off_by_1e3)
+    grid = np.linspace(-800, 800, 41)
+    with pytest.raises(QuadratureNotConverged,
+                       match=r"rho33 at delta1 = -?\d+(\.\d+)? MHz"):
+        simulate(li2, li2_lasers, li2_ensemble, li2_channels, scan(grid),
+                 quadrature=fast_quadrature)
+    sp = simulate(li2, li2_lasers, li2_ensemble, li2_channels,
+                  scan(grid, verify_quadrature=False))
+    assert sp.metadata["quadrature.verified"] is False
+
+
+def test_spot_check_blames_a_short_span(li2, li2_lasers, li2_ensemble,
+                                        li2_channels):
+    """A trapezoid truncated at +-0.5 u_p agrees with its doubled rule but
+    not with the untruncated closed form; the error says so."""
+    with pytest.raises(QuadratureNotConverged, match="widen span above 0.5"):
+        simulate(li2, li2_lasers, li2_ensemble, li2_channels,
+                 scan(np.linspace(-800, 800, 41)),
+                 quadrature=QuadratureSpec(node_count=2001, span=0.5))
+
+
+def test_spot_check_points(li2, li2_lasers, li2_ensemble, li2_channels):
+    """The spot-check points are every 50th point, the last one and the
+    extremes of each summed signal, and nothing else."""
+    grid = np.linspace(-3000, 3000, 161)
+    sc = scan(grid)
+    channels = list(li2_channels.channels)
+    values = spectrum._doppler_closed_form(li2, li2_ensemble, channels, sc)
+    idx = spectrum._spot_check_points(values, channels, sc)
+    total = spectrum._channel_sum(values, channels)
+    expected = {0, 50, 100, 150, 160}
+    for row in total:
+        expected |= {int(np.argmax(row)), int(np.argmin(row))}
+    assert list(idx) == sorted(expected)
+
+
+def test_unconverged_trapezoid_names_worst_point(li2, li2_lasers,
+                                                 li2_ensemble):
+    """On the oracle engine's trapezoid path the refinement failure names
+    the signal and the delta1 of the worst point."""
+    cs = weak_probe_channels(li2, li2_lasers)
+    with pytest.raises(QuadratureNotConverged,
+                       match=r"rho(22|33) at delta1 = -?\d+(\.\d+)? MHz"):
+        simulate(li2, li2_lasers, li2_ensemble, cs,
+                 scan(np.linspace(-200, 200, 5), engine="oracle"),
+                 quadrature=QuadratureSpec(node_count=51))
+
+
 def test_engines_agree_in_weak_probe_regime(li2, li2_lasers):
     """Analytic vs direct-solve engine on a 50-point scan, Doppler free."""
     cs = weak_probe_channels(li2, li2_lasers)
@@ -212,14 +275,20 @@ def test_engines_agree_in_weak_probe_regime(li2, li2_lasers):
         assert np.max(np.abs(ya - yo) / np.abs(yo)) <= 1e-3
 
 
-def test_oracle_engine_with_doppler_average(li2, li2_lasers, li2_ensemble):
+def test_oracle_engine_with_doppler_average(li2, li2_lasers, li2_ensemble,
+                                           fast_quadrature):
+    """The closed-form analytic average against the oracle engine on a
+    trapezoid that passes its own doubled-grid check."""
     cs = weak_probe_channels(li2, li2_lasers)
     grid = np.linspace(-200.0, 200.0, 5)
-    q = QuadratureSpec(node_count=301, refinement_tolerance=1.0)
     sc_a = scan(grid, verify_quadrature=False)
-    sc_o = scan(grid, verify_quadrature=False, engine="oracle")
-    a = simulate(li2, li2_lasers, li2_ensemble, cs, sc_a, quadrature=q)
-    o = simulate(li2, li2_lasers, li2_ensemble, cs, sc_o, quadrature=q)
+    sc_o = scan(grid, engine="oracle")
+    a = simulate(li2, li2_lasers, li2_ensemble, cs, sc_a)
+    o = simulate(li2, li2_lasers, li2_ensemble, cs, sc_o,
+                 quadrature=fast_quadrature)
+    assert o.metadata["quadrature.verified"] is True
+    assert o.metadata["quadrature.scheme"] == "uniform_trapezoid"
+    assert a.metadata["quadrature.scheme"] == "faddeeva"
     assert np.max(np.abs(a.signal_rho22 - o.signal_rho22)
                   / np.abs(o.signal_rho22)) <= 1e-3
 
@@ -247,6 +316,7 @@ def test_csv_and_json_round_trip(tmp_path, li2, li2_lasers, li2_channels):
     text = csv_path.read_text()
     header_end = text.index("delta1_MHz,rho22_au,rho33_au")
     assert "# engine = analytic" in text[:header_end]
+    assert "# quadrature.scheme = uniform_trapezoid" in text[:header_end]
     assert "# system.omega21_cm = 15642.636" in text[:header_end]
     rows = [r for r in text[header_end:].splitlines()[1:] if r]
     assert len(rows) == 11
@@ -279,4 +349,5 @@ def test_metadata_echoes_parameters(li2, li2_lasers, li2_ensemble,
     assert md["channels.probe_coupled"] == 29
     assert md["quadrature.node_count"] == fast_quadrature.node_count
     assert md["quadrature.verified"] is True
+    assert md["quadrature.scheme"] == "faddeeva"
     assert md["quadrature.max_refinement_shift"] <= 1e-4

@@ -20,8 +20,9 @@ from .doppler import (
     Ensemble,
     QuadratureSpec,
 )
-from .errors import ParseError, UnitError, ValidationError
+from .errors import DomainError, ParseError, UnitError, ValidationError
 from .spectrum import ENGINE_ANALYTIC, ENGINE_ORACLE, RHO22, RHO33, ScanConfig
+from .sublevels import build_channels
 from .system import CascadeSystem, LaserPair
 from .units import (
     ANGULAR_MRADS,
@@ -198,7 +199,7 @@ class _Section:
 
     def integer(self, key, required=False, default=None):
         v = self.number(key, required=required, default=default)
-        if v is None or v == int(v):
+        if v is None or float(v).is_integer():
             return v if v is None else int(v)
         raise ValidationError(f"{self.path}: key '{key}' must be an integer")
 
@@ -246,7 +247,7 @@ _KNOWN_SECTIONS = {"system", "lasers", "ensemble", "scan", "quadrature",
 
 @contextmanager
 def _rejected_as_key(path, section, keys):
-    """Re-raise a constructor's ValueError as a ValidationError naming keys.
+    """Re-raise a ValueError or DomainError as a ValidationError naming keys.
 
     ``keys`` maps the words a constructor's message may contain (field
     names) to the config keys they come from; the keys whose words appear
@@ -254,7 +255,7 @@ def _rejected_as_key(path, section, keys):
     """
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, DomainError) as exc:
         named = [key for word, key in keys.items()
                  if re.search(rf"\b{word}\b", str(exc))]
         names = ", ".join(dict.fromkeys(named or keys.values()))
@@ -265,7 +266,11 @@ def _rejected_as_key(path, section, keys):
 _SYSTEM_KEYS = {"lifetime": "tau2, tau3", "gamma2": "tau2", "gamma3": "tau3",
                 "b2": "b2", "b3": "b3", "gamma12_col": "gamma12_col",
                 "gamma13_col": "gamma13_col", "gamma23_col": "gamma23_col",
-                "transit_rate": "transit_rate", "refill_rate": "refill_rate"}
+                "transit_rate": "transit_rate", "refill_rate": "refill_rate",
+                "J": "J1, J2, J3", "branch": "branch_probe, branch_coupling"}
+_LASER_KEYS = {"power_probe_w": "power_probe", "waist_probe_m": "waist_probe",
+               "power_coupling_w": "power_coupling",
+               "waist_coupling_m": "waist_coupling"}
 _ENSEMBLE_KEYS = {"temperature": "temperature", "mass": "mass",
                   "Doppler width": "doppler_fwhm"}
 _SCAN_KEYS = {"delta1": "delta1_min, delta1_max, delta1_points",
@@ -338,21 +343,25 @@ def parse_config(text: str, path="<config>") -> RunConfig:
             branch_coupling=sys_sec.word("branch_coupling", {"P", "Q", "R"},
                                          required=True),
         )
+        build_channels(system, 0.0, 0.0, 0.0, 0.0)  # J fits both branches
     mu_probe = sys_sec.quantity("mu_probe", DIPOLE_AU, required=True)
     mu_coupling = sys_sec.quantity("mu_coupling", DIPOLE_AU, required=True)
     sys_sec.reject_unknown()
 
     las_sec = section("lasers")
-    lasers = LaserPair(
-        omega_probe_cm=system.omega21_cm,
-        omega_coupling_cm=system.omega32_cm,
-        power_probe_w=las_sec.quantity("power_probe", POWER_W, required=True),
-        power_coupling_w=las_sec.quantity("power_coupling", POWER_W,
-                                          required=True),
-        waist_probe_m=las_sec.quantity("waist_probe", LENGTH_M, required=True),
-        waist_coupling_m=las_sec.quantity("waist_coupling", LENGTH_M,
-                                          required=True),
-    )
+    with _rejected_as_key(path, "lasers", _LASER_KEYS):
+        lasers = LaserPair(
+            omega_probe_cm=system.omega21_cm,
+            omega_coupling_cm=system.omega32_cm,
+            power_probe_w=las_sec.quantity("power_probe", POWER_W,
+                                           required=True),
+            power_coupling_w=las_sec.quantity("power_coupling", POWER_W,
+                                              required=True),
+            waist_probe_m=las_sec.quantity("waist_probe", LENGTH_M,
+                                           required=True),
+            waist_coupling_m=las_sec.quantity("waist_coupling", LENGTH_M,
+                                              required=True),
+        )
     las_sec.reject_unknown()
 
     ens_sec = section("ensemble")
@@ -362,20 +371,19 @@ def parse_config(text: str, path="<config>") -> RunConfig:
     temp = ens_sec.quantity("temperature", TEMPERATURE_K)
     mass = ens_sec.quantity("mass", MASS_AMU)
     fwhm = ens_sec.quantity("doppler_fwhm", FREQUENCY_MHZ)
-    if fwhm is not None:  # a measured width overrides the thermal estimate
-        with _rejected_as_key(path, "ensemble", _ENSEMBLE_KEYS):
+    with _rejected_as_key(path, "ensemble", _ENSEMBLE_KEYS):
+        if fwhm is not None:  # a measured width overrides the thermal one
             ensemble = Ensemble.from_doppler_fwhm(fwhm, system.omega21_cm,
                                                   geometry)
-    elif temp is not None and mass is not None:
-        with _rejected_as_key(path, "ensemble", _ENSEMBLE_KEYS):
+        elif temp is not None and mass is not None:
             ensemble = Ensemble(temperature_k=temp, mass_amu=mass,
                                 geometry=geometry)
-    elif temp is not None or mass is not None:
-        raise ValidationError(
-            f"{path}: [ensemble] needs both 'temperature' and 'mass'"
-            " (or a 'doppler_fwhm')")
-    else:
-        ensemble = None
+        elif temp is not None or mass is not None:
+            raise ValidationError(
+                f"{path}: [ensemble] needs both 'temperature' and 'mass'"
+                " (or a 'doppler_fwhm')")
+        else:
+            ensemble = None
     ens_sec.reject_unknown()
 
     scan_sec = section("scan")

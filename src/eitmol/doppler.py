@@ -31,11 +31,12 @@ resolved by the node spacing.  Convergence is enforced, not assumed:
 node is the N-node rule, so one evaluation of the integrand yields both
 averages, and an average is rejected if it moved by more than the
 refinement tolerance between them.  A Doppler-free scan uses the same plan
-shape with the single node vz = 0.
+shape with the single node vz = 0.  Each average is one ``weighted_sum``,
+whose O(eps * n) rounding is far below any refinement tolerance.
 """
 
 from dataclasses import dataclass
-from math import log, pi, sqrt
+from math import inf, log, pi, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -62,11 +63,11 @@ class Ensemble:
     def __post_init__(self):
         if self.geometry not in (COUNTER_PROPAGATING, CO_PROPAGATING):
             raise ValueError(f"unknown geometry {self.geometry!r}")
-        if self.u_p_override is None and (self.temperature_k <= 0
-                                          or self.mass_amu <= 0):
-            raise ValueError("temperature and mass must be > 0")
-        if self.u_p_override is not None and not self.u_p_override > 0:
-            raise ValueError("Doppler width must be > 0")
+        if self.u_p_override is None and not (0.0 < self.temperature_k < inf
+                                              and 0.0 < self.mass_amu < inf):
+            raise ValueError("temperature and mass must be finite and > 0")
+        if self.u_p_override is not None and not 0.0 < self.u_p_override < inf:
+            raise ValueError("Doppler width must be finite and > 0")
 
     @property
     def u_p(self) -> float:
@@ -95,8 +96,9 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.node_count < 51 or self.node_count % 2 == 0:
             raise ValueError("trapezoid node_count must be odd and >= 51")
-        if self.span <= 0 or self.refinement_tolerance <= 0:
-            raise ValueError("span and refinement_tolerance must be > 0")
+        for name in ("span", "refinement_tolerance"):
+            if not 0.0 < getattr(self, name) < inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
     def doubled(self) -> "QuadratureSpec":
         # halves the step and keeps the node count odd
@@ -143,7 +145,7 @@ def maxwellian_trapezoid_weights(vz: np.ndarray, ens: Ensemble) -> np.ndarray:
     w = np.full(vz.size, h)
     w[0] = w[-1] = 0.5 * h
     w *= np.exp(-((vz / u) ** 2)) / (sqrt(pi) * u)
-    return w / compensated_sum(w)
+    return w / w.sum()
 
 
 def quadrature_nodes(ens: Ensemble, q: QuadratureSpec):
@@ -226,35 +228,16 @@ def plasma_dispersion(z):
     return np.where(lower, np.conj(value), value)
 
 
-def compensated_sum(values: np.ndarray):
-    """Kahan-compensated sum in fixed index order along the last axis."""
-    values = np.asarray(values, float)
-    total = np.zeros(values.shape[:-1])
-    comp = np.zeros_like(total)
-    for k in range(values.shape[-1]):
-        term = values[..., k] - comp
-        new = total + term
-        comp = (new - total) - term
-        total = new
-    return total
+def weighted_sum(values, weights):
+    """sum(values * weights) along the last axis.
 
-
-def compensated_weighted_sum(values, weights):
-    """sum(values * weights) along the last axis, compensated, fixed order.
-
-    Vectorizes over leading axes; the accumulation order never depends on
-    how callers chunk or thread the leading axes, so results are bit-stable.
+    einsum reduces each row on its own, in an order fixed by the row's
+    length and stride, and allocates no temporary the size of ``values``, so
+    a row's bits never depend on the other rows, on how callers chunk or
+    thread them, or on the thread count.  BLAS (``@``, ``np.dot``,
+    ``einsum(optimize=...)``) does not keep that contract.
     """
-    values = np.asarray(values, float)
-    weights = np.asarray(weights, float)
-    total = np.zeros(values.shape[:-1])
-    comp = np.zeros_like(total)
-    for k in range(values.shape[-1]):
-        term = values[..., k] * weights[k] - comp
-        new = total + term
-        comp = (new - total) - term
-        total = new
-    return total
+    return np.einsum("...k,k->...", values, weights)
 
 
 def doppler_average(observable, ens: Ensemble, q: QuadratureSpec) -> float:
@@ -275,7 +258,7 @@ def doppler_average(observable, ens: Ensemble, q: QuadratureSpec) -> float:
         y = np.array([float(observable(v)) for v in plan.vz])
     if not np.all(np.isfinite(y)):
         raise ValueError("observable is not finite on the integration span")
-    coarse, fine = (float(compensated_weighted_sum(y[sl], w))
+    coarse, fine = (float(weighted_sum(y[sl], w))
                     for sl, w in (plan.coarse, plan.fine))
     # averages much smaller than the integrand magnitude are cancellation
     # values; judge those against the integrand scale, not themselves

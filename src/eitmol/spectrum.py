@@ -21,10 +21,10 @@ average on the trapezoid itself (a single node vz = 0 without Doppler), and
 a verified oracle scan checks every point against the doubled rule.
 
 Determinism: the trapezoid grid is processed in fixed-size chunks whose
-boundaries do not depend on the thread count, every velocity reduction runs
-in fixed index order with compensated summation, the closed form runs in one
-thread, and the channel sum runs in ascending-|M| order, so outputs are
-bit-identical for any ``threads`` value.
+boundaries do not depend on the thread count, each velocity reduction
+(``doppler.weighted_sum``) gives a row the same bits whatever block it is
+reduced in, the closed form runs in one thread, and the channel sum runs in
+ascending-|M| order, so outputs are bit-identical for any ``threads`` value.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -45,10 +45,10 @@ from .doppler import (
     TRAPEZOID,
     Ensemble,
     QuadratureSpec,
-    compensated_weighted_sum,
     node_plan,
     rest_frame_plan,
     velocity_detunings,
+    weighted_sum,
 )
 from .errors import QuadratureNotConverged, UnphysicalSignal
 from .sublevels import ChannelSet
@@ -275,8 +275,7 @@ def _trapezoid(sys, ensemble, channels, wanted, scan, delta1_mhz, plan,
             for out, rule in ((coarse, plan.coarse), (fine, plan.fine)):
                 if rule is not None:
                     sl, w = rule
-                    out[s, rows, lo:hi] = compensated_weighted_sum(
-                        vals[..., sl], w)
+                    out[s, rows, lo:hi] = weighted_sum(vals[..., sl], w)
 
     chunks = range(0, n, _CHUNK)
     if threads <= 1:

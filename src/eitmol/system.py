@@ -10,6 +10,7 @@ All rates, detunings and Rabi frequencies are angular, in Mrad/s.
 """
 
 from dataclasses import dataclass, field
+from math import inf
 
 from .units import angular_from_wavenumber, field_amplitude
 
@@ -105,6 +106,14 @@ class LaserPair:
     power_coupling_w: float = 0.0
     waist_probe_m: float = 1e-4
     waist_coupling_m: float = 1e-4
+
+    def __post_init__(self):
+        for name in ("power_probe_w", "power_coupling_w"):
+            if not 0.0 <= getattr(self, name) < inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        for name in ("waist_probe_m", "waist_coupling_m"):
+            if not 0.0 < getattr(self, name) < inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
     @property
     def field_probe(self) -> float:

@@ -266,6 +266,16 @@ def test_cli_rejects_unusable_quadrature_input(tmp_path, capsys, ensemble,
     ("nodes = 4001", "nodes = 50", "nodes"),
     ("b2 = 0.1", "b2 = 2", "b2"),
     ("delta1_points = 801", "delta1_points = 1", "delta1_points"),
+    ("refinement_tolerance = 1e-4", "refinement_tolerance = nan",
+     "refinement_tolerance"),
+    ("refinement_tolerance = 1e-4", "refinement_tolerance = inf",
+     "refinement_tolerance"),
+    ("span = 4.0", "span = nan", "span"),
+    ("temperature = 1000 K", "temperature = inf K", "temperature"),
+    ("power_probe = 1 mW", "power_probe = -1 mW", "power_probe"),
+    ("J1 = 15", "J1 = 2", "J1"),
+    ("waist_probe = 222 um", "waist_probe = 0 um", "waist_probe"),
+    ("nodes = 4001", "nodes = inf", "nodes"),
 ])
 def test_cli_constructor_rejection_exits_config(tmp_path, capsys, old, new,
                                                 key):

@@ -1,5 +1,7 @@
 """Velocity detunings and Maxwellian quadrature."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from eitmol.doppler import (
     quadrature_nodes,
     two_photon_velocity,
     velocity_detunings,
+    weighted_sum,
 )
 from eitmol.errors import QuadratureNotConverged
 from eitmol.system import CascadeSystem
@@ -84,6 +87,11 @@ def test_quadrature_spec_validation():
         QuadratureSpec(node_count=50)       # even
     with pytest.raises(ValueError):
         QuadratureSpec(node_count=31)       # too few
+    for bad in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError):
+            QuadratureSpec(span=bad)
+        with pytest.raises(ValueError):
+            QuadratureSpec(refinement_tolerance=bad)
 
 
 def test_weights_normalized(li2_ensemble):
@@ -95,6 +103,35 @@ def test_nonpositive_doppler_width_rejected():
     for fwhm in (0.0, -2600.0):
         with pytest.raises(ValueError):
             Ensemble.from_doppler_fwhm(fwhm, 15642.636)
+
+
+def test_nonfinite_ensemble_rejected():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            Ensemble(temperature_k=bad, mass_amu=14.0)
+        with pytest.raises(ValueError):
+            Ensemble(temperature_k=1000.0, mass_amu=bad)
+        with pytest.raises(ValueError):
+            Ensemble(temperature_k=0.0, mass_amu=0.0, u_p_override=bad)
+
+
+def test_weighted_sum_rows_do_not_depend_on_the_block():
+    """A block reduction equals the row-by-row one bit for bit, also on the
+    every-second-node slice that the coarse rule reduces, and each row is
+    within the O(eps * n) bound of the exactly rounded sum."""
+    rng = np.random.default_rng(7)
+    block = rng.standard_normal((14, 21, 8001))
+    w = rng.random(8001)
+    for values, weights in ((block, w), (block[..., ::2], w[::2])):
+        whole = weighted_sum(values, weights)
+        assert whole.shape == (14, 21)
+        rows = np.array([[weighted_sum(values[i, j], weights)
+                          for j in range(21)] for i in range(14)])
+        assert np.array_equal(whole, rows)
+        for i, j in ((0, 0), (7, 11), (13, 20)):
+            terms = values[i, j] * weights
+            bound = terms.size * np.finfo(float).eps * np.sum(np.abs(terms))
+            assert abs(whole[i, j] - math.fsum(terms)) <= bound
 
 
 def test_average_evaluates_observable_once_on_doubled_nodes(li2_ensemble):

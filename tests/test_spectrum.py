@@ -306,6 +306,21 @@ def test_threads_do_not_change_bytes(li2, li2_lasers, li2_ensemble,
     assert np.array_equal(s1.signal_rho33, s8.signal_rho33)
 
 
+def test_threads_do_not_change_oracle_trapezoid(li2, li2_lasers, li2_ensemble,
+                                                li2_channels):
+    """65 points are three 32-point chunks, each reduced on the trapezoid."""
+    kw = dict(quadrature=QuadratureSpec(node_count=201))
+    grid = scan(np.linspace(-1500, 1500, 65), engine="oracle",
+                verify_quadrature=False)
+    s1 = simulate(li2, li2_lasers, li2_ensemble, li2_channels, grid,
+                  threads=1, **kw)
+    s3 = simulate(li2, li2_lasers, li2_ensemble, li2_channels, grid,
+                  threads=3, **kw)
+    assert s1.metadata["quadrature.scheme"] == "uniform_trapezoid"
+    assert np.array_equal(s1.signal_rho22, s3.signal_rho22)
+    assert np.array_equal(s1.signal_rho33, s3.signal_rho33)
+
+
 def test_csv_and_json_round_trip(tmp_path, li2, li2_lasers, li2_channels):
     sp = simulate(li2, li2_lasers, None, li2_channels,
                   scan(np.linspace(-100, 100, 11), doppler_on=False))

@@ -78,15 +78,43 @@ class FitProblem:
 
 @dataclass
 class FitResult:
+    """A finished fit; ``units`` and ``sensitivity`` are derived on access."""
+
     best_params: dict
-    units: dict
     residual_norm: float
     initial_residual_norm: float
     iterations: int
     evaluations: int
     converged: bool
-    sensitivity: dict            # name -> {curvature, half_interval}
-    trace: list                  # (evaluation index, best objective so far)
+    dof: int
+    curvature: np.ndarray        # per free parameter; NaN where pinned
+    trace: np.ndarray            # rows (evaluation index, best objective so far)
+
+    @property
+    def units(self) -> dict:
+        return {name: PARAMETER_UNITS[name] for name in self.best_params}
+
+    @property
+    def sensitivity(self) -> dict:
+        """name -> {curvature, half_interval, tolerance_interval}: local,
+        curvature-based scales rather than full confidence intervals.
+
+        ``half_interval``, sqrt(2 (chi^2/dof) / curvature), is the 1-sigma
+        scale implied by the residual level; ``tolerance_interval``,
+        sqrt(2 chi^2 / curvature), is the parameter move that doubles the
+        best objective.  Both are NaN for a parameter pinned at a bound and
+        inf where the curvature is not positive.
+        """
+        base = max(self.residual_norm, np.finfo(float).eps)
+        out = {}
+        for name, curv in zip(self.best_params, self.curvature.tolist()):
+            half = tol = float("nan") if np.isnan(curv) else float("inf")
+            if curv > 0:
+                half = float(np.sqrt(2.0 * base / self.dof / curv))
+                tol = float(np.sqrt(2.0 * base / curv))
+            out[name] = {"curvature": curv, "half_interval": half,
+                         "tolerance_interval": tol}
+        return out
 
 
 def _context(fp: FitProblem, params: dict):
@@ -177,21 +205,17 @@ def fit(fp: FitProblem, init: dict) -> FitResult:
                           fp.max_evaluations)
     best_x, best_f, converged = state.run()
 
-    names = list(fp.free)
-    best = dict(zip(names, (float(v) for v in best_x)))
-    dof = max(fp.target_signal.size - len(names), 1)
-    sens = _curvature_sensitivity(state.func, best_x, lo, hi, best_f, dof,
-                                  names)
+    curvature = _curvature(state.func, best_x, lo, hi, best_f)
     return FitResult(
-        best_params=best,
-        units={n: PARAMETER_UNITS[n] for n in names},
+        best_params=dict(zip(fp.free, best_x.tolist())),
         residual_norm=best_f,
         initial_residual_norm=state.initial_f,
         iterations=state.iterations,
         evaluations=state.evaluations,
         converged=converged,
-        sensitivity=sens,
-        trace=state.trace,
+        dof=max(fp.target_signal.size - len(fp.free), 1),
+        curvature=curvature,
+        trace=np.array(state.trace, float).reshape(-1, 2),
     )
 
 
@@ -307,42 +331,18 @@ class _SimplexState:
         return improvement < _IMPROVE_TOL
 
 
-def _curvature_sensitivity(func, x, lo, hi, f_best, dof, names):
-    """Second-difference curvature of the objective at the minimum.
-
-    Two derived scales are reported per parameter, both local and curvature
-    based rather than full confidence intervals:
-
-    * ``half_interval``: sqrt(2 (chi^2/dof) / curvature), the statistical
-      1-sigma scale implied by the residual level;
-    * ``tolerance_interval``: sqrt(2 chi^2 / curvature), the parameter move
-      that doubles the best objective, i.e. how far the parameter can wander
-      before the fit stops being comparably good.
-    """
-    out = {}
-    for i, name in enumerate(names):
+def _curvature(func, x, lo, hi, f_best):
+    """Second-difference curvature of the objective at the minimum along each
+    parameter; NaN where a parameter is pinned at a bound (one-sided)."""
+    curvature = np.full(x.size, np.nan)
+    for i in range(x.size):
         span = hi[i] - lo[i]
         h = min(1e-3 * span, x[i] - lo[i], hi[i] - x[i])
-        if h < 1e-12 * span:  # pinned at a bound; curvature is one-sided
-            out[name] = {"curvature": float("nan"),
-                         "half_interval": float("nan"),
-                         "tolerance_interval": float("nan")}
+        if h < 1e-12 * span:
             continue
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        curv = (func(xp) - 2.0 * f_best + func(xm)) / h**2
-        if curv > 0:
-            base = max(f_best, np.finfo(float).eps)
-            half = float(np.sqrt(2.0 * base / dof / curv))
-            tol = float(np.sqrt(2.0 * base / curv))
-        else:
-            half = float("inf")
-            tol = float("inf")
-        out[name] = {"curvature": float(curv), "half_interval": half,
-                     "tolerance_interval": tol}
-    return out
+        step = np.where(np.arange(x.size) == i, h, 0.0)
+        curvature[i] = (func(x + step) - 2.0 * f_best + func(x - step)) / h**2
+    return curvature
 
 
 def fit_report_dict(result: FitResult, fp: FitProblem) -> dict:

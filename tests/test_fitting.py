@@ -191,6 +191,26 @@ def test_report_dict_shape(li2, li2_lasers):
     assert report["convergence_trace"][0][0] == 1
 
 
+def test_sensitivity_of_a_pinned_parameter(li2, li2_lasers):
+    # the generating mu = 1.45 au lies above the box, so the fit pins mu
+    fp = doppler_free_problem(li2, li2_lasers,
+                              free=("mu_coupling", "amplitude_scale"),
+                              bounds={"mu_coupling": (0.5, 1.3),
+                                      "amplitude_scale": (0.1, 10.0)})
+    result = fit(fp, {"mu_coupling": 1.0, "amplitude_scale": 1.0})
+    assert result.best_params["mu_coupling"] == 1.3
+    assert result.units == {"mu_coupling": "au", "amplitude_scale": "1"}
+    pinned = result.sensitivity["mu_coupling"]
+    assert all(np.isnan(v) for v in pinned.values())
+    free = result.sensitivity["amplitude_scale"]
+    assert free["curvature"] > 0
+    assert free["tolerance_interval"] == pytest.approx(
+        free["half_interval"] * np.sqrt(fp.target_signal.size - 2))
+    trace = fit_report_dict(result, fp)["convergence_trace"]
+    assert trace[0][0] == 1 and trace[-1][0] <= result.evaluations
+    assert trace[-1][1] <= result.residual_norm
+
+
 def test_model_spectrum_uses_target_grid(li2, li2_lasers):
     fp = doppler_free_problem(li2, li2_lasers, free=("mu_coupling",),
                               bounds={"mu_coupling": (0.5, 3.0)})

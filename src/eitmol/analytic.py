@@ -20,6 +20,8 @@ g1^2.  The g2 = 0 limit reduces rho22 to the two-level Lorentzian and sends
 rho33 to zero; no special-casing is needed, the formulas are regular there.
 
 Every function accepts numpy arrays for the detunings and broadcasts.
+``channel_populations`` evaluates both populations for many channels on one
+detuning grid, sharing what the channels have in common, and
 ``doppler_averaged_populations`` gives the Maxwellian velocity averages of
 both populations in closed form.
 """
@@ -69,44 +71,84 @@ def _denominator(sys, g2, delta2):
     return A * (sys.gamma2 + w) + 0.5 * g2**2 * G32 * (1.0 - sys.W32 / G3)
 
 
-def _probe_response(sys, g2, delta1, delta2):
-    """Shared complex denominator of the dressed probe transition."""
+def _factors(sys, delta1, delta2):
+    """Channel-independent factors of both populations:
+    (D1 + D2 + i G31, (D1 + i G21)(D1 + D2 + i G31), D2 - i G32)."""
     w = sys.transit_rate
     G21 = sys.gamma21 + w
     G31 = sys.gamma31 + w
-    return (delta1 + 1j * G21) * (delta1 + delta2 + 1j * G31) - g2**2 / 4.0
+    G32 = sys.gamma32 + w
+    two_photon = delta1 + delta2 + 1j * G31
+    return two_photon, (delta1 + 1j * G21) * two_photon, delta2 - 1j * G32
+
+
+def _probe_response(bare, g2):
+    """Shared complex denominator P of the dressed probe transition, from
+    the bare product (D1 + i G21)(D1 + D2 + i G31) of ``_factors``."""
+    return bare - g2**2 / 4.0
 
 
 def population_rho22(sys, g1, g2, delta1, delta2, rho11_init=1.0):
     D = _denominator(sys, g2, delta2)
-    frac = _rho22_numerator(sys, g2, delta1, delta2) \
-        / _probe_response(sys, g2, delta1, delta2)
+    two_photon, bare, coupling = _factors(sys, delta1, delta2)
+    frac = _rho22_numerator(sys, g2, delta2, two_photon, coupling) \
+        / _probe_response(bare, g2)
     return _rho22_from(g1, rho11_init, D, frac)
 
 
 def population_rho33(sys, g1, g2, delta1, delta2, rho11_init=1.0):
     D = _denominator(sys, g2, delta2)
-    frac = _rho33_numerator(sys, delta1, delta2) \
-        / _probe_response(sys, g2, delta1, delta2)
+    two_photon, bare, coupling = _factors(sys, delta1, delta2)
+    frac = _rho33_numerator(sys, two_photon, coupling) \
+        / _probe_response(bare, g2)
     return _rho33_from(sys, g1, g2, rho11_init, D, frac)
 
 
-def _rho22_numerator(sys, g2, delta1, delta2):
+def channel_populations(sys, g1, g2, delta1, delta2, rho11_init=1.0,
+                        rho22=True, rho33=True):
+    """Yield (i, rho22, rho33) for each channel i of the arrays ``g1``, ``g2``.
+
+    The rows are bit for bit ``population_rho22/33(sys, g1[i], g2[i],
+    delta1, delta2, rho11_init)``: every value comes from the same
+    operations in the same order.  The factors no channel changes, and the
+    rho33 numerator, are built once; channels with equal g2 also share P, D
+    and N/P and differ only by their g1^2 prefactor.  A population not
+    requested is None, and so is rho33 in channels with g2 == 0, where it is
+    exactly zero; neither is evaluated there.  Channels come grouped by g2,
+    in order of first appearance.
+    """
+    two_photon, bare, coupling = _factors(sys, delta1, delta2)
+    n33 = _rho33_numerator(sys, two_photon, coupling) if rho33 else None
+    groups = {}
+    for i, value in enumerate(g2):
+        groups.setdefault(value, []).append(i)
+    for value, members in groups.items():
+        D = _denominator(sys, value, delta2)
+        P = _probe_response(bare, value)
+        f22 = _rho22_numerator(sys, value, delta2, two_photon, coupling) / P \
+            if rho22 else None
+        f33 = n33 / P if rho33 and value != 0.0 else None
+        for i in members:
+            yield (i,
+                   None if f22 is None else
+                   _rho22_from(g1[i], rho11_init, D, f22),
+                   None if f33 is None else
+                   _rho33_from(sys, g1[i], value, rho11_init, D, f33))
+
+
+def _rho22_numerator(sys, g2, delta2, two_photon, coupling):
     w = sys.transit_rate
-    G31 = sys.gamma31 + w
-    G32 = sys.gamma32 + w
     G3 = sys.gamma3 + w
     A = _saturation_factor(sys, g2, delta2)
-    return ((g2**2 / 4.0) * (1.0 - sys.W32 / G3) * (delta2 - 1j * G32)
-            + A * (delta1 + delta2 + 1j * G31))
+    return ((g2**2 / 4.0) * (1.0 - sys.W32 / G3) * coupling
+            + A * two_photon)
 
 
-def _rho33_numerator(sys, delta1, delta2):
+def _rho33_numerator(sys, two_photon, coupling):
     w = sys.transit_rate
-    G31 = sys.gamma31 + w
     G32 = sys.gamma32 + w
     G2 = sys.gamma2 + w
-    return -2.0 * G32 * (delta1 + delta2 + 1j * G31) + G2 * (delta2 - 1j * G32)
+    return -2.0 * G32 * two_photon + G2 * coupling
 
 
 def _rho22_from(g1, rho11_init, D, frac):
@@ -155,14 +197,16 @@ def doppler_averaged_populations(sys, g1, g2, delta1, delta2, slope1, slope2,
     if rows.size == 0:
         return out22, out33
     z, weight = _pole_weights(sys, g2[rows], delta1, delta2, slope1, slope2)
-    d1 = delta1 + slope1 * z
     d2 = delta2 + slope2 * z
+    two_photon, _, coupling = _factors(sys, delta1 + slope1 * z, d2)
     if rho22:
-        frac = np.sum(_rho22_numerator(sys, g2[rows], d1, d2) * weight, axis=0)
+        frac = np.sum(_rho22_numerator(sys, g2[rows], d2, two_photon,
+                                       coupling) * weight, axis=0)
         out22[rows] = _rho22_from(g1[rows], rho11_init, 1.0, frac)
     on = lit[rows]
     if on.any():
-        frac = np.sum(_rho33_numerator(sys, d1[:, on], d2[:, on])
+        frac = np.sum(_rho33_numerator(sys, two_photon[:, on],
+                                       coupling[:, on])
                       * weight[:, on], axis=0)
         up = rows[on]
         out33[up] = _rho33_from(sys, g1[up], g2[up], rho11_init, 1.0, frac)

@@ -263,7 +263,8 @@ def _rejected_as_key(path, section, keys):
             f"{path}: [{section}] {names}: {exc}") from exc
 
 
-_SYSTEM_KEYS = {"lifetime": "tau2, tau3", "gamma2": "tau2", "gamma3": "tau3",
+_SYSTEM_KEYS = {"omega21_cm": "omega21", "omega32_cm": "omega32",
+                "lifetime": "tau2, tau3", "gamma2": "tau2", "gamma3": "tau3",
                 "b2": "b2", "b3": "b3", "gamma12_col": "gamma12_col",
                 "gamma13_col": "gamma13_col", "gamma23_col": "gamma23_col",
                 "transit_rate": "transit_rate", "refill_rate": "refill_rate",
@@ -274,10 +275,18 @@ _LASER_KEYS = {"power_probe_w": "power_probe", "waist_probe_m": "waist_probe",
 _ENSEMBLE_KEYS = {"temperature": "temperature", "mass": "mass",
                   "Doppler width": "doppler_fwhm"}
 _SCAN_KEYS = {"delta1": "delta1_min, delta1_max, delta1_points",
+              "delta2": "delta2",
               "samples": "delta1_points", "channels": "channels",
               "feature resolution": "feature_resolution"}
 _QUADRATURE_KEYS = {"node_count": "nodes", "span": "span",
                     "refinement_tolerance": "refinement_tolerance"}
+
+
+def _require_finite(path, section, **values):
+    for key, value in values.items():
+        if not np.isfinite(value):
+            raise ValidationError(
+                f"{path}: [{section}] {key}: must be finite, got {value}")
 
 
 def load_config(path_or_preset) -> RunConfig:
@@ -346,6 +355,8 @@ def parse_config(text: str, path="<config>") -> RunConfig:
         build_channels(system, 0.0, 0.0, 0.0, 0.0)  # J fits both branches
     mu_probe = sys_sec.quantity("mu_probe", DIPOLE_AU, required=True)
     mu_coupling = sys_sec.quantity("mu_coupling", DIPOLE_AU, required=True)
+    _require_finite(path, "system", mu_probe=mu_probe,
+                    mu_coupling=mu_coupling)
     sys_sec.reject_unknown()
 
     las_sec = section("lasers")
@@ -390,6 +401,7 @@ def parse_config(text: str, path="<config>") -> RunConfig:
     d1_min = scan_sec.quantity("delta1_min", FREQUENCY_MHZ, required=True)
     d1_max = scan_sec.quantity("delta1_max", FREQUENCY_MHZ, required=True)
     points = scan_sec.integer("delta1_points", required=True)
+    _require_finite(path, "scan", delta1_min=d1_min, delta1_max=d1_max)
     doppler_on = scan_sec.flag("doppler", default=True)
     if doppler_on and ensemble is None:
         raise ValidationError(

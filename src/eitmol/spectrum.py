@@ -20,11 +20,13 @@ worst deviation is echoed as ``quadrature.max_refinement_shift`` with
 average on the trapezoid itself (a single node vz = 0 without Doppler), and
 a verified oracle scan checks every point against the doubled rule.
 
-Determinism: the trapezoid grid is processed in fixed-size chunks whose
-boundaries do not depend on the thread count, each velocity reduction
-(``doppler.weighted_sum``) gives a row the same bits whatever block it is
-reduced in, the closed form runs in one thread, and the channel sum runs in
-ascending-|M| order, so outputs are bit-identical for any ``threads`` value.
+Determinism: the trapezoid grid is processed in blocks of about 2^15
+points x nodes, so that a block's complex temporaries stay in cache; their
+boundaries depend only on the grid and the node count, never on the thread
+count.  Each velocity reduction (``doppler.weighted_sum``) gives a row the
+same bits whatever block it is reduced in, the closed form runs in one
+thread, and the channel sum runs in ascending-|M| order, so outputs are
+bit-identical for any ``threads`` value.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -34,9 +36,9 @@ import numpy as np
 
 from . import __version__
 from .analytic import (
+    channel_populations,
     doppler_averaged_populations,
-    population_rho22,
-    population_rho33,
+    population_rho22,  # noqa: F401  (re-exported as spectrum.population_rho22)
 )
 from .bloch import populations_grid
 from .doppler import (
@@ -61,7 +63,8 @@ ENGINE_ORACLE = "oracle"
 RHO22 = "rho22"
 RHO33 = "rho33"
 
-_CHUNK = 32  # delta1 points per work unit; fixed so threading cannot reorder math
+# points x nodes per work unit: a block's complex temporaries stay in cache
+_BLOCK = 1 << 15
 _SPOT_CHECK_STRIDE = 50  # closed form: trapezoid-checked every 50th point
 
 
@@ -82,15 +85,21 @@ class ScanConfig:
         grid = np.asarray(self.delta1_mhz, float)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("delta1 grid must be a 1-D array of >= 2 points")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("delta1 grid must be finite")
         if not np.all(np.diff(grid) > 0):
             raise ValueError("delta1 grid must be strictly increasing")
         object.__setattr__(self, "delta1_mhz", grid)
+        if not np.isfinite(self.delta2_mhz):
+            raise ValueError("delta2 must be finite")
         if not self.channels or not set(self.channels) <= {RHO22, RHO33}:
             raise ValueError("channels must be a non-empty subset of"
                              " {rho22, rho33}")
         if self.engine not in (ENGINE_ANALYTIC, ENGINE_ORACLE):
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.feature_resolution_mhz is not None:
+            if not np.isfinite(self.feature_resolution_mhz):
+                raise ValueError("feature resolution must be finite")
             if np.max(np.diff(grid)) > self.feature_resolution_mhz:
                 raise ValueError("grid spacing exceeds the requested feature"
                                  " resolution")
@@ -160,14 +169,24 @@ def _active_channels(channelset: ChannelSet, scan: ScanConfig):
     return [channelset.bare_channel()]
 
 
-def _populations(sys, engine, g1, g2, d1, d2, rho11_init, wanted):
-    if engine == ENGINE_ORACLE:
-        return populations_grid(sys, g1, g2, d1, d2, rho11_init)
-    r22 = population_rho22(sys, g1, g2, d1, d2, rho11_init) \
-        if RHO22 in wanted else None
-    r33 = population_rho33(sys, g1, g2, d1, d2, rho11_init) \
-        if RHO33 in wanted else None
-    return r22, r33
+def _channel_rows(sys, scan, channels, d1, d2):
+    """Yield (i, rho22, rho33) on the detuning grid for each channel i.
+
+    A population the scan does not request is None, and so is the analytic
+    rho33 of a channel with g2 == 0: it carries an explicit factor g2^2, so
+    it is exactly zero and ``channel_populations`` does not evaluate it.
+    The oracle solve yields both populations together, so nothing is
+    skipped there.
+    """
+    wanted = (RHO22 in scan.channels, RHO33 in scan.channels)
+    if scan.engine == ENGINE_ANALYTIC:
+        yield from channel_populations(
+            sys, [ch.g1 for ch in channels], [ch.g2 for ch in channels], d1,
+            d2, sys.rho11_init, *wanted)
+        return
+    for i, ch in enumerate(channels):
+        pops = populations_grid(sys, ch.g1, ch.g2, d1, d2, sys.rho11_init)
+        yield (i, *(p if want else None for p, want in zip(pops, wanted)))
 
 
 def _closed_form(scan):
@@ -189,31 +208,21 @@ def _per_channel_spectra(sys, ensemble, channels, scan, quadrature, threads):
     """
     if scan.doppler_on and ensemble is None:
         raise ValueError("doppler_on scan requires an Ensemble")
-    # The analytic rho33 carries an explicit factor g2^2, so it is exactly
-    # zero in a channel the coupling does not drive; its rows are left at
-    # their zero initial value instead of being evaluated and averaged.  The
-    # oracle solve yields both populations together, so nothing is skipped
-    # there.
-    wanted = [tuple(sig for sig in scan.channels
-                    if not (sig == RHO33 and scan.engine == ENGINE_ANALYTIC
-                            and ch.g2 == 0.0))
-              for ch in channels]
     grid = scan.delta1_mhz
     if _closed_form(scan):
         values = _doppler_closed_form(sys, ensemble, channels, scan)
         if not scan.verify_quadrature:
             return values, None
         idx = _spot_check_points(values, channels, scan)
-        coarse, fine = _trapezoid(sys, ensemble, channels, wanted, scan,
-                                  grid[idx], node_plan(ensemble, quadrature),
-                                  threads)
+        coarse, fine = _trapezoid(sys, ensemble, channels, scan, grid[idx],
+                                  node_plan(ensemble, quadrature), threads)
         return values, (idx, coarse, fine)
     if scan.doppler_on:
         plan = node_plan(ensemble, quadrature, scan.verify_quadrature)
     else:
         plan = rest_frame_plan()
-    coarse, fine = _trapezoid(sys, ensemble, channels, wanted, scan, grid,
-                              plan, threads)
+    coarse, fine = _trapezoid(sys, ensemble, channels, scan, grid, plan,
+                              threads)
     return coarse, None if fine is None else (np.arange(grid.size), coarse,
                                               fine)
 
@@ -244,46 +253,45 @@ def _spot_check_points(values, channels, scan):
     return np.array(sorted(idx))
 
 
-def _trapezoid(sys, ensemble, channels, wanted, scan, delta1_mhz, plan,
-               threads):
+def _trapezoid(sys, ensemble, channels, scan, delta1_mhz, plan, threads):
     """Trapezoid averages of each channel at ``delta1_mhz`` over ``plan``.
 
     Returns (coarse, fine), each of shape (signals, channels, points); fine
-    is None when the plan carries no doubled rule.
+    is None when the plan carries no doubled rule.  Rows a scan does not
+    evaluate stay zero.  Each channel's rows are reduced as soon as they are
+    produced, one block of about ``_BLOCK`` points x nodes at a time.
     """
     geometry = ensemble.geometry if ensemble is not None else CO_PROPAGATING
     n = delta1_mhz.size
     shape = (len(SIGNALS), len(channels), n)
     coarse = np.zeros(shape)
     fine = None if plan.fine is None else np.zeros(shape)
+    rules = [(out, rule) for out, rule in ((coarse, plan.coarse),
+                                           (fine, plan.fine))
+             if rule is not None]
+    step = max(1, _BLOCK // plan.vz.size)
 
     def work(lo):
-        hi = min(lo + _CHUNK, n)
+        hi = min(lo + step, n)
         d1 = angular_from_mhz(delta1_mhz[lo:hi])[:, None]
         d2 = angular_from_mhz(scan.delta2_mhz)
         big_d1, big_d2 = velocity_detunings(
             d1, d2, sys.omega21_angular + d1, sys.omega32_angular + d2,
             plan.vz[None, :], geometry)
-        pops = [_populations(sys, scan.engine, ch.g1, ch.g2, big_d1, big_d2,
-                             sys.rho11_init, want)
-                for ch, want in zip(channels, wanted)]
-        for s, sig in enumerate(SIGNALS):
-            rows = [i for i, want in enumerate(wanted) if sig in want]
-            if not rows:
-                continue
-            vals = np.stack([pops[i][s] for i in rows])  # rows, points, nodes
-            for out, rule in ((coarse, plan.coarse), (fine, plan.fine)):
-                if rule is not None:
-                    sl, w = rule
-                    out[s, rows, lo:hi] = weighted_sum(vals[..., sl], w)
+        for i, *rows in _channel_rows(sys, scan, channels, big_d1, big_d2):
+            for s, row in enumerate(rows):
+                if row is None:
+                    continue
+                for out, (sl, w) in rules:
+                    out[s, i, lo:hi] = weighted_sum(row[..., sl], w)
 
-    chunks = range(0, n, _CHUNK)
+    blocks = range(0, n, step)
     if threads <= 1:
-        for lo in chunks:
+        for lo in blocks:
             work(lo)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, chunks))
+            list(pool.map(work, blocks))
     return coarse, fine
 
 

@@ -39,10 +39,13 @@ class CascadeSystem:
     branch_coupling: str = "Q"
 
     def __post_init__(self):
+        for name in ("omega21_cm", "omega32_cm"):
+            if not abs(getattr(self, name)) < inf:
+                raise ValueError(f"{name} must be finite")
         for name in ("gamma2", "gamma3", "transit_rate", "refill_rate",
                      "gamma12_col", "gamma13_col", "gamma23_col"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         for name in ("b2", "b3"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")

@@ -13,7 +13,7 @@ The conversion rules are deliberately rigid:
 """
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import inf, pi, sqrt
 
 from .constants import (
     DIPOLE_AU_CM,
@@ -119,8 +119,8 @@ def angular_from_wavenumber(sigma_cm: float) -> float:
 
 
 def rate_from_lifetime_ns(tau_ns: float) -> float:
-    if tau_ns <= 0.0:
-        raise ValueError(f"lifetime must be > 0, got {tau_ns}")
+    if not 0.0 < tau_ns < inf:
+        raise ValueError(f"lifetime must be finite and > 0, got {tau_ns}")
     return 1e3 / tau_ns
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from eitmol import analytic
 from eitmol.analytic import (
+    channel_populations,
     coupling_saturation_factor,
     doppler_averaged_populations,
     population_rho22,
@@ -222,8 +223,10 @@ def test_closed_form_uses_lower_half_plane_poles(li2, li2_ensemble):
     z, weight = analytic._pole_weights(li2, g2[:, None], d1, d2, b1, b2)
     lower = z.imag < 0.0
     assert lower.sum(axis=0).min() >= 1
-    frac = analytic._rho22_numerator(li2, g2[:, None], d1 + b1 * z,
-                                     d2 + b2 * z) * weight
+    d2z = d2 + b2 * z
+    two_photon, _, coupling = analytic._factors(li2, d1 + b1 * z, d2z)
+    frac = analytic._rho22_numerator(li2, g2[:, None], d2z, two_photon,
+                                     coupling) * weight
     share = (np.abs(np.sum(np.where(lower, frac, 0.0), axis=0))
              / np.abs(np.sum(frac, axis=0)))
     assert share.max() > 0.1
@@ -268,3 +271,45 @@ def test_closed_form_with_equal_wavenumbers(li2, li2_ensemble):
     for c, t in zip(closed, trap):
         assert np.all(np.isfinite(c))
         assert np.max(np.abs(c - t)) <= 1e-6 * np.max(np.abs(t))
+
+
+def test_channel_populations_match_the_single_channel_kernels():
+    """The shared-factor kernel gives, channel by channel, the bits of
+    population_rho22/33 on li2_fig3b's channels (one of them with g2 = 0)
+    plus two channels that share an existing g2; it skips rho33 at g2 = 0
+    and every population it is not asked for."""
+    cfg = preset_config("li2_fig3b")
+    sys, ens = cfg.system, cfg.ensemble
+    cs = build_channels(sys, cfg.mu_probe_au, cfg.mu_coupling_au,
+                        cfg.lasers.field_probe, cfg.lasers.field_coupling)
+    g1 = [ch.g1 for ch in cs]
+    g2 = [ch.g2 for ch in cs]
+    assert 0.0 in g2
+    shared = max(g2)
+    g1 += [0.5 * g1[g2.index(shared)], 3.0]
+    g2 += [shared, shared]
+    d1 = angular_from_mhz(np.linspace(-900.0, 900.0, 7))[:, None]
+    d2 = angular_from_mhz(cfg.scan.delta2_mhz)
+    vz, _ = quadrature_nodes(ens, QuadratureSpec(node_count=101))
+    big_d1, big_d2 = velocity_detunings(
+        d1, d2, sys.omega21_angular + d1, sys.omega32_angular + d2,
+        vz[None, :], ens.geometry)
+    rho11 = sys.rho11_init
+
+    rows = list(channel_populations(sys, g1, g2, big_d1, big_d2, rho11))
+    assert sorted(i for i, _, _ in rows) == list(range(len(g1)))
+    for i, r22, r33 in rows:
+        assert np.array_equal(
+            r22, population_rho22(sys, g1[i], g2[i], big_d1, big_d2, rho11))
+        if g2[i] == 0.0:
+            assert r33 is None
+        else:
+            assert np.array_equal(r33, population_rho33(
+                sys, g1[i], g2[i], big_d1, big_d2, rho11))
+
+    for i, r22, r33 in channel_populations(sys, g1, g2, big_d1, big_d2,
+                                           rho11, rho22=False):
+        assert r22 is None and (r33 is None) == (g2[i] == 0.0)
+    for _, r22, r33 in channel_populations(sys, g1, g2, big_d1, big_d2,
+                                           rho11, rho33=False):
+        assert r22 is not None and r33 is None

@@ -276,11 +276,19 @@ def test_cli_rejects_unusable_quadrature_input(tmp_path, capsys, ensemble,
     ("J1 = 15", "J1 = 2", "J1"),
     ("waist_probe = 222 um", "waist_probe = 0 um", "waist_probe"),
     ("nodes = 4001", "nodes = inf", "nodes"),
+    ("mu_probe = 1.0 au", "mu_probe = inf au", "mu_probe"),
+    ("delta2 = 0 MHz", "delta2 = inf MHz", "delta2"),
+    ("gamma12_col = 5 MHz", "gamma12_col = inf MHz", "gamma12_col"),
+    ("omega21 = 15642.636 cm-1", "omega21 = inf cm-1", "omega21"),
+    ("tau2 = 18 ns", "tau2 = inf ns", "tau2"),
+    ("delta1_max = 3000 MHz", "delta1_max = inf MHz", "delta1_max"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_constructor_rejection_exits_config(tmp_path, capsys, old, new,
                                                 key):
     """A value that parses but that a constructor rejects exits 2 with a
-    JSON error naming the key, and writes no CSV."""
+    JSON error naming the key, and writes no CSV; no numpy warning reaches
+    stderr ahead of the JSON."""
     text = (resources.files("eitmol") / "presets" / "li2_fig3a.cfg") \
         .read_text("utf-8")
     assert old in text
@@ -297,10 +305,12 @@ def test_cli_constructor_rejection_exits_config(tmp_path, capsys, old, new,
 def test_cli_nonfinite_signal_exits_numeric(tmp_path, capsys, monkeypatch):
     from eitmol import spectrum
 
-    def nan_kernel(sys, g1, g2, d1, d2, rho11_init=1.0):
-        return np.full(np.broadcast(d1, d2).shape, np.nan)
+    def nan_kernel(sys, g1, g2, d1, d2, rho11_init=1.0, rho22=True,
+                   rho33=True):
+        for i in range(len(g1)):
+            yield i, np.full(np.broadcast(d1, d2).shape, np.nan), None
 
-    monkeypatch.setattr(spectrum, "population_rho22", nan_kernel)
+    monkeypatch.setattr(spectrum, "channel_populations", nan_kernel)
     cfg = small_run_config(tmp_path, tmp_path)
     code = main(["simulate", "--config", cfg, "--json-errors"])
     assert code == 3

@@ -5,8 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from eitmol import spectrum
-from eitmol.analytic import population_rho22, population_rho33
+from eitmol import analytic, spectrum
 from eitmol.config import preset_config
 from eitmol.errors import (
     FewerThanTwoPeaks,
@@ -23,7 +22,7 @@ from eitmol.spectrum import (
     write_spectrum,
 )
 from eitmol.sublevels import build_channels
-from eitmol.doppler import QuadratureSpec
+from eitmol.doppler import QuadratureSpec, node_plan
 
 
 def scan(grid, **kw):
@@ -135,15 +134,17 @@ def test_components_metadata_and_upper_level_count(li2, li2_lasers,
 
 
 def counting_rho33(monkeypatch):
-    """Route the scan engine's rho33 kernel through a recorder of the g2
-    value of every call."""
+    """Route the per-channel rho33 step of the population kernels (the
+    trapezoid's ``channel_populations`` and the closed form) through a
+    recorder of the g2 value of every channel it is formed for."""
     calls = []
+    real = analytic._rho33_from
 
     def counted(sys, g1, g2, *args, **kw):
-        calls.append(g2)
-        return population_rho33(sys, g1, g2, *args, **kw)
+        calls.extend(np.ravel(g2).tolist())
+        return real(sys, g1, g2, *args, **kw)
 
-    monkeypatch.setattr(spectrum, "population_rho33", counted)
+    monkeypatch.setattr(analytic, "_rho33_from", counted)
     return calls
 
 
@@ -190,12 +191,14 @@ def test_nonfinite_signal_raises(monkeypatch, li2, li2_lasers, li2_ensemble,
                                  li2_channels, doppler_on):
     """A NaN from the kernel at a single node must stop the scan, not be
     dropped by the refinement check or the negativity floor."""
-    def poisoned(*args, **kw):
-        r = population_rho22(*args, **kw)
-        r.flat[r.size // 2 + 1] = np.nan
-        return r
+    real = spectrum.channel_populations
 
-    monkeypatch.setattr(spectrum, "population_rho22", poisoned)
+    def poisoned(*args, **kw):
+        for i, r22, r33 in real(*args, **kw):
+            r22.flat[r22.size // 2 + 1] = np.nan
+            yield i, r22, r33
+
+    monkeypatch.setattr(spectrum, "channel_populations", poisoned)
     q = QuadratureSpec(node_count=501, refinement_tolerance=1.0)
     with pytest.raises(UnphysicalSignal):
         simulate(li2, li2_lasers, li2_ensemble, li2_channels,
@@ -308,7 +311,8 @@ def test_threads_do_not_change_bytes(li2, li2_lasers, li2_ensemble,
 
 def test_threads_do_not_change_oracle_trapezoid(li2, li2_lasers, li2_ensemble,
                                                 li2_channels):
-    """65 points are three 32-point chunks, each reduced on the trapezoid."""
+    """65 points on 201 nodes, one block reduced on the trapezoid (the
+    several-block case is test_threads_do_not_change_blocked_trapezoid)."""
     kw = dict(quadrature=QuadratureSpec(node_count=201))
     grid = scan(np.linspace(-1500, 1500, 65), engine="oracle",
                 verify_quadrature=False)
@@ -319,6 +323,45 @@ def test_threads_do_not_change_oracle_trapezoid(li2, li2_lasers, li2_ensemble,
     assert s1.metadata["quadrature.scheme"] == "uniform_trapezoid"
     assert np.array_equal(s1.signal_rho22, s3.signal_rho22)
     assert np.array_equal(s1.signal_rho33, s3.signal_rho33)
+
+
+def blocks_of(n, plan):
+    step = max(1, spectrum._BLOCK // plan.vz.size)
+    return len(range(0, n, step))
+
+
+def test_threads_do_not_change_blocked_trapezoid(li2, li2_ensemble,
+                                                  li2_channels):
+    """40 points on the 4001 nodes of a verified 2001-node plan span several
+    blocks; one thread and three reduce them to the same bits."""
+    plan = node_plan(li2_ensemble, QuadratureSpec(node_count=2001))
+    sc = scan(np.linspace(-1500, 1500, 40), delta2_mhz=420.0)
+    assert blocks_of(40, plan) >= 3
+    args = (li2, li2_ensemble, list(li2_channels.channels), sc,
+            sc.delta1_mhz, plan)
+    one = spectrum._trapezoid(*args, threads=1)
+    three = spectrum._trapezoid(*args, threads=3)
+    for a, b in zip(one, three):
+        assert np.any(a != 0.0)
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("engine", ["analytic", "oracle"])
+def test_trapezoid_bits_do_not_depend_on_the_block_size(
+        monkeypatch, li2, li2_ensemble, li2_channels, engine):
+    """One point per block reproduces the default blocks bit for bit."""
+    plan = node_plan(li2_ensemble, QuadratureSpec(node_count=201))
+    sc = scan(np.linspace(-800, 800, 9), delta2_mhz=420.0, engine=engine)
+    args = (li2, li2_ensemble, list(li2_channels.channels), sc,
+            sc.delta1_mhz, plan, 1)
+    assert blocks_of(9, plan) == 1
+    whole = spectrum._trapezoid(*args)
+    monkeypatch.setattr(spectrum, "_BLOCK", 1)
+    assert blocks_of(9, plan) == 9
+    tiny = spectrum._trapezoid(*args)
+    for a, b in zip(whole, tiny):
+        assert np.any(a != 0.0)
+        assert np.array_equal(a, b)
 
 
 def test_csv_and_json_round_trip(tmp_path, li2, li2_lasers, li2_channels):

@@ -9,7 +9,10 @@ tree next to this script:
 - ``components --threads 1`` on ``li2_fig3a`` (the 15 CSVs are hashed
   concatenated in ascending |M|);
 - ``simulate --threads 1`` on ``li2_fig4`` with ``doppler = off``, once with
-  the analytic engine and once with the oracle engine.
+  the analytic engine and once with the oracle engine;
+- ``simulate --threads 1`` on ``li2_fig6b`` shrunk to 33 points and 1001
+  nodes, with the oracle engine and Doppler on: every point is averaged on
+  the trapezoid and checked against its doubled rule.
 
 A refactor that must not change the output bytes is checked by running this
 script on the commit before and after it, on the same machine, and comparing
@@ -41,14 +44,14 @@ def sha256_of(paths):
     return digest.hexdigest()
 
 
-def doppler_off_config(tmp, engine):
-    text = (SRC / "eitmol" / "presets" / "li2_fig4.cfg").read_text("utf-8")
-    for old, new in (("doppler = on", "doppler = off"),
-                     ("engine = analytic", f"engine = {engine}")):
+def edited_config(tmp, preset, tag, edits):
+    """Copy of a preset with whole lines replaced, as ``<preset>_<tag>.cfg``."""
+    text = (SRC / "eitmol" / "presets" / f"{preset}.cfg").read_text("utf-8")
+    for old, new in edits:
         if old not in text:
-            raise SystemExit(f"li2_fig4 preset has no line {old!r}")
+            raise SystemExit(f"{preset} preset has no line {old!r}")
         text = text.replace(old, new)
-    path = Path(tmp) / f"li2_fig4_doppler_off_{engine}.cfg"
+    path = Path(tmp) / f"{preset}_{tag}.cfg"
     path.write_text(text, "utf-8")
     return str(path)
 
@@ -68,10 +71,21 @@ def main():
 
         for engine in ("analytic", "oracle"):
             out = Path(tmp) / f"off_{engine}"
-            run_cli("simulate", "--config", doppler_off_config(tmp, engine),
-                    "--out", str(out))
+            cfg = edited_config(tmp, "li2_fig4", f"doppler_off_{engine}",
+                                (("doppler = on", "doppler = off"),
+                                 ("engine = analytic", f"engine = {engine}")))
+            run_cli("simulate", "--config", cfg, "--out", str(out))
             print(f"li2_fig4 doppler off, {engine} engine"
                   f" {sha256_of([out / 'li2_fig4.csv'])}", flush=True)
+
+        out = Path(tmp) / "oracle"
+        cfg = edited_config(tmp, "li2_fig6b", "oracle",
+                            (("delta1_points = 801", "delta1_points = 33"),
+                             ("nodes = 4001", "nodes = 1001"),
+                             ("engine = analytic", "engine = oracle")))
+        run_cli("simulate", "--config", cfg, "--out", str(out))
+        print("li2_fig6b 33 points, 1001 nodes, oracle engine, doppler on"
+              f" {sha256_of([out / 'li2_fig6b.csv'])}", flush=True)
 
 
 if __name__ == "__main__":

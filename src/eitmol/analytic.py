@@ -239,13 +239,12 @@ def _pole_weights(sys, g2, delta1, delta2, slope1, slope2):
     # Dn = G2 (D2^2 + K) with G2 K = Dn(D2 = 0)
     zn = (-delta2 + 1j * np.sqrt(_denominator(sys, g2, 0.0) / G2)) / slope2
     z = np.stack(np.broadcast_arrays(far, c / q, zn, np.conj(zn)))
-    near = z[1:]
+    n1, n2, n3 = z[1:]
     scale = G2 * slope2**2
-    dq = np.stack([scale * (lead * near[k] - q)
-                   * np.prod(near[k] - np.delete(near, k, axis=0), axis=0)
-                   for k in range(3)])
     weight = plasma_dispersion(z)
-    weight[1:] /= dq
-    weight[0] = np.divide(weight[0], scale * lead * np.prod(far - near, axis=0),
-                          out=np.zeros_like(q), where=finite)
+    weight[1] /= scale * (lead * n1 - q) * ((n1 - n2) * (n1 - n3))
+    weight[2] /= scale * (lead * n2 - q) * ((n2 - n1) * (n2 - n3))
+    weight[3] /= scale * (lead * n3 - q) * ((n3 - n1) * (n3 - n2))
+    dfar = scale * lead * ((far - n1) * (far - n2) * (far - n3))
+    weight[0] = np.divide(weight[0], dfar, out=np.zeros_like(q), where=finite)
     return z, weight

@@ -181,6 +181,9 @@ def cmd_fit(args) -> int:
         m_sum_on=scan.m_sum_on,
         quadrature=cfg.quadrature,
         max_evaluations=cfg.fit.max_evaluations,
+        target_sigma=data.sigma,
+        engine=scan.engine,
+        threads=args.threads,
     )
     result = fit(problem, cfg.fit.init)
     out = _outdir(args, cfg)

@@ -499,6 +499,7 @@ def load_spectrum(path, abscissa="detuning_MHz",
 
     Absolute-wavenumber abscissas are converted to probe detuning against
     ``resonance_cm``.  Descending rows are re-sorted ascending and flagged.
+    The uncertainty is the 1-sigma error of the signal and must be positive.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -524,6 +525,8 @@ def load_spectrum(path, abscissa="detuning_MHz",
     data = np.asarray(rows, float)
     if not np.all(np.isfinite(data)):
         raise ValidationError(f"{path}: non-finite values in data")
+    if ncols == 3 and not np.all(data[:, 2] > 0.0):
+        raise ValidationError(f"{path}: uncertainties must be positive")
 
     x = data[:, 0]
     if abscissa == "wavenumber_cm-1":

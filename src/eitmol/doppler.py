@@ -211,7 +211,11 @@ def faddeeva(z):
     """w(z) = exp(-z^2) erfc(-iz) for Im z >= 0."""
     z = np.asarray(z, complex)
     den = _W_L - 1j * z
-    p = np.polyval(_W_COEFFS, (_W_L + 1j * z) / den)
+    x = (_W_L + 1j * z) / den
+    p = np.full_like(x, _W_COEFFS[0])
+    for c in _W_COEFFS[1:]:     # Horner, in place: np.polyval's arithmetic
+        p *= x
+        p += c
     return 2.0 * p / den**2 + (1.0 / sqrt(pi)) / den
 
 

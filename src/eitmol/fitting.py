@@ -5,24 +5,37 @@ upper-level fluorescence first (its splitting pins the coupling Rabi
 frequency and hence the dipole matrix element), then forward-simulate the
 intermediate-level spectrum as a consistency check.
 
-The optimizer is a deterministic bounded Nelder-Mead simplex: objective
-evaluations are full spectrum simulations, so derivative-free search with a
-hard evaluation cap is the right tool.  Identical problems and starting
-points always produce identical results.
+The fit is a variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10
+(1973) 413).  ``amplitude_scale`` and ``baseline_offset`` enter the model
+linearly, so at every point of the search they are solved for exactly, by
+bounded least squares on the one simulated spectrum, and the search runs
+over the other (nonlinear) free parameters only:
+
+- none: the spectrum at the initial values is the whole fit;
+- one (the dipole fit): Brent's bounded golden-section and parabolic search
+  (Brent, Algorithms for Minimization without Derivatives, 1973);
+- two or more: a bounded Nelder-Mead simplex.
+
+Objective evaluations are full spectrum simulations, so both searches are
+derivative-free with a hard evaluation cap.  Residuals are weighted by
+1/sigma when the target carries uncertainties.  Identical problems and
+starting points always produce identical results.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .doppler import Ensemble, QuadratureSpec
-from .spectrum import ScanConfig, Spectrum, simulate
+from .spectrum import ENGINE_ANALYTIC, ScanConfig, Spectrum, simulate
 from .sublevels import build_channels
 from .system import CascadeSystem, LaserPair
 from .units import angular_from_mhz
 
 FIT_PARAMETERS = ("mu_coupling", "gamma12_col", "gamma13_col", "gamma23_col",
                   "amplitude_scale", "baseline_offset")
+LINEAR_PARAMETERS = ("amplitude_scale", "baseline_offset")
 PARAMETER_UNITS = {
     "mu_coupling": "au",
     "gamma12_col": "MHz",
@@ -36,11 +49,17 @@ _MAX_EVALS = 2000
 _DIAM_TOL = 1e-4
 _IMPROVE_TOL = 1e-8
 _IMPROVE_WINDOW = 20
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 @dataclass(frozen=True, eq=False)
 class FitProblem:
-    """Target spectrum plus the fixed simulation context."""
+    """Target spectrum plus the fixed simulation context.
+
+    ``target_sigma`` holds the target's 1-sigma uncertainties (None: every
+    point weighs the same); ``engine`` and ``threads`` are passed to every
+    simulation of the fit.
+    """
 
     target_delta1_mhz: np.ndarray
     target_signal: np.ndarray
@@ -57,6 +76,9 @@ class FitProblem:
     m_sum_on: bool = True
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
     max_evaluations: int = _MAX_EVALS
+    target_sigma: np.ndarray | None = None
+    engine: str = ENGINE_ANALYTIC
+    threads: int = 1
 
     def __post_init__(self):
         grid = np.asarray(self.target_delta1_mhz, float)
@@ -65,6 +87,13 @@ class FitProblem:
             raise ValueError("target grid and signal must be equal-length 1-D")
         object.__setattr__(self, "target_delta1_mhz", grid)
         object.__setattr__(self, "target_signal", sig)
+        if self.target_sigma is not None:
+            sigma = np.asarray(self.target_sigma, float)
+            if sigma.shape != sig.shape:
+                raise ValueError("target sigma must match the target signal")
+            if not np.all(np.isfinite(sigma) & (sigma > 0.0)):
+                raise ValueError("target sigma must be finite and positive")
+            object.__setattr__(self, "target_sigma", sigma)
         if not self.free:
             raise ValueError("at least one free parameter is required")
         bad = set(self.free) - set(FIT_PARAMETERS)
@@ -132,8 +161,7 @@ def _context(fp: FitProblem, params: dict):
     return sys, mu_c, scale, offset
 
 
-def model_spectrum(fp: FitProblem, params: dict) -> Spectrum:
-    """Simulated spectrum on the target grid for the given parameters."""
+def _simulate(fp: FitProblem, params: dict, verify: bool) -> Spectrum:
     sys, mu_c, _, _ = _context(fp, params)
     channelset = build_channels(sys, fp.mu_probe_au, mu_c,
                                 fp.lasers.field_probe,
@@ -144,18 +172,32 @@ def model_spectrum(fp: FitProblem, params: dict) -> Spectrum:
         channels=(fp.channel,),
         doppler_on=fp.doppler_on,
         m_sum_on=fp.m_sum_on,
-        verify_quadrature=False,  # quadrature validated once per fit, below
+        engine=fp.engine,
+        verify_quadrature=verify,
     )
     return simulate(sys, fp.lasers, fp.ensemble, channelset, scan,
-                    quadrature=fp.quadrature)
+                    quadrature=fp.quadrature, threads=fp.threads)
+
+
+def model_spectrum(fp: FitProblem, params: dict) -> Spectrum:
+    """Simulated spectrum on the target grid for the given parameters."""
+    # the quadrature is validated once per fit, by validate_quadrature
+    return _simulate(fp, params, verify=False)
 
 
 def objective(p, fp: FitProblem) -> float:
-    """Sum of squared residuals of scale*model + offset against the target."""
+    """Sum of squared (sigma-weighted) residuals of scale*model + offset
+    against the target."""
     params = _vector_to_params(p, fp)
-    spec = model_spectrum(fp, params)
     _, _, scale, offset = _context(fp, params)
-    resid = scale * spec.signal(fp.channel) + offset - fp.target_signal
+    return _chi2(fp, model_spectrum(fp, params).signal(fp.channel), scale,
+                 offset)
+
+
+def _chi2(fp, model, scale, offset):
+    resid = scale * model + offset - fp.target_signal
+    if fp.target_sigma is not None:
+        resid /= fp.target_sigma
     return float(np.dot(resid, resid))
 
 
@@ -168,30 +210,21 @@ def _vector_to_params(p, fp):
 
 def validate_quadrature(fp: FitProblem, params: dict) -> None:
     """Run one doubled-node-checked simulation to vet the quadrature."""
-    if not fp.doppler_on:
-        return
-    sys, mu_c, _, _ = _context(fp, params)
-    channelset = build_channels(sys, fp.mu_probe_au, mu_c,
-                                fp.lasers.field_probe,
-                                fp.lasers.field_coupling)
-    scan = ScanConfig(
-        delta1_mhz=fp.target_delta1_mhz,
-        delta2_mhz=fp.delta2_mhz,
-        channels=(fp.channel,),
-        doppler_on=fp.doppler_on,
-        m_sum_on=fp.m_sum_on,
-        verify_quadrature=True,
-    )
-    simulate(sys, fp.lasers, fp.ensemble, channelset, scan,
-             quadrature=fp.quadrature)
+    if fp.doppler_on:
+        _simulate(fp, params, verify=True)
 
 
 def fit(fp: FitProblem, init: dict) -> FitResult:
-    """Bounded Nelder-Mead minimization of the objective.
+    """Variable-projection least squares over the free parameters.
 
-    Convergence requires both a relative simplex diameter below 1e-4 and a
-    relative objective improvement below 1e-8 over 20 iterations; the search
-    is capped at ``fp.max_evaluations`` objective evaluations and flags
+    The linear parameters are solved for exactly at every nonlinear point
+    (see the module docstring for the search).  The quadrature is validated
+    once, at the initial point; ``evaluations`` counts the other spectra the
+    fit simulates, the start spectrum first.  Brent's search converges when
+    its bracket around the best point is narrower than 1e-4 times
+    max(|x|, 1e-3 (hi - lo)); the simplex when both its relative diameter is
+    below 1e-4 and the relative objective improvement over 20 iterations is
+    below 1e-8.  Either is capped at ``fp.max_evaluations`` and flags
     non-convergence (the best point found is still returned).
     """
     x0 = np.array([float(init[name]) for name in fp.free])
@@ -199,23 +232,54 @@ def fit(fp: FitProblem, init: dict) -> FitResult:
     hi = np.array([fp.bounds[n][1] for n in fp.free])
     if np.any(x0 < lo) or np.any(x0 > hi):
         raise ValueError("initial point outside bounds")
-    validate_quadrature(fp, _vector_to_params(x0, fp))
+    start = _vector_to_params(x0, fp)
+    validate_quadrature(fp, start)
 
-    state = _SimplexState(lambda p: objective(p, fp), x0, lo, hi,
-                          fp.max_evaluations)
-    best_x, best_f, converged = state.run()
+    nonlinear = [i for i, n in enumerate(fp.free)
+                 if n not in LINEAR_PARAMETERS]
+    proj = _Projection(fp, [fp.free[i] for i in nonlinear], start)
+    xn, xlo, xhi = x0[nonlinear], lo[nonlinear], hi[nonlinear]
+    model = proj.spectrum(xn)
+    _, _, scale, offset = _context(fp, start)
+    initial_f = _chi2(fp, model, scale, offset)
+    best_f = proj.project(xn, model)
+    converged, iterations = True, 0
+    if len(nonlinear) == 1:
+        u, best_f, converged, iterations = _brent(
+            lambda u: proj(np.array([u])), xn[0], best_f, xlo[0], xhi[0],
+            proj.room)
+        xn = np.array([u])
+    elif nonlinear:
+        state = _SimplexState(proj, xn, best_f, xlo, xhi)
+        xn, best_f, converged = state.run()
+        iterations = state.iterations
 
-    curvature = _curvature(state.func, best_x, lo, hi, best_f)
+    linear, sum_wm2 = proj.solutions[xn.tobytes()]
+    best = dict(zip(proj.names, xn.tolist())) | linear
+    best_x = np.array([best[n] for n in fp.free])
+
+    def counted_objective(p):
+        proj.evaluations += 1
+        return objective(p, fp)
+
+    curvature = _curvature(counted_objective, best_x, lo, hi, best_f,
+                           nonlinear)
+    for i, name in enumerate(fp.free):
+        if name in LINEAR_PARAMETERS and \
+                _half_step(best_x[i], lo[i], hi[i]) is not None:
+            # chi^2 is exactly quadratic in a linear parameter
+            curvature[i] = 2.0 * (sum_wm2 if name == "amplitude_scale"
+                                  else proj.weight_sum)
     return FitResult(
         best_params=dict(zip(fp.free, best_x.tolist())),
         residual_norm=best_f,
-        initial_residual_norm=state.initial_f,
-        iterations=state.iterations,
-        evaluations=state.evaluations,
+        initial_residual_norm=initial_f,
+        iterations=iterations,
+        evaluations=proj.evaluations,
         converged=converged,
         dof=max(fp.target_signal.size - len(fp.free), 1),
         curvature=curvature,
-        trace=np.array(state.trace, float).reshape(-1, 2),
+        trace=np.array(proj.trace, float).reshape(-1, 2),
     )
 
 
@@ -227,18 +291,179 @@ def synthetic_target(spec: Spectrum, channel: str, noise_fraction: float,
     return signal * (1.0 + noise_fraction * rng.standard_normal(signal.size))
 
 
+class _Projection:
+    """chi^2 of the nonlinear parameters, with the linear ones at their exact
+    bounded least-squares values.
+
+    Counts the spectra it simulates against ``fp.max_evaluations``, records
+    the convergence trace and keeps the linear solution (and the model's
+    sum w m^2) at every point it evaluates, keyed by the point's bytes; it
+    keeps no model arrays.
+    """
+
+    def __init__(self, fp, names, start):
+        self.fp = fp
+        self.names = names
+        self.scale0 = start.get("amplitude_scale", 1.0)
+        self.weight = np.ones_like(fp.target_signal) \
+            if fp.target_sigma is None else 1.0 / fp.target_sigma**2
+        self.weight_sum = float(np.sum(self.weight))
+        self.evaluations = 0
+        self.trace = []
+        self.solutions = {}
+
+    def room(self, need=1):
+        """True when ``need`` more evaluations fit the budget."""
+        return self.evaluations + need <= self.fp.max_evaluations
+
+    def spectrum(self, x):
+        """One model signal at the nonlinear point x (linear ones unset)."""
+        self.evaluations += 1
+        return model_spectrum(self.fp, dict(zip(self.names, x.tolist()))) \
+            .signal(self.fp.channel)
+
+    def project(self, x, model):
+        linear, sum_wm2 = self._solve(model)
+        _, _, scale, offset = _context(self.fp, linear)
+        f = _chi2(self.fp, model, scale, offset)
+        self.solutions[x.tobytes()] = (linear, sum_wm2)
+        if not self.trace or f < self.trace[-1][1]:
+            self.trace.append((self.evaluations, f))
+        return f
+
+    def __call__(self, x):
+        return self.project(x, self.spectrum(x))
+
+    def _solve(self, m):
+        """Bounded weighted least squares for the free linear parameters.
+
+        The normal-equation solution when it lies in the box, else the best
+        of the clipped 1-D solutions along the box's edges; a scale whose
+        model column is all zeros keeps its initial value.  Returns
+        ({name: value}, sum w m^2)."""
+        fp, w, t = self.fp, self.weight, self.fp.target_signal
+        free_s = "amplitude_scale" in fp.free
+        free_o = "baseline_offset" in fp.free
+        wm = w * m
+        smm, sm = float(np.dot(wm, m)), float(np.sum(wm))
+        smt, st = float(np.dot(wm, t)), float(np.dot(w, t))
+        s1 = self.weight_sum
+        # a linear parameter that is not free stays at 1 (scale) or 0
+        s_lo, s_hi = fp.bounds.get("amplitude_scale", (1.0, 1.0))
+        o_lo, o_hi = fp.bounds.get("baseline_offset", (0.0, 0.0))
+
+        def best_s(o):
+            if smm == 0.0:
+                return self.scale0
+            return min(max((smt - o * sm) / smm, s_lo), s_hi)
+
+        def best_o(s):
+            return min(max((st - s * sm) / s1, o_lo), o_hi)
+
+        if free_s and free_o and smm > 0.0:
+            det = smm * s1 - sm * sm
+            s = o = math.nan
+            if det > 0.0:
+                s = (s1 * smt - sm * st) / det
+                o = (smm * st - sm * smt) / det
+            if not (s_lo <= s <= s_hi and o_lo <= o <= o_hi):
+                edges = [(s_lo, best_o(s_lo)), (s_hi, best_o(s_hi)),
+                         (best_s(o_lo), o_lo), (best_s(o_hi), o_hi)]
+                s, o = min(edges, key=lambda so: _chi2(fp, m, *so))
+        elif free_o:
+            s, o = self.scale0, best_o(self.scale0)
+        else:
+            s, o = best_s(0.0), 0.0
+        linear = {}
+        if free_s:
+            linear["amplitude_scale"] = float(s)
+        if free_o:
+            linear["baseline_offset"] = float(o)
+        return linear, smm
+
+
+def _brent(func, x, fx, lo, hi, room):
+    """Brent's bounded minimization of func on [lo, hi] from x, f(x) = fx.
+
+    Golden-section steps, parabolic steps where the parabola through the
+    three best points is trusted (Brent 1973, ch. 5).  It stops once the
+    bracket around x lies within tol/2 of it, tol = 1e-4 max(|x|,
+    1e-3 (hi - lo)); a minimum within tol of a bound is then compared with
+    the bound itself, so a parameter pinned there lands exactly on it.
+    ``room()`` says whether one more evaluation is allowed.  Returns
+    (x, f(x), converged, iterations).
+    """
+    a, b = lo, hi
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    iterations = 0
+    converged = False
+    while True:
+        tol = _DIAM_TOL * max(abs(x), 1e-3 * (hi - lo))
+        tol1, tol2 = 0.25 * tol, 0.5 * tol
+        xm = 0.5 * (a + b)
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            converged = True
+            break
+        if not room():
+            break
+        iterations += 1
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            if abs(p) < abs(0.5 * q * e_prev) \
+                    and q * (a - x) < p < q * (b - x):
+                d = p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if xm >= x else -tol1
+                golden = False
+        if golden:
+            e = a - x if x >= xm else b - x
+            d = _GOLDEN * e
+        u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
+        fu = func(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    edge = lo if x - lo <= hi - x else hi
+    if converged and x != edge and abs(x - edge) <= tol and room():
+        fe = func(edge)
+        if fe <= fx:
+            x, fx = edge, fe
+    return x, fx, converged, iterations
+
+
 class _SimplexState:
     """Plain Nelder-Mead with reflective parameters 1, 2, 0.5, 0.5 and
-    bound handling by projection onto the box."""
+    bound handling by projection onto the box.  ``func`` is a
+    ``_Projection``, which keeps the evaluation budget; f(x0) = f0 is
+    already known."""
 
-    def __init__(self, func, x0, lo, hi, max_evals):
-        self.raw_func = func
+    def __init__(self, func, x0, f0, lo, hi):
+        self.func = func
         self.lo = lo
         self.hi = hi
-        self.max_evals = max_evals
-        self.evaluations = 0
         self.iterations = 0
-        self.trace = []
         n = x0.size
         step = 0.05 * (hi - lo)
         verts = [self._clip(x0)]
@@ -247,22 +472,11 @@ class _SimplexState:
             v[i] = v[i] + step[i] if v[i] + step[i] <= hi[i] else v[i] - step[i]
             verts.append(self._clip(v))
         self.verts = np.array(verts)
-        self.fvals = np.array([self.func(v) for v in self.verts])
-        self.initial_f = float(self.fvals[0])
+        self.fvals = np.array([f0] + [self.func(v) for v in self.verts[1:]])
         self.best_history = [float(np.min(self.fvals))]
 
     def _clip(self, x):
         return np.minimum(np.maximum(x, self.lo), self.hi)
-
-    def func(self, x):
-        self.evaluations += 1
-        f = self.raw_func(x)
-        if not self.trace or f < self.trace[-1][1]:
-            self.trace.append((self.evaluations, float(f)))
-        return f
-
-    def _budget(self, need=1):
-        return self.evaluations + need <= self.max_evals
 
     def run(self):
         converged = False
@@ -273,7 +487,7 @@ class _SimplexState:
             if self._converged():
                 converged = True
                 break
-            if not self._budget(2):
+            if not self.func.room(2):
                 break
             self.iterations += 1
             self._step()
@@ -288,7 +502,7 @@ class _SimplexState:
         xr = self._clip(centroid + (centroid - self.verts[worst]))
         fr = self.func(xr)
         if fr < self.fvals[0]:
-            if self._budget():
+            if self.func.room():
                 xe = self._clip(centroid + 2.0 * (centroid - self.verts[worst]))
                 fe = self.func(xe)
                 if fe < fr:
@@ -299,7 +513,7 @@ class _SimplexState:
         if fr < self.fvals[-2]:
             self.verts[worst], self.fvals[worst] = xr, fr
             return
-        if not self._budget():
+        if not self.func.room():
             return
         if fr < self.fvals[worst]:  # outside contraction
             xc = self._clip(centroid + 0.5 * (xr - centroid))
@@ -311,7 +525,7 @@ class _SimplexState:
             return
         # shrink toward the best vertex
         for j in range(1, self.verts.shape[0]):
-            if not self._budget():
+            if not self.func.room():
                 return
             self.verts[j] = self._clip(self.verts[0]
                                        + 0.5 * (self.verts[j] - self.verts[0]))
@@ -331,14 +545,21 @@ class _SimplexState:
         return improvement < _IMPROVE_TOL
 
 
-def _curvature(func, x, lo, hi, f_best):
-    """Second-difference curvature of the objective at the minimum along each
-    parameter; NaN where a parameter is pinned at a bound (one-sided)."""
+def _half_step(x, lo, hi):
+    """Second-difference step at x in [lo, hi]; None when x is pinned at a
+    bound (closer to it than 1e-12 of the span)."""
+    h = min(1e-3 * (hi - lo), x - lo, hi - x)
+    return None if h < 1e-12 * (hi - lo) else h
+
+
+def _curvature(func, x, lo, hi, f_best, which):
+    """Second-difference curvature of the objective at the minimum along the
+    parameters ``which``; NaN elsewhere and where a parameter is pinned at a
+    bound (one-sided)."""
     curvature = np.full(x.size, np.nan)
-    for i in range(x.size):
-        span = hi[i] - lo[i]
-        h = min(1e-3 * span, x[i] - lo[i], hi[i] - x[i])
-        if h < 1e-12 * span:
+    for i in which:
+        h = _half_step(x[i], lo[i], hi[i])
+        if h is None:
             continue
         step = np.where(np.arange(x.size) == i, h, 0.0)
         curvature[i] = (func(x + step) - 2.0 * f_best + func(x - step)) / h**2

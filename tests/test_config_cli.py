@@ -357,3 +357,106 @@ def test_cli_fit_roundtrip_writes_report(tmp_path, capsys):
     assert report["best_params"]["amplitude_scale"] == pytest.approx(2.5,
                                                                      rel=1e-5)
     assert (outdir / "run_bestfit.csv").exists()
+
+
+FIT_AMPLITUDE = ("\n[fit]\nchannel = rho33\nfree = amplitude_scale\n"
+                 "amplitude_scale_init = 1.0\n"
+                 "amplitude_scale_min = 0.0\namplitude_scale_max = 10.0\n")
+
+
+def truth_signal(cfg_path):
+    from eitmol.spectrum import simulate
+    from eitmol.sublevels import build_channels
+
+    cfg = load_config(cfg_path)
+    cs = build_channels(cfg.system, cfg.mu_probe_au, cfg.mu_coupling_au,
+                        cfg.lasers.field_probe, cfg.lasers.field_coupling)
+    truth = simulate(cfg.system, cfg.lasers, cfg.ensemble, cs, cfg.scan,
+                     quadrature=cfg.quadrature)
+    return truth.delta1_mhz, truth.signal_rho33
+
+
+def write_trace(path, *columns):
+    path.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                            for row in zip(*columns)))
+
+
+def test_cli_fit_weights_by_sigma(tmp_path, capsys):
+    """Every third point is replaced by junk and given 100x the sigma of
+    the others: the weighted fit still recovers mu within 2%, the same
+    trace without its sigma column does not."""
+    outdir = tmp_path / "fitout"
+    cfg_path = small_run_config(
+        tmp_path, outdir,
+        **{"delta1_min = -100 MHz": "delta1_min = -1200 MHz",
+           "delta1_max = 100 MHz": "delta1_max = 1200 MHz",
+           "delta1_points = 21": "delta1_points = 41",
+           "doppler = off": "doppler = on"})
+    with open(cfg_path, "a") as fh:
+        fh.write("\n[ensemble]\ntemperature = 1000 K\nmass = 14 amu\n"
+                 "\n[fit]\nchannel = rho33\n"
+                 "free = mu_coupling amplitude_scale\n"
+                 "mu_coupling_init = 1.2 au\nmu_coupling_min = 0.8 au\n"
+                 "mu_coupling_max = 2.5 au\namplitude_scale_init = 1.0\n"
+                 "amplitude_scale_min = 0.1\namplitude_scale_max = 10.0\n")
+    x, y = truth_signal(cfg_path)
+    peak = float(np.max(y))
+    rng = np.random.default_rng(5)
+    sigma = np.full(y.size, 0.01 * peak)
+    y = y + sigma * rng.standard_normal(y.size)
+    junk = np.arange(1, y.size, 3)
+    y[junk] = rng.uniform(0.0, peak, junk.size)
+    sigma[junk] *= 100.0
+
+    mus = {}
+    for label, cols in (("weighted", (x, y, sigma)), ("unweighted", (x, y))):
+        data = tmp_path / f"{label}.csv"
+        write_trace(data, *cols)
+        assert main(["fit", "--config", cfg_path, "--data", str(data)]) == 0
+        report = json.loads((outdir / "run_fit.json").read_text())
+        mus[label] = report["best_params"]["mu_coupling"]
+    assert mus["weighted"] == pytest.approx(1.45, rel=0.02)
+    assert mus["unweighted"] != pytest.approx(1.45, rel=0.02)
+
+
+@pytest.mark.parametrize("bad", ["0", "-1"])
+def test_cli_fit_rejects_nonpositive_sigma(tmp_path, capsys, bad):
+    outdir = tmp_path / "fitout"
+    cfg_path = small_run_config(tmp_path, outdir)
+    with open(cfg_path, "a") as fh:
+        fh.write(FIT_AMPLITUDE)
+    x, y = truth_signal(cfg_path)
+    sigma = 0.01 * y
+    sigma[3] = float(bad)
+    data = tmp_path / "target.csv"
+    write_trace(data, x, y, sigma)
+    assert main(["fit", "--config", cfg_path, "--data", str(data),
+                 "--json-errors"]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ValidationError"
+    assert "uncertainties" in payload["message"]
+    assert not list(outdir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("engine", ["analytic", "oracle"])
+def test_cli_fit_honours_engine(tmp_path, capsys, monkeypatch, engine):
+    from eitmol import spectrum
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return populations_grid(*args, **kwargs)
+
+    outdir = tmp_path / "fitout"
+    cfg_path = small_run_config(tmp_path, outdir)
+    with open(cfg_path, "a") as fh:
+        fh.write(FIT_AMPLITUDE)
+    x, y = truth_signal(cfg_path)
+    data = tmp_path / "target.csv"
+    write_trace(data, x, 2.5 * y)
+    populations_grid = spectrum.populations_grid
+    monkeypatch.setattr(spectrum, "populations_grid", counted)
+    assert main(["fit", "--config", cfg_path, "--data", str(data),
+                 "--engine", engine, "--threads", "2"]) == 0
+    assert bool(calls) == (engine == "oracle")

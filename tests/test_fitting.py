@@ -216,3 +216,123 @@ def test_model_spectrum_uses_target_grid(li2, li2_lasers):
                               bounds={"mu_coupling": (0.5, 3.0)})
     spec = model_spectrum(fp, {"mu_coupling": 1.45})
     assert np.array_equal(spec.delta1_mhz, fp.target_delta1_mhz)
+
+
+def test_nelder_mead_path_recovers_dipole(li2, li2_lasers):
+    # two nonlinear parameters: the simplex searches mu and gamma12_col
+    fp = doppler_free_problem(li2, li2_lasers,
+                              free=("mu_coupling", "gamma12_col",
+                                    "amplitude_scale"),
+                              bounds={"mu_coupling": (0.5, 3.0),
+                                      "gamma12_col": (1.0, 20.0),
+                                      "amplitude_scale": (0.1, 10.0)},
+                              noise=0.01)
+    result = fit(fp, {"mu_coupling": 1.3, "gamma12_col": 8.0,
+                      "amplitude_scale": 0.8})
+    assert result.converged
+    assert result.best_params["mu_coupling"] == pytest.approx(1.45, rel=0.02)
+    assert result.residual_norm <= result.initial_residual_norm
+
+
+def test_dipole_fit_needs_few_spectra(li2, li2_lasers):
+    fp = doppler_free_problem(li2, li2_lasers,
+                              free=("mu_coupling", "amplitude_scale"),
+                              bounds={"mu_coupling": (0.5, 3.0),
+                                      "amplitude_scale": (0.1, 10.0)},
+                              noise=0.01)
+    result = fit(fp, {"mu_coupling": 1.2, "amplitude_scale": 0.8})
+    assert result.converged
+    assert result.evaluations <= 30
+
+
+def brute_force_linear_fit(model, target, weight, s_range, o_range, n=401):
+    """Grid minimum of sum w (s m + o - t)^2 over the (s, o) box."""
+    offsets = np.linspace(*o_range, n)
+    best = (np.inf, None, None)
+    for s in np.linspace(*s_range, n):
+        resid = s * model[None, :] + offsets[:, None] - target[None, :]
+        chi2 = np.sum(weight * resid**2, axis=1)
+        k = int(np.argmin(chi2))
+        if chi2[k] < best[0]:
+            best = (float(chi2[k]), s, offsets[k])
+    return best, np.diff(s_range)[0] / (n - 1), np.diff(o_range)[0] / (n - 1)
+
+
+@pytest.mark.parametrize("pinned", ["amplitude_scale", "baseline_offset"])
+def test_linear_parameters_match_brute_force_with_active_bound(
+        li2, li2_lasers, pinned):
+    fp = doppler_free_problem(li2, li2_lasers, free=("amplitude_scale",),
+                              bounds={"amplitude_scale": (0.1, 10.0)},
+                              noise=0.02)
+    model = model_spectrum(fp, {}).signal_rho33
+    peak = float(np.max(model))
+    rng = np.random.default_rng(3)
+    sigma = peak * (0.01 + 0.05 * rng.random(model.size))
+    if pinned == "baseline_offset":
+        # unconstrained optimum near (2.0, 0.3 peak): the offset box stops at
+        # 0.1 peak
+        target = 2.0 * fp.target_signal + 0.3 * peak
+        bounds = {"amplitude_scale": (1.5, 2.5),
+                  "baseline_offset": (0.0, 0.1 * peak)}
+    else:
+        # unconstrained optimum near (2.0, 0.05 peak): the scale box stops
+        # at 1.8
+        target = 2.0 * fp.target_signal + 0.05 * peak
+        bounds = {"amplitude_scale": (1.0, 1.8),
+                  "baseline_offset": (0.0, 0.2 * peak)}
+    fp = dataclasses.replace(fp, target_signal=target, target_sigma=sigma,
+                             free=("amplitude_scale", "baseline_offset"),
+                             bounds=bounds)
+    result = fit(fp, {"amplitude_scale": 1.6, "baseline_offset": 0.0})
+    weight = 1.0 / sigma**2
+    (chi2, s, o), ds, do = brute_force_linear_fit(
+        model, target, weight, bounds["amplitude_scale"],
+        bounds["baseline_offset"])
+    best = result.best_params
+    assert result.converged
+    assert best[pinned] == bounds[pinned][1]
+    assert best["amplitude_scale"] == pytest.approx(s, abs=ds)
+    assert best["baseline_offset"] == pytest.approx(o, abs=do)
+    assert result.residual_norm <= chi2
+    resid = (best["amplitude_scale"] * model + best["baseline_offset"]
+             - target) / sigma
+    assert result.residual_norm == float(np.dot(resid, resid))
+    # closed-form curvature: 2 sum w m^2 and 2 sum w; NaN at the bound
+    expect = {"amplitude_scale": 2.0 * np.sum(weight * model**2),
+              "baseline_offset": 2.0 * np.sum(weight)}
+    for name, curv in zip(fp.free, result.curvature):
+        if name == pinned:
+            assert np.isnan(curv)
+        else:
+            assert curv == pytest.approx(expect[name], rel=1e-12)
+
+
+@pytest.mark.parametrize("free", [("amplitude_scale",), ("baseline_offset",),
+                                  ("amplitude_scale", "baseline_offset")])
+def test_linear_only_fit_takes_one_spectrum(li2, li2_lasers, free):
+    bounds = {"amplitude_scale": (0.1, 10.0), "baseline_offset": (-1.0, 1.0)}
+    fp = doppler_free_problem(li2, li2_lasers, free=free,
+                              bounds={n: bounds[n] for n in free},
+                              target_scale=1.7)
+    result = fit(fp, {"amplitude_scale": 1.0, "baseline_offset": 0.0})
+    assert result.evaluations == 1
+    assert result.iterations == 0
+    assert result.converged
+    assert result.trace.tolist() == [[1.0, result.residual_norm]]
+
+
+def test_all_zero_model_keeps_the_initial_scale(li2, li2_lasers):
+    # coupling off: the rho33 model is exactly zero, so the scale is free
+    # to take any value and stays where it started
+    lasers = dataclasses.replace(li2_lasers, power_coupling_w=0.0)
+    fp = doppler_free_problem(li2, li2_lasers,
+                              free=("amplitude_scale", "baseline_offset"),
+                              bounds={"amplitude_scale": (0.1, 10.0),
+                                      "baseline_offset": (-1.0, 1.0)})
+    fp = dataclasses.replace(fp, lasers=lasers,
+                             target_signal=np.linspace(0.0, 0.02, 161))
+    result = fit(fp, {"amplitude_scale": 3.0, "baseline_offset": 0.5})
+    assert result.best_params["amplitude_scale"] == 3.0
+    assert result.best_params["baseline_offset"] == pytest.approx(0.01,
+                                                                  rel=1e-12)
+    assert result.sensitivity["amplitude_scale"]["half_interval"] == np.inf

@@ -12,7 +12,12 @@ tree next to this script:
   the analytic engine and once with the oracle engine;
 - ``simulate --threads 1`` on ``li2_fig6b`` shrunk to 33 points and 1001
   nodes, with the oracle engine and Doppler on: every point is averaged on
-  the trapezoid and checked against its doubled rule.
+  the trapezoid and checked against its doubled rule;
+- ``fit --threads 1`` on ``li2_fig4`` shrunk to 32 points over +-1200 MHz
+  and 2001 nodes, with ``mu_coupling`` and ``amplitude_scale`` free, against
+  a 3-column rho33 trace (1% seeded noise and a 1% sigma column) made from
+  that config's own ``simulate`` output; ``_fit.json`` and ``_bestfit.csv``
+  are hashed concatenated.
 
 A refactor that must not change the output bytes is checked by running this
 script on the commit before and after it, on the same machine, and comparing
@@ -25,6 +30,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -54,6 +61,32 @@ def edited_config(tmp, preset, tag, edits):
     path = Path(tmp) / f"{preset}_{tag}.cfg"
     path.write_text(text, "utf-8")
     return str(path)
+
+
+FIT_SECTION = """[fit]
+channel = rho33
+free = mu_coupling amplitude_scale
+mu_coupling_init = 1.2 au
+mu_coupling_min = 0.8 au
+mu_coupling_max = 2.5 au
+amplitude_scale_init = 0.8
+amplitude_scale_min = 0.1
+amplitude_scale_max = 10
+
+"""
+
+
+def write_noisy_trace(spectrum_csv, path, seed=20240817):
+    """delta1, rho33 * (1 + 0.01 N(0, 1)), 0.01 rho33 from a spectrum CSV."""
+    rows = [line.split(",") for line in
+            Path(spectrum_csv).read_text("ascii").splitlines()
+            if line and not line.startswith("#")]
+    x, _, rho33 = np.array(rows[1:], float).T
+    noisy = rho33 * (1.0 + 0.01 * np.random.default_rng(seed)
+                     .standard_normal(rho33.size))
+    path.write_text("".join(f"{a:.17g},{b:.17g},{c:.17g}\n"
+                            for a, b, c in zip(x, noisy, 0.01 * rho33)),
+                    "ascii")
 
 
 def main():
@@ -86,6 +119,22 @@ def main():
         run_cli("simulate", "--config", cfg, "--out", str(out))
         print("li2_fig6b 33 points, 1001 nodes, oracle engine, doppler on"
               f" {sha256_of([out / 'li2_fig6b.csv'])}", flush=True)
+
+        out = Path(tmp) / "fit"
+        shrink = (("delta1_min = -3000 MHz", "delta1_min = -1200 MHz"),
+                  ("delta1_max = 3000 MHz", "delta1_max = 1200 MHz"),
+                  ("delta1_points = 801", "delta1_points = 32"),
+                  ("nodes = 4001", "nodes = 2001"),
+                  ("[output]", FIT_SECTION + "[output]"))
+        cfg = edited_config(tmp, "li2_fig4", "fit", shrink)
+        run_cli("simulate", "--config", cfg, "--out", str(out))
+        data = Path(tmp) / "li2_fig4_trace.csv"
+        write_noisy_trace(out / "li2_fig4.csv", data)
+        run_cli("fit", "--config", cfg, "--data", str(data), "--out",
+                str(out))
+        parts = [out / "li2_fig4_fit.json", out / "li2_fig4_bestfit.csv"]
+        print("li2_fig4 fit, 32 points, 2001 nodes, mu and amplitude free"
+              f" {sha256_of(parts)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -3,45 +3,15 @@ broadened, magnetically degenerate cascade molecular systems."""
 
 __version__ = "0.1.0"
 
-from .analytic import (
-    coupling_saturation_factor,
-    rho22_analytic,
-    rho33_analytic,
-    steady_state_denominator,
-)
-from .bloch import SteadyStateSystem, assemble, solve_steady_state
-from .doppler import (
-    Ensemble,
-    QuadratureSpec,
-    doppler_average,
-    quadrature_nodes,
-    two_photon_velocity,
-    velocity_detunings,
-)
-from .features import LineFeatures, extract_features, predict_dip_position, profile_fwhm
-from .fitting import FitProblem, FitResult, fit, objective, synthetic_target
-from .spectrum import ScanConfig, Spectrum, per_m_components, simulate, write_spectrum
-from .sublevels import (
-    ChannelSet,
-    SublevelChannel,
-    build_channels,
-    line_strength_P,
-    line_strength_Q,
-    sublevel_sum,
-)
-from .system import CascadeSystem, DensityState, DriveParams, LaserPair
-from .units import Quantity, convert, field_amplitude
+from .bloch import solve_steady_state
+from .doppler import Ensemble, QuadratureSpec
+from .features import extract_features, predict_dip_position
+from .spectrum import ScanConfig, Spectrum, simulate
+from .sublevels import build_channels
+from .system import CascadeSystem, LaserPair
 
 __all__ = [
-    "CascadeSystem", "ChannelSet", "DensityState", "DriveParams", "Ensemble",
-    "FitProblem", "FitResult", "LaserPair", "LineFeatures", "Quantity",
-    "QuadratureSpec", "ScanConfig", "Spectrum", "SteadyStateSystem",
-    "SublevelChannel", "assemble", "build_channels", "convert",
-    "coupling_saturation_factor", "doppler_average", "extract_features",
-    "field_amplitude", "fit", "line_strength_P", "line_strength_Q",
-    "objective", "per_m_components", "predict_dip_position", "profile_fwhm",
-    "quadrature_nodes", "rho22_analytic", "rho33_analytic", "simulate",
-    "solve_steady_state", "steady_state_denominator", "sublevel_sum",
-    "synthetic_target", "two_photon_velocity", "velocity_detunings",
-    "write_spectrum",
+    "CascadeSystem", "Ensemble", "LaserPair", "QuadratureSpec", "ScanConfig",
+    "Spectrum", "build_channels", "extract_features", "predict_dip_position",
+    "simulate", "solve_steady_state",
 ]

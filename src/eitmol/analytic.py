@@ -42,18 +42,6 @@ def steady_state_denominator(sys: CascadeSystem, drv: DriveParams):
     return _denominator(sys, drv.g2, drv.delta2)
 
 
-def rho22_analytic(sys: CascadeSystem, drv: DriveParams):
-    """Non-normalized steady-state population of the intermediate level."""
-    return population_rho22(sys, drv.g1, drv.g2, drv.delta1, drv.delta2,
-                            drv.rho11_init)
-
-
-def rho33_analytic(sys: CascadeSystem, drv: DriveParams):
-    """Non-normalized steady-state population of the upper level."""
-    return population_rho33(sys, drv.g1, drv.g2, drv.delta1, drv.delta2,
-                            drv.rho11_init)
-
-
 # array kernels -------------------------------------------------------------
 
 def _saturation_factor(sys, g2, delta2):

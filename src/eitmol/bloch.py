@@ -17,8 +17,6 @@ nonzero transit rate the system is nonsingular (transit loss breaks the
 traceless degeneracy of the closed Liouvillian).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SingularSystem
@@ -27,37 +25,9 @@ from .system import CascadeSystem, DensityState, DriveParams
 _RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SteadyStateSystem:
-    matrix: np.ndarray   # (9, 9) real coefficients
-    rhs: np.ndarray      # (9,) with -Lambda in the rho11 slot
-
-
-def assemble(sys: CascadeSystem, drv: DriveParams) -> SteadyStateSystem:
-    """Build the nine real steady-state equations for one velocity class."""
-    lam = drv.rho11_init * sys.transit_rate
-    m = _assemble_grid(sys, drv.g1, drv.g2,
-                       np.asarray(drv.delta1), np.asarray(drv.delta2))
-    rhs = np.zeros(9)
-    rhs[0] = -lam
-    return SteadyStateSystem(matrix=m, rhs=rhs)
-
-
 def solve_steady_state(sys: CascadeSystem, drv: DriveParams) -> DensityState:
-    """Direct dense solve (partial pivoting) of the assembled system."""
-    if sys.transit_rate <= 0.0:
-        raise SingularSystem("steady state requires a positive transit rate")
-    ss = assemble(sys, drv)
-    try:
-        x = np.linalg.solve(ss.matrix, ss.rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    scale = max(np.linalg.norm(ss.rhs), np.finfo(float).tiny)
-    residual = np.linalg.norm(ss.matrix @ x - ss.rhs) / scale
-    if not np.isfinite(residual) or residual > _RESIDUAL_TOL:
-        raise SingularSystem(
-            f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}"
-            " (is the transit rate zero?)")
+    """Exact steady state of one velocity class: a batch of one."""
+    x = _solve(sys, drv.g1, drv.g2, drv.delta1, drv.delta2, drv.rho11_init)
     return DensityState(
         rho11=x[0], rho22=x[1], rho33=x[2],
         rho21=complex(x[3], x[4]),
@@ -70,35 +40,49 @@ def populations_grid(sys: CascadeSystem, g1, g2, delta1, delta2,
                      rho11_init: float = 1.0):
     """Batched (rho22, rho33) over broadcast detuning arrays.
 
-    Used by the spectrum engine's ``oracle`` path; one linear solve per grid
-    point, chunked to bound memory.
+    Used by the spectrum engine's ``oracle`` path and the oracle check; one
+    linear solve per grid point, chunked to bound memory.
     """
-    if sys.transit_rate <= 0.0:
-        raise SingularSystem("steady state requires a positive transit rate")
     d1, d2 = np.broadcast_arrays(np.asarray(delta1, float),
                                  np.asarray(delta2, float))
     shape = d1.shape
     d1f = d1.ravel()
     d2f = d2.ravel()
-    lam = rho11_init * sys.transit_rate
     out22 = np.empty(d1f.shape)
     out33 = np.empty(d1f.shape)
     chunk = 65536
     for lo in range(0, d1f.size, chunk):
         hi = min(lo + chunk, d1f.size)
-        m = _assemble_grid(sys, g1, g2, d1f[lo:hi], d2f[lo:hi])
-        rhs = np.zeros(m.shape[:-2] + (9,))
-        rhs[..., 0] = -lam
-        try:
-            x = np.linalg.solve(m, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(str(exc)) from exc
-        res = np.linalg.norm(np.einsum("...ij,...j->...i", m, x) - rhs, axis=-1)
-        if np.any(res > _RESIDUAL_TOL * max(abs(lam), np.finfo(float).tiny)):
-            raise SingularSystem("batched steady-state solve lost accuracy")
+        x = _solve(sys, g1, g2, d1f[lo:hi], d2f[lo:hi], rho11_init)
         out22[lo:hi] = x[..., 1]
         out33[lo:hi] = x[..., 2]
     return out22.reshape(shape), out33.reshape(shape)
+
+
+def _solve(sys, g1, g2, delta1, delta2, rho11_init):
+    """Solve M x = -s for broadcast detunings; x has shape (..., 9).
+
+    Direct dense solve with partial pivoting, then one residual check
+    relative to the source Lambda that rejects a non-finite residual.
+    """
+    if sys.transit_rate <= 0.0:
+        raise SingularSystem("steady state requires a positive transit rate")
+    m = _assemble_grid(sys, g1, g2, delta1, delta2)
+    lam = rho11_init * sys.transit_rate
+    rhs = np.zeros(m.shape[:-1])
+    rhs[..., 0] = -lam
+    try:
+        x = np.linalg.solve(m, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
+    residual = (np.linalg.norm(np.einsum("...ij,...j->...i", m, x) - rhs,
+                               axis=-1)
+                / max(abs(lam), np.finfo(float).tiny))
+    if not np.all(residual <= _RESIDUAL_TOL):
+        raise SingularSystem(
+            f"steady-state residual {np.max(residual):.3e} exceeds"
+            f" {_RESIDUAL_TOL:.1e} (is the transit rate zero?)")
+    return x
 
 
 def _assemble_grid(sys, g1, g2, delta1, delta2):

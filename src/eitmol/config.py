@@ -10,6 +10,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
+from math import inf
 
 import numpy as np
 
@@ -247,7 +248,8 @@ _KNOWN_SECTIONS = {"system", "lasers", "ensemble", "scan", "quadrature",
 
 @contextmanager
 def _rejected_as_key(path, section, keys):
-    """Re-raise a ValueError or DomainError as a ValidationError naming keys.
+    """Re-raise a ValueError, DomainError or ArithmeticError (overflow,
+    division by zero) as a ValidationError naming keys.
 
     ``keys`` maps the words a constructor's message may contain (field
     names) to the config keys they come from; the keys whose words appear
@@ -255,7 +257,7 @@ def _rejected_as_key(path, section, keys):
     """
     try:
         yield
-    except (ValueError, DomainError) as exc:
+    except (ValueError, DomainError, ArithmeticError) as exc:
         named = [key for word, key in keys.items()
                  if re.search(rf"\b{word}\b", str(exc))]
         names = ", ".join(dict.fromkeys(named or keys.values()))
@@ -280,6 +282,17 @@ _SCAN_KEYS = {"delta1": "delta1_min, delta1_max, delta1_points",
               "feature resolution": "feature_resolution"}
 _QUADRATURE_KEYS = {"node_count": "nodes", "span": "span",
                     "refinement_tolerance": "refinement_tolerance"}
+
+
+def _require_usable(value_of, what, allow_zero=False):
+    """ValueError naming ``what`` unless ``value_of()`` is finite and, unless
+    ``allow_zero``, nonzero; its overflow or division by zero included."""
+    try:
+        value = value_of()
+    except ArithmeticError as exc:
+        raise ValueError(f"{what} give no finite value: {exc}") from exc
+    if not (abs(value) < inf and (allow_zero or value != 0.0)):
+        raise ValueError(f"{what} give {value}")
 
 
 def _require_finite(path, section, **values):
@@ -373,6 +386,10 @@ def parse_config(text: str, path="<config>") -> RunConfig:
             waist_coupling_m=las_sec.quantity("waist_coupling", LENGTH_M,
                                               required=True),
         )
+        for beam in ("probe", "coupling"):
+            _require_usable(lambda: getattr(lasers, f"field_{beam}"),
+                            f"power_{beam}_w and waist_{beam}_m",
+                            allow_zero=getattr(lasers, f"power_{beam}_w") == 0)
     las_sec.reject_unknown()
 
     ens_sec = section("ensemble")
@@ -395,6 +412,8 @@ def parse_config(text: str, path="<config>") -> RunConfig:
                 " (or a 'doppler_fwhm')")
         else:
             ensemble = None
+        if ensemble is not None:
+            _require_usable(lambda: ensemble.u_p, "temperature and mass")
     ens_sec.reject_unknown()
 
     scan_sec = section("scan")

@@ -126,11 +126,3 @@ def build_channels(sys: CascadeSystem, mu_probe_au: float,
         ))
     return ChannelSet(channels=tuple(channels), g1_bare=g1_bare,
                       g2_bare=g2_bare)
-
-
-def sublevel_sum(per_channel_signal, cs: ChannelSet):
-    """Multiplicity-weighted sum over channels, fixed ascending-|M| order."""
-    total = 0.0
-    for c in cs.channels:
-        total = total + c.multiplicity * per_channel_signal(c)
-    return total

@@ -126,11 +126,6 @@ class LaserPair:
     def field_coupling(self) -> float:
         return field_amplitude(self.power_coupling_w, self.waist_coupling_m)
 
-    @property
-    def wavenumber_ratio(self) -> float:
-        """|k1/k2| of probe vs coupling beam."""
-        return abs(self.omega_probe_cm / self.omega_coupling_cm)
-
 
 @dataclass(frozen=True)
 class DriveParams:
@@ -166,7 +161,3 @@ class DensityState:
     rho21: complex = field(default=0j)
     rho31: complex = field(default=0j)
     rho32: complex = field(default=0j)
-
-    @property
-    def populations(self):
-        return (self.rho11, self.rho22, self.rho33)

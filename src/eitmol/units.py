@@ -63,9 +63,6 @@ class Quantity:
         if self.value != self.value:  # NaN
             raise ValueError("quantity value is NaN")
 
-    def to(self, unit: str) -> "Quantity":
-        return convert(self, unit)
-
 
 def convert(q: Quantity, target_unit: str) -> Quantity:
     """Convert ``q`` to ``target_unit``, rejecting incompatible dimensions.
@@ -108,10 +105,6 @@ def field_amplitude(power_w: float, waist_m: float) -> float:
 
 def angular_from_mhz(value_mhz):
     return 2.0 * pi * value_mhz
-
-
-def mhz_from_angular(value_mrads):
-    return value_mrads / (2.0 * pi)
 
 
 def angular_from_wavenumber(sigma_cm: float) -> float:

@@ -13,11 +13,17 @@ import pytest
 from eitmol.analytic import (
     coupling_saturation_factor,
     population_rho22,
-    population_rho33,
     steady_state_denominator,
 )
 from eitmol.bloch import solve_steady_state
-from eitmol.cli import main
+from eitmol.cli import (
+    ORACLE_CHECK_TOL,
+    ORACLE_COUPLINGS,
+    ORACLE_DETUNINGS,
+    ORACLE_PROBE,
+    main,
+    oracle_deviation,
+)
 from eitmol.config import preset_config
 from eitmol.features import extract_features, profile_fwhm
 from eitmol.fitting import FitProblem, fit, synthetic_target
@@ -76,19 +82,10 @@ def test_criterion_2_oracle_equivalence():
     cfg = preset_config("li2_fig4")
     sys = cfg.system
     gam = sys.gamma2
-    g1 = 1e-3 * gam
-    detunings = np.array([-50.0, -5.0, 0.0, 5.0, 50.0]) * gam
-    couplings = np.array([0.01, 0.2, 2.0, 20.0, 100.0]) * gam
-    worst = 0.0
-    for d1 in detunings:
-        for d2 in detunings:
-            for g2 in couplings:
-                s = solve_steady_state(
-                    sys, DriveParams.for_system(sys, g1, g2, d1, d2))
-                a22 = population_rho22(sys, g1, g2, d1, d2, sys.rho11_init)
-                a33 = population_rho33(sys, g1, g2, d1, d2, sys.rho11_init)
-                worst = max(worst, abs(a22 - s.rho22) / s.rho22,
-                            abs(a33 - s.rho33) / s.rho33)
+    # the 5x5x5 (D1, D2, g2) grid at g1 = 1e-3 gamma2 of `eitmol oracle-check`
+    assert (ORACLE_DETUNINGS.size, ORACLE_COUPLINGS.size) == (5, 5)
+    assert ORACLE_PROBE == 1e-3 and ORACLE_CHECK_TOL == 1e-4
+    worst = oracle_deviation(sys)
     assert worst <= 1e-4
 
     ratios = np.array([1e-3, 3e-3, 1e-2, 3e-2])

@@ -11,8 +11,6 @@ from eitmol.analytic import (
     doppler_averaged_populations,
     population_rho22,
     population_rho33,
-    rho22_analytic,
-    rho33_analytic,
     steady_state_denominator,
 )
 from eitmol.config import preset_config
@@ -35,24 +33,25 @@ def two_level_lorentzian(sys, g1, d1):
 
 
 def test_zero_probe_gives_zero(li2):
-    assert rho22_analytic(li2, drv(li2, g1=0.0, g2=300.0)) == 0.0
-    assert rho33_analytic(li2, drv(li2, g1=0.0, g2=300.0)) == 0.0
+    rho0 = li2.rho11_init
+    assert population_rho22(li2, 0.0, 300.0, 0.0, 0.0, rho0) == 0.0
+    assert population_rho33(li2, 0.0, 300.0, 0.0, 0.0, rho0) == 0.0
 
 
 def test_zero_coupling_gives_zero_upper_population(li2):
-    assert rho33_analytic(li2, drv(li2, g1=0.05, g2=0.0, d1=37.0)) == 0.0
+    assert population_rho33(li2, 0.05, 0.0, 37.0, 0.0, li2.rho11_init) == 0.0
 
 
 @pytest.mark.parametrize("d1", [-700.0, -55.0, 0.0, 13.0, 444.0])
 def test_two_level_reduction_at_zero_coupling(li2, d1):
     g1 = 0.05
-    got = rho22_analytic(li2, drv(li2, g1=g1, g2=0.0, d1=d1, d2=123.0))
+    got = population_rho22(li2, g1, 0.0, d1, 123.0, li2.rho11_init)
     assert got == pytest.approx(two_level_lorentzian(li2, g1, d1), rel=1e-12)
 
 
 def test_eit_dip_suppresses_resonant_population(li2):
-    weak = rho22_analytic(li2, drv(li2, g2=0.0))
-    strong = rho22_analytic(li2, drv(li2, g2=2000.0))
+    weak = population_rho22(li2, 0.05, 0.0, 0.0, 0.0, li2.rho11_init)
+    strong = population_rho22(li2, 0.05, 2000.0, 0.0, 0.0, li2.rho11_init)
     assert strong < 0.01 * weak
 
 
@@ -60,27 +59,26 @@ def test_rho22_decreasing_in_g2_above_threshold(li2):
     w = li2.transit_rate
     threshold = 2.0 * np.sqrt((li2.gamma21 + w) * (li2.gamma31 + w))
     g2s = np.linspace(1.2 * threshold, 40 * threshold, 25)
-    vals = [rho22_analytic(li2, drv(li2, g2=g2)) for g2 in g2s]
+    vals = [population_rho22(li2, 0.05, g2, 0.0, 0.0, li2.rho11_init)
+            for g2 in g2s]
     assert np.all(np.diff(vals) < 0)
 
 
 def test_probe_scaling_is_exactly_quadratic(li2):
-    base = rho22_analytic(li2, drv(li2, g1=0.04, g2=700.0, d1=250.0))
-    doubled = rho22_analytic(li2, drv(li2, g1=0.08, g2=700.0, d1=250.0))
-    assert doubled == 4.0 * base
-    base3 = rho33_analytic(li2, drv(li2, g1=0.04, g2=700.0, d1=250.0))
-    doubled3 = rho33_analytic(li2, drv(li2, g1=0.08, g2=700.0, d1=250.0))
-    assert doubled3 == 4.0 * base3
+    rho0 = li2.rho11_init
+    for kernel in (population_rho22, population_rho33):
+        base = kernel(li2, 0.04, 700.0, 250.0, 0.0, rho0)
+        doubled = kernel(li2, 0.08, 700.0, 250.0, 0.0, rho0)
+        assert doubled == 4.0 * base
 
 
 def test_symmetry_at_resonant_coupling(li2):
+    rho0 = li2.rho11_init
     for d1 in (45.0, 333.0, 2100.0):
-        plus = rho33_analytic(li2, drv(li2, g2=900.0, d1=d1, d2=0.0))
-        minus = rho33_analytic(li2, drv(li2, g2=900.0, d1=-d1, d2=0.0))
-        assert plus == pytest.approx(minus, rel=1e-12)
-        p22 = rho22_analytic(li2, drv(li2, g2=900.0, d1=d1, d2=0.0))
-        m22 = rho22_analytic(li2, drv(li2, g2=900.0, d1=-d1, d2=0.0))
-        assert p22 == pytest.approx(m22, rel=1e-12)
+        for kernel in (population_rho22, population_rho33):
+            plus = kernel(li2, 0.05, 900.0, d1, 0.0, rho0)
+            minus = kernel(li2, 0.05, 900.0, -d1, 0.0, rho0)
+            assert plus == pytest.approx(minus, rel=1e-12)
 
 
 def test_autler_townes_maxima_near_half_coupling_rabi(li2):

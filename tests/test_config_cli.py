@@ -1,12 +1,17 @@
 """Config parsing, presets, data ingestion, and the command-line surface."""
 
+import contextlib
+import io
 import json
 import math
 import re
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eitmol.cli import main
 from eitmol.config import (
@@ -302,6 +307,87 @@ def test_cli_constructor_rejection_exits_config(tmp_path, capsys, old, new,
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("old, new, code, key", [
+    ("waist_probe = 222 um", "waist_probe = 1e300 um", 2, "waist_probe"),
+    ("waist_probe = 222 um", "waist_probe = 1e-300 um", 2, "waist_probe"),
+    ("waist_coupling = 360 um", "waist_coupling = 1e300 um", 2,
+     "waist_coupling"),
+    ("waist_coupling = 360 um", "waist_coupling = 1e-300 um", 2,
+     "waist_coupling"),
+    ("mass = 14 amu", "mass = 1e-300 amu", 2, "mass"),
+    ("tau2 = 18 ns", "tau2 = 1e-300 ns", 3, None),
+    ("tau3 = 16.15 ns", "tau3 = 1e-300 ns", 3, None),
+    ("transit_rate = 2 MHz", "transit_rate = 1e300 MHz", 3, None),
+    ("gamma23_col = 1 MHz", "gamma23_col = 1e300 MHz", 3, None),
+])
+def test_cli_extreme_finite_input_keeps_exit_codes(tmp_path, capsys, old, new,
+                                                   code, key):
+    """Finite values whose arithmetic overflows or divides by zero exit 2
+    naming the key when the config layer computes them (beam fields, u_p),
+    and 3 when the engine does; never 1 with a traceback."""
+    text = (resources.files("eitmol") / "presets" / "li2_fig3a.cfg") \
+        .read_text("utf-8")
+    assert old in text
+    text = text.replace(old, new).replace("delta1_points = 801",
+                                          "delta1_points = 21")
+    cfg = write_config(tmp_path, text.replace("nodes = 4001", "nodes = 201"))
+    assert main(["simulate", "--config", cfg, "--json-errors",
+                 "--out", str(tmp_path)]) == code
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["exit_code"] == code
+    if key is not None:
+        assert payload["error"] == "ValidationError"
+        assert key in payload["message"]
+    assert not list(tmp_path.glob("*.csv"))
+
+
+FUZZ_BASE = (resources.files("eitmol") / "presets" / "li2_fig6b.cfg") \
+    .read_text("utf-8").replace("delta1_points = 801", "delta1_points = 21") \
+    .replace("nodes = 4001", "nodes = 201")
+# every "key = <number>[ <unit>]" line of the shrunk preset -> its unit
+FUZZ_KEYS = {m[1]: m[3] for m in re.finditer(
+    r"^(\w+) = ([-+.\deE]+)( [^\s#]+)?$", FUZZ_BASE, re.MULTILINE)}
+# integer keys size arrays (and J the channel count): keep them <= 10^4
+FUZZ_INTEGER_KEYS = {"J1", "J2", "J3", "delta1_points", "nodes"}
+FUZZ_SPECIAL = ("nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300")
+
+
+@st.composite
+def numeric_edit(draw):
+    """One numeric key of the shrunk preset and the value to put there."""
+    key = draw(st.sampled_from(sorted(FUZZ_KEYS)))
+    if key in FUZZ_INTEGER_KEYS:
+        value = draw(st.one_of(
+            st.sampled_from([v for v in FUZZ_SPECIAL if "300" not in v]),
+            st.integers(-10, 10**4).map(str)))
+    else:
+        value = draw(st.one_of(st.sampled_from(FUZZ_SPECIAL),
+                               st.floats(-1e4, 1e4).map(repr)))
+    return key, value
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(numeric_edit())
+def test_cli_fuzzed_config_keeps_exit_codes(edit):
+    """Any single numeric value of a Doppler-on scan, however extreme,
+    exits 0, 2, 3 or 4 and prints no traceback."""
+    assert len(FUZZ_KEYS) == 29  # every numeric key of the preset
+    key, value = edit
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}{FUZZ_KEYS[key] or ''}",
+                  FUZZ_BASE, flags=re.MULTILINE)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["simulate", "--config", str(cfg), "--json-errors",
+                         "--out", tmp])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+
+
 def test_cli_nonfinite_signal_exits_numeric(tmp_path, capsys, monkeypatch):
     from eitmol import spectrum
 
@@ -356,7 +442,11 @@ def test_cli_fit_roundtrip_writes_report(tmp_path, capsys):
     assert report["converged"] is True
     assert report["best_params"]["amplitude_scale"] == pytest.approx(2.5,
                                                                      rel=1e-5)
-    assert (outdir / "run_bestfit.csv").exists()
+    # the best-fit spectrum is the scaled model, so it reproduces the data
+    rows = (outdir / "run_bestfit.csv").read_text().splitlines()
+    data_rows = [r for r in rows if r and not r.startswith("#")][1:]
+    best_rho33 = [float(r.split(",")[2]) for r in data_rows]
+    assert best_rho33 == pytest.approx(2.5 * truth.signal_rho33, rel=1e-5)
 
 
 FIT_AMPLITUDE = ("\n[fit]\nchannel = rho33\nfree = amplitude_scale\n"

@@ -7,12 +7,7 @@ import pytest
 
 from eitmol.analytic import population_rho33
 from eitmol.errors import DomainError, UnsupportedBranch
-from eitmol.sublevels import (
-    build_channels,
-    line_strength_P,
-    line_strength_Q,
-    sublevel_sum,
-)
+from eitmol.sublevels import build_channels, line_strength_P, line_strength_Q
 
 
 def test_q_factor_values():
@@ -91,19 +86,6 @@ def test_branch_quantum_number_consistency(li2):
     bad = dataclasses.replace(li2, J3=13)  # Q coupling needs J3 == J2
     with pytest.raises(ValueError):
         build_channels(bad, 1.0, 1.45, 100.0, 100.0)
-
-
-def test_sublevel_sum_counts_probe_couplings(li2_channels):
-    assert sublevel_sum(lambda c: 1.0, li2_channels) == 29
-
-
-def test_sublevel_sum_single_channel_identity(li2_channels):
-    from eitmol.sublevels import ChannelSet
-
-    one = ChannelSet(channels=(li2_channels.channel(0),),
-                     g1_bare=li2_channels.g1_bare,
-                     g2_bare=li2_channels.g2_bare)
-    assert sublevel_sum(lambda c: 3.5, one) == 3.5
 
 
 def test_fourteen_upper_state_channels(li2, li2_channels):

@@ -3,7 +3,8 @@
 Subcommands: simulate, components, fit, dip, oracle-check.  Exit codes:
 0 success, 2 configuration/input error, 3 numeric non-convergence,
 4 fit non-convergence.  ``--json-errors`` switches error reporting to a
-machine-readable JSON object on stderr.
+machine-readable JSON object on stderr, which then also carries the
+warnings of the run.
 """
 
 import argparse
@@ -11,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys as _sys
+import warnings
 
 import numpy as np
 
@@ -89,22 +91,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ParseError, ValidationError, UnitError, OSError) as exc:
-        return _report(exc, EXIT_CONFIG, args)
-    except (EitmolError, ArithmeticError) as exc:
-        return _report(exc, EXIT_NUMERIC, args)
-
-
-def _report(exc, code, args):
-    if getattr(args, "json_errors", False):
-        payload = {"error": type(exc).__name__, "message": str(exc),
-                   "exit_code": code}
+    # held back during the run, so that a --json-errors report is the only
+    # thing on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        code, error = _run(args)
+    if error is not None and args.json_errors:
+        payload = {"error": type(error).__name__, "message": str(error),
+                   "exit_code": code,
+                   "warnings": [f"{os.path.basename(w.filename)}:{w.lineno}:"
+                                f" {w.category.__name__}: {w.message}"
+                                for w in caught]}
         print(json.dumps(payload), file=_sys.stderr)
-    else:
-        print(f"eitmol: error: {exc}", file=_sys.stderr)
+        return code
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    if error is not None:
+        print(f"eitmol: error: {error}", file=_sys.stderr)
     return code
+
+
+def _run(args):
+    """(exit code, the error that set it or None)."""
+    try:
+        return args.func(args), None
+    except (ParseError, ValidationError, UnitError, OSError) as exc:
+        return EXIT_CONFIG, exc
+    except (EitmolError, ArithmeticError) as exc:
+        return EXIT_NUMERIC, exc
 
 
 def _prepare(args):

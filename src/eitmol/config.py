@@ -2,11 +2,11 @@
 
 Config files are flat sectioned ``key = value`` text.  Every physical value
 carries an explicit unit suffix (``omega21 = 15642.636 cm-1``); parsing is
-strict: unknown sections or keys, missing required keys, and wrong unit
-dimensions are all hard errors that name the offender.
+strict: unknown sections or keys, missing required keys, wrong unit
+dimensions and values outside a key's domain are all hard errors that name
+the offender.
 """
 
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
@@ -17,13 +17,19 @@ import numpy as np
 from .doppler import (
     CO_PROPAGATING,
     COUNTER_PROPAGATING,
-    TRAPEZOID,
     Ensemble,
     QuadratureSpec,
 )
-from .errors import DomainError, ParseError, UnitError, ValidationError
+from .errors import (
+    DomainError,
+    IncompatibleDimensions,
+    ParseError,
+    UnitError,
+    ValidationError,
+)
+from .fitting import FIT_PARAMETERS
 from .spectrum import ENGINE_ANALYTIC, ENGINE_ORACLE, RHO22, RHO33, ScanConfig
-from .sublevels import build_channels
+from .sublevels import branch_factor
 from .system import CascadeSystem, LaserPair
 from .units import (
     ANGULAR_MRADS,
@@ -37,6 +43,7 @@ from .units import (
     WAVENUMBER_CM,
     Quantity,
     convert,
+    field_amplitude,
     rate_from_lifetime_ns,
 )
 from .constants import WAVENUMBER_TO_MHZ
@@ -63,8 +70,10 @@ _SUFFIXES = {
 }
 
 
-def parse_quantity(text: str) -> Quantity:
-    """'480 mW' -> Quantity(0.48, 'W'); raises UnitError for bad suffixes."""
+def parse_quantity(text: str, unit: str) -> float:
+    """'480 mW', 'W' -> 0.48; raises UnitError for a malformed value, an
+    unknown suffix or one not convertible to ``unit``.  A NaN is returned
+    as it is, for the caller's domain check."""
     parts = text.split()
     if len(parts) != 2:
         raise UnitError(f"expected '<number> <unit>', got {text!r}")
@@ -74,8 +83,14 @@ def parse_quantity(text: str) -> Quantity:
         raise UnitError(f"bad numeric value in {text!r}") from exc
     if parts[1] not in _SUFFIXES:
         raise UnitError(f"unknown unit suffix {parts[1]!r} in {text!r}")
-    unit, scale = _SUFFIXES[parts[1]]
-    return Quantity(value * scale, unit)
+    base, scale = _SUFFIXES[parts[1]]
+    if value != value:
+        return value
+    try:
+        return convert(Quantity(value * scale, base), unit).value
+    except (IncompatibleDimensions, ValueError) as exc:
+        raise UnitError(
+            f"must carry a unit compatible with {unit}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -151,14 +166,46 @@ def _parse_sections(text: str, path):
     return sections
 
 
+# the values a numeric key accepts besides being finite: (wording, test)
+_FINITE = ("finite", lambda v: True)
+_NONNEGATIVE = (">= 0", lambda v: v >= 0.0)
+_POSITIVE = ("> 0", lambda v: v > 0.0)
+_FRACTION = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_LIFETIME = ("> 0 with a finite decay rate",
+             lambda v: v > 0.0 and rate_from_lifetime_ns(v) < inf)
+
+
 class _Section:
-    """Typed accessors over one parsed section with strict key accounting."""
+    """Typed accessors over one parsed section with strict key accounting.
+
+    Each getter checks the domain of its key, so a bad value is reported
+    under the key it was read from.
+    """
 
     def __init__(self, name, entries, path):
         self.name = name
         self.entries = entries
         self.path = path
         self.seen = set()
+
+    def error(self, message, *keys):
+        """A ValidationError naming ``keys``; a single key with its line."""
+        where = (f"{self.path}:{self.entries[keys[0]][1]}: key '{keys[0]}'"
+                 if len(keys) == 1 else
+                 f"{self.path}: [{self.name}] {', '.join(keys)}")
+        return ValidationError(f"{where}: {message}")
+
+    @contextmanager
+    def blame(self, *keys):
+        """Re-raise a ValueError, DomainError or ArithmeticError (overflow,
+        division by zero) of the block as an ``error`` naming ``keys``."""
+        try:
+            yield
+        except (ValueError, DomainError) as exc:
+            raise self.error(str(exc), *keys) from exc
+        except ArithmeticError as exc:
+            raise self.error(f"give no finite value ({type(exc).__name__}:"
+                             f" {exc})", *keys) from exc
 
     def _raw(self, key, default=None, required=False):
         if key not in self.entries:
@@ -170,55 +217,68 @@ class _Section:
         self.seen.add(key)
         return self.entries[key][0]
 
-    def quantity(self, key, unit, required=False, default=None):
+    def _within(self, key, value, domain):
+        """``value`` if it is finite and in ``domain``, else an error."""
+        wording, test = domain
+        finite = abs(value) < inf
+        if not (finite and test(value)):
+            raise self.error(f"must be {wording if finite else 'finite'},"
+                             f" got {self.entries[key][0]!r}", key)
+        return value
+
+    def quantity(self, key, unit, domain=_FINITE, required=False,
+                 default=None):
         raw = self._raw(key, required=required)
         if raw is None:
             return default
         try:
-            q = parse_quantity(raw)
-            return convert(q, unit).value
+            value = parse_quantity(raw, unit)
         except UnitError as exc:
             line = self.entries[key][1]
             raise UnitError(f"{self.path}:{line}: key '{key}': {exc}") from exc
-        except Exception as exc:
-            line = self.entries[key][1]
-            raise UnitError(
-                f"{self.path}:{line}: key '{key}' must carry a unit"
-                f" compatible with {unit}: {exc}") from exc
+        return self._within(key, value, domain)
 
-    def number(self, key, required=False, default=None):
+    def number(self, key, domain=_FINITE, required=False, default=None):
         raw = self._raw(key, required=required)
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
-            line = self.entries[key][1]
-            raise ValidationError(
-                f"{self.path}:{line}: key '{key}' must be a bare number,"
-                f" got {raw!r}") from exc
+            raise self.error(f"must be a bare number, got {raw!r}",
+                             key) from exc
+        return self._within(key, value, domain)
 
-    def integer(self, key, required=False, default=None):
-        v = self.number(key, required=required, default=default)
-        if v is None or float(v).is_integer():
-            return v if v is None else int(v)
-        raise ValidationError(f"{self.path}: key '{key}' must be an integer")
+    def integer(self, key, minimum, odd=False, required=False, default=None):
+        """An integer >= ``minimum``, odd if ``odd``."""
+        v = self.number(key, required=required)
+        if v is None:
+            return default
+        if not (v.is_integer() and v >= minimum and (v % 2 == 1 or not odd)):
+            kind = "an odd integer" if odd else "an integer"
+            raise self.error(f"must be {kind} >= {minimum}, got"
+                             f" {self.entries[key][0]!r}", key)
+        return int(v)
 
     def word(self, key, choices=None, required=False, default=None):
         raw = self._raw(key, required=required)
         if raw is None:
             return default
         if choices is not None and raw not in choices:
-            raise ValidationError(
-                f"{self.path}: key '{key}' must be one of {sorted(choices)},"
-                f" got {raw!r}")
+            raise self.error(
+                f"must be one of {sorted(choices)}, got {raw!r}", key)
         return raw
 
-    def words(self, key, default=None):
-        raw = self._raw(key)
+    def words(self, key, choices, required=False, default=None):
+        """Distinct words out of ``choices``, space or comma separated."""
+        raw = self._raw(key, required=required)
         if raw is None:
             return default
-        return tuple(raw.replace(",", " ").split())
+        words = tuple(raw.replace(",", " ").split())
+        if not 0 < len(set(words) & set(choices)) == len(words):
+            raise self.error(f"must list distinct words of {sorted(choices)},"
+                             f" got {raw!r}", key)
+        return words
 
     def flag(self, key, default=None):
         raw = self._raw(key)
@@ -229,8 +289,7 @@ class _Section:
             return True
         if lowered in ("off", "false", "no", "0"):
             return False
-        raise ValidationError(
-            f"{self.path}: key '{key}' must be on/off, got {raw!r}")
+        raise self.error(f"must be on/off, got {raw!r}", key)
 
     def reject_unknown(self):
         unknown = set(self.entries) - self.seen
@@ -246,78 +305,19 @@ _KNOWN_SECTIONS = {"system", "lasers", "ensemble", "scan", "quadrature",
                    "fit", "output"}
 
 
-@contextmanager
-def _rejected_as_key(path, section, keys):
-    """Re-raise a ValueError, DomainError or ArithmeticError (overflow,
-    division by zero) as a ValidationError naming keys.
-
-    ``keys`` maps the words a constructor's message may contain (field
-    names) to the config keys they come from; the keys whose words appear
-    are named, or all of them when none does.
-    """
-    try:
-        yield
-    except (ValueError, DomainError, ArithmeticError) as exc:
-        named = [key for word, key in keys.items()
-                 if re.search(rf"\b{word}\b", str(exc))]
-        names = ", ".join(dict.fromkeys(named or keys.values()))
-        raise ValidationError(
-            f"{path}: [{section}] {names}: {exc}") from exc
-
-
-_SYSTEM_KEYS = {"omega21_cm": "omega21", "omega32_cm": "omega32",
-                "lifetime": "tau2, tau3", "gamma2": "tau2", "gamma3": "tau3",
-                "b2": "b2", "b3": "b3", "gamma12_col": "gamma12_col",
-                "gamma13_col": "gamma13_col", "gamma23_col": "gamma23_col",
-                "transit_rate": "transit_rate", "refill_rate": "refill_rate",
-                "J": "J1, J2, J3", "branch": "branch_probe, branch_coupling"}
-_LASER_KEYS = {"power_probe_w": "power_probe", "waist_probe_m": "waist_probe",
-               "power_coupling_w": "power_coupling",
-               "waist_coupling_m": "waist_coupling"}
-_ENSEMBLE_KEYS = {"temperature": "temperature", "mass": "mass",
-                  "Doppler width": "doppler_fwhm"}
-_SCAN_KEYS = {"delta1": "delta1_min, delta1_max, delta1_points",
-              "delta2": "delta2",
-              "samples": "delta1_points", "channels": "channels",
-              "feature resolution": "feature_resolution"}
-_QUADRATURE_KEYS = {"node_count": "nodes", "span": "span",
-                    "refinement_tolerance": "refinement_tolerance"}
-
-
-def _require_usable(value_of, what, allow_zero=False):
-    """ValueError naming ``what`` unless ``value_of()`` is finite and, unless
-    ``allow_zero``, nonzero; its overflow or division by zero included."""
-    try:
-        value = value_of()
-    except ArithmeticError as exc:
-        raise ValueError(f"{what} give no finite value: {exc}") from exc
-    if not (abs(value) < inf and (allow_zero or value != 0.0)):
-        raise ValueError(f"{what} give {value}")
-
-
-def _require_finite(path, section, **values):
-    for key, value in values.items():
-        if not np.isfinite(value):
-            raise ValidationError(
-                f"{path}: [{section}] {key}: must be finite, got {value}")
-
-
 def load_config(path_or_preset) -> RunConfig:
     """Load and validate a config file; bare preset names are also accepted."""
     import os
 
     path = str(path_or_preset)
-    if not os.path.exists(path):
-        if path in available_presets():
-            text = _preset_text(path)
-        else:
-            raise FileNotFoundError(
-                f"no such config file or preset: {path!r}"
-                f" (presets: {', '.join(available_presets())})")
-    else:
+    if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return parse_config(text, path)
+            return parse_config(fh.read(), path)
+    if path not in available_presets():
+        raise FileNotFoundError(
+            f"no such config file or preset: {path!r}"
+            f" (presets: {', '.join(available_presets())})")
+    return parse_config(_preset_text(path), path)
 
 
 def parse_config(text: str, path="<config>") -> RunConfig:
@@ -335,135 +335,137 @@ def parse_config(text: str, path="<config>") -> RunConfig:
 
     sys_sec = section("system")
     # rates quoted in cyclic MHz pick up their 2*pi here, once
-    transit = sys_sec.quantity("transit_rate", ANGULAR_MRADS, default=0.0)
-    refill = sys_sec.quantity("refill_rate", ANGULAR_MRADS, default=transit)
-    with _rejected_as_key(path, "system", _SYSTEM_KEYS):
-        system = CascadeSystem(
-            omega21_cm=sys_sec.quantity("omega21", WAVENUMBER_CM,
-                                        required=True),
-            omega32_cm=sys_sec.quantity("omega32", WAVENUMBER_CM,
-                                        required=True),
-            gamma2=rate_from_lifetime_ns(
-                sys_sec.quantity("tau2", TIME_NS, required=True)),
-            gamma3=rate_from_lifetime_ns(
-                sys_sec.quantity("tau3", TIME_NS, required=True)),
-            b2=sys_sec.number("b2", required=True),
-            b3=sys_sec.number("b3", required=True),
-            gamma12_col=sys_sec.quantity("gamma12_col", ANGULAR_MRADS,
-                                         default=0.0),
-            gamma13_col=sys_sec.quantity("gamma13_col", ANGULAR_MRADS,
-                                         default=0.0),
-            gamma23_col=sys_sec.quantity("gamma23_col", ANGULAR_MRADS,
-                                         default=0.0),
-            transit_rate=transit,
-            refill_rate=refill,
-            J1=sys_sec.integer("J1", required=True),
-            J2=sys_sec.integer("J2", required=True),
-            J3=sys_sec.integer("J3", required=True),
-            branch_probe=sys_sec.word("branch_probe", {"P", "Q", "R"},
-                                      required=True),
-            branch_coupling=sys_sec.word("branch_coupling", {"P", "Q", "R"},
-                                         required=True),
-        )
-        build_channels(system, 0.0, 0.0, 0.0, 0.0)  # J fits both branches
+    transit = sys_sec.quantity("transit_rate", ANGULAR_MRADS, _NONNEGATIVE,
+                               default=0.0)
+    refill = sys_sec.quantity("refill_rate", ANGULAR_MRADS, _NONNEGATIVE,
+                              default=transit)
+    system = CascadeSystem(
+        omega21_cm=sys_sec.quantity("omega21", WAVENUMBER_CM, required=True),
+        omega32_cm=sys_sec.quantity("omega32", WAVENUMBER_CM, required=True),
+        gamma2=rate_from_lifetime_ns(
+            sys_sec.quantity("tau2", TIME_NS, _LIFETIME, required=True)),
+        gamma3=rate_from_lifetime_ns(
+            sys_sec.quantity("tau3", TIME_NS, _LIFETIME, required=True)),
+        b2=sys_sec.number("b2", _FRACTION, required=True),
+        b3=sys_sec.number("b3", _FRACTION, required=True),
+        **{key: sys_sec.quantity(key, ANGULAR_MRADS, _NONNEGATIVE, default=0.0)
+           for key in ("gamma12_col", "gamma13_col", "gamma23_col")},
+        transit_rate=transit,
+        refill_rate=refill,
+        **{key: sys_sec.integer(key, 0, required=True)
+           for key in ("J1", "J2", "J3")},
+        # the R branch has no line-strength formula
+        branch_probe=sys_sec.word("branch_probe", {"P", "Q"}, required=True),
+        branch_coupling=sys_sec.word("branch_coupling", {"P", "Q"},
+                                     required=True),
+    )
+    for lower, upper, branch in (("J1", "J2", "branch_probe"),
+                                 ("J2", "J3", "branch_coupling")):
+        with sys_sec.blame(lower, upper, branch):  # the selection rule
+            branch_factor(getattr(system, branch), getattr(system, lower),
+                          getattr(system, upper), 0)
     mu_probe = sys_sec.quantity("mu_probe", DIPOLE_AU, required=True)
     mu_coupling = sys_sec.quantity("mu_coupling", DIPOLE_AU, required=True)
-    _require_finite(path, "system", mu_probe=mu_probe,
-                    mu_coupling=mu_coupling)
     sys_sec.reject_unknown()
 
     las_sec = section("lasers")
-    with _rejected_as_key(path, "lasers", _LASER_KEYS):
-        lasers = LaserPair(
-            omega_probe_cm=system.omega21_cm,
-            omega_coupling_cm=system.omega32_cm,
-            power_probe_w=las_sec.quantity("power_probe", POWER_W,
-                                           required=True),
-            power_coupling_w=las_sec.quantity("power_coupling", POWER_W,
-                                              required=True),
-            waist_probe_m=las_sec.quantity("waist_probe", LENGTH_M,
-                                           required=True),
-            waist_coupling_m=las_sec.quantity("waist_coupling", LENGTH_M,
-                                              required=True),
-        )
-        for beam in ("probe", "coupling"):
-            _require_usable(lambda: getattr(lasers, f"field_{beam}"),
-                            f"power_{beam}_w and waist_{beam}_m",
-                            allow_zero=getattr(lasers, f"power_{beam}_w") == 0)
+    beams = {}
+    for beam in ("probe", "coupling"):
+        power = las_sec.quantity(f"power_{beam}", POWER_W, _NONNEGATIVE,
+                                 required=True)
+        waist = las_sec.quantity(f"waist_{beam}", LENGTH_M, _POSITIVE,
+                                 required=True)
+        with las_sec.blame(f"power_{beam}", f"waist_{beam}"):
+            field_amplitude(power, waist)
+        beams[f"power_{beam}_w"], beams[f"waist_{beam}_m"] = power, waist
+    lasers = LaserPair(omega_probe_cm=system.omega21_cm,
+                       omega_coupling_cm=system.omega32_cm, **beams)
     las_sec.reject_unknown()
 
     ens_sec = section("ensemble")
     geometry = ens_sec.word("geometry",
                             {COUNTER_PROPAGATING, CO_PROPAGATING},
                             default=COUNTER_PROPAGATING)
-    temp = ens_sec.quantity("temperature", TEMPERATURE_K)
-    mass = ens_sec.quantity("mass", MASS_AMU)
-    fwhm = ens_sec.quantity("doppler_fwhm", FREQUENCY_MHZ)
-    with _rejected_as_key(path, "ensemble", _ENSEMBLE_KEYS):
-        if fwhm is not None:  # a measured width overrides the thermal one
+    temp = ens_sec.quantity("temperature", TEMPERATURE_K, _POSITIVE)
+    mass = ens_sec.quantity("mass", MASS_AMU, _POSITIVE)
+    fwhm = ens_sec.quantity("doppler_fwhm", FREQUENCY_MHZ, _POSITIVE)
+    ensemble = None
+    if fwhm is not None:  # a measured width overrides the thermal one
+        with ens_sec.blame("doppler_fwhm"):
             ensemble = Ensemble.from_doppler_fwhm(fwhm, system.omega21_cm,
                                                   geometry)
-        elif temp is not None and mass is not None:
+    elif temp is not None and mass is not None:
+        with ens_sec.blame("temperature", "mass"):
             ensemble = Ensemble(temperature_k=temp, mass_amu=mass,
                                 geometry=geometry)
-        elif temp is not None or mass is not None:
-            raise ValidationError(
-                f"{path}: [ensemble] needs both 'temperature' and 'mass'"
-                " (or a 'doppler_fwhm')")
-        else:
-            ensemble = None
-        if ensemble is not None:
-            _require_usable(lambda: ensemble.u_p, "temperature and mass")
+    elif temp is not None or mass is not None:
+        raise ens_sec.error("need each other (or a doppler_fwhm)",
+                            "temperature", "mass")
     ens_sec.reject_unknown()
 
     scan_sec = section("scan")
     d1_min = scan_sec.quantity("delta1_min", FREQUENCY_MHZ, required=True)
     d1_max = scan_sec.quantity("delta1_max", FREQUENCY_MHZ, required=True)
-    points = scan_sec.integer("delta1_points", required=True)
-    _require_finite(path, "scan", delta1_min=d1_min, delta1_max=d1_max)
+    points = scan_sec.integer("delta1_points", 2, required=True)
+    if not 0.0 < d1_max - d1_min < inf:
+        raise scan_sec.error("delta1_max - delta1_min must be finite and"
+                             " > 0", "delta1_min", "delta1_max")
+    with scan_sec.blame("delta1_min", "delta1_max", "delta1_points"):
+        grid = np.linspace(d1_min, d1_max, points)  # numpy caps the size
+    if not np.all(np.diff(grid) > 0.0):
+        raise scan_sec.error("give a step below the float resolution",
+                             "delta1_min", "delta1_max", "delta1_points")
+    resolution = scan_sec.quantity("feature_resolution", FREQUENCY_MHZ,
+                                   _POSITIVE)
+    if resolution is not None and np.max(np.diff(grid)) > resolution:
+        raise scan_sec.error("give a grid spacing above the feature"
+                             " resolution", "feature_resolution",
+                             "delta1_min", "delta1_max", "delta1_points")
     doppler_on = scan_sec.flag("doppler", default=True)
     if doppler_on and ensemble is None:
-        raise ValidationError(
-            f"{path}: [scan] doppler = on requires an [ensemble] section")
-    with _rejected_as_key(path, "scan", _SCAN_KEYS):
-        scan = ScanConfig(
-            delta1_mhz=np.linspace(d1_min, d1_max, points),
-            delta2_mhz=scan_sec.quantity("delta2", FREQUENCY_MHZ,
-                                         required=True),
-            channels=scan_sec.words("channels", default=(RHO22, RHO33)),
-            doppler_on=doppler_on,
-            m_sum_on=scan_sec.flag("m_sum", default=True),
-            engine=scan_sec.word("engine", {ENGINE_ANALYTIC, ENGINE_ORACLE},
-                                 default=ENGINE_ANALYTIC),
-            feature_resolution_mhz=scan_sec.quantity("feature_resolution",
-                                                     FREQUENCY_MHZ),
-        )
+        raise scan_sec.error("on requires an [ensemble] section", "doppler")
+    scan = ScanConfig(
+        delta1_mhz=grid,
+        delta2_mhz=scan_sec.quantity("delta2", FREQUENCY_MHZ, required=True),
+        channels=scan_sec.words("channels", (RHO22, RHO33),
+                                default=(RHO22, RHO33)),
+        doppler_on=doppler_on,
+        m_sum_on=scan_sec.flag("m_sum", default=True),
+        engine=scan_sec.word("engine", {ENGINE_ANALYTIC, ENGINE_ORACLE},
+                             default=ENGINE_ANALYTIC),
+        feature_resolution_mhz=resolution,
+    )
     scan_sec.reject_unknown()
 
     quad_sec = section("quadrature")
-    quad_sec.word("scheme", {TRAPEZOID}, default=TRAPEZOID)  # the only rule
-    with _rejected_as_key(path, "quadrature", _QUADRATURE_KEYS):
-        quadrature = QuadratureSpec(
-            node_count=quad_sec.integer("nodes", default=4001),
-            span=quad_sec.number("span", default=4.0),
-            refinement_tolerance=quad_sec.number("refinement_tolerance",
-                                                 default=1e-4),
-        )
+    if "scheme" in quad_sec.entries:
+        raise quad_sec.error("was removed: the engine chooses the rule, and"
+                             " the output reports it as quadrature.scheme",
+                             "scheme")
+    quadrature = QuadratureSpec(
+        node_count=quad_sec.integer("nodes", 51, odd=True, default=4001),
+        span=quad_sec.number("span", _POSITIVE, default=4.0),
+        refinement_tolerance=quad_sec.number(
+            "refinement_tolerance", _POSITIVE, default=1e-4),
+    )
     quad_sec.reject_unknown()
 
     fit_settings = None
     if "fit" in sections:
         fit_sec = section("fit")
-        free = fit_sec.words("free")
-        if not free:
-            raise ValidationError(
-                f"{path}: [fit] section requires a 'free' key")
+        free = fit_sec.words("free", FIT_PARAMETERS, required=True)
         init = {}
         bounds = {}
         for name in free:
-            init[name] = _fit_param_value(fit_sec, f"{name}_init", name, path)
-            lo = _fit_param_value(fit_sec, f"{name}_min", name, path)
-            hi = _fit_param_value(fit_sec, f"{name}_max", name, path)
+            keys = (f"{name}_init", f"{name}_min", f"{name}_max")
+            init[name], lo, hi = (_fit_param_value(fit_sec, key, name)
+                                  for key in keys)
+            if not lo < hi:
+                raise fit_sec.error("the minimum must be below the maximum",
+                                    *keys[1:])
+            if not lo <= init[name] <= hi:
+                raise fit_sec.error("the initial value must lie within the"
+                                    " bounds", *keys)
             bounds[name] = (lo, hi)
         fit_settings = FitSettings(
             channel=fit_sec.word("channel", {RHO22, RHO33}, default=RHO33),
@@ -473,7 +475,8 @@ def parse_config(text: str, path="<config>") -> RunConfig:
             data_abscissa=fit_sec.word(
                 "data_abscissa", {"detuning_MHz", "wavenumber_cm-1"},
                 default="detuning_MHz"),
-            max_evaluations=fit_sec.integer("max_evaluations", default=2000),
+            max_evaluations=fit_sec.integer("max_evaluations", 1,
+                                            default=2000),
         )
         fit_sec.reject_unknown()
 
@@ -498,16 +501,14 @@ def parse_config(text: str, path="<config>") -> RunConfig:
     )
 
 
-def _fit_param_value(sec, key, name, path):
+def _fit_param_value(sec, key, name):
     """Fit parameters are unit-suffixed for physical quantities, bare for
-    amplitude_scale and baseline_offset."""
+    amplitude_scale and baseline_offset; a dephasing is >= 0."""
     if name == "mu_coupling":
-        v = sec.quantity(key, DIPOLE_AU, required=True)
-    elif name.startswith("gamma"):
-        v = sec.quantity(key, FREQUENCY_MHZ, required=True)
-    else:
-        v = sec.number(key, required=True)
-    return v
+        return sec.quantity(key, DIPOLE_AU, required=True)
+    if name.startswith("gamma"):
+        return sec.quantity(key, FREQUENCY_MHZ, _NONNEGATIVE, required=True)
+    return sec.number(key, required=True)
 
 
 # --- measured data ------------------------------------------------------------
@@ -556,10 +557,8 @@ def load_spectrum(path, abscissa="detuning_MHz",
     elif abscissa != "detuning_MHz":
         raise ValidationError(f"unknown abscissa kind {abscissa!r}")
 
-    resorted = False
     order = np.argsort(x, kind="stable")
-    if not np.array_equal(order, np.arange(x.size)):
-        resorted = True
+    resorted = not np.array_equal(order, np.arange(x.size))
     x = x[order]
     if np.any(np.diff(x) <= 0):
         raise ValidationError(f"{path}: abscissa has duplicate points")

@@ -36,11 +36,6 @@ def constants_table_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_constants_table(path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(constants_table_text())
-
-
 def shipped_constants_text() -> str:
     """Content of the constants file bundled with the package."""
     return resources.files("eitmol").joinpath("data/constants.txt").read_text("ascii")

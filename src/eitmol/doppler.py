@@ -42,7 +42,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import ATOMIC_MASS_KG, BOLTZMANN_K, SPEED_OF_LIGHT
-from .errors import QuadratureNotConverged
 
 TRAPEZOID = "uniform_trapezoid"   # the rules' names, echoed in outputs
 FADDEEVA = "faddeeva"
@@ -66,8 +65,8 @@ class Ensemble:
         if self.u_p_override is None and not (0.0 < self.temperature_k < inf
                                               and 0.0 < self.mass_amu < inf):
             raise ValueError("temperature and mass must be finite and > 0")
-        if self.u_p_override is not None and not 0.0 < self.u_p_override < inf:
-            raise ValueError("Doppler width must be finite and > 0")
+        if not 0.0 < self.u_p < inf:  # u_p_override, or T/m out of range
+            raise ValueError(f"u_p = {self.u_p} m/s must be finite and > 0")
 
     @property
     def u_p(self) -> float:
@@ -121,16 +120,6 @@ def velocity_detunings(delta1, delta2, omega1, omega2, vz, geometry):
     else:
         raise ValueError(f"unknown geometry {geometry!r}")
     return d1, d2
-
-
-def two_photon_velocity(delta1, delta2, omega1, omega2,
-                        geometry=COUNTER_PROPAGATING):
-    """Velocity class (m/s) where D1 + D2 = 0, from the full detuning form."""
-    if geometry == COUNTER_PROPAGATING:
-        denom = omega1 - omega2
-    else:
-        denom = omega1 + omega2
-    return SPEED_OF_LIGHT * (delta1 + delta2) / denom
 
 
 def maxwellian_trapezoid_weights(vz: np.ndarray, ens: Ensemble) -> np.ndarray:
@@ -242,33 +231,3 @@ def weighted_sum(values, weights):
     ``einsum(optimize=...)``) does not keep that contract.
     """
     return np.einsum("...k,k->...", values, weights)
-
-
-def doppler_average(observable, ens: Ensemble, q: QuadratureSpec) -> float:
-    """Maxwellian-weighted average of ``observable(vz)``.
-
-    ``observable`` is evaluated once, on the 2N - 1 nodes of ``node_plan``.
-    The N-node average is returned only after the doubled rule agrees with it
-    within ``q.refinement_tolerance`` (relative to the larger magnitude);
-    otherwise QuadratureNotConverged is raised, which signals that the node
-    count is too low for the sharpest feature present.
-    """
-    plan = node_plan(ens, q)
-    try:
-        y = np.asarray(observable(plan.vz), float)
-        if y.shape != plan.vz.shape:
-            raise TypeError
-    except (TypeError, ValueError):  # scalar-only observable
-        y = np.array([float(observable(v)) for v in plan.vz])
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observable is not finite on the integration span")
-    coarse, fine = (float(weighted_sum(y[sl], w))
-                    for sl, w in (plan.coarse, plan.fine))
-    # averages much smaller than the integrand magnitude are cancellation
-    # values; judge those against the integrand scale, not themselves
-    scale = max(abs(coarse), abs(fine), 1e-3 * float(np.max(np.abs(y))))
-    if scale > 0 and abs(fine - coarse) > q.refinement_tolerance * scale:
-        raise QuadratureNotConverged(
-            f"average moved by {abs(fine - coarse) / scale:.3e} (relative) on"
-            f" node doubling; increase node_count above {q.node_count}")
-    return coarse

@@ -42,7 +42,9 @@ def line_strength_P(J: int, M: int) -> float:
     return sqrt((J * J - M * M) / ((2 * J + 1) * (2 * J - 1)))
 
 
-def _branch_factor(branch: str, j_lower: int, j_upper: int, M: int) -> float:
+def branch_factor(branch: str, j_lower: int, j_upper: int, M: int) -> float:
+    """Line-strength factor of one branch; ValueError or DomainError when
+    the branch does not connect j_lower to j_upper."""
     if branch == "Q":
         if j_upper != j_lower:
             raise ValueError(f"Q branch requires equal J, got {j_lower}->{j_upper}")
@@ -112,10 +114,10 @@ def build_channels(sys: CascadeSystem, mu_probe_au: float,
     g2_bare = rabi_frequency(mu_coupling_au, field_coupling)
     channels = []
     for m in range(0, sys.J1 + 1):
-        f_p = _branch_factor(sys.branch_probe, sys.J1, sys.J2, m)
+        f_p = branch_factor(sys.branch_probe, sys.J1, sys.J2, m)
         if f_p == 0.0:
             continue
-        f_c = _branch_factor(sys.branch_coupling, sys.J2, sys.J3, m)
+        f_c = branch_factor(sys.branch_coupling, sys.J2, sys.J3, m)
         channels.append(SublevelChannel(
             abs_m=m,
             multiplicity=1 if m == 0 else 2,

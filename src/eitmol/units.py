@@ -91,14 +91,18 @@ def convert(q: Quantity, target_unit: str) -> Quantity:
 def field_amplitude(power_w: float, waist_m: float) -> float:
     """Peak on-axis field (V/m) of a Gaussian beam of power P and 1/e^2 waist w0.
 
-    I0 = 2P/(pi w0^2), E0 = sqrt(2 I0 / (eps0 c)).
+    I0 = 2P/(pi w0^2), E0 = sqrt(2 I0 / (eps0 c)).  A field that overflows,
+    or comes out 0 for P > 0, is a ValueError.
     """
     if waist_m <= 0.0:
         raise NonPositiveWaist(f"waist must be > 0, got {waist_m}")
     if power_w < 0.0:
         raise ValueError(f"power must be >= 0, got {power_w}")
     intensity = 2.0 * power_w / (pi * waist_m**2)
-    return sqrt(2.0 * intensity / (VACUUM_PERMITTIVITY * SPEED_OF_LIGHT))
+    field = sqrt(2.0 * intensity / (VACUUM_PERMITTIVITY * SPEED_OF_LIGHT))
+    if not (field < inf and (field > 0.0 or power_w == 0.0)):
+        raise ValueError(f"beam field must be finite and > 0, got {field} V/m")
+    return field
 
 
 # small shims used throughout the engine (all return canonical Mrad/s or SI)

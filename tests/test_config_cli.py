@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -287,6 +290,8 @@ def test_cli_rejects_unusable_quadrature_input(tmp_path, capsys, ensemble,
     ("omega21 = 15642.636 cm-1", "omega21 = inf cm-1", "omega21"),
     ("tau2 = 18 ns", "tau2 = inf ns", "tau2"),
     ("delta1_max = 3000 MHz", "delta1_max = inf MHz", "delta1_max"),
+    ("J1 = 15", "J1 = -1", "J1"),
+    ("J1 = 15", "J1 = -7", "J1"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_constructor_rejection_exits_config(tmp_path, capsys, old, new,
@@ -386,6 +391,35 @@ def test_cli_fuzzed_config_keeps_exit_codes(edit):
                          "--out", tmp])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+    if code == 2:
+        message = json.loads(err.getvalue())["message"]
+        assert re.search(rf"\b{key}\b", message.replace(str(cfg), "")), \
+            message
+
+
+# every key of the shrunk preset, numeric or not
+PRESET_KEYS = re.findall(r"^(\w+) = ", FUZZ_BASE, re.MULTILINE)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tau2", "-1 ns"), ("tau3", "-1 ns"), ("mass", "-1 amu"),
+    ("temperature", "-1 K"), ("delta1_points", "-1"),
+] + [(key, "nan" + (unit or "")) for key, unit in sorted(FUZZ_KEYS.items())])
+def test_cli_rejection_names_exactly_the_bad_key(tmp_path, capsys, key,
+                                                  value):
+    """A value outside its key's domain exits 2 with a message that names
+    that key and no other key of the preset; a NaN is reported as such."""
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", FUZZ_BASE,
+                  flags=re.MULTILINE)
+    cfg = write_config(tmp_path, text)
+    assert main(["simulate", "--config", cfg, "--json-errors",
+                 "--out", str(tmp_path)]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    named = [k for k in PRESET_KEYS
+             if re.search(rf"\b{k}\b", message.replace(cfg, ""))]
+    assert named == [key], message
+    if value.startswith("nan"):
+        assert "must be finite" in message, message
 
 
 def test_cli_nonfinite_signal_exits_numeric(tmp_path, capsys, monkeypatch):
@@ -526,6 +560,59 @@ def test_cli_fit_rejects_nonpositive_sigma(tmp_path, capsys, bad):
     assert payload["error"] == "ValidationError"
     assert "uncertainties" in payload["message"]
     assert not list(outdir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("free = amplitude_scale", "free = foo", "free"),
+    ("amplitude_scale_init = 1.0", "amplitude_scale_init = 20",
+     "amplitude_scale_init"),
+    ("amplitude_scale_min = 0.0", "amplitude_scale_min = 10",
+     "amplitude_scale_min"),
+    ("amplitude_scale_min = 0.0", "amplitude_scale_min = nan",
+     "amplitude_scale_min"),
+    ("amplitude_scale_max = 10.0",
+     "amplitude_scale_max = 10.0\nmax_evaluations = 0", "max_evaluations"),
+])
+def test_cli_fit_rejects_bad_fit_input(tmp_path, capsys, old, new, key):
+    """A [fit] value outside its domain, bounds that do not increase or an
+    initial value outside them exit 2 naming the key, and write no CSV."""
+    outdir = tmp_path / "fitout"
+    cfg_path = small_run_config(tmp_path, outdir)
+    with open(cfg_path, "a") as fh:
+        fh.write(FIT_AMPLITUDE.replace(old, new))
+    data = tmp_path / "target.csv"
+    x = np.linspace(-100.0, 100.0, 21)
+    write_trace(data, x, np.exp(-(x / 50.0) ** 2))
+    assert main(["fit", "--config", cfg_path, "--data", str(data),
+                 "--json-errors"]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ValidationError"
+    assert re.search(rf"\b{key}\b", payload["message"]), payload["message"]
+    assert not list(outdir.glob("*.csv"))
+
+
+def test_cli_json_errors_carry_the_run_warnings(tmp_path):
+    """numpy warnings of a failing run go into the JSON error, so stderr is
+    one JSON document; without --json-errors they are printed as usual."""
+    text = FUZZ_BASE.replace("tau2 = 18 ns", "tau2 = 1e-300 ns")
+    cfg = write_config(tmp_path, text)
+    import eitmol
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(eitmol.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "eitmol.cli", "simulate", "--config", cfg,
+            "--out", str(tmp_path)]
+    run = subprocess.run(argv + ["--json-errors"], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 3
+    payload = json.loads(run.stderr)
+    assert payload["exit_code"] == 3
+    assert payload["warnings"]
+    assert all("RuntimeWarning" in w for w in payload["warnings"])
+    plain = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert plain.returncode == 3
+    assert "RuntimeWarning" in plain.stderr
+    assert plain.stderr.rstrip().splitlines()[-1].startswith("eitmol: error:")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("engine", ["analytic", "oracle"])

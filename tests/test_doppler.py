@@ -12,15 +12,13 @@ from eitmol.doppler import (
     COUNTER_PROPAGATING,
     Ensemble,
     QuadratureSpec,
-    doppler_average,
     faddeeva,
+    node_plan,
     plasma_dispersion,
     quadrature_nodes,
-    two_photon_velocity,
     velocity_detunings,
     weighted_sum,
 )
-from eitmol.errors import QuadratureNotConverged
 from eitmol.system import CascadeSystem
 from eitmol.units import angular_from_mhz, angular_from_wavenumber
 
@@ -46,17 +44,6 @@ def test_co_propagating_flips_coupling_shift():
                                        COUNTER_PROPAGATING)
     _, d2_co = velocity_detunings(0.0, 0.0, OM1, OM2, 100.0, CO_PROPAGATING)
     assert d2_co == -d2_counter
-
-
-def test_two_photon_velocity_zeroes_the_sum():
-    delta1 = angular_from_mhz(420.0)
-    delta2 = angular_from_mhz(-130.0)
-    w1 = OM1 + delta1
-    w2 = OM2 + delta2
-    vz = two_photon_velocity(delta1, delta2, w1, w2)
-    d1, d2 = velocity_detunings(delta1, delta2, w1, w2, vz,
-                                COUNTER_PROPAGATING)
-    assert abs(d1 + d2) <= 1e-9 * abs(delta1) + 1e-9
 
 
 def test_full_form_keeps_detuning_recoil_term():
@@ -134,36 +121,51 @@ def test_weighted_sum_rows_do_not_depend_on_the_block():
             assert abs(whole[i, j] - math.fsum(terms)) <= bound
 
 
+def averages(plan, values):
+    """The coarse and the doubled-rule average of ``values`` on a verified
+    plan's nodes (last axis)."""
+    return [weighted_sum(values[..., sl], w)
+            for sl, w in (plan.coarse, plan.fine)]
+
+
 def test_average_evaluates_observable_once_on_doubled_nodes(li2_ensemble):
+    """A verified plan's nodes are those of the doubled rule; its fine rule
+    is that rule and its coarse rule every second node, which is the N-node
+    rule of ``q``.  Unverified, the nodes are those of ``q``."""
     q = QuadratureSpec(node_count=201)
-    calls = []
-
-    def obs(vz):
-        calls.append(np.array(vz))
-        return np.cos(vz / li2_ensemble.u_p)
-
-    doppler_average(obs, li2_ensemble, q)
-    assert len(calls) == 1
-    vz_fine, _ = quadrature_nodes(li2_ensemble, q.doubled())
-    assert np.array_equal(calls[0], vz_fine)
+    plan = node_plan(li2_ensemble, q)
+    vz_fine, w_fine = quadrature_nodes(li2_ensemble, q.doubled())
+    assert np.array_equal(plan.vz, vz_fine)
+    assert plan.fine[0] == slice(None)
+    assert np.array_equal(plan.fine[1], w_fine)
+    vz, w = quadrature_nodes(li2_ensemble, q)
+    assert plan.coarse[0] == slice(None, None, 2)
+    assert plan.vz[plan.coarse[0]] == pytest.approx(vz, rel=0, abs=1e-12)
+    assert plan.coarse[1] == pytest.approx(w, rel=1e-12)
+    unverified = node_plan(li2_ensemble, q, verified=False)
+    assert unverified.fine is None
+    assert np.array_equal(unverified.vz, vz)
+    assert np.array_equal(unverified.coarse[1], w)
 
 
 def test_average_of_unity(li2_ensemble):
-    q = QuadratureSpec(node_count=201)
-    assert doppler_average(lambda v: np.ones_like(v), li2_ensemble, q) \
-        == pytest.approx(1.0, abs=1e-8)
+    plan = node_plan(li2_ensemble, QuadratureSpec(node_count=201))
+    for avg in averages(plan, np.ones_like(plan.vz)):
+        assert avg == pytest.approx(1.0, abs=1e-8)
 
 
 def test_average_of_odd_observable_vanishes(li2_ensemble):
-    q = QuadratureSpec(node_count=201)
-    avg = doppler_average(lambda v: v, li2_ensemble, q)
-    assert abs(avg) <= 1e-8 * li2_ensemble.u_p
+    plan = node_plan(li2_ensemble, QuadratureSpec(node_count=201))
+    for power in (1, 3):
+        for avg in averages(plan, plan.vz**power):
+            assert abs(avg) <= 1e-8 * li2_ensemble.u_p**power
 
 
-def test_scalar_observable_supported(li2_ensemble):
-    q = QuadratureSpec(node_count=51)
-    avg = doppler_average(lambda v: float(v) ** 2, li2_ensemble, q)
-    assert avg == pytest.approx(0.5 * li2_ensemble.u_p**2, rel=1e-3)
+def test_second_moment_is_half_u_p_squared(li2_ensemble):
+    """<vz^2> = u_p^2 / 2 for the Maxwellian exp(-(vz/u_p)^2)."""
+    plan = node_plan(li2_ensemble, QuadratureSpec(node_count=51))
+    for avg in averages(plan, plan.vz**2):
+        assert avg == pytest.approx(0.5 * li2_ensemble.u_p**2, rel=1e-3)
 
 
 def test_doppler_dominated_profile_is_gaussian(li2_ensemble):
@@ -177,15 +179,14 @@ def test_doppler_dominated_profile_is_gaussian(li2_ensemble):
                         J1=15, J2=14, J3=14)
     k1 = OM1 / SPEED_OF_LIGHT
     q = QuadratureSpec(node_count=4001)
+    plan = node_plan(li2_ensemble, q)
     deltas = np.linspace(-3.0, 3.0, 121) * k1 * li2_ensemble.u_p
-
-    def profile(delta1):
-        def obs(vz):
-            d1 = delta1 - (vz / SPEED_OF_LIGHT) * (OM1 + delta1)
-            return population_rho22(sys, 0.01, 0.0, d1, 0.0, 1.0)
-        return doppler_average(obs, li2_ensemble, q)
-
-    signal = np.array([profile(d) for d in deltas])
+    d1 = deltas[:, None] \
+        - (plan.vz / SPEED_OF_LIGHT) * (OM1 + deltas[:, None])
+    signal, fine = averages(plan, population_rho22(sys, 0.01, 0.0, d1, 0.0,
+                                                   1.0))
+    assert np.max(np.abs(fine - signal)) \
+        <= q.refinement_tolerance * np.max(signal)
     half = signal.max() / 2.0
     above = np.where(signal >= half)[0]
     i, j = above[0], above[-1]
@@ -195,22 +196,14 @@ def test_doppler_dominated_profile_is_gaussian(li2_ensemble):
     assert right - left == pytest.approx(expected, rel=0.02)
 
 
-def test_unresolved_feature_raises(li2_ensemble):
-    """A Lorentzian far narrower than the node spacing must be rejected."""
+def test_unresolved_feature_fails_the_refinement_check(li2_ensemble):
+    """A Lorentzian far narrower than the node spacing moves the average by
+    more than the refinement tolerance on node doubling."""
     width = 0.05 * li2_ensemble.u_p / 100.0  # ~0.5 m/s
-
-    def razor(vz):
-        return width**2 / (vz**2 + width**2)
-
     q = QuadratureSpec(node_count=51)
-    with pytest.raises(QuadratureNotConverged):
-        doppler_average(razor, li2_ensemble, q)
-
-
-def test_nonfinite_observable_rejected(li2_ensemble):
-    q = QuadratureSpec(node_count=51)
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-        doppler_average(lambda v: v / v, li2_ensemble, q)  # NaN at vz = 0
+    plan = node_plan(li2_ensemble, q)
+    coarse, fine = averages(plan, width**2 / (plan.vz**2 + width**2))
+    assert abs(fine - coarse) > q.refinement_tolerance * max(coarse, fine)
 
 
 def test_faddeeva_matches_scipy():

@@ -92,9 +92,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # held back during the run, so that a --json-errors report is the only
-    # thing on stderr
-    with warnings.catch_warnings(record=True) as caught:
-        code, error = _run(args)
+    # thing on stderr; shown after it otherwise, also when the run raises
+    caught, error = [], None
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            code, error = _run(args)
+    finally:
+        if error is None or not args.json_errors:
+            for w in caught:
+                warnings.showwarning(w.message, w.category, w.filename,
+                                     w.lineno)
     if error is not None and args.json_errors:
         payload = {"error": type(error).__name__, "message": str(error),
                    "exit_code": code,
@@ -102,10 +109,7 @@ def main(argv=None) -> int:
                                 f" {w.category.__name__}: {w.message}"
                                 for w in caught]}
         print(json.dumps(payload), file=_sys.stderr)
-        return code
-    for w in caught:
-        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-    if error is not None:
+    elif error is not None:
         print(f"eitmol: error: {error}", file=_sys.stderr)
     return code
 

@@ -189,9 +189,10 @@ class _Section:
         self.seen = set()
 
     def error(self, message, *keys):
-        """A ValidationError naming ``keys``; a single key with its line."""
+        """A ValidationError naming ``keys``; a single key that the file
+        gives with its line."""
         where = (f"{self.path}:{self.entries[keys[0]][1]}: key '{keys[0]}'"
-                 if len(keys) == 1 else
+                 if len(keys) == 1 and keys[0] in self.entries else
                  f"{self.path}: [{self.name}] {', '.join(keys)}")
         return ValidationError(f"{where}: {message}")
 
@@ -410,31 +411,27 @@ def parse_config(text: str, path="<config>") -> RunConfig:
     if not 0.0 < d1_max - d1_min < inf:
         raise scan_sec.error("delta1_max - delta1_min must be finite and"
                              " > 0", "delta1_min", "delta1_max")
-    with scan_sec.blame("delta1_min", "delta1_max", "delta1_points"):
-        grid = np.linspace(d1_min, d1_max, points)  # numpy caps the size
-    if not np.all(np.diff(grid) > 0.0):
-        raise scan_sec.error("give a step below the float resolution",
-                             "delta1_min", "delta1_max", "delta1_points")
     resolution = scan_sec.quantity("feature_resolution", FREQUENCY_MHZ,
                                    _POSITIVE)
-    if resolution is not None and np.max(np.diff(grid)) > resolution:
-        raise scan_sec.error("give a grid spacing above the feature"
-                             " resolution", "feature_resolution",
-                             "delta1_min", "delta1_max", "delta1_points")
     doppler_on = scan_sec.flag("doppler", default=True)
     if doppler_on and ensemble is None:
         raise scan_sec.error("on requires an [ensemble] section", "doppler")
-    scan = ScanConfig(
-        delta1_mhz=grid,
-        delta2_mhz=scan_sec.quantity("delta2", FREQUENCY_MHZ, required=True),
-        channels=scan_sec.words("channels", (RHO22, RHO33),
-                                default=(RHO22, RHO33)),
-        doppler_on=doppler_on,
-        m_sum_on=scan_sec.flag("m_sum", default=True),
-        engine=scan_sec.word("engine", {ENGINE_ANALYTIC, ENGINE_ORACLE},
-                             default=ENGINE_ANALYTIC),
-        feature_resolution_mhz=resolution,
-    )
+    delta2 = scan_sec.quantity("delta2", FREQUENCY_MHZ, required=True)
+    channels = scan_sec.words("channels", (RHO22, RHO33),
+                              default=(RHO22, RHO33))
+    m_sum_on = scan_sec.flag("m_sum", default=True)
+    engine = scan_sec.word("engine", {ENGINE_ANALYTIC, ENGINE_ORACLE},
+                           default=ENGINE_ANALYTIC)
+    # the other ScanConfig inputs are checked above, so what it rejects here
+    # is the grid: its size, its float resolution or its spacing
+    grid_keys = ("delta1_min", "delta1_max", "delta1_points") + (
+        ("feature_resolution",) if resolution is not None else ())
+    with scan_sec.blame(*grid_keys):
+        scan = ScanConfig(
+            delta1_mhz=np.linspace(d1_min, d1_max, points),  # size capped
+            delta2_mhz=delta2, channels=channels, doppler_on=doppler_on,
+            m_sum_on=m_sum_on, engine=engine,
+            feature_resolution_mhz=resolution)
     scan_sec.reject_unknown()
 
     quad_sec = section("quadrature")

@@ -152,6 +152,17 @@ def test_doppler_requires_ensemble():
         parse_config(broken)
 
 
+def test_doppler_default_requires_ensemble(tmp_path, capsys):
+    """doppler defaults to on, so leaving out the key needs [ensemble] too."""
+    broken = MINIMAL.replace("doppler = off\n", "")
+    with pytest.raises(ValidationError, match=r"\bdoppler\b.*ensemble"):
+        parse_config(broken)
+    cfg = write_config(tmp_path, broken)
+    assert main(["simulate", "--config", cfg, "--json-errors"]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ValidationError"
+
+
 def test_unit_prefixes():
     cfg = parse_config(MINIMAL.replace("delta2 = 0 MHz", "delta2 = 1.0 GHz"))
     assert cfg.scan.delta2_mhz == pytest.approx(1000.0)
@@ -613,6 +624,23 @@ def test_cli_json_errors_carry_the_run_warnings(tmp_path):
     assert "RuntimeWarning" in plain.stderr
     assert plain.stderr.rstrip().splitlines()[-1].startswith("eitmol: error:")
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_shows_held_warnings_when_the_run_raises(tmp_path, monkeypatch):
+    """A failure that main does not turn into an exit code still shows the
+    warnings held back during the run."""
+    from eitmol import cli
+
+    def broken(args):
+        import warnings
+        warnings.warn("held during the run", RuntimeWarning)
+        raise KeyError("unexpected")
+
+    monkeypatch.setattr(cli, "cmd_dip", broken)
+    cfg = write_config(tmp_path, MINIMAL)
+    with pytest.warns(RuntimeWarning, match="held during the run"):
+        with pytest.raises(KeyError):
+            main(["dip", "--config", cfg, "--json-errors"])
 
 
 @pytest.mark.parametrize("engine", ["analytic", "oracle"])

@@ -23,7 +23,13 @@ from .config import available_presets, load_config, load_spectrum
 from .errors import EitmolError, ParseError, UnitError, ValidationError
 from .features import predict_dip_position
 from .fitting import FitProblem, fit, fit_report_dict, model_spectrum
-from .spectrum import per_m_components, simulate, write_spectrum
+from .spectrum import (
+    ENGINE_ANALYTIC,
+    ENGINE_ORACLE,
+    per_m_components,
+    simulate,
+    write_spectrum,
+)
 from .sublevels import build_channels
 
 EXIT_OK = 0
@@ -59,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report errors as JSON on stderr")
 
     engine = argparse.ArgumentParser(add_help=False)
-    engine.add_argument("--engine", choices=("analytic", "oracle"),
+    engine.add_argument("--engine", choices=(ENGINE_ANALYTIC, ENGINE_ORACLE),
                         help="override the scan engine")
     engine.add_argument("--threads", type=int, default=1,
                         help="worker threads for the scan (default 1)")

@@ -22,12 +22,11 @@ from .doppler import (
 )
 from .errors import (
     DomainError,
-    IncompatibleDimensions,
     ParseError,
     UnitError,
     ValidationError,
 )
-from .fitting import FIT_PARAMETERS
+from .fitting import FIT_PARAMETERS, FitProblem
 from .spectrum import ENGINE_ANALYTIC, ENGINE_ORACLE, RHO22, RHO33, ScanConfig
 from .sublevels import branch_factor
 from .system import CascadeSystem, LaserPair
@@ -41,57 +40,11 @@ from .units import (
     TEMPERATURE_K,
     TIME_NS,
     WAVENUMBER_CM,
-    Quantity,
-    convert,
     field_amplitude,
+    parse_quantity,
     rate_from_lifetime_ns,
 )
 from .constants import WAVENUMBER_TO_MHZ
-
-# recognized unit suffixes -> (base unit, scale to that unit)
-_SUFFIXES = {
-    "cm-1": (WAVENUMBER_CM, 1.0),
-    "GHz": (FREQUENCY_MHZ, 1e3),
-    "MHz": (FREQUENCY_MHZ, 1.0),
-    "kHz": (FREQUENCY_MHZ, 1e-3),
-    "Mrad/s": (ANGULAR_MRADS, 1.0),
-    "ns": (TIME_NS, 1.0),
-    "us": (TIME_NS, 1e3),
-    "au": (DIPOLE_AU, 1.0),
-    "a.u.": (DIPOLE_AU, 1.0),
-    "W": (POWER_W, 1.0),
-    "mW": (POWER_W, 1e-3),
-    "uW": (POWER_W, 1e-6),
-    "m": (LENGTH_M, 1.0),
-    "mm": (LENGTH_M, 1e-3),
-    "um": (LENGTH_M, 1e-6),
-    "K": (TEMPERATURE_K, 1.0),
-    "amu": (MASS_AMU, 1.0),
-}
-
-
-def parse_quantity(text: str, unit: str) -> float:
-    """'480 mW', 'W' -> 0.48; raises UnitError for a malformed value, an
-    unknown suffix or one not convertible to ``unit``.  A NaN is returned
-    as it is, for the caller's domain check."""
-    parts = text.split()
-    if len(parts) != 2:
-        raise UnitError(f"expected '<number> <unit>', got {text!r}")
-    try:
-        value = float(parts[0])
-    except ValueError as exc:
-        raise UnitError(f"bad numeric value in {text!r}") from exc
-    if parts[1] not in _SUFFIXES:
-        raise UnitError(f"unknown unit suffix {parts[1]!r} in {text!r}")
-    base, scale = _SUFFIXES[parts[1]]
-    if value != value:
-        return value
-    try:
-        return convert(Quantity(value * scale, base), unit).value
-    except (IncompatibleDimensions, ValueError) as exc:
-        raise UnitError(
-            f"must carry a unit compatible with {unit}: {exc}") from exc
-
 
 @dataclass(frozen=True)
 class MeasuredSpectrum:
@@ -107,14 +60,14 @@ class FitSettings:
     free: tuple
     init: dict
     bounds: dict
-    data_abscissa: str = "detuning_MHz"   # or "wavenumber_cm-1"
-    max_evaluations: int = 2000
+    data_abscissa: str   # "detuning_MHz" or "wavenumber_cm-1"
+    max_evaluations: int
 
 
 @dataclass(frozen=True)
 class OutputSettings:
-    directory: str = "out"
-    basename: str = "spectrum"
+    directory: str
+    basename: str
 
 
 @dataclass(frozen=True)
@@ -391,7 +344,11 @@ def parse_config(text: str, path="<config>") -> RunConfig:
     mass = ens_sec.quantity("mass", MASS_AMU, _POSITIVE)
     fwhm = ens_sec.quantity("doppler_fwhm", FREQUENCY_MHZ, _POSITIVE)
     ensemble = None
-    if fwhm is not None:  # a measured width overrides the thermal one
+    if fwhm is not None:  # a measured width replaces the thermal one
+        if temp is not None or mass is not None:
+            raise ens_sec.error("a doppler_fwhm replaces the temperature and"
+                                " mass: give one or the other", "temperature",
+                                "mass", "doppler_fwhm")
         with ens_sec.blame("doppler_fwhm"):
             ensemble = Ensemble.from_doppler_fwhm(fwhm, system.omega21_cm,
                                                   geometry)
@@ -440,10 +397,12 @@ def parse_config(text: str, path="<config>") -> RunConfig:
                              " the output reports it as quadrature.scheme",
                              "scheme")
     quadrature = QuadratureSpec(
-        node_count=quad_sec.integer("nodes", 51, odd=True, default=4001),
-        span=quad_sec.number("span", _POSITIVE, default=4.0),
+        node_count=quad_sec.integer("nodes", 51, odd=True,
+                                    default=QuadratureSpec.node_count),
+        span=quad_sec.number("span", _POSITIVE, default=QuadratureSpec.span),
         refinement_tolerance=quad_sec.number(
-            "refinement_tolerance", _POSITIVE, default=1e-4),
+            "refinement_tolerance", _POSITIVE,
+            default=QuadratureSpec.refinement_tolerance),
     )
     quad_sec.reject_unknown()
 
@@ -472,8 +431,8 @@ def parse_config(text: str, path="<config>") -> RunConfig:
             data_abscissa=fit_sec.word(
                 "data_abscissa", {"detuning_MHz", "wavenumber_cm-1"},
                 default="detuning_MHz"),
-            max_evaluations=fit_sec.integer("max_evaluations", 1,
-                                            default=2000),
+            max_evaluations=fit_sec.integer(
+                "max_evaluations", 1, default=FitProblem.max_evaluations),
         )
         fit_sec.reject_unknown()
 

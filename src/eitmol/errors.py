@@ -5,10 +5,6 @@ class EitmolError(Exception):
     """Base class for all package-specific errors."""
 
 
-class IncompatibleDimensions(EitmolError):
-    """Unit conversion requested between physically incompatible dimensions."""
-
-
 class NonPositiveWaist(EitmolError):
     """Gaussian beam waist must be strictly positive."""
 

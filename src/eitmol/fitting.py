@@ -45,7 +45,6 @@ PARAMETER_UNITS = {
     "baseline_offset": "signal",
 }
 
-_MAX_EVALS = 2000
 _DIAM_TOL = 1e-4
 _IMPROVE_TOL = 1e-8
 _IMPROVE_WINDOW = 20
@@ -75,7 +74,7 @@ class FitProblem:
     doppler_on: bool = True
     m_sum_on: bool = True
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
-    max_evaluations: int = _MAX_EVALS
+    max_evaluations: int = 2000
     target_sigma: np.ndarray | None = None
     engine: str = ENGINE_ANALYTIC
     threads: int = 1

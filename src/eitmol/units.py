@@ -2,17 +2,19 @@
 
 Everything downstream of the parsing layer computes in one canonical unit:
 angular frequency in Mrad/s, for all rates, detunings and Rabi frequencies.
-The conversion rules are deliberately rigid:
+This module holds the one table of unit suffixes, and its rules are
+deliberately rigid:
 
+* a value converts within its dimension by the ratio of the two unit sizes,
+  so a value already in the target unit is read exactly as written.
 * wavenumbers (cm^-1), cyclic frequencies (MHz) and angular frequencies
-  (Mrad/s) form one "spectroscopic" family; MHz -> Mrad/s multiplies by 2*pi.
+  (Mrad/s) form one frequency dimension; MHz -> Mrad/s multiplies by 2*pi.
 * a lifetime converts to a decay rate as gamma = 1/tau (*not* 1/(2*pi*tau)):
   18 ns -> 55.5556 Mrad/s.  Quoted cyclic rates ("2 MHz transit") instead go
   through the 2*pi boundary conversion.  Mixing up the two is the classic
   silent-2*pi bug this module exists to prevent.
 """
 
-from dataclasses import dataclass
 from math import inf, pi, sqrt
 
 from .constants import (
@@ -22,70 +24,73 @@ from .constants import (
     VACUUM_PERMITTIVITY,
     WAVENUMBER_TO_MHZ,
 )
-from .errors import IncompatibleDimensions, NonPositiveWaist
+from .errors import NonPositiveWaist, UnitError
 
 WAVENUMBER_CM = "cm-1"
 FREQUENCY_MHZ = "MHz"
 ANGULAR_MRADS = "Mrad/s"
 TIME_NS = "ns"
 DIPOLE_AU = "au"
-DIPOLE_CM = "C*m"
 POWER_W = "W"
 LENGTH_M = "m"
 TEMPERATURE_K = "K"
 MASS_AMU = "amu"
-FIELD_VM = "V/m"
 
-# factor to the canonical unit of each dimension
-_CANONICAL = {
-    WAVENUMBER_CM: ("spectroscopic", 2.0 * pi * WAVENUMBER_TO_MHZ),
-    FREQUENCY_MHZ: ("spectroscopic", 2.0 * pi),
-    ANGULAR_MRADS: ("spectroscopic", 1.0),
+# unit suffix -> (dimension, size in the dimension's reference unit:
+# MHz, ns, au, W, m, K, amu)
+_UNITS = {
+    WAVENUMBER_CM: ("frequency", WAVENUMBER_TO_MHZ),
+    "GHz": ("frequency", 1e3),
+    FREQUENCY_MHZ: ("frequency", 1.0),
+    "kHz": ("frequency", 1e-3),
+    ANGULAR_MRADS: ("frequency", 1.0 / (2.0 * pi)),
     TIME_NS: ("time", 1.0),
-    DIPOLE_AU: ("dipole", DIPOLE_AU_CM),
-    DIPOLE_CM: ("dipole", 1.0),
+    "us": ("time", 1e3),
+    DIPOLE_AU: ("dipole", 1.0),
+    "a.u.": ("dipole", 1.0),
     POWER_W: ("power", 1.0),
+    "mW": ("power", 1e-3),
+    "uW": ("power", 1e-6),
     LENGTH_M: ("length", 1.0),
+    "mm": ("length", 1e-3),
+    "um": ("length", 1e-6),
     TEMPERATURE_K: ("temperature", 1.0),
     MASS_AMU: ("mass", 1.0),
-    FIELD_VM: ("field", 1.0),
 }
 
-
-@dataclass(frozen=True)
-class Quantity:
-    value: float
-    unit: str
-
-    def __post_init__(self):
-        if self.unit not in _CANONICAL:
-            raise IncompatibleDimensions(f"unknown unit {self.unit!r}")
-        if self.value != self.value:  # NaN
-            raise ValueError("quantity value is NaN")
+# the units a lifetime and its decay rate gamma = 1/tau meet in:
+# 1/ns = 1000 Mrad/s
+_RECIPROCAL = {"time": 1.0, "frequency": _UNITS[ANGULAR_MRADS][1]}
 
 
-def convert(q: Quantity, target_unit: str) -> Quantity:
-    """Convert ``q`` to ``target_unit``, rejecting incompatible dimensions.
+def parse_quantity(text: str, unit: str) -> float:
+    """'480 mW', 'W' -> 0.48: the value times the ratio of the two unit
+    sizes, so a value in ``unit`` itself is returned as written.
 
-    A lifetime (ns) converts to the spectroscopic family and back through
-    the reciprocal rate gamma = 1/tau expressed in Mrad/s.
+    A lifetime reads as a decay rate and back through gamma = 1/tau.  A
+    malformed value, an unknown suffix or one of another dimension is a
+    UnitError; a NaN is returned as it is, for the caller's domain check.
     """
-    if target_unit not in _CANONICAL:
-        raise IncompatibleDimensions(f"unknown unit {target_unit!r}")
-    src_dim, src_f = _CANONICAL[q.unit]
-    tgt_dim, tgt_f = _CANONICAL[target_unit]
-    if src_dim == tgt_dim:
-        return Quantity(q.value * src_f / tgt_f, target_unit)
-    if src_dim == "time" and tgt_dim == "spectroscopic":
-        if q.value == 0.0:
-            raise ValueError("cannot convert zero lifetime to a rate")
-        return Quantity(1e3 / q.value / tgt_f, target_unit)  # 1/ns = 1000 Mrad/s
-    if src_dim == "spectroscopic" and tgt_dim == "time":
-        rate = q.value * src_f
-        if rate == 0.0:
-            raise ValueError("cannot convert zero rate to a lifetime")
-        return Quantity(1e3 / rate, target_unit)
-    raise IncompatibleDimensions(f"cannot convert {q.unit} to {target_unit}")
+    parts = text.split()
+    if len(parts) != 2:
+        raise UnitError(f"expected '<number> <unit>', got {text!r}")
+    try:
+        value = float(parts[0])
+    except ValueError as exc:
+        raise UnitError(f"bad numeric value in {text!r}") from exc
+    if parts[1] not in _UNITS:
+        raise UnitError(f"unknown unit suffix {parts[1]!r} in {text!r}")
+    dim, size = _UNITS[parts[1]]
+    target_dim, target_size = _UNITS[unit]
+    if dim != target_dim:
+        if {dim, target_dim} != set(_RECIPROCAL):
+            raise UnitError(f"must carry a unit compatible with {unit},"
+                            f" got {text!r}")
+        value *= size / _RECIPROCAL[dim]
+        if value == 0.0:
+            raise UnitError(f"zero has no reciprocal in {unit}, got {text!r}")
+        value, size = 1e3 / value, _RECIPROCAL[target_dim]
+    return value * (size / target_size)
 
 
 def field_amplitude(power_w: float, waist_m: float) -> float:

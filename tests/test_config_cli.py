@@ -168,6 +168,45 @@ def test_unit_prefixes():
     assert cfg.scan.delta2_mhz == pytest.approx(1000.0)
 
 
+def test_values_are_read_exactly_as_written():
+    """A value in its key's own unit is not scaled through another unit."""
+    assert preset_config("li2_fig6b").scan.delta2_mhz == 1000.0
+    fit = parse_config(MINIMAL + "\n[fit]\nfree = mu_coupling\n"
+                       "mu_coupling_init = 1.2 au\nmu_coupling_min = 0.8 au\n"
+                       "mu_coupling_max = 2.5 au\n").fit
+    assert fit.bounds["mu_coupling"] == (0.8, 2.5)
+
+
+def test_prefixed_units_give_the_preset_spectrum(tmp_path, capsys):
+    """li2_fig6b written with other prefixes writes the same data rows."""
+    text = (resources.files("eitmol") / "presets" / "li2_fig6b.cfg") \
+        .read_text("utf-8")
+    for old, new in (("delta2 = 1000 MHz", "delta2 = 1 GHz"),
+                     ("tau2 = 18 ns", "tau2 = 0.018 us"),
+                     ("waist_probe = 222 um", "waist_probe = 0.222 mm"),
+                     ("power_probe = 1 mW", "power_probe = 1000 uW")):
+        assert old in text
+        text = text.replace(old, new)
+    rows = []
+    for cfg in ("li2_fig6b", write_config(tmp_path, text)):
+        out = tmp_path / str(len(rows))
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        csv = (out / "li2_fig6b.csv").read_text("ascii").splitlines()
+        rows.append([r for r in csv if not r.startswith("#")])
+    assert len(rows[0]) == 802
+    assert rows[1] == rows[0]
+
+
+@pytest.mark.parametrize("thermal", ["temperature = 1000 K", "mass = 14 amu",
+                                     "temperature = 5 K\nmass = 7000 amu"])
+def test_doppler_fwhm_beside_temperature_or_mass_rejected(thermal):
+    """A width replaces T and m, so giving either beside it would go unused."""
+    text = MINIMAL + f"\n[ensemble]\n{thermal}\ndoppler_fwhm = 2600 MHz\n"
+    with pytest.raises(ValidationError,
+                       match=r"\[ensemble\] temperature, mass, doppler_fwhm"):
+        parse_config(text)
+
+
 def test_load_spectrum_sorts_descending_input(tmp_path):
     p = tmp_path / "trace.csv"
     p.write_text("# comment\n300, 0.1\n200, 0.4\n100, 0.2\n")
@@ -269,6 +308,8 @@ def test_cli_exit_code_for_unconverged_quadrature(tmp_path, capsys):
     ("doppler_fwhm = -2600 MHz", "nodes = 101"),
     ("temperature = 1000 K\nmass = 14 amu",
      "scheme = gauss_hermite\nnodes = 101"),
+    ("temperature = 5 K\nmass = 7000 amu\ndoppler_fwhm = 2600 MHz",
+     "nodes = 101"),
 ])
 def test_cli_rejects_unusable_quadrature_input(tmp_path, capsys, ensemble,
                                                quadrature):

@@ -4,64 +4,56 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eitmol import constants
-from eitmol.errors import IncompatibleDimensions, NonPositiveWaist
+from eitmol.errors import NonPositiveWaist, UnitError
 from eitmol.units import (
+    _UNITS,
     ANGULAR_MRADS,
     DIPOLE_AU,
-    DIPOLE_CM,
     FREQUENCY_MHZ,
     POWER_W,
     TEMPERATURE_K,
     TIME_NS,
     WAVENUMBER_CM,
-    Quantity,
-    convert,
     field_amplitude,
+    parse_quantity,
     rabi_frequency,
     rate_from_lifetime_ns,
 )
 
 
 def test_wavenumber_to_mhz_definition_of_c():
-    q = convert(Quantity(1.0, WAVENUMBER_CM), FREQUENCY_MHZ)
-    assert q.value == pytest.approx(29979.2458, rel=1e-12)
+    value = parse_quantity("1 cm-1", FREQUENCY_MHZ)
+    assert value == pytest.approx(29979.2458, rel=1e-12)
 
 
 def test_lifetime_to_decay_rate_is_inverse_lifetime():
     # 18 ns -> gamma = 1/tau = 55.5556 in the canonical angular unit
-    q = convert(Quantity(18.0, TIME_NS), ANGULAR_MRADS)
-    assert q.value == pytest.approx(1e3 / 18.0, rel=1e-12)
+    rate = parse_quantity("18 ns", ANGULAR_MRADS)
+    assert rate == pytest.approx(1e3 / 18.0, rel=1e-12)
     assert rate_from_lifetime_ns(18.0) == pytest.approx(55.5556, rel=1e-5)
     # and back
-    back = convert(q, TIME_NS)
-    assert back.value == pytest.approx(18.0, rel=1e-12)
+    back = parse_quantity(f"{rate!r} {ANGULAR_MRADS}", TIME_NS)
+    assert back == pytest.approx(18.0, rel=1e-12)
 
 
 def test_mhz_to_angular_carries_two_pi():
-    q = convert(Quantity(2.0, FREQUENCY_MHZ), ANGULAR_MRADS)
-    assert q.value == pytest.approx(4.0 * math.pi, rel=1e-12)
+    assert parse_quantity("2 MHz", ANGULAR_MRADS) == 2.0 * (2.0 * math.pi)
 
 
 def test_zero_converts_to_zero():
-    for unit, target in [(WAVENUMBER_CM, FREQUENCY_MHZ),
-                         (FREQUENCY_MHZ, ANGULAR_MRADS),
-                         (DIPOLE_AU, DIPOLE_CM),
-                         (POWER_W, POWER_W)]:
-        assert convert(Quantity(0.0, unit), target).value == 0.0
-
-
-def test_dipole_atomic_unit_value():
-    q = convert(Quantity(1.0, DIPOLE_AU), DIPOLE_CM)
-    assert q.value == 8.4783536e-30
+    for text, target in [("0 cm-1", FREQUENCY_MHZ),
+                         ("0 MHz", ANGULAR_MRADS),
+                         ("0 a.u.", DIPOLE_AU),
+                         ("0 mW", POWER_W)]:
+        assert parse_quantity(text, target) == 0.0
 
 
 def test_incompatible_dimensions_rejected():
-    with pytest.raises(IncompatibleDimensions):
-        convert(Quantity(1.0, POWER_W), TEMPERATURE_K)
-    with pytest.raises(IncompatibleDimensions):
-        convert(Quantity(1.0, WAVENUMBER_CM), POWER_W)
-    with pytest.raises(IncompatibleDimensions):
-        Quantity(1.0, "furlongs")
+    for text, target in [("1 W", TEMPERATURE_K), ("1 cm-1", POWER_W),
+                         ("1 furlongs", FREQUENCY_MHZ),
+                         ("0 MHz", TIME_NS)]:  # a zero rate has no lifetime
+        with pytest.raises(UnitError):
+            parse_quantity(text, target)
 
 
 _SPECTROSCOPIC = [WAVENUMBER_CM, FREQUENCY_MHZ, ANGULAR_MRADS]
@@ -71,9 +63,15 @@ _SPECTROSCOPIC = [WAVENUMBER_CM, FREQUENCY_MHZ, ANGULAR_MRADS]
        src=st.sampled_from(_SPECTROSCOPIC + [TIME_NS]),
        dst=st.sampled_from(_SPECTROSCOPIC + [TIME_NS]))
 def test_round_trip_property(value, src, dst):
-    q = Quantity(value, src)
-    back = convert(convert(q, dst), src)
-    assert back.value == pytest.approx(value, rel=1e-12)
+    there = parse_quantity(f"{value!r} {src}", dst)
+    back = parse_quantity(f"{there!r} {dst}", src)
+    assert back == pytest.approx(value, rel=1e-12)
+
+
+@given(value=st.floats(allow_nan=False, allow_infinity=False),
+       suffix=st.sampled_from(sorted(_UNITS)))
+def test_value_in_its_own_unit_is_read_as_written(value, suffix):
+    assert parse_quantity(f"{value!r} {suffix}", suffix) == value
 
 
 def test_field_amplitude_zero_power():

@@ -160,6 +160,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_components(args) -> int:
     cfg, scan, channelset = _prepare(args)
+    if not scan.m_sum_on:
+        raise ValidationError(f"{cfg.source}: [scan] m_sum: must be on for"
+                              " components: off leaves only the bare"
+                              " pseudo-channel, which is no |M| sublevel")
     comps = per_m_components(cfg.system, cfg.lasers, cfg.ensemble, channelset,
                              scan, quadrature=cfg.quadrature,
                              threads=args.threads)

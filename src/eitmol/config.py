@@ -40,6 +40,7 @@ from .units import (
     TEMPERATURE_K,
     TIME_NS,
     WAVENUMBER_CM,
+    angular_from_mhz,
     field_amplitude,
     parse_quantity,
     rate_from_lifetime_ns,
@@ -124,8 +125,16 @@ _FINITE = ("finite", lambda v: True)
 _NONNEGATIVE = (">= 0", lambda v: v >= 0.0)
 _POSITIVE = ("> 0", lambda v: v > 0.0)
 _FRACTION = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
-_LIFETIME = ("> 0 with a finite decay rate",
-             lambda v: v > 0.0 and rate_from_lifetime_ns(v) < inf)
+# The engine multiplies up to four rates (D G3 in rho33, the denominators of
+# the Doppler pole weights), which overflows a float near 1e77 Mrad/s; above
+# 5e102 Mrad/s even D, three rates, raises OverflowError.  Rates and decay
+# rates 1/tau are capped at 1e75 Mrad/s: far above any physical rate, and
+# every one-key edit of the presets up to the cap runs without overflow.
+_MAX_RATE = 1e75
+_RATE = (f"in [0, {_MAX_RATE:g}] Mrad/s", lambda v: 0.0 <= v <= _MAX_RATE)
+_RATE_MHZ = (_RATE[0], lambda v: 0.0 <= angular_from_mhz(v) <= _MAX_RATE)
+_LIFETIME = (f"> 0 with a decay rate 1/tau of at most {_MAX_RATE:g} Mrad/s",
+             lambda v: v > 0.0 and rate_from_lifetime_ns(v) <= _MAX_RATE)
 
 
 class _Section:
@@ -289,9 +298,9 @@ def parse_config(text: str, path="<config>") -> RunConfig:
 
     sys_sec = section("system")
     # rates quoted in cyclic MHz pick up their 2*pi here, once
-    transit = sys_sec.quantity("transit_rate", ANGULAR_MRADS, _NONNEGATIVE,
+    transit = sys_sec.quantity("transit_rate", ANGULAR_MRADS, _RATE,
                                default=0.0)
-    refill = sys_sec.quantity("refill_rate", ANGULAR_MRADS, _NONNEGATIVE,
+    refill = sys_sec.quantity("refill_rate", ANGULAR_MRADS, _RATE,
                               default=transit)
     system = CascadeSystem(
         omega21_cm=sys_sec.quantity("omega21", WAVENUMBER_CM, required=True),
@@ -302,7 +311,7 @@ def parse_config(text: str, path="<config>") -> RunConfig:
             sys_sec.quantity("tau3", TIME_NS, _LIFETIME, required=True)),
         b2=sys_sec.number("b2", _FRACTION, required=True),
         b3=sys_sec.number("b3", _FRACTION, required=True),
-        **{key: sys_sec.quantity(key, ANGULAR_MRADS, _NONNEGATIVE, default=0.0)
+        **{key: sys_sec.quantity(key, ANGULAR_MRADS, _RATE, default=0.0)
            for key in ("gamma12_col", "gamma13_col", "gamma23_col")},
         transit_rate=transit,
         refill_rate=refill,
@@ -459,11 +468,11 @@ def parse_config(text: str, path="<config>") -> RunConfig:
 
 def _fit_param_value(sec, key, name):
     """Fit parameters are unit-suffixed for physical quantities, bare for
-    amplitude_scale and baseline_offset; a dephasing is >= 0."""
+    amplitude_scale and baseline_offset; a dephasing is a rate."""
     if name == "mu_coupling":
         return sec.quantity(key, DIPOLE_AU, required=True)
     if name.startswith("gamma"):
-        return sec.quantity(key, FREQUENCY_MHZ, _NONNEGATIVE, required=True)
+        return sec.quantity(key, FREQUENCY_MHZ, _RATE_MHZ, required=True)
     return sec.number(key, required=True)
 
 

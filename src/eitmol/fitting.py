@@ -9,14 +9,14 @@ The fit is a variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10
 (1973) 413).  ``amplitude_scale`` and ``baseline_offset`` enter the model
 linearly, so at every point of the search they are solved for exactly, by
 bounded least squares on the one simulated spectrum, and the search runs
-over the other (nonlinear) free parameters only:
+over the other (nonlinear) free parameters only.  That search is Powell's
+conjugate-direction method (Powell, Comput. J. 7 (1964) 155), each line
+search a bounded Brent golden-section and parabolic search (Brent,
+Algorithms for Minimization without Derivatives, 1973): with one nonlinear
+parameter, as in the dipole fit, a single Brent search; with none, the
+spectrum at the initial values is the whole fit.
 
-- none: the spectrum at the initial values is the whole fit;
-- one (the dipole fit): Brent's bounded golden-section and parabolic search
-  (Brent, Algorithms for Minimization without Derivatives, 1973);
-- two or more: a bounded Nelder-Mead simplex.
-
-Objective evaluations are full spectrum simulations, so both searches are
+Objective evaluations are full spectrum simulations, so the search is
 derivative-free with a hard evaluation cap.  Residuals are weighted by
 1/sigma when the target carries uncertainties.  Identical problems and
 starting points always produce identical results.
@@ -45,9 +45,7 @@ PARAMETER_UNITS = {
     "baseline_offset": "signal",
 }
 
-_DIAM_TOL = 1e-4
-_IMPROVE_TOL = 1e-8
-_IMPROVE_WINDOW = 20
+_REL_TOL = 1e-4
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
@@ -147,13 +145,9 @@ class FitResult:
 
 def _context(fp: FitProblem, params: dict):
     """Apply free parameters on top of the fixed context."""
-    sys = fp.system
-    gamma_updates = {}
-    for name in ("gamma12_col", "gamma13_col", "gamma23_col"):
-        if name in params:
-            gamma_updates[name] = angular_from_mhz(params[name])
-    if gamma_updates:
-        sys = replace(sys, **gamma_updates)
+    gammas = {name: angular_from_mhz(params[name]) for name in
+              ("gamma12_col", "gamma13_col", "gamma23_col") if name in params}
+    sys = replace(fp.system, **gammas) if gammas else fp.system
     mu_c = params.get("mu_coupling", fp.mu_coupling_au)
     scale = params.get("amplitude_scale", 1.0)
     offset = params.get("baseline_offset", 0.0)
@@ -219,12 +213,12 @@ def fit(fp: FitProblem, init: dict) -> FitResult:
     The linear parameters are solved for exactly at every nonlinear point
     (see the module docstring for the search).  The quadrature is validated
     once, at the initial point; ``evaluations`` counts the other spectra the
-    fit simulates, the start spectrum first.  Brent's search converges when
-    its bracket around the best point is narrower than 1e-4 times
-    max(|x|, 1e-3 (hi - lo)); the simplex when both its relative diameter is
-    below 1e-4 and the relative objective improvement over 20 iterations is
-    below 1e-8.  Either is capped at ``fp.max_evaluations`` and flags
-    non-convergence (the best point found is still returned).
+    fit simulates, the start spectrum first.  The search converges when a
+    cycle of Powell's method (Powell 1964) moves no nonlinear parameter x by
+    more than Brent's tolerance 1e-4 max(|x|, 1e-3 (hi - lo)); with one, its
+    Brent search is the whole search.  ``iterations`` counts the Brent steps
+    of all line searches.  The search is capped at ``fp.max_evaluations``
+    and then flags non-convergence (the best point found is still returned).
     """
     x0 = np.array([float(init[name]) for name in fp.free])
     lo = np.array([fp.bounds[n][0] for n in fp.free])
@@ -242,17 +236,8 @@ def fit(fp: FitProblem, init: dict) -> FitResult:
     _, _, scale, offset = _context(fp, start)
     initial_f = _chi2(fp, model, scale, offset)
     best_f = proj.project(xn, model)
-    converged, iterations = True, 0
-    if len(nonlinear) == 1:
-        u, best_f, converged, iterations = _brent(
-            lambda u: proj(np.array([u])), xn[0], best_f, xlo[0], xhi[0],
-            proj.room)
-        xn = np.array([u])
-    elif nonlinear:
-        state = _SimplexState(proj, xn, best_f, xlo, xhi)
-        xn, best_f, converged = state.run()
-        iterations = state.iterations
-
+    xn, best_f, converged, iterations = _powell(proj, xn, best_f, xlo, xhi,
+                                                proj.room)
     linear, sum_wm2 = proj.solutions[xn.tobytes()]
     best = dict(zip(proj.names, xn.tolist())) | linear
     best_x = np.array([best[n] for n in fp.free])
@@ -311,9 +296,9 @@ class _Projection:
         self.trace = []
         self.solutions = {}
 
-    def room(self, need=1):
-        """True when ``need`` more evaluations fit the budget."""
-        return self.evaluations + need <= self.fp.max_evaluations
+    def room(self):
+        """True when one more evaluation fits the budget."""
+        return self.evaluations < self.fp.max_evaluations
 
     def spectrum(self, x):
         """One model signal at the nonlinear point x (linear ones unset)."""
@@ -399,7 +384,7 @@ def _brent(func, x, fx, lo, hi, room):
     iterations = 0
     converged = False
     while True:
-        tol = _DIAM_TOL * max(abs(x), 1e-3 * (hi - lo))
+        tol = _REL_TOL * max(abs(x), 1e-3 * (hi - lo))
         tol1, tol2 = 0.25 * tol, 0.5 * tol
         xm = 0.5 * (a + b)
         if abs(x - xm) <= tol2 - 0.5 * (b - a):
@@ -452,96 +437,79 @@ def _brent(func, x, fx, lo, hi, room):
     return x, fx, converged, iterations
 
 
-class _SimplexState:
-    """Plain Nelder-Mead with reflective parameters 1, 2, 0.5, 0.5 and
-    bound handling by projection onto the box.  ``func`` is a
-    ``_Projection``, which keeps the evaluation budget; f(x0) = f0 is
-    already known."""
+def _line(func, x, fx, d, lo, hi, room):
+    """Brent's search of func along direction d through x, f(x) = fx.
 
-    def __init__(self, func, x0, f0, lo, hi):
-        self.func = func
-        self.lo = lo
-        self.hi = hi
-        self.iterations = 0
-        n = x0.size
-        step = 0.05 * (hi - lo)
-        verts = [self._clip(x0)]
-        for i in range(n):
-            v = x0.copy()
-            v[i] = v[i] + step[i] if v[i] + step[i] <= hi[i] else v[i] - step[i]
-            verts.append(self._clip(v))
-        self.verts = np.array(verts)
-        self.fvals = np.array([f0] + [self.func(v) for v in self.verts[1:]])
-        self.best_history = [float(np.min(self.fvals))]
+    The line is parametrized by the coordinate k where |d| is largest and
+    restricted to the segment that stays in the box, so along a coordinate
+    axis this is ``_brent`` on that coordinate.  Returns (point, f(point),
+    converged, iterations)."""
+    k = int(np.argmax(np.abs(d)))
+    d = d / d[k]
+    others = (d != 0.0) & (np.arange(x.size) != k)
+    ends = np.sort(x[k] + (np.stack([lo, hi])[:, others] - x[others])
+                   / d[others], axis=0)
+    t_lo = min(x[k], ends[0].max(initial=lo[k]))
+    t_hi = max(x[k], ends[1].min(initial=hi[k]))
 
-    def _clip(self, x):
-        return np.minimum(np.maximum(x, self.lo), self.hi)
+    def point(t):
+        p = np.clip(x + (t - x[k]) * d, lo, hi)
+        p[k] = t
+        return p
 
-    def run(self):
-        converged = False
-        while True:
-            order = np.argsort(self.fvals, kind="stable")
-            self.verts = self.verts[order]
-            self.fvals = self.fvals[order]
-            if self._converged():
-                converged = True
-                break
-            if not self.func.room(2):
-                break
-            self.iterations += 1
-            self._step()
-            self.best_history.append(float(self.fvals.min()))
-        order = np.argsort(self.fvals, kind="stable")
-        i = order[0]
-        return self.verts[i].copy(), float(self.fvals[i]), converged
+    t, ft, converged, iterations = _brent(lambda t: func(point(t)), x[k], fx,
+                                          t_lo, t_hi, room)
+    # x itself when the search stays put: point(x[k]) may differ from x in
+    # the sign of a zero, and the projection keeps solutions by the bytes
+    return (x if t == x[k] else point(t)), ft, converged, iterations
 
-    def _step(self):
-        worst = -1
-        centroid = np.mean(self.verts[:-1], axis=0)
-        xr = self._clip(centroid + (centroid - self.verts[worst]))
-        fr = self.func(xr)
-        if fr < self.fvals[0]:
-            if self.func.room():
-                xe = self._clip(centroid + 2.0 * (centroid - self.verts[worst]))
-                fe = self.func(xe)
-                if fe < fr:
-                    self.verts[worst], self.fvals[worst] = xe, fe
-                    return
-            self.verts[worst], self.fvals[worst] = xr, fr
-            return
-        if fr < self.fvals[-2]:
-            self.verts[worst], self.fvals[worst] = xr, fr
-            return
-        if not self.func.room():
-            return
-        if fr < self.fvals[worst]:  # outside contraction
-            xc = self._clip(centroid + 0.5 * (xr - centroid))
-        else:                        # inside contraction
-            xc = self._clip(centroid - 0.5 * (centroid - self.verts[worst]))
-        fc = self.func(xc)
-        if fc < min(fr, self.fvals[worst]):
-            self.verts[worst], self.fvals[worst] = xc, fc
-            return
-        # shrink toward the best vertex
-        for j in range(1, self.verts.shape[0]):
-            if not self.func.room():
-                return
-            self.verts[j] = self._clip(self.verts[0]
-                                       + 0.5 * (self.verts[j] - self.verts[0]))
-            self.fvals[j] = self.func(self.verts[j])
 
-    def _converged(self):
-        scale = np.maximum(np.abs(self.verts[0]),
-                           1e-3 * (self.hi - self.lo))
-        diam = np.max(np.abs(self.verts - self.verts[0]) / scale)
-        if diam >= _DIAM_TOL:
-            return False
-        if len(self.best_history) <= _IMPROVE_WINDOW:
-            return False
-        f_now = self.best_history[-1]
-        f_then = self.best_history[-1 - _IMPROVE_WINDOW]
-        improvement = (f_then - f_now) / max(abs(f_now), 1e-300)
-        return improvement < _IMPROVE_TOL
+def _powell(func, x, fx, lo, hi, room):
+    """Powell's conjugate-direction minimization of func on the box [lo, hi]
+    from x, f(x) = fx (Powell, Comput. J. 7 (1964) 155).
+
+    A cycle runs ``_line`` along each direction, the axes at first; one that
+    moves no coordinate by more than Brent's tolerance ends the search, as
+    does the first line search in one dimension.  Otherwise Powell's test on
+    f at the cycle's start, at its end x and at 2x - start decides whether a
+    line search along the net move follows, the move then replacing the
+    direction of largest decrease.  A net move that starts or would end on a
+    face of the box in a coordinate it changes is not taken: a bound stopped
+    it.  x is always the best point evaluated.  Returns (x, f(x), converged,
+    the Brent steps of all line searches).
+    """
+    directions = list(np.eye(x.size))
+    iterations = 0
+    while True:
+        start, f_start, drops = x, fx, []
+        for d in directions:
+            x, f, converged, steps = _line(func, x, fx, d, lo, hi, room)
+            iterations += steps
+            drops.append(fx - f)
+            fx = f
+            if not converged:
+                return x, fx, False, iterations
+        move = x - start
+        if x.size == 1 or np.all(np.abs(move) <= _REL_TOL * np.maximum(
+                np.abs(x), 1e-3 * (hi - lo))):
+            return x, fx, True, iterations
+        ahead = 2.0 * x - start
+        if np.any((move != 0.0) & ((start <= lo) | (start >= hi)
+                                   | (ahead <= lo) | (ahead >= hi))):
+            continue
+        if not room():
+            return x, fx, False, iterations
+        f_ahead, big = func(ahead), max(drops)
+        if f_ahead < f_start and 2.0 * (f_start - 2.0 * fx + f_ahead) * (
+                f_start - fx - big)**2 < big * (f_start - f_ahead)**2:
+            x, fx, converged, steps = _line(func, x, fx, move, lo, hi, room)
+            iterations += steps
+            if not converged:
+                return x, fx, False, iterations
+            del directions[int(np.argmax(drops))]
+            directions.append(move)
+        elif f_ahead < fx:
+            x, fx = ahead, f_ahead
 
 
 def _half_step(x, lo, hi):

@@ -140,7 +140,12 @@ def per_m_components(sys: CascadeSystem, lasers: LaserPair,
                      scan: ScanConfig,
                      quadrature: QuadratureSpec | None = None,
                      threads: int = 1) -> list:
-    """Per-|M| spectra (multiplicity applied) before the channel sum."""
+    """Per-|M| spectra (multiplicity applied) before the channel sum.
+
+    Needs ``scan.m_sum_on``: without it the scan has only the bare
+    pseudo-channel, which is no |M| sublevel."""
+    if not scan.m_sum_on:
+        raise ValueError("per-|M| components need scan.m_sum_on")
     quadrature = quadrature or QuadratureSpec()
     channels = _active_channels(channelset, scan)
     values, check = _per_channel_spectra(sys, ensemble, channels, scan,

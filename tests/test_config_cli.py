@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -372,16 +373,17 @@ def test_cli_constructor_rejection_exits_config(tmp_path, capsys, old, new,
     ("waist_coupling = 360 um", "waist_coupling = 1e-300 um", 2,
      "waist_coupling"),
     ("mass = 14 amu", "mass = 1e-300 amu", 2, "mass"),
-    ("tau2 = 18 ns", "tau2 = 1e-300 ns", 3, None),
-    ("tau3 = 16.15 ns", "tau3 = 1e-300 ns", 3, None),
-    ("transit_rate = 2 MHz", "transit_rate = 1e300 MHz", 3, None),
-    ("gamma23_col = 1 MHz", "gamma23_col = 1e300 MHz", 3, None),
+    ("tau2 = 18 ns", "tau2 = 1e-300 ns", 2, "tau2"),
+    ("tau3 = 16.15 ns", "tau3 = 1e-300 ns", 2, "tau3"),
+    ("transit_rate = 2 MHz", "transit_rate = 1e300 MHz", 2, "transit_rate"),
+    ("gamma23_col = 1 MHz", "gamma23_col = 1e300 MHz", 2, "gamma23_col"),
 ])
 def test_cli_extreme_finite_input_keeps_exit_codes(tmp_path, capsys, old, new,
                                                    code, key):
     """Finite values whose arithmetic overflows or divides by zero exit 2
-    naming the key when the config layer computes them (beam fields, u_p),
-    and 3 when the engine does; never 1 with a traceback."""
+    naming the key: the config layer computes the beam fields and u_p, and
+    bounds the rates (1/tau included) at 1e75 Mrad/s so that the engine's
+    products of rates stay finite; never 1 with a traceback."""
     text = (resources.files("eitmol") / "presets" / "li2_fig3a.cfg") \
         .read_text("utf-8")
     assert old in text
@@ -392,9 +394,8 @@ def test_cli_extreme_finite_input_keeps_exit_codes(tmp_path, capsys, old, new,
                  "--out", str(tmp_path)]) == code
     payload = json.loads(capsys.readouterr().err)
     assert payload["exit_code"] == code
-    if key is not None:
-        assert payload["error"] == "ValidationError"
-        assert key in payload["message"]
+    assert payload["error"] == "ValidationError"
+    assert key in payload["message"]
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -407,6 +408,33 @@ FUZZ_KEYS = {m[1]: m[3] for m in re.finditer(
 # integer keys size arrays (and J the channel count): keep them <= 10^4
 FUZZ_INTEGER_KEYS = {"J1", "J2", "J3", "delta1_points", "nodes"}
 FUZZ_SPECIAL = ("nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("tau2 = 18 ns", "tau2 = 1e-71 ns"),
+    ("tau3 = 16.15 ns", "tau3 = 1e-71 ns"),
+    ("transit_rate = 2 MHz", "transit_rate = 1e75 Mrad/s"),
+    ("refill_rate = 2 MHz", "refill_rate = 1e75 Mrad/s"),
+    ("gamma12_col = 5 MHz", "gamma12_col = 1e75 Mrad/s"),
+    ("gamma13_col = 1 MHz", "gamma13_col = 1e75 Mrad/s"),
+    ("gamma23_col = 1 MHz", "gamma23_col = 1e75 Mrad/s"),
+])
+def test_rate_at_its_cap_runs_without_overflow(tmp_path, capsys, old, new):
+    """A rate (or 1/tau) at the 1e75 Mrad/s cap reaches the engine, which
+    overflows nowhere; twice the cap exits 2 naming the key."""
+    assert old in FUZZ_BASE
+    cfg = write_config(tmp_path, FUZZ_BASE.replace(old, new))
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path)]) in (0, 3)
+    assert [str(w.message) for w in shown] == []
+    capsys.readouterr()
+    key = old.split()[0]
+    over = new.replace("1e-71 ns", "5e-73 ns").replace("1e75", "2e75")
+    cfg = write_config(tmp_path, FUZZ_BASE.replace(old, over))
+    assert main(["simulate", "--config", cfg, "--json-errors"]) == 2
+    assert f"key '{key}'" in json.loads(capsys.readouterr().err)["message"]
 
 
 @st.composite
@@ -504,6 +532,22 @@ def test_cli_components_writes_all_channels(tmp_path, capsys):
     assert len(files) == 15
 
 
+def test_cli_m_sum_off_simulates_but_writes_no_components(tmp_path, capsys):
+    cfg = small_run_config(tmp_path, tmp_path,
+                           **{"doppler = off": "doppler = off\nm_sum = off"})
+    assert load_config(cfg).scan.m_sum_on is False
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert "# scan.m_sum_on = False" in \
+        (tmp_path / "run.csv").read_text().splitlines()
+    (tmp_path / "run.csv").unlink()
+    assert main(["components", "--config", cfg, "--json-errors",
+                 "--out", str(tmp_path)]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ValidationError"
+    assert "m_sum" in payload["message"]
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_fit_roundtrip_writes_report(tmp_path, capsys):
     from eitmol.spectrum import ScanConfig, simulate
     from eitmol.sublevels import build_channels
@@ -533,6 +577,27 @@ def test_cli_fit_roundtrip_writes_report(tmp_path, capsys):
     data_rows = [r for r in rows if r and not r.startswith("#")][1:]
     best_rho33 = [float(r.split(",")[2]) for r in data_rows]
     assert best_rho33 == pytest.approx(2.5 * truth.signal_rho33, rel=1e-5)
+
+
+def test_cli_fit_out_of_budget_exits_fit(tmp_path, capsys):
+    outdir = tmp_path / "fitout"
+    cfg_path = small_run_config(tmp_path, outdir)
+    with open(cfg_path, "a") as fh:
+        fh.write("\n[fit]\nchannel = rho33\n"
+                 "free = mu_coupling gamma12_col amplitude_scale\n"
+                 "mu_coupling_init = 1.2 au\nmu_coupling_min = 0.5 au\n"
+                 "mu_coupling_max = 3.0 au\ngamma12_col_init = 8 MHz\n"
+                 "gamma12_col_min = 1 MHz\ngamma12_col_max = 20 MHz\n"
+                 "amplitude_scale_init = 0.8\namplitude_scale_min = 0.1\n"
+                 "amplitude_scale_max = 10\nmax_evaluations = 10\n")
+    x, y = truth_signal(cfg_path)
+    write_trace(tmp_path / "target.csv", x, y)
+    assert main(["fit", "--config", cfg_path, "--data",
+                 str(tmp_path / "target.csv")]) == 4
+    report = json.loads((outdir / "run_fit.json").read_text())
+    assert report["converged"] is False
+    assert report["residual_norm"] <= report["initial_residual_norm"]
+    assert (outdir / "run_bestfit.csv").exists()
 
 
 FIT_AMPLITUDE = ("\n[fit]\nchannel = rho33\nfree = amplitude_scale\n"
@@ -646,7 +711,8 @@ def test_cli_fit_rejects_bad_fit_input(tmp_path, capsys, old, new, key):
 def test_cli_json_errors_carry_the_run_warnings(tmp_path):
     """numpy warnings of a failing run go into the JSON error, so stderr is
     one JSON document; without --json-errors they are printed as usual."""
-    text = FUZZ_BASE.replace("tau2 = 18 ns", "tau2 = 1e-300 ns")
+    # rates are capped where they are read; a huge dipole still overflows
+    text = FUZZ_BASE.replace("mu_coupling = 1.45 au", "mu_coupling = 1e300 au")
     cfg = write_config(tmp_path, text)
     import eitmol
     env = dict(os.environ,

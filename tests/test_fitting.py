@@ -1,4 +1,4 @@
-"""Objective behavior, simplex recovery, and fit determinism."""
+"""Objective behavior, Powell-search recovery, and fit determinism."""
 
 import dataclasses
 
@@ -218,8 +218,8 @@ def test_model_spectrum_uses_target_grid(li2, li2_lasers):
     assert np.array_equal(spec.delta1_mhz, fp.target_delta1_mhz)
 
 
-def test_nelder_mead_path_recovers_dipole(li2, li2_lasers):
-    # two nonlinear parameters: the simplex searches mu and gamma12_col
+def test_powell_path_recovers_dipole(li2, li2_lasers):
+    # two nonlinear parameters: Powell's search over mu and gamma12_col
     fp = doppler_free_problem(li2, li2_lasers,
                               free=("mu_coupling", "gamma12_col",
                                     "amplitude_scale"),
@@ -232,6 +232,71 @@ def test_nelder_mead_path_recovers_dipole(li2, li2_lasers):
     assert result.converged
     assert result.best_params["mu_coupling"] == pytest.approx(1.45, rel=0.02)
     assert result.residual_norm <= result.initial_residual_norm
+
+
+def test_powell_path_recovers_dephasings_off_a_bound(li2, li2_lasers):
+    # mu held at its true value; a search that lets gamma12 settle on its
+    # 1 MHz bound ends near chi^2 = 6.4e-2, 31 times the true minimum
+    fp = doppler_free_problem(li2, li2_lasers,
+                              free=("gamma12_col", "gamma13_col",
+                                    "amplitude_scale"),
+                              bounds={"gamma12_col": (1.0, 20.0),
+                                      "gamma13_col": (0.1, 10.0),
+                                      "amplitude_scale": (0.1, 10.0)},
+                              noise=0.01)
+    result = fit(fp, {"gamma12_col": 12.0, "gamma13_col": 4.0,
+                      "amplitude_scale": 0.8})
+    assert result.converged
+    assert result.best_params["gamma12_col"] == pytest.approx(5.0, rel=0.05)
+    assert result.residual_norm < 2.2e-3
+
+
+def test_budget_spent_mid_line_search_is_not_converged(li2, li2_lasers):
+    fp = doppler_free_problem(li2, li2_lasers,
+                              free=("mu_coupling", "gamma12_col",
+                                    "amplitude_scale"),
+                              bounds={"mu_coupling": (0.5, 3.0),
+                                      "gamma12_col": (1.0, 20.0),
+                                      "amplitude_scale": (0.1, 10.0)},
+                              noise=0.01)
+    fp = dataclasses.replace(fp, max_evaluations=10)
+    result = fit(fp, {"mu_coupling": 1.2, "gamma12_col": 8.0,
+                      "amplitude_scale": 0.8})
+    assert not result.converged
+    # ten spectra: the start and nine Brent steps along mu, cut before mu
+    # converged, so gamma12 was never searched
+    assert result.iterations == 9
+    assert result.best_params["gamma12_col"] == 8.0
+    assert result.residual_norm <= result.initial_residual_norm
+
+
+def test_search_evaluates_only_points_in_the_box(li2, li2_lasers,
+                                                 monkeypatch):
+    from eitmol import fitting
+
+    bounds = {"mu_coupling": (0.5, 3.0), "gamma12_col": (1.0, 20.0),
+              "gamma13_col": (0.1, 10.0), "gamma23_col": (0.1, 10.0),
+              "amplitude_scale": (0.1, 10.0),
+              "baseline_offset": (-1e-3, 1e-3)}
+    fp = doppler_free_problem(li2, li2_lasers, free=tuple(bounds),
+                              bounds=bounds, noise=0.01)
+    seen = []
+
+    def recording(fp, params):
+        seen.append(dict(params))
+        return model_spectrum(fp, params)
+
+    monkeypatch.setattr(fitting, "model_spectrum", recording)
+    result = fit(fp, {"mu_coupling": 1.3, "gamma12_col": 8.0,
+                      "gamma13_col": 2.0, "gamma23_col": 4.0,
+                      "amplitude_scale": 0.8, "baseline_offset": 0.0})
+    assert result.converged
+    # the search's spectra, then two per nonlinear curvature
+    assert len(seen) == result.evaluations
+    for params in seen:
+        for name, value in params.items():
+            lo, hi = bounds[name]
+            assert lo <= value <= hi, (name, value)
 
 
 def test_dipole_fit_needs_few_spectra(li2, li2_lasers):

@@ -120,6 +120,29 @@ def test_components_sum_to_simulated_spectrum(li2, li2_lasers, li2_ensemble,
     assert np.allclose(total33, sp.signal_rho33, rtol=1e-12, atol=0)
 
 
+def test_m_sum_off_simulates_the_bare_channel_alone(li2, li2_lasers,
+                                                   li2_ensemble,
+                                                   li2_channels):
+    from eitmol.sublevels import ChannelSet
+
+    q = QuadratureSpec(node_count=501, refinement_tolerance=1.0)
+    grid = np.linspace(-800, 800, 41)
+    off = simulate(li2, li2_lasers, li2_ensemble, li2_channels,
+                   scan(grid, m_sum_on=False), quadrature=q)
+    bare = ChannelSet(channels=(li2_channels.bare_channel(),),
+                      g1_bare=li2_channels.g1_bare,
+                      g2_bare=li2_channels.g2_bare)
+    alone = simulate(li2, li2_lasers, li2_ensemble, bare, scan(grid),
+                     quadrature=q)
+    assert np.array_equal(off.signal_rho22, alone.signal_rho22)
+    assert np.array_equal(off.signal_rho33, alone.signal_rho33)
+    assert "# scan.m_sum_on = False" in spectrum_csv_text(off).splitlines()
+    # the bare pseudo-channel is no |M| component
+    with pytest.raises(ValueError, match="m_sum_on"):
+        per_m_components(li2, li2_lasers, li2_ensemble, li2_channels,
+                         scan(grid, m_sum_on=False), quadrature=q)
+
+
 def test_components_metadata_and_upper_level_count(li2, li2_lasers,
                                                    li2_ensemble,
                                                    li2_channels):

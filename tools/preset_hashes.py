@@ -17,7 +17,10 @@ tree next to this script:
   and 2001 nodes, with ``mu_coupling`` and ``amplitude_scale`` free, against
   a 3-column rho33 trace (1% seeded noise and a 1% sigma column) made from
   that config's own ``simulate`` output; ``_fit.json`` and ``_bestfit.csv``
-  are hashed concatenated.
+  are hashed concatenated;
+- the same fit with ``gamma12_col`` free as well (from 8 MHz in
+  [1, 20] MHz), so that the search over two or more nonlinear parameters
+  is covered too.
 
 A refactor that must not change the output bytes is checked by running this
 script on the commit before and after it, on the same machine, and comparing
@@ -74,6 +77,11 @@ amplitude_scale_min = 0.1
 amplitude_scale_max = 10
 
 """
+GAMMA12_FREE = (("free = mu_coupling amplitude_scale",
+                 "free = mu_coupling gamma12_col amplitude_scale"),
+                ("amplitude_scale_init", "gamma12_col_init = 8 MHz\n"
+                 "gamma12_col_min = 1 MHz\ngamma12_col_max = 20 MHz\n"
+                 "amplitude_scale_init"))
 
 
 def write_noisy_trace(spectrum_csv, path, seed=20240817):
@@ -120,21 +128,26 @@ def main():
         print("li2_fig6b 33 points, 1001 nodes, oracle engine, doppler on"
               f" {sha256_of([out / 'li2_fig6b.csv'])}", flush=True)
 
-        out = Path(tmp) / "fit"
         shrink = (("delta1_min = -3000 MHz", "delta1_min = -1200 MHz"),
                   ("delta1_max = 3000 MHz", "delta1_max = 1200 MHz"),
                   ("delta1_points = 801", "delta1_points = 32"),
                   ("nodes = 4001", "nodes = 2001"),
                   ("[output]", FIT_SECTION + "[output]"))
-        cfg = edited_config(tmp, "li2_fig4", "fit", shrink)
-        run_cli("simulate", "--config", cfg, "--out", str(out))
         data = Path(tmp) / "li2_fig4_trace.csv"
-        write_noisy_trace(out / "li2_fig4.csv", data)
-        run_cli("fit", "--config", cfg, "--data", str(data), "--out",
-                str(out))
-        parts = [out / "li2_fig4_fit.json", out / "li2_fig4_bestfit.csv"]
-        print("li2_fig4 fit, 32 points, 2001 nodes, mu and amplitude free"
-              f" {sha256_of(parts)}", flush=True)
+        for tag, edits, label in (
+                ("fit", shrink, "mu and amplitude free"),
+                ("fit3", shrink + GAMMA12_FREE,
+                 "mu, gamma12 and amplitude free")):
+            out = Path(tmp) / tag
+            cfg = edited_config(tmp, "li2_fig4", tag, edits)
+            if not data.exists():
+                run_cli("simulate", "--config", cfg, "--out", str(out))
+                write_noisy_trace(out / "li2_fig4.csv", data)
+            run_cli("fit", "--config", cfg, "--data", str(data), "--out",
+                    str(out))
+            parts = [out / "li2_fig4_fit.json", out / "li2_fig4_bestfit.csv"]
+            print(f"li2_fig4 fit, 32 points, 2001 nodes, {label}"
+                  f" {sha256_of(parts)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from . import __version__
 from .analytic import population_rho22, population_rho33
 from .bloch import populations_grid
 from .config import available_presets, load_config, load_spectrum
+from .doppler import COUNTER_PROPAGATING
 from .errors import EitmolError, ParseError, UnitError, ValidationError
 from .features import predict_dip_position
 from .fitting import FitProblem, fit, fit_report_dict, model_spectrum
@@ -131,6 +132,9 @@ def _run(args):
 
 
 def _prepare(args):
+    if args.threads < 1:  # argparse would print usage, not --json-errors
+        raise ValidationError(f"--threads: must be at least 1, got"
+                              f" {args.threads}")
     cfg = load_config(args.config)
     scan = cfg.scan
     if getattr(args, "engine", None):
@@ -178,9 +182,12 @@ def cmd_components(args) -> int:
 
 def cmd_dip(args) -> int:
     cfg = load_config(args.config)
+    # no [ensemble] means Doppler-free, where the geometry plays no part
+    geometry = cfg.ensemble.geometry if cfg.ensemble else COUNTER_PROPAGATING
     pos = predict_dip_position(cfg.scan.delta2_mhz, cfg.system.omega21_cm,
                                cfg.system.omega32_cm,
-                               doppler_on=cfg.scan.doppler_on)
+                               doppler_on=cfg.scan.doppler_on,
+                               geometry=geometry)
     print(f"{pos:.1f} MHz")
     return EXIT_OK
 

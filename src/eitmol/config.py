@@ -43,6 +43,7 @@ from .units import (
     angular_from_mhz,
     field_amplitude,
     parse_quantity,
+    rabi_frequency,
     rate_from_lifetime_ns,
 )
 from .constants import WAVENUMBER_TO_MHZ
@@ -135,6 +136,18 @@ _RATE = (f"in [0, {_MAX_RATE:g}] Mrad/s", lambda v: 0.0 <= v <= _MAX_RATE)
 _RATE_MHZ = (_RATE[0], lambda v: 0.0 <= angular_from_mhz(v) <= _MAX_RATE)
 _LIFETIME = (f"> 0 with a decay rate 1/tau of at most {_MAX_RATE:g} Mrad/s",
              lambda v: v > 0.0 and rate_from_lifetime_ns(v) <= _MAX_RATE)
+# A Rabi frequency mu E / hbar enters the populations as g^2 and g1^2 g2^2,
+# next to the rates, and gets their cap: with one beam or both at it,
+# li2_fig3a, li2_fig4 and li2_fig6b run on either engine, Doppler on or off,
+# without overflow; at 1e100 Mrad/s for both beams the engine overflows.
+_RABI = f"must give a Rabi frequency mu E / hbar of at most {_MAX_RATE:g}" \
+    " Mrad/s"
+
+
+def _rabi_excess(mu_au, field):
+    """|mu E / hbar| in Mrad/s if it exceeds the cap, else 0."""
+    g = abs(rabi_frequency(mu_au, field))
+    return 0.0 if g <= _MAX_RATE else g
 
 
 class _Section:
@@ -333,13 +346,18 @@ def parse_config(text: str, path="<config>") -> RunConfig:
 
     las_sec = section("lasers")
     beams = {}
-    for beam in ("probe", "coupling"):
+    for beam, mu in (("probe", mu_probe), ("coupling", mu_coupling)):
         power = las_sec.quantity(f"power_{beam}", POWER_W, _NONNEGATIVE,
                                  required=True)
         waist = las_sec.quantity(f"waist_{beam}", LENGTH_M, _POSITIVE,
                                  required=True)
         with las_sec.blame(f"power_{beam}", f"waist_{beam}"):
-            field_amplitude(power, waist)
+            field = field_amplitude(power, waist)
+        g = _rabi_excess(mu, field)
+        if g:
+            raise ValidationError(
+                f"{path}: [system] mu_{beam}, [lasers] power_{beam},"
+                f" waist_{beam}: {_RABI}, got {g:g} Mrad/s")
         beams[f"power_{beam}_w"], beams[f"waist_{beam}_m"] = power, waist
     lasers = LaserPair(omega_probe_cm=system.omega21_cm,
                        omega_coupling_cm=system.omega32_cm, **beams)
@@ -431,6 +449,12 @@ def parse_config(text: str, path="<config>") -> RunConfig:
             if not lo <= init[name] <= hi:
                 raise fit_sec.error("the initial value must lie within the"
                                     " bounds", *keys)
+            for key, mu in zip(keys[1:], (lo, hi)):
+                g = name == "mu_coupling" and \
+                    _rabi_excess(mu, lasers.field_coupling)
+                if g:
+                    raise fit_sec.error(f"{_RABI} in the coupling beam, got"
+                                        f" {g:g} Mrad/s", key)
             bounds[name] = (lo, hi)
         fit_settings = FitSettings(
             channel=fit_sec.word("channel", {RHO22, RHO33}, default=RHO33),

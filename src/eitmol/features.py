@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .doppler import CO_PROPAGATING, COUNTER_PROPAGATING
 from .errors import FewerThanTwoPeaks, NoDipFound
 
 _PEAK_FLOOR = 1e-6  # of the spectrum maximum
@@ -28,17 +29,22 @@ class LineFeatures:
 
 
 def predict_dip_position(delta2_mhz: float, omega1_cm: float,
-                         omega2_cm: float, doppler_on: bool = True) -> float:
+                         omega2_cm: float, doppler_on: bool = True,
+                         geometry: str = COUNTER_PROPAGATING) -> float:
     """Dip location of the two-photon interference feature, in MHz.
 
-    With counter-propagating beams in a Doppler medium the dip sits at the
-    modified two-photon resonance delta1 = -|k1/k2| delta2; Doppler-free it
-    sits at -delta2.
+    In a Doppler medium the dip sits where the velocity class resonant with
+    the coupling beam sees the probe resonant: delta1 = -|k1/k2| delta2 with
+    counter-propagating beams, +|k1/k2| delta2 with co-propagating ones.
+    Doppler-free it sits at -delta2.
     """
     if omega2_cm == 0:
         raise ValueError("coupling wavenumber must be nonzero")
+    if geometry not in (COUNTER_PROPAGATING, CO_PROPAGATING):
+        raise ValueError(f"unknown geometry {geometry!r}")
     if doppler_on:
-        return -abs(omega1_cm / omega2_cm) * delta2_mhz
+        sign = 1.0 if geometry == CO_PROPAGATING else -1.0
+        return sign * abs(omega1_cm / omega2_cm) * delta2_mhz
     return -float(delta2_mhz)
 
 

@@ -173,8 +173,7 @@ def _simulate(fp: FitProblem, params: dict, verify: bool) -> Spectrum:
 
 
 def model_spectrum(fp: FitProblem, params: dict) -> Spectrum:
-    """Simulated spectrum on the target grid for the given parameters."""
-    # the quadrature is validated once per fit, by validate_quadrature
+    """Unverified simulated spectrum on the target grid at params."""
     return _simulate(fp, params, verify=False)
 
 
@@ -201,24 +200,24 @@ def _vector_to_params(p, fp):
     return dict(zip(fp.free, p))
 
 
-def validate_quadrature(fp: FitProblem, params: dict) -> None:
-    """Run one doubled-node-checked simulation to vet the quadrature."""
-    if fp.doppler_on:
-        _simulate(fp, params, verify=True)
+def validate_quadrature(fp: FitProblem, params: dict) -> Spectrum:
+    """The spectrum at params, checked on doubled nodes if Doppler-on."""
+    return _simulate(fp, params, verify=fp.doppler_on)
 
 
 def fit(fp: FitProblem, init: dict) -> FitResult:
     """Variable-projection least squares over the free parameters.
 
     The linear parameters are solved for exactly at every nonlinear point
-    (see the module docstring for the search).  The quadrature is validated
-    once, at the initial point; ``evaluations`` counts the other spectra the
-    fit simulates, the start spectrum first.  The search converges when a
-    cycle of Powell's method (Powell 1964) moves no nonlinear parameter x by
-    more than Brent's tolerance 1e-4 max(|x|, 1e-3 (hi - lo)); with one, its
-    Brent search is the whole search.  ``iterations`` counts the Brent steps
-    of all line searches.  The search is capped at ``fp.max_evaluations``
-    and then flags non-convergence (the best point found is still returned).
+    (see the module docstring for the search).  ``evaluations`` counts every
+    spectrum the fit simulates: the start, whose quadrature is validated,
+    the search's and two per nonlinear curvature.  The search converges when
+    a cycle of Powell's method (Powell 1964) moves no nonlinear parameter x
+    by more than Brent's tolerance 1e-4 max(|x|, 1e-3 (hi - lo)); with one,
+    its Brent search is the whole search.  ``iterations`` counts the Brent
+    steps of all line searches.  ``fp.max_evaluations`` caps all spectra: a
+    search that reaches it flags non-convergence (the best point found is
+    still returned), and a curvature that does not fit reads NaN.
     """
     x0 = np.array([float(init[name]) for name in fp.free])
     lo = np.array([fp.bounds[n][0] for n in fp.free])
@@ -226,7 +225,6 @@ def fit(fp: FitProblem, init: dict) -> FitResult:
     if np.any(x0 < lo) or np.any(x0 > hi):
         raise ValueError("initial point outside bounds")
     start = _vector_to_params(x0, fp)
-    validate_quadrature(fp, start)
 
     nonlinear = [i for i, n in enumerate(fp.free)
                  if n not in LINEAR_PARAMETERS]
@@ -242,18 +240,21 @@ def fit(fp: FitProblem, init: dict) -> FitResult:
     best = dict(zip(proj.names, xn.tolist())) | linear
     best_x = np.array([best[n] for n in fp.free])
 
-    def counted_objective(p):
-        proj.evaluations += 1
-        return objective(p, fp)
-
-    curvature = _curvature(counted_objective, best_x, lo, hi, best_f,
-                           nonlinear)
+    # second differences of chi^2 at the best linear values
+    _, _, scale, offset = _context(fp, linear)
+    curvature = np.full(len(fp.free), np.nan)
     for i, name in enumerate(fp.free):
-        if name in LINEAR_PARAMETERS and \
-                _half_step(best_x[i], lo[i], hi[i]) is not None:
-            # chi^2 is exactly quadratic in a linear parameter
+        h = _half_step(best_x[i], lo[i], hi[i])
+        if h is None:
+            continue
+        if name in LINEAR_PARAMETERS:  # chi^2 is exactly quadratic in it
             curvature[i] = 2.0 * (sum_wm2 if name == "amplitude_scale"
                                   else proj.weight_sum)
+        elif proj.room(2):
+            step = h * (np.arange(xn.size) == nonlinear.index(i))
+            f_up, f_down = (_chi2(fp, proj.spectrum(x), scale, offset)
+                            for x in (xn + step, xn - step))
+            curvature[i] = (f_up - 2.0 * best_f + f_down) / h**2
     return FitResult(
         best_params=dict(zip(fp.free, best_x.tolist())),
         residual_norm=best_f,
@@ -296,14 +297,17 @@ class _Projection:
         self.trace = []
         self.solutions = {}
 
-    def room(self):
-        """True when one more evaluation fits the budget."""
-        return self.evaluations < self.fp.max_evaluations
+    def room(self, n=1):
+        """True when n more evaluations fit the budget."""
+        return self.evaluations + n <= self.fp.max_evaluations
 
     def spectrum(self, x):
-        """One model signal at the nonlinear point x (linear ones unset)."""
+        """One model signal at the nonlinear point x (linear ones unset);
+        the first, the fit's start, validates the quadrature."""
+        simulate_at = model_spectrum if self.evaluations else \
+            validate_quadrature
         self.evaluations += 1
-        return model_spectrum(self.fp, dict(zip(self.names, x.tolist()))) \
+        return simulate_at(self.fp, dict(zip(self.names, x.tolist()))) \
             .signal(self.fp.channel)
 
     def project(self, x, model):
@@ -517,20 +521,6 @@ def _half_step(x, lo, hi):
     bound (closer to it than 1e-12 of the span)."""
     h = min(1e-3 * (hi - lo), x - lo, hi - x)
     return None if h < 1e-12 * (hi - lo) else h
-
-
-def _curvature(func, x, lo, hi, f_best, which):
-    """Second-difference curvature of the objective at the minimum along the
-    parameters ``which``; NaN elsewhere and where a parameter is pinned at a
-    bound (one-sided)."""
-    curvature = np.full(x.size, np.nan)
-    for i in which:
-        h = _half_step(x[i], lo[i], hi[i])
-        if h is None:
-            continue
-        step = np.where(np.arange(x.size) == i, h, 0.0)
-        curvature[i] = (func(x + step) - 2.0 * f_best + func(x - step)) / h**2
-    return curvature
 
 
 def fit_report_dict(result: FitResult, fp: FitProblem) -> dict:

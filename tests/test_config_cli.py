@@ -264,6 +264,45 @@ def test_cli_dip_prints_the_law(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "-385.2 MHz"
 
 
+@pytest.mark.parametrize("geometry", ["counter_propagating",
+                                      "co_propagating"])
+def test_cli_dip_follows_the_beam_geometry(tmp_path, capsys, geometry):
+    """The printed dip of li2_fig6a lies on the side of the simulated rho22
+    dip, within 20 MHz of it, for either beam geometry."""
+    from eitmol.features import extract_features
+    from eitmol.spectrum import simulate
+    from eitmol.sublevels import build_channels
+
+    text = resources.files("eitmol").joinpath(
+        "presets/li2_fig6a.cfg").read_text("utf-8")
+    text = text.replace("geometry = counter_propagating",
+                        f"geometry = {geometry}")
+    cfg_path = write_config(tmp_path, text)
+    assert main(["dip", "--config", cfg_path]) == 0
+    printed = float(capsys.readouterr().out.split()[0])
+    cfg = load_config(cfg_path)
+    cs = build_channels(cfg.system, cfg.mu_probe_au, cfg.mu_coupling_au,
+                        cfg.lasers.field_probe, cfg.lasers.field_coupling)
+    spec = simulate(cfg.system, cfg.lasers, cfg.ensemble, cs, cfg.scan,
+                    quadrature=cfg.quadrature)
+    dip = extract_features(spec, "rho22").dip_position
+    assert np.sign(printed) == np.sign(dip) != 0
+    assert abs(printed - dip) < 20.0
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_cli_rejects_threads_below_one(tmp_path, capsys, threads):
+    cfg = small_run_config(tmp_path, tmp_path)
+    for command in (["simulate"], ["components"],
+                    ["fit", "--data", str(tmp_path / "trace.csv")]):
+        assert main(command + ["--config", cfg, "--threads", threads,
+                               "--json-errors", "--out", str(tmp_path)]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["exit_code"] == 2
+        assert payload["message"].startswith("--threads")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_simulate_coupling_off_zeroes_upper_channel(tmp_path, capsys):
     cfg = small_run_config(tmp_path, tmp_path,
                            **{"power_coupling = 480 mW":
@@ -435,6 +474,41 @@ def test_rate_at_its_cap_runs_without_overflow(tmp_path, capsys, old, new):
     cfg = write_config(tmp_path, FUZZ_BASE.replace(old, over))
     assert main(["simulate", "--config", cfg, "--json-errors"]) == 2
     assert f"key '{key}'" in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("beam, key", [("probe", "mu_probe"),
+                                       ("coupling", "mu_coupling")])
+def test_rabi_frequency_at_its_cap_runs_without_overflow(tmp_path, capsys,
+                                                         beam, key):
+    """A dipole that puts the beam's Rabi frequency mu E / hbar at the
+    1e75 Mrad/s cap reaches the engine, which overflows nowhere; twice the
+    cap exits 2 naming the dipole, power and waist of the beam, and a [fit]
+    bound at twice the cap names itself."""
+    from eitmol.units import rabi_frequency
+
+    field = getattr(parse_config(FUZZ_BASE).lasers, f"field_{beam}")
+    mu = 1e75 / rabi_frequency(1.0, field)
+    while rabi_frequency(mu, field) > 1e75:
+        mu = float(np.nextafter(mu, 0.0))
+    old = re.search(rf"^{key} = .*$", FUZZ_BASE, re.MULTILINE)[0]
+    cfg = write_config(tmp_path, FUZZ_BASE.replace(old, f"{key} = {mu!r} au"))
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path)]) in (0, 3)
+    assert [str(w.message) for w in shown] == []
+    capsys.readouterr()
+    cfg = write_config(tmp_path,
+                       FUZZ_BASE.replace(old, f"{key} = {2 * mu!r} au"))
+    assert main(["simulate", "--config", cfg, "--json-errors"]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert f"[system] {key}, [lasers] power_{beam}, waist_{beam}:" in message
+    if beam == "coupling":
+        fit = ("\n[fit]\nfree = mu_coupling\nmu_coupling_init = 1 au\n"
+               "mu_coupling_min = 0.5 au\nmu_coupling_max = {!r} au\n")
+        parse_config(FUZZ_BASE + fit.format(mu))
+        with pytest.raises(ValidationError, match="key 'mu_coupling_max'"):
+            parse_config(FUZZ_BASE + fit.format(2 * mu))
 
 
 @st.composite
@@ -660,6 +734,40 @@ def test_cli_fit_weights_by_sigma(tmp_path, capsys):
     assert mus["unweighted"] != pytest.approx(1.45, rel=0.02)
 
 
+def test_cli_fit_reads_a_wavenumber_abscissa(tmp_path, capsys):
+    """The same noisy trace, its abscissa once as probe detuning and once as
+    absolute wavenumber, gives the same dipole through eitmol fit."""
+    from eitmol.constants import WAVENUMBER_TO_MHZ
+
+    outdir = tmp_path / "fitout"
+    cfg_path = small_run_config(
+        tmp_path, outdir,
+        **{"delta1_min = -100 MHz": "delta1_min = -1200 MHz",
+           "delta1_max = 100 MHz": "delta1_max = 1200 MHz",
+           "delta1_points = 21": "delta1_points = 41"})
+    fit = ("\n[fit]\nchannel = rho33\nfree = mu_coupling amplitude_scale\n"
+           "mu_coupling_init = 1.2 au\nmu_coupling_min = 0.8 au\n"
+           "mu_coupling_max = 2.5 au\namplitude_scale_init = 1.0\n"
+           "amplitude_scale_min = 0.1\namplitude_scale_max = 10.0\n")
+    x, y = truth_signal(cfg_path)
+    y = y * (1.0 + 0.01 * np.random.default_rng(9).standard_normal(y.size))
+    mus = {}
+    for abscissa, column in (("detuning_MHz", x),
+                             ("wavenumber_cm-1",
+                              15642.636 + x / WAVENUMBER_TO_MHZ)):
+        cfg = write_config(tmp_path, Path(cfg_path).read_text() + fit
+                           + f"data_abscissa = {abscissa}\n", "fit.cfg")
+        data = tmp_path / f"{abscissa}.csv"
+        write_trace(data, column, y)
+        assert main(["fit", "--config", cfg, "--data", str(data)]) == 0
+        report = json.loads((outdir / "run_fit.json").read_text())
+        mus[abscissa] = report["best_params"]["mu_coupling"]
+    # the noise moves the fit off the truth by more than the tolerance
+    assert mus["detuning_MHz"] != pytest.approx(1.45, rel=1e-6)
+    assert mus["wavenumber_cm-1"] == pytest.approx(mus["detuning_MHz"],
+                                                   rel=1e-6)
+
+
 @pytest.mark.parametrize("bad", ["0", "-1"])
 def test_cli_fit_rejects_nonpositive_sigma(tmp_path, capsys, bad):
     outdir = tmp_path / "fitout"
@@ -711,8 +819,10 @@ def test_cli_fit_rejects_bad_fit_input(tmp_path, capsys, old, new, key):
 def test_cli_json_errors_carry_the_run_warnings(tmp_path):
     """numpy warnings of a failing run go into the JSON error, so stderr is
     one JSON document; without --json-errors they are printed as usual."""
-    # rates are capped where they are read; a huge dipole still overflows
-    text = FUZZ_BASE.replace("mu_coupling = 1.45 au", "mu_coupling = 1e300 au")
+    # rates and Rabi frequencies are capped where they are read; a huge
+    # detuning still overflows in the engine
+    text = FUZZ_BASE.replace("delta1_min = -3000 MHz",
+                             "delta1_min = -1e300 MHz")
     cfg = write_config(tmp_path, text)
     import eitmol
     env = dict(os.environ,

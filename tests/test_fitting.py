@@ -281,22 +281,94 @@ def test_search_evaluates_only_points_in_the_box(li2, li2_lasers,
     fp = doppler_free_problem(li2, li2_lasers, free=tuple(bounds),
                               bounds=bounds, noise=0.01)
     seen = []
+    simulate_at = fitting._simulate
 
-    def recording(fp, params):
+    def recording(fp, params, verify):
         seen.append(dict(params))
-        return model_spectrum(fp, params)
+        return simulate_at(fp, params, verify)
 
-    monkeypatch.setattr(fitting, "model_spectrum", recording)
+    monkeypatch.setattr(fitting, "_simulate", recording)
     result = fit(fp, {"mu_coupling": 1.3, "gamma12_col": 8.0,
                       "gamma13_col": 2.0, "gamma23_col": 4.0,
                       "amplitude_scale": 0.8, "baseline_offset": 0.0})
     assert result.converged
-    # the search's spectra, then two per nonlinear curvature
+    # every spectrum: the start, the search's and two per curvature
     assert len(seen) == result.evaluations
     for params in seen:
         for name, value in params.items():
             lo, hi = bounds[name]
             assert lo <= value <= hi, (name, value)
+
+
+def doppler_on_problem(li2, li2_lasers, li2_ensemble):
+    """The dipole fit of the benchmark, 32 points x 2001 nodes."""
+    grid = np.linspace(-1200.0, 1200.0, 32)
+    quad = QuadratureSpec(node_count=2001)
+    cs = build_channels(li2, 1.0, 1.45, li2_lasers.field_probe,
+                        li2_lasers.field_coupling)
+    sc = ScanConfig(delta1_mhz=grid, channels=("rho33",), doppler_on=True)
+    truth = simulate(li2, li2_lasers, li2_ensemble, cs, sc, quadrature=quad)
+    return FitProblem(
+        target_delta1_mhz=grid,
+        target_signal=synthetic_target(truth, "rho33", 0.01, seed=5),
+        channel="rho33", free=("mu_coupling", "amplitude_scale"),
+        bounds={"mu_coupling": (0.8, 2.5), "amplitude_scale": (0.1, 10.0)},
+        system=li2, lasers=li2_lasers, ensemble=li2_ensemble,
+        mu_probe_au=1.0, mu_coupling_au=1.45, quadrature=quad)
+
+
+@pytest.mark.parametrize("doppler_on, budget", [(True, 2000), (False, 2000),
+                                                (False, 10)])
+def test_every_spectrum_of_a_fit_is_counted(li2, li2_lasers, li2_ensemble,
+                                            monkeypatch, doppler_on, budget):
+    from eitmol import fitting
+
+    if doppler_on:
+        fp = doppler_on_problem(li2, li2_lasers, li2_ensemble)
+        init = {"mu_coupling": 1.2, "amplitude_scale": 0.8}
+    else:
+        fp = doppler_free_problem(li2, li2_lasers,
+                                  free=("mu_coupling", "gamma12_col",
+                                        "amplitude_scale"),
+                                  bounds={"mu_coupling": (0.5, 3.0),
+                                          "gamma12_col": (1.0, 20.0),
+                                          "amplitude_scale": (0.1, 10.0)},
+                                  noise=0.01)
+        init = {"mu_coupling": 1.2, "gamma12_col": 8.0,
+                "amplitude_scale": 0.8}
+    fp = dataclasses.replace(fp, max_evaluations=budget)
+    verified = []
+    simulate_at = fitting._simulate
+
+    def recording(fp, params, verify):
+        verified.append(verify)
+        return simulate_at(fp, params, verify)
+
+    monkeypatch.setattr(fitting, "_simulate", recording)
+    result = fit(fp, init)
+    assert len(verified) == result.evaluations <= budget
+    # the start spectrum is the one that validates the quadrature
+    assert verified == [doppler_on] + [False] * (len(verified) - 1)
+    curvature = dict(zip(fp.free, result.curvature.tolist()))
+    assert curvature["amplitude_scale"] > 0
+    if budget == 10:
+        # the search spends the budget, so no curvature spectrum fits it
+        assert result.evaluations == 10
+        assert np.isnan(curvature["mu_coupling"])
+        assert np.isnan(curvature["gamma12_col"])
+        return
+    # the same chi^2 as the library objective, bit for bit
+    best = np.array([result.best_params[n] for n in fp.free])
+    monkeypatch.undo()
+    for i, name in enumerate(fp.free):
+        if name == "amplitude_scale":
+            continue
+        lo, hi = fp.bounds[name]
+        h = min(1e-3 * (hi - lo), best[i] - lo, hi - best[i])
+        step = h * (np.arange(best.size) == i)
+        assert curvature[name] == (objective(best + step, fp)
+                                   - 2.0 * result.residual_norm
+                                   + objective(best - step, fp)) / h**2
 
 
 def test_dipole_fit_needs_few_spectra(li2, li2_lasers):

@@ -13,6 +13,8 @@ tree next to this script:
 - ``simulate --threads 1`` on ``li2_fig6b`` shrunk to 33 points and 1001
   nodes, with the oracle engine and Doppler on: every point is averaged on
   the trapezoid and checked against its doubled rule;
+- ``simulate --threads 1`` on ``li2_fig6a`` with co-propagating beams, the
+  other sign of the coupling beam's Doppler shift;
 - ``fit --threads 1`` on ``li2_fig4`` shrunk to 32 points over +-1200 MHz
   and 2001 nodes, with ``mu_coupling`` and ``amplitude_scale`` free, against
   a 3-column rho33 trace (1% seeded noise and a 1% sigma column) made from
@@ -127,6 +129,14 @@ def main():
         run_cli("simulate", "--config", cfg, "--out", str(out))
         print("li2_fig6b 33 points, 1001 nodes, oracle engine, doppler on"
               f" {sha256_of([out / 'li2_fig6b.csv'])}", flush=True)
+
+        out = Path(tmp) / "co"
+        cfg = edited_config(tmp, "li2_fig6a", "co",
+                            (("geometry = counter_propagating",
+                              "geometry = co_propagating"),))
+        run_cli("simulate", "--config", cfg, "--out", str(out))
+        print("li2_fig6a co-propagating"
+              f" {sha256_of([out / 'li2_fig6a.csv'])}", flush=True)
 
         shrink = (("delta1_min = -3000 MHz", "delta1_min = -1200 MHz"),
                   ("delta1_max = 3000 MHz", "delta1_max = 1200 MHz"),

@@ -70,40 +70,29 @@ def _factors(sys, delta1, delta2):
     return two_photon, (delta1 + 1j * G21) * two_photon, delta2 - 1j * G32
 
 
-def _probe_response(bare, g2):
-    """Shared complex denominator P of the dressed probe transition, from
-    the bare product (D1 + i G21)(D1 + D2 + i G31) of ``_factors``."""
-    return bare - g2**2 / 4.0
+def population_rho22(sys, g1, g2, delta1, delta2):
+    """rho22 of one channel: ``channel_populations`` for scalar g1, g2."""
+    return next(channel_populations(sys, [g1], [g2], delta1, delta2,
+                                    rho33=False))[1]
 
 
-def population_rho22(sys, g1, g2, delta1, delta2, rho11_init=1.0):
-    D = _denominator(sys, g2, delta2)
-    two_photon, bare, coupling = _factors(sys, delta1, delta2)
-    frac = _rho22_numerator(sys, g2, delta2, two_photon, coupling) \
-        / _probe_response(bare, g2)
-    return _rho22_from(g1, rho11_init, D, frac)
+def population_rho33(sys, g1, g2, delta1, delta2):
+    """rho33 of one channel; zero when g2 == 0."""
+    rho33 = next(channel_populations(sys, [g1], [g2], delta1, delta2,
+                                     rho22=False))[2]
+    return np.zeros(np.broadcast(delta1, delta2).shape) if rho33 is None \
+        else rho33
 
 
-def population_rho33(sys, g1, g2, delta1, delta2, rho11_init=1.0):
-    D = _denominator(sys, g2, delta2)
-    two_photon, bare, coupling = _factors(sys, delta1, delta2)
-    frac = _rho33_numerator(sys, two_photon, coupling) \
-        / _probe_response(bare, g2)
-    return _rho33_from(sys, g1, g2, rho11_init, D, frac)
-
-
-def channel_populations(sys, g1, g2, delta1, delta2, rho11_init=1.0,
-                        rho22=True, rho33=True):
+def channel_populations(sys, g1, g2, delta1, delta2, rho22=True, rho33=True):
     """Yield (i, rho22, rho33) for each channel i of the arrays ``g1``, ``g2``.
 
-    The rows are bit for bit ``population_rho22/33(sys, g1[i], g2[i],
-    delta1, delta2, rho11_init)``: every value comes from the same
-    operations in the same order.  The factors no channel changes, and the
-    rho33 numerator, are built once; channels with equal g2 also share P, D
-    and N/P and differ only by their g1^2 prefactor.  A population not
-    requested is None, and so is rho33 in channels with g2 == 0, where it is
-    exactly zero; neither is evaluated there.  Channels come grouped by g2,
-    in order of first appearance.
+    The factors no channel changes, and the rho33 numerator, are built
+    once; channels with equal g2 also share P, D and N/P and differ only by
+    their g1^2 prefactor.  A population not requested is None, and so is
+    rho33 in channels with g2 == 0, where it is exactly zero; neither is
+    evaluated there.  Channels come grouped by g2, in order of first
+    appearance.
     """
     two_photon, bare, coupling = _factors(sys, delta1, delta2)
     n33 = _rho33_numerator(sys, two_photon, coupling) if rho33 else None
@@ -112,16 +101,15 @@ def channel_populations(sys, g1, g2, delta1, delta2, rho11_init=1.0,
         groups.setdefault(value, []).append(i)
     for value, members in groups.items():
         D = _denominator(sys, value, delta2)
-        P = _probe_response(bare, value)
+        P = bare - value**2 / 4.0  # the dressed probe response
         f22 = _rho22_numerator(sys, value, delta2, two_photon, coupling) / P \
             if rho22 else None
         f33 = n33 / P if rho33 and value != 0.0 else None
         for i in members:
             yield (i,
-                   None if f22 is None else
-                   _rho22_from(g1[i], rho11_init, D, f22),
+                   None if f22 is None else _rho22_from(sys, g1[i], D, f22),
                    None if f33 is None else
-                   _rho33_from(sys, g1[i], value, rho11_init, D, f33))
+                   _rho33_from(sys, g1[i], value, D, f33))
 
 
 def _rho22_numerator(sys, g2, delta2, two_photon, coupling):
@@ -139,19 +127,20 @@ def _rho33_numerator(sys, two_photon, coupling):
     return -2.0 * G32 * two_photon + G2 * coupling
 
 
-def _rho22_from(g1, rho11_init, D, frac):
+def _rho22_from(sys, g1, D, frac):
+    rho11_init = sys.rho11_init
     return -(g1**2 * rho11_init) / (2.0 * D) * np.imag(frac)
 
 
-def _rho33_from(sys, g1, g2, rho11_init, D, frac):
+def _rho33_from(sys, g1, g2, D, frac):
     G3 = sys.gamma3 + sys.transit_rate
-    return (g1**2 * g2**2 * rho11_init) / (8.0 * D * G3) * np.imag(frac)
+    return (g1**2 * g2**2 * sys.rho11_init) / (8.0 * D * G3) * np.imag(frac)
 
 
 # Maxwellian average in closed form --------------------------------------------
 
 def doppler_averaged_populations(sys, g1, g2, delta1, delta2, slope1, slope2,
-                                 rho11_init=1.0, rho22=True, rho33=True):
+                                 rho22=True, rho33=True):
     """Maxwellian averages of ``population_rho22`` and ``population_rho33``.
 
     With t = vz/u_p the detunings are D1 = delta1 + slope1*t and
@@ -190,14 +179,14 @@ def doppler_averaged_populations(sys, g1, g2, delta1, delta2, slope1, slope2,
     if rho22:
         frac = np.sum(_rho22_numerator(sys, g2[rows], d2, two_photon,
                                        coupling) * weight, axis=0)
-        out22[rows] = _rho22_from(g1[rows], rho11_init, 1.0, frac)
+        out22[rows] = _rho22_from(sys, g1[rows], 1.0, frac)
     on = lit[rows]
     if on.any():
         frac = np.sum(_rho33_numerator(sys, two_photon[:, on],
                                        coupling[:, on])
                       * weight[:, on], axis=0)
         up = rows[on]
-        out33[up] = _rho33_from(sys, g1[up], g2[up], rho11_init, 1.0, frac)
+        out33[up] = _rho33_from(sys, g1[up], g2[up], 1.0, frac)
     return out22, out33
 
 

@@ -36,9 +36,9 @@ def solve_steady_state(sys: CascadeSystem, drv: DriveParams) -> DensityState:
     )
 
 
-def populations_grid(sys: CascadeSystem, g1, g2, delta1, delta2,
-                     rho11_init: float = 1.0):
-    """Batched (rho22, rho33) over broadcast detuning arrays.
+def populations_grid(sys: CascadeSystem, g1, g2, delta1, delta2):
+    """Batched (rho22, rho33) over broadcast detuning arrays, with the
+    system's own unperturbed ground population ``sys.rho11_init``.
 
     Used by the spectrum engine's ``oracle`` path and the oracle check; one
     linear solve per grid point, chunked to bound memory.
@@ -53,7 +53,7 @@ def populations_grid(sys: CascadeSystem, g1, g2, delta1, delta2,
     chunk = 65536
     for lo in range(0, d1f.size, chunk):
         hi = min(lo + chunk, d1f.size)
-        x = _solve(sys, g1, g2, d1f[lo:hi], d2f[lo:hi], rho11_init)
+        x = _solve(sys, g1, g2, d1f[lo:hi], d2f[lo:hi], sys.rho11_init)
         out22[lo:hi] = x[..., 1]
         out33[lo:hi] = x[..., 2]
     return out22.reshape(shape), out33.reshape(shape)
@@ -62,8 +62,9 @@ def populations_grid(sys: CascadeSystem, g1, g2, delta1, delta2,
 def _solve(sys, g1, g2, delta1, delta2, rho11_init):
     """Solve M x = -s for broadcast detunings; x has shape (..., 9).
 
-    Direct dense solve with partial pivoting, then one residual check
-    relative to the source Lambda that rejects a non-finite residual.
+    Direct dense solve with partial pivoting, then one check of the
+    normwise backward error |M x + s| / (|M|_F |x| + |Lambda|), which also
+    rejects a non-finite one.
     """
     if sys.transit_rate <= 0.0:
         raise SingularSystem("steady state requires a positive transit rate")
@@ -75,13 +76,15 @@ def _solve(sys, g1, g2, delta1, delta2, rho11_init):
         x = np.linalg.solve(m, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
+    scale = (np.linalg.norm(m, axis=(-2, -1))
+             * np.linalg.norm(x, axis=-1) + abs(lam))
     residual = (np.linalg.norm(np.einsum("...ij,...j->...i", m, x) - rhs,
                                axis=-1)
-                / max(abs(lam), np.finfo(float).tiny))
+                / np.maximum(scale, np.finfo(float).tiny))
     if not np.all(residual <= _RESIDUAL_TOL):
         raise SingularSystem(
             f"steady-state residual {np.max(residual):.3e} exceeds"
-            f" {_RESIDUAL_TOL:.1e} (is the transit rate zero?)")
+            f" {_RESIDUAL_TOL:.1e}")
     return x
 
 

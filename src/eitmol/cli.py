@@ -253,12 +253,11 @@ def oracle_deviation(system) -> float:
     g1 = ORACLE_PROBE * gam
     d1 = ORACLE_DETUNINGS[:, None] * gam
     d2 = ORACLE_DETUNINGS[None, :] * gam
-    rho11 = system.rho11_init
     devs = []
     for g2 in ORACLE_COUPLINGS * gam:
-        o22, o33 = populations_grid(system, g1, g2, d1, d2, rho11)
-        a22 = population_rho22(system, g1, g2, d1, d2, rho11)
-        a33 = population_rho33(system, g1, g2, d1, d2, rho11)
+        o22, o33 = populations_grid(system, g1, g2, d1, d2)
+        a22 = population_rho22(system, g1, g2, d1, d2)
+        a33 = population_rho33(system, g1, g2, d1, d2)
         devs += [np.abs(a22 - o22) / np.abs(o22),
                  np.abs(a33 - o33) / np.abs(o33)]
     return float(np.max(devs))  # NaN propagates, and then fails the check

@@ -20,12 +20,7 @@ from .doppler import (
     Ensemble,
     QuadratureSpec,
 )
-from .errors import (
-    DomainError,
-    ParseError,
-    UnitError,
-    ValidationError,
-)
+from .errors import ParseError, UnitError, ValidationError
 from .fitting import FIT_PARAMETERS, FitProblem
 from .spectrum import ENGINE_ANALYTIC, ENGINE_ORACLE, RHO22, RHO33, ScanConfig
 from .sublevels import branch_factor
@@ -38,13 +33,11 @@ from .units import (
     MASS_AMU,
     POWER_W,
     TEMPERATURE_K,
-    TIME_NS,
     WAVENUMBER_CM,
     angular_from_mhz,
     field_amplitude,
     parse_quantity,
     rabi_frequency,
-    rate_from_lifetime_ns,
 )
 from .constants import WAVENUMBER_TO_MHZ
 
@@ -134,8 +127,9 @@ _FRACTION = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 _MAX_RATE = 1e75
 _RATE = (f"in [0, {_MAX_RATE:g}] Mrad/s", lambda v: 0.0 <= v <= _MAX_RATE)
 _RATE_MHZ = (_RATE[0], lambda v: 0.0 <= angular_from_mhz(v) <= _MAX_RATE)
-_LIFETIME = (f"> 0 with a decay rate 1/tau of at most {_MAX_RATE:g} Mrad/s",
-             lambda v: v > 0.0 and rate_from_lifetime_ns(v) <= _MAX_RATE)
+# a lifetime is read as its decay rate 1/tau, which must be a positive rate
+_DECAY_RATE = (f"a lifetime with a decay rate 1/tau in (0, {_MAX_RATE:g}]"
+               " Mrad/s", lambda v: 0.0 < v <= _MAX_RATE)
 # A Rabi frequency mu E / hbar enters the populations as g^2 and g1^2 g2^2,
 # next to the rates, and gets their cap: with one beam or both at it,
 # li2_fig3a, li2_fig4 and li2_fig6b run on either engine, Doppler on or off,
@@ -173,11 +167,11 @@ class _Section:
 
     @contextmanager
     def blame(self, *keys):
-        """Re-raise a ValueError, DomainError or ArithmeticError (overflow,
-        division by zero) of the block as an ``error`` naming ``keys``."""
+        """Re-raise a ValueError or ArithmeticError (overflow, division by
+        zero) of the block as an ``error`` naming ``keys``."""
         try:
             yield
-        except (ValueError, DomainError) as exc:
+        except ValueError as exc:
             raise self.error(str(exc), *keys) from exc
         except ArithmeticError as exc:
             raise self.error(f"give no finite value ({type(exc).__name__}:"
@@ -316,12 +310,13 @@ def parse_config(text: str, path="<config>") -> RunConfig:
     refill = sys_sec.quantity("refill_rate", ANGULAR_MRADS, _RATE,
                               default=transit)
     system = CascadeSystem(
-        omega21_cm=sys_sec.quantity("omega21", WAVENUMBER_CM, required=True),
-        omega32_cm=sys_sec.quantity("omega32", WAVENUMBER_CM, required=True),
-        gamma2=rate_from_lifetime_ns(
-            sys_sec.quantity("tau2", TIME_NS, _LIFETIME, required=True)),
-        gamma3=rate_from_lifetime_ns(
-            sys_sec.quantity("tau3", TIME_NS, _LIFETIME, required=True)),
+        **{f"{key}_cm": sys_sec.quantity(key, WAVENUMBER_CM, _POSITIVE,
+                                         required=True)
+           for key in ("omega21", "omega32")},
+        gamma2=sys_sec.quantity("tau2", ANGULAR_MRADS, _DECAY_RATE,
+                                required=True),
+        gamma3=sys_sec.quantity("tau3", ANGULAR_MRADS, _DECAY_RATE,
+                                required=True),
         b2=sys_sec.number("b2", _FRACTION, required=True),
         b3=sys_sec.number("b3", _FRACTION, required=True),
         **{key: sys_sec.quantity(key, ANGULAR_MRADS, _RATE, default=0.0)
@@ -359,8 +354,7 @@ def parse_config(text: str, path="<config>") -> RunConfig:
                 f"{path}: [system] mu_{beam}, [lasers] power_{beam},"
                 f" waist_{beam}: {_RABI}, got {g:g} Mrad/s")
         beams[f"power_{beam}_w"], beams[f"waist_{beam}_m"] = power, waist
-    lasers = LaserPair(omega_probe_cm=system.omega21_cm,
-                       omega_coupling_cm=system.omega32_cm, **beams)
+    lasers = LaserPair(**beams)
     las_sec.reject_unknown()
 
     ens_sec = section("ensemble")
@@ -401,6 +395,17 @@ def parse_config(text: str, path="<config>") -> RunConfig:
     if doppler_on and ensemble is None:
         raise scan_sec.error("on requires an [ensemble] section", "doppler")
     delta2 = scan_sec.quantity("delta2", FREQUENCY_MHZ, required=True)
+    # each laser, at its transition plus its detuning, must have a positive
+    # frequency over the whole scan: the Doppler shifts are proportional to it
+    for key, detuning, omega in (("delta1_min", d1_min, "omega21"),
+                                 ("delta2", delta2, "omega32")):
+        laser = getattr(system, f"{omega}_angular") \
+            + angular_from_mhz(detuning)
+        if not laser > 0.0:
+            raise ValidationError(
+                f"{path}: [scan] {key}, [system] {omega}: the laser"
+                f" frequency {omega} + {key} must be > 0, got {laser:g}"
+                " Mrad/s")
     channels = scan_sec.words("channels", (RHO22, RHO33),
                               default=(RHO22, RHO33))
     m_sum_on = scan_sec.flag("m_sum", default=True)
@@ -521,6 +526,10 @@ def load_spectrum(path, abscissa="detuning_MHz",
                 raise ParseError(
                     f"expected 2 or 3 columns, got {len(parts)}",
                     path, lineno, 1)
+            if rows and len(parts) != len(rows[0]):
+                raise ParseError(f"expected {len(rows[0])} columns as in the"
+                                 f" first row, got {len(parts)}", path,
+                                 lineno, 1)
             try:
                 rows.append([float(p) for p in parts])
             except ValueError as exc:
@@ -529,8 +538,6 @@ def load_spectrum(path, abscissa="detuning_MHz",
     if len(rows) < 2:
         raise ValidationError(f"{path}: need at least two data rows")
     ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ParseError("inconsistent column count", path)
     data = np.asarray(rows, float)
     if not np.all(np.isfinite(data)):
         raise ValidationError(f"{path}: non-finite values in data")

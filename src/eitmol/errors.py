@@ -5,18 +5,6 @@ class EitmolError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonPositiveWaist(EitmolError):
-    """Gaussian beam waist must be strictly positive."""
-
-
-class DomainError(EitmolError):
-    """Quantum-number arguments outside the valid domain (e.g. |M| > J)."""
-
-
-class UnsupportedBranch(EitmolError):
-    """Rotational branch without a line-strength formula in this package."""
-
-
 class SingularSystem(EitmolError):
     """Steady-state linear system is singular (w = 0 or pathological input)."""
 

@@ -187,10 +187,10 @@ def _channel_rows(sys, scan, channels, d1, d2):
     if scan.engine == ENGINE_ANALYTIC:
         yield from channel_populations(
             sys, [ch.g1 for ch in channels], [ch.g2 for ch in channels], d1,
-            d2, sys.rho11_init, *wanted)
+            d2, *wanted)
         return
     for i, ch in enumerate(channels):
-        pops = populations_grid(sys, ch.g1, ch.g2, d1, d2, sys.rho11_init)
+        pops = populations_grid(sys, ch.g1, ch.g2, d1, d2)
         yield (i, *(p if want else None for p, want in zip(pops, wanted)))
 
 
@@ -242,8 +242,7 @@ def _doppler_closed_form(sys, ensemble, channels, scan):
                                 ensemble.geometry)
     return np.stack(doppler_averaged_populations(
         sys, [ch.g1 for ch in channels], [ch.g2 for ch in channels], d1, d2,
-        b1, b2, sys.rho11_init, RHO22 in scan.channels,
-        RHO33 in scan.channels))
+        b1, b2, RHO22 in scan.channels, RHO33 in scan.channels))
 
 
 def _spot_check_points(values, channels, scan):
@@ -419,8 +418,8 @@ def _metadata(sys, lasers, ensemble, channelset, scan, quadrature, shift):
         "quadrature.verified": shift is not None,
     }
     if lasers is not None:
-        meta["lasers.omega_probe_cm"] = lasers.omega_probe_cm
-        meta["lasers.omega_coupling_cm"] = lasers.omega_coupling_cm
+        meta["lasers.omega_probe_cm"] = sys.omega21_cm
+        meta["lasers.omega_coupling_cm"] = sys.omega32_cm
         meta["lasers.power_probe_W"] = lasers.power_probe_w
         meta["lasers.power_coupling_W"] = lasers.power_coupling_w
         meta["lasers.waist_probe_m"] = lasers.waist_probe_m

@@ -19,7 +19,6 @@ drops out of a Q transition.
 from dataclasses import dataclass
 from math import sqrt
 
-from .errors import DomainError, UnsupportedBranch
 from .system import CascadeSystem
 from .units import rabi_frequency
 
@@ -27,24 +26,24 @@ from .units import rabi_frequency
 def line_strength_Q(J: int, M: int) -> float:
     """Q-branch (Delta J = 0) line-strength factor for linear polarization."""
     if J < 1:
-        raise DomainError(f"Q branch needs J >= 1, got {J}")
+        raise ValueError(f"Q branch needs J >= 1, got {J}")
     if abs(M) > J:
-        raise DomainError(f"|M| = {abs(M)} exceeds J = {J}")
+        raise ValueError(f"|M| = {abs(M)} exceeds J = {J}")
     return abs(M) / sqrt(J * (J + 1))
 
 
 def line_strength_P(J: int, M: int) -> float:
     """P-branch (Delta J = -1) factor; J is the larger, lower-state J."""
     if J < 1:
-        raise DomainError(f"P branch needs J >= 1, got {J}")
+        raise ValueError(f"P branch needs J >= 1, got {J}")
     if abs(M) > J:
-        raise DomainError(f"|M| = {abs(M)} exceeds J = {J}")
+        raise ValueError(f"|M| = {abs(M)} exceeds J = {J}")
     return sqrt((J * J - M * M) / ((2 * J + 1) * (2 * J - 1)))
 
 
 def branch_factor(branch: str, j_lower: int, j_upper: int, M: int) -> float:
-    """Line-strength factor of one branch; ValueError or DomainError when
-    the branch does not connect j_lower to j_upper."""
+    """Line-strength factor of one branch; ValueError when the branch does
+    not connect j_lower to j_upper or has no formula here."""
     if branch == "Q":
         if j_upper != j_lower:
             raise ValueError(f"Q branch requires equal J, got {j_lower}->{j_upper}")
@@ -53,7 +52,7 @@ def branch_factor(branch: str, j_lower: int, j_upper: int, M: int) -> float:
         if j_upper != j_lower - 1:
             raise ValueError(f"P branch requires J -> J-1, got {j_lower}->{j_upper}")
         return line_strength_P(j_lower, M) if abs(M) <= j_lower else 0.0
-    raise UnsupportedBranch(f"no line-strength formula for branch {branch!r}")
+    raise ValueError(f"no line-strength formula for branch {branch!r}")
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,8 @@ class CascadeSystem:
 
     def __post_init__(self):
         for name in ("omega21_cm", "omega32_cm"):
-            if not abs(getattr(self, name)) < inf:
-                raise ValueError(f"{name} must be finite")
+            if not 0.0 < getattr(self, name) < inf:
+                raise ValueError(f"{name} must be finite and > 0")
         for name in ("gamma2", "gamma3", "transit_rate", "refill_rate",
                      "gamma12_col", "gamma13_col", "gamma23_col"):
             if not 0.0 <= getattr(self, name) < inf:
@@ -49,9 +49,10 @@ class CascadeSystem:
         for name in ("b2", "b3"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        # the R branch has no line-strength formula
         for name in ("branch_probe", "branch_coupling"):
-            if getattr(self, name) not in ("P", "Q", "R"):
-                raise ValueError(f"{name} must be one of P, Q, R")
+            if getattr(self, name) not in ("P", "Q"):
+                raise ValueError(f"{name} must be P or Q")
 
     # population feed rates, always derived, never stored
     @property
@@ -101,10 +102,9 @@ class CascadeSystem:
 
 @dataclass(frozen=True)
 class LaserPair:
-    """Probe/coupling beam parameters; wavenumbers at the line centers."""
+    """Probe/coupling beam powers and waists; the laser frequencies are the
+    system's transitions plus the scan detunings."""
 
-    omega_probe_cm: float
-    omega_coupling_cm: float
     power_probe_w: float = 0.0
     power_coupling_w: float = 0.0
     waist_probe_m: float = 1e-4

@@ -24,7 +24,7 @@ from .constants import (
     VACUUM_PERMITTIVITY,
     WAVENUMBER_TO_MHZ,
 )
-from .errors import NonPositiveWaist, UnitError
+from .errors import UnitError
 
 WAVENUMBER_CM = "cm-1"
 FREQUENCY_MHZ = "MHz"
@@ -100,7 +100,7 @@ def field_amplitude(power_w: float, waist_m: float) -> float:
     or comes out 0 for P > 0, is a ValueError.
     """
     if waist_m <= 0.0:
-        raise NonPositiveWaist(f"waist must be > 0, got {waist_m}")
+        raise ValueError(f"waist must be > 0, got {waist_m}")
     if power_w < 0.0:
         raise ValueError(f"power must be >= 0, got {power_w}")
     intensity = 2.0 * power_w / (pi * waist_m**2)
@@ -118,12 +118,6 @@ def angular_from_mhz(value_mhz):
 
 def angular_from_wavenumber(sigma_cm: float) -> float:
     return 2.0 * pi * WAVENUMBER_TO_MHZ * sigma_cm
-
-
-def rate_from_lifetime_ns(tau_ns: float) -> float:
-    if not 0.0 < tau_ns < inf:
-        raise ValueError(f"lifetime must be finite and > 0, got {tau_ns}")
-    return 1e3 / tau_ns
 
 
 def rabi_frequency(mu_au: float, field_vm: float) -> float:

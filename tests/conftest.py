@@ -4,7 +4,7 @@ import pytest
 from eitmol.doppler import Ensemble, QuadratureSpec
 from eitmol.sublevels import build_channels
 from eitmol.system import CascadeSystem, LaserPair
-from eitmol.units import angular_from_mhz, rate_from_lifetime_ns
+from eitmol.units import angular_from_mhz
 
 TWO_PI = 2.0 * np.pi
 
@@ -15,8 +15,8 @@ def li2() -> CascadeSystem:
     return CascadeSystem(
         omega21_cm=15642.636,
         omega32_cm=17053.954,
-        gamma2=rate_from_lifetime_ns(18.0),
-        gamma3=rate_from_lifetime_ns(16.15),
+        gamma2=1e3 / 18.0,
+        gamma3=1e3 / 16.15,
         b2=0.1,
         b3=0.2,
         gamma12_col=angular_from_mhz(5.0),
@@ -35,8 +35,6 @@ def li2() -> CascadeSystem:
 @pytest.fixture(scope="session")
 def li2_lasers() -> LaserPair:
     return LaserPair(
-        omega_probe_cm=15642.636,
-        omega_coupling_cm=17053.954,
         power_probe_w=1e-3,
         power_coupling_w=0.48,
         waist_probe_m=222e-6,

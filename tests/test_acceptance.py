@@ -97,7 +97,7 @@ def test_criterion_2_oracle_equivalence():
             for g2 in (0.2 * gam, 20.0 * gam):
                 s = solve_steady_state(
                     sys, DriveParams.for_system(sys, g1r, g2, d1, 0.0))
-                a22 = population_rho22(sys, g1r, g2, d1, 0.0, sys.rho11_init)
+                a22 = population_rho22(sys, g1r, g2, d1, 0.0)
                 m = max(m, abs(a22 - s.rho22) / s.rho22)
         devs.append(m)
     slope = np.polyfit(np.log(ratios), np.log(devs), 1)[0]

@@ -33,25 +33,24 @@ def two_level_lorentzian(sys, g1, d1):
 
 
 def test_zero_probe_gives_zero(li2):
-    rho0 = li2.rho11_init
-    assert population_rho22(li2, 0.0, 300.0, 0.0, 0.0, rho0) == 0.0
-    assert population_rho33(li2, 0.0, 300.0, 0.0, 0.0, rho0) == 0.0
+    assert population_rho22(li2, 0.0, 300.0, 0.0, 0.0) == 0.0
+    assert population_rho33(li2, 0.0, 300.0, 0.0, 0.0) == 0.0
 
 
 def test_zero_coupling_gives_zero_upper_population(li2):
-    assert population_rho33(li2, 0.05, 0.0, 37.0, 0.0, li2.rho11_init) == 0.0
+    assert population_rho33(li2, 0.05, 0.0, 37.0, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("d1", [-700.0, -55.0, 0.0, 13.0, 444.0])
 def test_two_level_reduction_at_zero_coupling(li2, d1):
     g1 = 0.05
-    got = population_rho22(li2, g1, 0.0, d1, 123.0, li2.rho11_init)
+    got = population_rho22(li2, g1, 0.0, d1, 123.0)
     assert got == pytest.approx(two_level_lorentzian(li2, g1, d1), rel=1e-12)
 
 
 def test_eit_dip_suppresses_resonant_population(li2):
-    weak = population_rho22(li2, 0.05, 0.0, 0.0, 0.0, li2.rho11_init)
-    strong = population_rho22(li2, 0.05, 2000.0, 0.0, 0.0, li2.rho11_init)
+    weak = population_rho22(li2, 0.05, 0.0, 0.0, 0.0)
+    strong = population_rho22(li2, 0.05, 2000.0, 0.0, 0.0)
     assert strong < 0.01 * weak
 
 
@@ -59,25 +58,23 @@ def test_rho22_decreasing_in_g2_above_threshold(li2):
     w = li2.transit_rate
     threshold = 2.0 * np.sqrt((li2.gamma21 + w) * (li2.gamma31 + w))
     g2s = np.linspace(1.2 * threshold, 40 * threshold, 25)
-    vals = [population_rho22(li2, 0.05, g2, 0.0, 0.0, li2.rho11_init)
+    vals = [population_rho22(li2, 0.05, g2, 0.0, 0.0)
             for g2 in g2s]
     assert np.all(np.diff(vals) < 0)
 
 
 def test_probe_scaling_is_exactly_quadratic(li2):
-    rho0 = li2.rho11_init
     for kernel in (population_rho22, population_rho33):
-        base = kernel(li2, 0.04, 700.0, 250.0, 0.0, rho0)
-        doubled = kernel(li2, 0.08, 700.0, 250.0, 0.0, rho0)
+        base = kernel(li2, 0.04, 700.0, 250.0, 0.0)
+        doubled = kernel(li2, 0.08, 700.0, 250.0, 0.0)
         assert doubled == 4.0 * base
 
 
 def test_symmetry_at_resonant_coupling(li2):
-    rho0 = li2.rho11_init
     for d1 in (45.0, 333.0, 2100.0):
         for kernel in (population_rho22, population_rho33):
-            plus = kernel(li2, 0.05, 900.0, d1, 0.0, rho0)
-            minus = kernel(li2, 0.05, 900.0, -d1, 0.0, rho0)
+            plus = kernel(li2, 0.05, 900.0, d1, 0.0)
+            minus = kernel(li2, 0.05, 900.0, -d1, 0.0)
             assert plus == pytest.approx(minus, rel=1e-12)
 
 
@@ -85,7 +82,7 @@ def test_autler_townes_maxima_near_half_coupling_rabi(li2):
     # dense 1-D scan of the upper-level population over probe detuning
     g2 = 2000.0
     d1 = np.linspace(-2.0 * g2, 2.0 * g2, 80001)
-    r33 = population_rho33(li2, 0.05, g2, d1, 0.0, li2.rho11_init)
+    r33 = population_rho33(li2, 0.05, g2, d1, 0.0)
     locmax = np.where((r33[1:-1] > r33[:-2]) & (r33[1:-1] >= r33[2:]))[0] + 1
     assert locmax.size == 2
     lo, hi = sorted(d1[locmax])
@@ -155,8 +152,8 @@ def test_populations_never_negative(gamma2, gamma3, b2, b3, w, g2, d1, d2):
                         gamma2=gamma2, gamma3=gamma3, b2=b2, b3=b3,
                         transit_rate=w, refill_rate=w,
                         J1=15, J2=14, J3=14)
-    r22 = population_rho22(sys, 0.01, g2, d1, d2, 1.0)
-    r33 = population_rho33(sys, 0.01, g2, d1, d2, 1.0)
+    r22 = population_rho22(sys, 0.01, g2, d1, d2)
+    r33 = population_rho33(sys, 0.01, g2, d1, d2)
     floor = -1e-12 * max(abs(r22), abs(r33), 1e-300)
     assert r22 >= floor
     assert r33 >= floor
@@ -181,7 +178,7 @@ def trapezoid_populations(sys, ensemble, g1, g2, d1, d2, nodes=8001):
     big_d1, big_d2 = velocity_detunings(
         d1[:, None], d2, sys.omega21_angular + d1[:, None],
         sys.omega32_angular + d2, vz[None, :], ensemble.geometry)
-    return [np.array([kernel(sys, a, b, big_d1, big_d2, sys.rho11_init) @ w
+    return [np.array([kernel(sys, a, b, big_d1, big_d2) @ w
                       for a, b in zip(g1, g2)])
             for kernel in (population_rho22, population_rho33)]
 
@@ -200,8 +197,7 @@ def test_closed_form_matches_trapezoid_on_coupled_presets(preset):
     mult = np.array([ch.multiplicity for ch in cs])
     d1, d2, b1, b2 = averaging_inputs(sys, ens, cfg.scan.delta1_mhz[::16],
                                       cfg.scan.delta2_mhz)
-    closed = doppler_averaged_populations(sys, g1, g2, d1, d2, b1, b2,
-                                          sys.rho11_init)
+    closed = doppler_averaged_populations(sys, g1, g2, d1, d2, b1, b2)
     trap = trapezoid_populations(sys, ens, g1, g2, d1, d2)
     for c, t in zip(closed, trap):
         summed_c, summed_t = mult @ c, mult @ t
@@ -229,8 +225,7 @@ def test_closed_form_uses_lower_half_plane_poles(li2, li2_ensemble):
              / np.abs(np.sum(frac, axis=0)))
     assert share.max() > 0.1
 
-    closed = doppler_averaged_populations(li2, g1, g2, d1, d2, b1, b2,
-                                          li2.rho11_init)
+    closed = doppler_averaged_populations(li2, g1, g2, d1, d2, b1, b2)
     trap = trapezoid_populations(li2, li2_ensemble, g1, g2, d1, d2)
     for c, t in zip(closed, trap):
         assert np.max(np.abs(c - t)) <= 1e-6 * np.max(np.abs(t))
@@ -242,13 +237,13 @@ def test_closed_form_skips_rho33_without_coupling(li2, li2_ensemble):
     d1, d2, b1, b2 = averaging_inputs(li2, li2_ensemble,
                                       np.linspace(-3000.0, 3000.0, 41), 0.0)
     r22, r33 = doppler_averaged_populations(
-        li2, [10.0, 10.0], [0.0, 500.0], d1, d2, b1, b2, li2.rho11_init)
+        li2, [10.0, 10.0], [0.0, 500.0], d1, d2, b1, b2)
     assert np.all(r33[0] == 0.0) and not np.any(np.signbit(r33[0]))
     assert np.all(r33[1] > 0.0)
     trap = trapezoid_populations(li2, li2_ensemble, [10.0], [0.0], d1, d2)
     assert np.max(np.abs(r22[0] - trap[0][0])) <= 1e-6 * np.max(trap[0][0])
     unasked, _ = doppler_averaged_populations(
-        li2, [10.0], [500.0], d1, d2, b1, b2, li2.rho11_init, rho22=False)
+        li2, [10.0], [500.0], d1, d2, b1, b2, rho22=False)
     assert np.all(unasked == 0.0)
 
 
@@ -263,8 +258,7 @@ def test_closed_form_with_equal_wavenumbers(li2, li2_ensemble):
     d1, d2, b1, b2 = averaging_inputs(sys, li2_ensemble,
                                       np.linspace(-600.0, 600.0, 25), 0.0)
     assert np.any(b1 + b2 == 0.0)
-    closed = doppler_averaged_populations(sys, g1, g2, d1, d2, b1, b2,
-                                          sys.rho11_init)
+    closed = doppler_averaged_populations(sys, g1, g2, d1, d2, b1, b2)
     trap = trapezoid_populations(sys, li2_ensemble, g1, g2, d1, d2)
     for c, t in zip(closed, trap):
         assert np.all(np.isfinite(c))
@@ -292,22 +286,21 @@ def test_channel_populations_match_the_single_channel_kernels():
     big_d1, big_d2 = velocity_detunings(
         d1, d2, sys.omega21_angular + d1, sys.omega32_angular + d2,
         vz[None, :], ens.geometry)
-    rho11 = sys.rho11_init
 
-    rows = list(channel_populations(sys, g1, g2, big_d1, big_d2, rho11))
+    rows = list(channel_populations(sys, g1, g2, big_d1, big_d2))
     assert sorted(i for i, _, _ in rows) == list(range(len(g1)))
     for i, r22, r33 in rows:
         assert np.array_equal(
-            r22, population_rho22(sys, g1[i], g2[i], big_d1, big_d2, rho11))
+            r22, population_rho22(sys, g1[i], g2[i], big_d1, big_d2))
         if g2[i] == 0.0:
             assert r33 is None
         else:
             assert np.array_equal(r33, population_rho33(
-                sys, g1[i], g2[i], big_d1, big_d2, rho11))
+                sys, g1[i], g2[i], big_d1, big_d2))
 
     for i, r22, r33 in channel_populations(sys, g1, g2, big_d1, big_d2,
-                                           rho11, rho22=False):
+                                           rho22=False):
         assert r22 is None and (r33 is None) == (g2[i] == 0.0)
     for _, r22, r33 in channel_populations(sys, g1, g2, big_d1, big_d2,
-                                           rho11, rho33=False):
+                                           rho33=False):
         assert r22 is not None and r33 is None

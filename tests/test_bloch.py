@@ -81,8 +81,8 @@ def test_agreement_with_analytic_scales_as_probe_squared(li2):
         worst = 0.0
         for d1 in (-250.0, 0.0, 250.0):
             for g2 in (10.0, 1000.0):
-                a22 = population_rho22(li2, g1, g2, d1, 0.0, li2.rho11_init)
-                a33 = population_rho33(li2, g1, g2, d1, 0.0, li2.rho11_init)
+                a22 = population_rho22(li2, g1, g2, d1, 0.0)
+                a33 = population_rho33(li2, g1, g2, d1, 0.0)
                 s = solve_steady_state(li2, drv(li2, g1=g1, g2=g2, d1=d1))
                 worst = max(worst, abs(a22 - s.rho22) / s.rho22,
                             abs(a33 - s.rho33) / s.rho33)
@@ -94,8 +94,7 @@ def test_agreement_with_analytic_scales_as_probe_squared(li2):
 def test_batched_grid_matches_scalar_solves(li2):
     d1 = np.array([-300.0, 0.0, 150.0])
     d2 = np.array([40.0, 0.0, -40.0])
-    r22, r33 = populations_grid(li2, 2.0, 800.0, d1[:, None], d2[None, :],
-                                li2.rho11_init)
+    r22, r33 = populations_grid(li2, 2.0, 800.0, d1[:, None], d2[None, :])
     for i in range(3):
         for j in range(3):
             s = solve_steady_state(li2, drv(li2, 2.0, 800.0, d1[i], d2[j]))
@@ -115,5 +114,4 @@ def test_zero_transit_rate_is_singular():
 def test_batched_solve_rejects_nonfinite_residual(li2):
     """A NaN detuning gives a NaN residual, which must not pass the check."""
     with pytest.raises(SingularSystem, match="residual nan"):
-        populations_grid(li2, 2.0, 800.0, np.array([0.0, np.nan]), 0.0,
-                         li2.rho11_init)
+        populations_grid(li2, 2.0, 800.0, np.array([0.0, np.nan]), 0.0)

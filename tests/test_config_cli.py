@@ -579,8 +579,7 @@ def test_cli_rejection_names_exactly_the_bad_key(tmp_path, capsys, key,
 def test_cli_nonfinite_signal_exits_numeric(tmp_path, capsys, monkeypatch):
     from eitmol import spectrum
 
-    def nan_kernel(sys, g1, g2, d1, d2, rho11_init=1.0, rho22=True,
-                   rho33=True):
+    def nan_kernel(sys, g1, g2, d1, d2, rho22=True, rho33=True):
         for i in range(len(g1)):
             yield i, np.full(np.broadcast(d1, d2).shape, np.nan), None
 
@@ -821,8 +820,8 @@ def test_cli_json_errors_carry_the_run_warnings(tmp_path):
     one JSON document; without --json-errors they are printed as usual."""
     # rates and Rabi frequencies are capped where they are read; a huge
     # detuning still overflows in the engine
-    text = FUZZ_BASE.replace("delta1_min = -3000 MHz",
-                             "delta1_min = -1e300 MHz")
+    text = FUZZ_BASE.replace("delta1_max = 3000 MHz",
+                             "delta1_max = 1e300 MHz")
     cfg = write_config(tmp_path, text)
     import eitmol
     env = dict(os.environ,
@@ -882,3 +881,142 @@ def test_cli_fit_honours_engine(tmp_path, capsys, monkeypatch, engine):
     assert main(["fit", "--config", cfg_path, "--data", str(data),
                  "--engine", engine, "--threads", "2"]) == 0
     assert bool(calls) == (engine == "oracle")
+
+
+def one_json_error(capsys):
+    """The run's stderr, which must be exactly one JSON object."""
+    err = capsys.readouterr().err
+    payload = json.loads(err)
+    assert err.strip() == json.dumps(payload)
+    return payload
+
+
+def test_cli_exact_solve_accepts_a_strong_probe(tmp_path, capsys):
+    """A probe Rabi frequency of 1e10 Mrad/s on the oracle engine solves
+    with a backward error near 1e-17; the residual relative to the source
+    alone was 9.5e-9, above the 1e-10 tolerance."""
+    text = FUZZ_BASE.replace("delta1_points = 21", "delta1_points = 5") \
+        .replace("engine = analytic", "engine = oracle") \
+        .replace("mu_probe = 1.0 au", "mu_probe = 39870094.67759443 au")
+    cfg = write_config(tmp_path, text)
+    assert main(["simulate", "--config", cfg, "--json-errors",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    header = (tmp_path / "li2_fig6b.csv").read_text()
+    g1 = float(re.search(r"channels\.g1_bare_Mrad_s = (\S+)", header)[1])
+    assert g1 == pytest.approx(1e10, rel=1e-9)
+
+
+@pytest.mark.parametrize("command", ["simulate", "dip"])
+@pytest.mark.parametrize("old, new, keys", [
+    ("omega32 = 17053.954 cm-1", "omega32 = 0 cm-1", ["omega32"]),
+    ("omega21 = 15642.636 cm-1", "omega21 = -15642.636 cm-1", ["omega21"]),
+    ("delta2 = 1000 MHz", "delta2 = -600000000 MHz", ["delta2", "omega32"]),
+    ("delta1_min = -3000 MHz", "delta1_min = -500000000 MHz",
+     ["delta1_min", "omega21"]),
+], ids=["omega32-zero", "omega21-negative", "coupling-laser-negative",
+        "probe-laser-negative"])
+def test_cli_rejects_unphysical_laser_frequencies(tmp_path, capsys, command,
+                                                  old, new, keys):
+    """A transition wavenumber <= 0, or a laser frequency omega + delta <= 0
+    anywhere in the scan, exits 2 with one JSON object naming the keys."""
+    assert old in FUZZ_BASE
+    cfg = write_config(tmp_path, FUZZ_BASE.replace(old, new))
+    argv = [command, "--config", cfg, "--json-errors"]
+    assert main(argv + (["--out", str(tmp_path)]
+                        if command == "simulate" else [])) == 2
+    message = one_json_error(capsys)["message"]
+    assert all(re.search(rf"\b{k}\b", message) for k in keys), message
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("old, new, data, want", [
+    # the config file's syntax
+    ("[lasers]", "[lasers", None, "{cfg}:{line}:1: malformed section header"),
+    ("\n[system]", "stray = 1\n[system]", None,
+     "{cfg}:{line}:1: key outside of any [section]"),
+    ("b2 = 0.1", "b2 0.1", None, "{cfg}:{line}:1: expected 'key = value'"),
+    ("b2 = 0.1", "= 0.1", None, "{cfg}:{line}:1: empty key"),
+    ("b2 = 0.1", "b2 =", None, "{cfg}:{line}:5: empty value for 'b2'"),
+    ("b3 = 0.2", "b3 = 0.2\nb3 = 0.3", None,
+     "{cfg}:{line}:1: duplicate key 'b3'"),
+    # its values
+    ("b2 = 0.1", "b2 = abc", None, "{cfg}:{line}: key 'b2': must be a bare"),
+    ("tau2 = 18 ns", "tau2 = 0 ns", None,
+     "{cfg}:{line}: key 'tau2': zero has no reciprocal"),
+    ("doppler = off", "doppler = off\nengine = fast", None,
+     "{cfg}:{line}: key 'engine': must be one of"),
+    ("doppler = off", "doppler = maybe", None,
+     "{cfg}:{line}: key 'doppler': must be on/off"),
+    ("[scan]", "[ensemble]\ntemperature = 1000 K\n[scan]", None,
+     "{cfg}: [ensemble] temperature, mass: need each other"),
+    # the data file of a fit
+    ("", "", "-100,1.0\nx,2.0\n", "{data}:2:1: non-numeric field"),
+    ("", "", "-100,1.0\n", "{data}: need at least two data rows"),
+    ("", "", "-100,1.0\n0,2.0\n100,1.0,0.1\n",
+     "{data}:3:1: expected 2 columns as in the first row, got 3"),
+    # a fit needs its [fit] section
+    (FIT_AMPLITUDE, "", None, "{cfg}: fitting requires a [fit] section"),
+], ids=["section-header", "key-outside-section", "no-equals", "empty-key",
+        "empty-value", "duplicate-key", "bad-number", "zero-lifetime",
+        "bad-engine", "bad-flag", "temperature-without-mass",
+        "data-non-numeric", "data-single-row", "data-mixed-columns",
+        "fit-without-section"])
+def test_cli_rejection_branches_exit_config(tmp_path, capsys, old, new, data,
+                                            want):
+    """Every rejection of the config parser and the data reader exits 2
+    with one JSON object that names the offending line, and the key where
+    there is one."""
+    base = MINIMAL + FIT_AMPLITUDE
+    text = base.replace(old, new, 1)
+    cfg = write_config(tmp_path, text)
+    trace = tmp_path / "trace.csv"
+    trace.write_text(data or "-100,1.0\n0,2.0\n100,1.0\n")
+    assert main(["fit", "--config", cfg, "--data", str(trace),
+                 "--json-errors", "--out", str(tmp_path)]) == 2
+    # the first line the edit changed
+    line = next((i for i, (a, b) in enumerate(
+        zip(base.splitlines(), text.splitlines()), 1) if a != b), None)
+    want = want.format(cfg=cfg, data=trace, line=line)
+    assert want in one_json_error(capsys)["message"]
+
+
+def test_feature_resolution_bounds_the_grid_spacing(tmp_path, capsys):
+    """100 MHz asks for finer spacing than a 41-point +-3000 MHz grid has
+    (150 MHz) and exits 2 naming the four grid keys; 200 MHz runs."""
+    text = (resources.files("eitmol") / "presets" / "li2_fig6b.cfg") \
+        .read_text("utf-8").replace("delta1_points = 801",
+                                    "delta1_points = 41")
+    fine = write_config(tmp_path, text.replace(
+        "[quadrature]", "feature_resolution = 100 MHz\n\n[quadrature]"))
+    assert main(["simulate", "--config", fine, "--json-errors",
+                 "--out", str(tmp_path)]) == 2
+    message = one_json_error(capsys)["message"]
+    assert ("[scan] delta1_min, delta1_max, delta1_points,"
+            " feature_resolution:") in message, message
+    coarse = write_config(tmp_path, text.replace(
+        "[quadrature]", "feature_resolution = 200 MHz\n\n[quadrature]"))
+    assert main(["simulate", "--config", coarse, "--out",
+                 str(tmp_path)]) == 0
+    capsys.readouterr()
+
+
+def test_doppler_fwhm_alone_reproduces_the_thermal_width(tmp_path, capsys):
+    """li2_fig6b with its thermal width given as doppler_fwhm has the same
+    data rows as with temperature and mass."""
+    text = (resources.files("eitmol") / "presets" / "li2_fig6b.cfg") \
+        .read_text("utf-8").replace("delta1_points = 801",
+                                    "delta1_points = 41")
+    measured = text.replace("temperature = 1000 K\nmass = 14 amu\n",
+                            "doppler_fwhm = 2838.708108518173 MHz\n")
+    assert measured != text
+    rows = []
+    for tag, body in (("thermal", text), ("measured", measured)):
+        out = tmp_path / tag
+        cfg = write_config(tmp_path, body, f"{tag}.cfg")
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        csv = (out / "li2_fig6b.csv").read_text().splitlines()
+        rows.append([line for line in csv if not line.startswith("#")])
+    capsys.readouterr()
+    assert len(rows[0]) == 42
+    assert rows[0] == rows[1]

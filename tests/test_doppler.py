@@ -183,8 +183,7 @@ def test_doppler_dominated_profile_is_gaussian(li2_ensemble):
     deltas = np.linspace(-3.0, 3.0, 121) * k1 * li2_ensemble.u_p
     d1 = deltas[:, None] \
         - (plan.vz / SPEED_OF_LIGHT) * (OM1 + deltas[:, None])
-    signal, fine = averages(plan, population_rho22(sys, 0.01, 0.0, d1, 0.0,
-                                                   1.0))
+    signal, fine = averages(plan, population_rho22(sys, 0.01, 0.0, d1, 0.0))
     assert np.max(np.abs(fine - signal)) \
         <= q.refinement_tolerance * np.max(signal)
     half = signal.max() / 2.0

@@ -432,3 +432,32 @@ def test_metadata_echoes_parameters(li2, li2_lasers, li2_ensemble,
     assert md["quadrature.verified"] is True
     assert md["quadrature.scheme"] == "faddeeva"
     assert md["quadrature.max_refinement_shift"] <= 1e-4
+
+
+@pytest.mark.parametrize("engine, doppler_on", [
+    ("analytic", True), ("analytic", False), ("oracle", True),
+    ("oracle", False)])
+def test_ground_population_scales_every_engine(li2, li2_channels,
+                                                li2_ensemble, engine,
+                                                doppler_on):
+    """refill = 2 x transit gives rho11_init = 2, which doubles rho22 and
+    rho33 of every channel within 1e-12 relative: in the closed form and
+    its trapezoid check (analytic, Doppler on), on the trapezoid (oracle),
+    and on the single rest-frame node (Doppler off)."""
+    import dataclasses
+
+    doubled = dataclasses.replace(li2, refill_rate=2.0 * li2.transit_rate)
+    assert li2.rho11_init == 1.0 and doubled.rho11_init == 2.0
+    sc = scan(np.linspace(-1500.0, 1500.0, 5), delta2_mhz=300.0,
+              doppler_on=doppler_on, engine=engine)
+    channels = list(li2_channels)
+    quad = QuadratureSpec(node_count=201)
+    (values, check), (values2, check2) = (
+        spectrum._per_channel_spectra(s, li2_ensemble, channels, sc, quad, 1)
+        for s in (li2, doubled))
+    pairs = [(values, values2)]
+    if doppler_on:  # the trapezoid and its doubled rule at checked points
+        pairs += zip(check[1:], check2[1:])
+    for one, two in pairs:
+        assert np.max(one[1]) > 0.0  # rho33 is on
+        np.testing.assert_allclose(two, 2.0 * one, rtol=1e-12, atol=0.0)

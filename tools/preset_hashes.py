@@ -6,8 +6,10 @@ Runs, each in a fresh ``python -m eitmol.cli`` process against the ``src/``
 tree next to this script:
 
 - ``simulate --threads 1`` on each of the five presets (the CSV is hashed);
-- ``components --threads 1`` on ``li2_fig3a`` (the 15 CSVs are hashed
-  concatenated in ascending |M|);
+- ``components --threads 1`` on ``li2_fig3a`` and on ``li2_fig6b`` (the 15
+  CSVs of each are hashed concatenated in ascending |M|); ``li2_fig6b``
+  has the coupling on, so its components carry rho33 and its refinement
+  check;
 - ``simulate --threads 1`` on ``li2_fig4`` with ``doppler = off``, once with
   the analytic engine and once with the oracle engine;
 - ``simulate --threads 1`` on ``li2_fig6b`` shrunk to 33 points and 1001
@@ -106,11 +108,12 @@ def main():
             run_cli("simulate", "--config", name, "--out", str(out))
             print(f"{name} {sha256_of([out / f'{name}.csv'])}", flush=True)
 
-        out = Path(tmp) / "components"
-        run_cli("components", "--config", "li2_fig3a", "--out", str(out))
-        parts = sorted(out.glob("li2_fig3a_m*.csv"))
-        print(f"li2_fig3a components ({len(parts)} CSVs)"
-              f" {sha256_of(parts)}", flush=True)
+        for name in ("li2_fig3a", "li2_fig6b"):
+            out = Path(tmp) / f"components_{name}"
+            run_cli("components", "--config", name, "--out", str(out))
+            parts = sorted(out.glob(f"{name}_m*.csv"))
+            print(f"{name} components ({len(parts)} CSVs)"
+                  f" {sha256_of(parts)}", flush=True)
 
         for engine in ("analytic", "oracle"):
             out = Path(tmp) / f"off_{engine}"

@@ -23,7 +23,7 @@ from .config import available_presets, load_config, load_spectrum
 from .doppler import COUNTER_PROPAGATING
 from .errors import EitmolError, ParseError, UnitError, ValidationError
 from .features import predict_dip_position
-from .fitting import FitProblem, fit, fit_report_dict, model_spectrum
+from .fitting import FitProblem, fit, fit_report_dict, validate_quadrature
 from .spectrum import (
     ENGINE_ANALYTIC,
     ENGINE_ORACLE,
@@ -219,14 +219,14 @@ def cmd_fit(args) -> int:
         threads=args.threads,
     )
     result = fit(problem, cfg.fit.init)
+    # the raw model at the best point, checked before any file is written
+    best = validate_quadrature(problem, result.best_params)
     out = _outdir(args, cfg)
     base = os.path.join(out, cfg.output.basename)
     with open(base + "_fit.json", "w", encoding="ascii") as fh:
         json.dump(fit_report_dict(result, problem), fh, indent=1,
                   sort_keys=True)
         fh.write("\n")
-    # the raw model, scaled and offset as the fit found it
-    best = model_spectrum(problem, result.best_params)
     best_signal = (result.best_params.get("amplitude_scale", 1.0)
                    * best.signal(problem.channel)
                    + result.best_params.get("baseline_offset", 0.0))

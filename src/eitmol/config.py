@@ -262,14 +262,23 @@ class _Section:
         raise self.error(f"must be on/off, got {raw!r}", key)
 
     def reject_unknown(self):
-        unknown = set(self.entries) - self.seen
-        if unknown:
-            key = sorted(unknown)[0]
+        for key in sorted(set(self.entries) - self.seen):
+            if (self.name, key) in _REMOVED:
+                raise self.error(_REMOVED[self.name, key], key)
             line = self.entries[key][1]
             raise ValidationError(
                 f"{self.path}:{line}: unknown key '{key}' in section"
                 f" [{self.name}]")
 
+
+# keys that were removed, and what replaces them
+_REMOVED = {
+    ("scan", "doppler"): "was removed: the scan is Doppler-averaged exactly"
+    " when [ensemble] is given, and a Doppler-free scan drops [ensemble] and"
+    " [quadrature]",
+    ("quadrature", "scheme"): "was removed: the engine chooses the rule, and"
+    " the output reports it as quadrature.scheme",
+}
 
 _KNOWN_SECTIONS = {"system", "lasers", "ensemble", "scan", "quadrature",
                    "fit", "output"}
@@ -380,6 +389,9 @@ def parse_config(text: str, path="<config>") -> RunConfig:
     elif temp is not None or mass is not None:
         raise ens_sec.error("need each other (or a doppler_fwhm)",
                             "temperature", "mass")
+    elif "ensemble" in sections:
+        raise ens_sec.error("give a temperature and mass, or a doppler_fwhm",
+                            "temperature", "mass", "doppler_fwhm")
     ens_sec.reject_unknown()
 
     scan_sec = section("scan")
@@ -391,9 +403,6 @@ def parse_config(text: str, path="<config>") -> RunConfig:
                              " > 0", "delta1_min", "delta1_max")
     resolution = scan_sec.quantity("feature_resolution", FREQUENCY_MHZ,
                                    _POSITIVE)
-    doppler_on = scan_sec.flag("doppler", default=True)
-    if doppler_on and ensemble is None:
-        raise scan_sec.error("on requires an [ensemble] section", "doppler")
     delta2 = scan_sec.quantity("delta2", FREQUENCY_MHZ, required=True)
     # each laser, at its transition plus its detuning, must have a positive
     # frequency over the whole scan: the Doppler shifts are proportional to it
@@ -418,16 +427,15 @@ def parse_config(text: str, path="<config>") -> RunConfig:
     with scan_sec.blame(*grid_keys):
         scan = ScanConfig(
             delta1_mhz=np.linspace(d1_min, d1_max, points),  # size capped
-            delta2_mhz=delta2, channels=channels, doppler_on=doppler_on,
-            m_sum_on=m_sum_on, engine=engine,
+            delta2_mhz=delta2, channels=channels,
+            doppler_on=ensemble is not None, m_sum_on=m_sum_on, engine=engine,
             feature_resolution_mhz=resolution)
     scan_sec.reject_unknown()
 
     quad_sec = section("quadrature")
-    if "scheme" in quad_sec.entries:
-        raise quad_sec.error("was removed: the engine chooses the rule, and"
-                             " the output reports it as quadrature.scheme",
-                             "scheme")
+    if ensemble is None and quad_sec.entries:
+        raise quad_sec.error("needs an [ensemble] section: a Doppler-free scan"
+                             " has no velocity average", min(quad_sec.entries))
     quadrature = QuadratureSpec(
         node_count=quad_sec.integer("nodes", 51, odd=True,
                                     default=QuadratureSpec.node_count),

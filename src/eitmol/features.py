@@ -36,7 +36,7 @@ def predict_dip_position(delta2_mhz: float, omega1_cm: float,
     In a Doppler medium the dip sits where the velocity class resonant with
     the coupling beam sees the probe resonant: delta1 = -|k1/k2| delta2 with
     counter-propagating beams, +|k1/k2| delta2 with co-propagating ones.
-    Doppler-free it sits at -delta2.
+    Doppler-free it sits at -delta2.  A zero dip is +0.0, never -0.0.
     """
     if omega2_cm == 0:
         raise ValueError("coupling wavenumber must be nonzero")
@@ -44,8 +44,8 @@ def predict_dip_position(delta2_mhz: float, omega1_cm: float,
         raise ValueError(f"unknown geometry {geometry!r}")
     if doppler_on:
         sign = 1.0 if geometry == CO_PROPAGATING else -1.0
-        return sign * abs(omega1_cm / omega2_cm) * delta2_mhz
-    return -float(delta2_mhz)
+        return sign * abs(omega1_cm / omega2_cm) * delta2_mhz + 0.0
+    return 0.0 - float(delta2_mhz)
 
 
 def _parabolic_refine(x, y, i):

@@ -211,8 +211,8 @@ def _per_channel_spectra(sys, ensemble, channels, scan, quadrature, threads):
     trapezoid and is checked everywhere.  A Doppler-free scan runs the
     trapezoid path on the single node vz = 0.
     """
-    if scan.doppler_on and ensemble is None:
-        raise ValueError("doppler_on scan requires an Ensemble")
+    if scan.doppler_on != (ensemble is not None):
+        raise ValueError("an Ensemble is given exactly for a doppler_on scan")
     grid = scan.delta1_mhz
     if _closed_form(scan):
         values = _doppler_closed_form(sys, ensemble, channels, scan)
@@ -410,12 +410,6 @@ def _metadata(sys, lasers, ensemble, channelset, scan, quadrature, shift):
         "channels.coupling_coupled": channelset.coupling_coupled_count,
         "channels.g1_bare_Mrad_s": channelset.g1_bare,
         "channels.g2_bare_Mrad_s": channelset.g2_bare,
-        "quadrature.scheme": FADDEEVA if _closed_form(scan) else TRAPEZOID,
-        "quadrature.node_count": quadrature.node_count,
-        "quadrature.span_u_p": quadrature.span,
-        "quadrature.refinement_tolerance": quadrature.refinement_tolerance,
-        "quadrature.max_refinement_shift": shift,
-        "quadrature.verified": shift is not None,
     }
     if lasers is not None:
         meta["lasers.omega_probe_cm"] = sys.omega21_cm
@@ -424,11 +418,19 @@ def _metadata(sys, lasers, ensemble, channelset, scan, quadrature, shift):
         meta["lasers.power_coupling_W"] = lasers.power_coupling_w
         meta["lasers.waist_probe_m"] = lasers.waist_probe_m
         meta["lasers.waist_coupling_m"] = lasers.waist_coupling_m
-    if ensemble is not None:
+    if ensemble is None:  # Doppler-free: no velocity average to echo
+        return meta
+    if ensemble.u_p_override is None:  # T and m set u_p
         meta["ensemble.temperature_K"] = ensemble.temperature_k
         meta["ensemble.mass_amu"] = ensemble.mass_amu
-        meta["ensemble.geometry"] = ensemble.geometry
-        meta["ensemble.u_p_m_s"] = ensemble.u_p
+    meta["ensemble.geometry"] = ensemble.geometry
+    meta["ensemble.u_p_m_s"] = ensemble.u_p
+    meta["quadrature.scheme"] = FADDEEVA if _closed_form(scan) else TRAPEZOID
+    meta["quadrature.node_count"] = quadrature.node_count
+    meta["quadrature.span_u_p"] = quadrature.span
+    meta["quadrature.refinement_tolerance"] = quadrature.refinement_tolerance
+    meta["quadrature.max_refinement_shift"] = shift
+    meta["quadrature.verified"] = shift is not None
     return meta
 
 

@@ -55,8 +55,8 @@ delta1_min = -100 MHz
 delta1_max = 100 MHz
 delta1_points = 21
 delta2 = 0 MHz
-doppler = off
 """
+THERMAL = "\n[ensemble]\ntemperature = 1000 K\nmass = 14 amu\n"
 
 
 def test_minimal_config_parses():
@@ -120,8 +120,8 @@ def test_missing_key_names_it():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ValidationError, match="mystery"):
-        parse_config(MINIMAL + "\n[quadrature]\nmystery = 12\n")
+    with pytest.raises(ValidationError, match="unknown key 'mystery'"):
+        parse_config(MINIMAL + THERMAL + "\n[quadrature]\nmystery = 12\n")
 
 
 def test_unknown_section_rejected():
@@ -148,20 +148,25 @@ def test_parse_error_carries_line_number():
 
 
 def test_doppler_requires_ensemble():
-    broken = MINIMAL.replace("doppler = off", "doppler = on")
-    with pytest.raises(ValidationError, match="ensemble"):
-        parse_config(broken)
+    """The scan is Doppler-averaged exactly when [ensemble] is given; the
+    removed [scan] doppler key exits 2 saying so."""
+    assert parse_config(MINIMAL).scan.doppler_on is False
+    assert parse_config(MINIMAL + THERMAL).scan.doppler_on is True
+    broken = MINIMAL.replace("delta2 = 0 MHz", "delta2 = 0 MHz\ndoppler = on")
+    with pytest.raises(ValidationError,
+                       match=r"key 'doppler': was removed.*\[ensemble\]"):
+        parse_config(broken + THERMAL)
 
 
-def test_doppler_default_requires_ensemble(tmp_path, capsys):
-    """doppler defaults to on, so leaving out the key needs [ensemble] too."""
-    broken = MINIMAL.replace("doppler = off\n", "")
-    with pytest.raises(ValidationError, match=r"\bdoppler\b.*ensemble"):
-        parse_config(broken)
-    cfg = write_config(tmp_path, broken)
-    assert main(["simulate", "--config", cfg, "--json-errors"]) == 2
-    payload = json.loads(capsys.readouterr().err)
-    assert payload["error"] == "ValidationError"
+def test_doppler_default_requires_ensemble():
+    """An old Doppler-free config keeps doppler = off beside its [ensemble].
+    Deleting only that line would run Doppler-averaged, so the key is
+    rejected with the advice to drop [ensemble] and [quadrature]."""
+    old = MINIMAL.replace("delta2 = 0 MHz", "delta2 = 0 MHz\ndoppler = off")
+    with pytest.raises(ValidationError,
+                       match=r"Doppler-free scan drops \[ensemble\] and"
+                             r" \[quadrature\]"):
+        parse_config(old + THERMAL)
 
 
 def test_unit_prefixes():
@@ -255,11 +260,10 @@ def small_run_config(tmp_path, outdir, **overrides):
 
 def test_cli_dip_prints_the_law(tmp_path, capsys):
     cfg = small_run_config(tmp_path, tmp_path,
-                           **{"delta2 = 0 MHz": "delta2 = 420 MHz",
-                              "doppler = off": "doppler = on"})
-    # doppler on needs an ensemble section
+                           **{"delta2 = 0 MHz": "delta2 = 420 MHz"})
+    # an ensemble section turns the Doppler average on
     with open(cfg, "a") as fh:
-        fh.write("\n[ensemble]\ntemperature = 1000 K\nmass = 14 amu\n")
+        fh.write(THERMAL)
     assert main(["dip", "--config", cfg]) == 0
     assert capsys.readouterr().out.strip() == "-385.2 MHz"
 
@@ -333,11 +337,9 @@ def test_cli_json_errors(tmp_path, capsys):
 
 
 def test_cli_exit_code_for_unconverged_quadrature(tmp_path, capsys):
-    cfg = small_run_config(tmp_path, tmp_path,
-                           **{"doppler = off": "doppler = on"})
+    cfg = small_run_config(tmp_path, tmp_path)
     with open(cfg, "a") as fh:
-        fh.write("\n[ensemble]\ntemperature = 1000 K\nmass = 14 amu\n"
-                 "\n[quadrature]\nnodes = 51\n")
+        fh.write(THERMAL + "\n[quadrature]\nnodes = 51\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert re.search(r"rho(22|33) at delta1 = -?\d+(\.\d+)? MHz", err), err
@@ -353,8 +355,7 @@ def test_cli_exit_code_for_unconverged_quadrature(tmp_path, capsys):
 ])
 def test_cli_rejects_unusable_quadrature_input(tmp_path, capsys, ensemble,
                                                quadrature):
-    cfg = small_run_config(tmp_path, tmp_path,
-                           **{"doppler = off": "doppler = on"})
+    cfg = small_run_config(tmp_path, tmp_path)
     with open(cfg, "a") as fh:
         fh.write(f"\n[ensemble]\n{ensemble}\n\n[quadrature]\n{quadrature}\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -607,7 +608,7 @@ def test_cli_components_writes_all_channels(tmp_path, capsys):
 
 def test_cli_m_sum_off_simulates_but_writes_no_components(tmp_path, capsys):
     cfg = small_run_config(tmp_path, tmp_path,
-                           **{"doppler = off": "doppler = off\nm_sum = off"})
+                           **{"delta2 = 0 MHz": "delta2 = 0 MHz\nm_sum = off"})
     assert load_config(cfg).scan.m_sum_on is False
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert "# scan.m_sum_on = False" in \
@@ -704,11 +705,9 @@ def test_cli_fit_weights_by_sigma(tmp_path, capsys):
         tmp_path, outdir,
         **{"delta1_min = -100 MHz": "delta1_min = -1200 MHz",
            "delta1_max = 100 MHz": "delta1_max = 1200 MHz",
-           "delta1_points = 21": "delta1_points = 41",
-           "doppler = off": "doppler = on"})
+           "delta1_points = 21": "delta1_points = 41"})
     with open(cfg_path, "a") as fh:
-        fh.write("\n[ensemble]\ntemperature = 1000 K\nmass = 14 amu\n"
-                 "\n[fit]\nchannel = rho33\n"
+        fh.write(THERMAL + "\n[fit]\nchannel = rho33\n"
                  "free = mu_coupling amplitude_scale\n"
                  "mu_coupling_init = 1.2 au\nmu_coupling_min = 0.8 au\n"
                  "mu_coupling_max = 2.5 au\namplitude_scale_init = 1.0\n"
@@ -944,10 +943,12 @@ def test_cli_rejects_unphysical_laser_frequencies(tmp_path, capsys, command,
     ("b2 = 0.1", "b2 = abc", None, "{cfg}:{line}: key 'b2': must be a bare"),
     ("tau2 = 18 ns", "tau2 = 0 ns", None,
      "{cfg}:{line}: key 'tau2': zero has no reciprocal"),
-    ("doppler = off", "doppler = off\nengine = fast", None,
+    ("delta2 = 0 MHz", "delta2 = 0 MHz\nengine = fast", None,
      "{cfg}:{line}: key 'engine': must be one of"),
-    ("doppler = off", "doppler = maybe", None,
-     "{cfg}:{line}: key 'doppler': must be on/off"),
+    ("delta2 = 0 MHz", "delta2 = 0 MHz\nm_sum = maybe", None,
+     "{cfg}:{line}: key 'm_sum': must be on/off"),
+    ("delta2 = 0 MHz", "delta2 = 0 MHz\ndoppler = maybe", None,
+     "{cfg}:{line}: key 'doppler': was removed"),
     ("[scan]", "[ensemble]\ntemperature = 1000 K\n[scan]", None,
      "{cfg}: [ensemble] temperature, mass: need each other"),
     # the data file of a fit
@@ -959,7 +960,7 @@ def test_cli_rejects_unphysical_laser_frequencies(tmp_path, capsys, command,
     (FIT_AMPLITUDE, "", None, "{cfg}: fitting requires a [fit] section"),
 ], ids=["section-header", "key-outside-section", "no-equals", "empty-key",
         "empty-value", "duplicate-key", "bad-number", "zero-lifetime",
-        "bad-engine", "bad-flag", "temperature-without-mass",
+        "bad-engine", "bad-flag", "removed-key", "temperature-without-mass",
         "data-non-numeric", "data-single-row", "data-mixed-columns",
         "fit-without-section"])
 def test_cli_rejection_branches_exit_config(tmp_path, capsys, old, new, data,
@@ -1010,13 +1011,99 @@ def test_doppler_fwhm_alone_reproduces_the_thermal_width(tmp_path, capsys):
     measured = text.replace("temperature = 1000 K\nmass = 14 amu\n",
                             "doppler_fwhm = 2838.708108518173 MHz\n")
     assert measured != text
-    rows = []
+    rows, echoed = [], []
     for tag, body in (("thermal", text), ("measured", measured)):
         out = tmp_path / tag
         cfg = write_config(tmp_path, body, f"{tag}.cfg")
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         csv = (out / "li2_fig6b.csv").read_text().splitlines()
         rows.append([line for line in csv if not line.startswith("#")])
+        echoed.append({line[2:].split(" = ")[0] for line in csv
+                       if line.startswith("# ")})
     capsys.readouterr()
     assert len(rows[0]) == 42
     assert rows[0] == rows[1]
+    # a measured width sets u_p, so the header echoes no temperature or mass
+    thermal = {"ensemble.temperature_K", "ensemble.mass_amu"}
+    assert thermal | {"ensemble.u_p_m_s"} <= echoed[0]
+    assert echoed[1] == echoed[0] - thermal
+
+
+@pytest.mark.parametrize("scan_line, sections, keys", [
+    ("doppler = on", THERMAL, ["doppler"]),
+    ("doppler = off", "", ["doppler"]),
+    ("", "\n[quadrature]\nnodes = 51\n", ["nodes"]),
+    ("", "\n[ensemble]\ngeometry = co_propagating\n",
+     ["temperature", "mass", "doppler_fwhm"]),
+], ids=["doppler-on", "doppler-off", "quadrature-without-ensemble",
+        "ensemble-without-width"])
+def test_cli_rejects_velocity_input_without_an_ensemble(tmp_path, capsys,
+                                                        scan_line, sections,
+                                                        keys):
+    """[ensemble] alone switches the Doppler average on: the removed [scan]
+    doppler key, a [quadrature] key of a Doppler-free scan and an
+    [ensemble] that sets no velocity width each exit 2 with one JSON object
+    naming the keys, and write no CSV."""
+    cfg = small_run_config(tmp_path, tmp_path, **{
+        "delta2 = 0 MHz": f"delta2 = 0 MHz\n{scan_line}"})
+    with open(cfg, "a") as fh:
+        fh.write(sections)
+    assert main(["simulate", "--config", cfg, "--json-errors",
+                 "--out", str(tmp_path)]) == 2
+    message = one_json_error(capsys)["message"]
+    assert all(re.search(rf"\b{k}\b", message) for k in keys), message
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_doppler_free_echoes_no_velocity_input(tmp_path, capsys):
+    """A scan without [ensemble] writes the library's Doppler-free spectrum,
+    whose header echoes no ensemble. or quadrature. key."""
+    from eitmol.spectrum import simulate, spectrum_csv_text
+    from eitmol.sublevels import build_channels
+
+    cfg_path = small_run_config(tmp_path, tmp_path)
+    assert main(["simulate", "--config", cfg_path, "--out",
+                 str(tmp_path)]) == 0
+    text = (tmp_path / "run.csv").read_text()
+    header = [line for line in text.splitlines() if line.startswith("#")]
+    assert "# scan.doppler_on = False" in header
+    assert not [line for line in header
+                if line.startswith(("# ensemble.", "# quadrature."))]
+    cfg = load_config(cfg_path)
+    cs = build_channels(cfg.system, cfg.mu_probe_au, cfg.mu_coupling_au,
+                        cfg.lasers.field_probe, cfg.lasers.field_coupling)
+    assert text == spectrum_csv_text(
+        simulate(cfg.system, cfg.lasers, None, cs, cfg.scan))
+
+
+@pytest.mark.parametrize("preset", ["li2_fig3a", "li2_fig4"])
+def test_cli_dip_prints_an_unsigned_zero(capsys, preset):
+    """delta2 = 0 puts the dip at 0.0 MHz, not -0.0."""
+    assert main(["dip", "--config", preset]) == 0
+    assert capsys.readouterr().out == "0.0 MHz\n"
+
+
+def test_cli_fit_writes_a_verified_best_fit(tmp_path, capsys, monkeypatch):
+    """The best-fit spectrum of a Doppler-averaged fit has its quadrature
+    checked like a simulated one; a best point that fails the check exits 3
+    and writes no file."""
+    from eitmol import cli
+    from eitmol.errors import QuadratureNotConverged
+
+    outdir = tmp_path / "fitout"
+    cfg = small_run_config(tmp_path, outdir)
+    with open(cfg, "a") as fh:
+        fh.write(THERMAL + FIT_AMPLITUDE)
+    trace = tmp_path / "trace.csv"
+    trace.write_text("-100,1.0\n0,2.0\n100,1.0\n")
+    argv = ["fit", "--config", cfg, "--data", str(trace)]
+    assert main(argv) == 0
+    header = (outdir / "run_bestfit.csv").read_text().splitlines()
+    assert "# quadrature.verified = True" in header
+
+    def fails(*args):
+        raise QuadratureNotConverged("rho33 moved")
+
+    monkeypatch.setattr(cli, "validate_quadrature", fails)
+    assert main(argv + ["--out", str(tmp_path / "failed")]) == 3
+    assert not (tmp_path / "failed").exists()

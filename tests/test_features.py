@@ -1,5 +1,7 @@
 """Peak/dip extraction and the coherent dip-position law."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,16 @@ def test_dip_position_law_doppler_free():
     assert predict_dip_position(420.0, 15642.636, 17053.954,
                                 doppler_on=False) == -420.0
     assert predict_dip_position(0.0, 15642.636, 17053.954) == 0.0
+
+
+@pytest.mark.parametrize("doppler_on, geometry", [
+    (True, "counter_propagating"), (True, "co_propagating"),
+    (False, "counter_propagating")])
+def test_zero_dip_is_unsigned(doppler_on, geometry):
+    pos = predict_dip_position(0.0, 15642.636, 17053.954,
+                               doppler_on=doppler_on, geometry=geometry)
+    assert pos == 0.0
+    assert math.copysign(1.0, pos) == 1.0
 
 
 def test_symmetric_double_peak_splitting():

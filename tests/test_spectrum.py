@@ -224,7 +224,8 @@ def test_nonfinite_signal_raises(monkeypatch, li2, li2_lasers, li2_ensemble,
     monkeypatch.setattr(spectrum, "channel_populations", poisoned)
     q = QuadratureSpec(node_count=501, refinement_tolerance=1.0)
     with pytest.raises(UnphysicalSignal):
-        simulate(li2, li2_lasers, li2_ensemble, li2_channels,
+        simulate(li2, li2_lasers, li2_ensemble if doppler_on else None,
+                 li2_channels,
                  scan(np.linspace(-800, 800, 41), doppler_on=doppler_on),
                  quadrature=q)
 
@@ -397,7 +398,7 @@ def test_csv_and_json_round_trip(tmp_path, li2, li2_lasers, li2_channels):
     text = csv_path.read_text()
     header_end = text.index("delta1_MHz,rho22_au,rho33_au")
     assert "# engine = analytic" in text[:header_end]
-    assert "# quadrature.scheme = uniform_trapezoid" in text[:header_end]
+    assert "# quadrature.scheme" not in text[:header_end]  # Doppler-free
     assert "# system.omega21_cm = 15642.636" in text[:header_end]
     rows = [r for r in text[header_end:].splitlines()[1:] if r]
     assert len(rows) == 11
@@ -410,6 +411,17 @@ def test_csv_and_json_round_trip(tmp_path, li2, li2_lasers, li2_channels):
     assert np.allclose(blob["rho22_au"], sp.signal_rho22, rtol=1e-11)
     # 12-significant-digit fixed formatting, stable across writes
     assert spectrum_csv_text(sp) == spectrum_csv_text(sp)
+
+
+def test_ensemble_is_given_exactly_when_doppler_is_on(li2, li2_lasers,
+                                                     li2_ensemble,
+                                                     li2_channels):
+    grid = np.linspace(-100, 100, 11)
+    with pytest.raises(ValueError, match="exactly for a doppler_on scan"):
+        simulate(li2, li2_lasers, li2_ensemble, li2_channels,
+                 scan(grid, doppler_on=False))
+    with pytest.raises(ValueError, match="exactly for a doppler_on scan"):
+        simulate(li2, li2_lasers, None, li2_channels, scan(grid))
 
 
 def test_requested_channel_subset(li2, li2_lasers, li2_channels):
@@ -453,7 +465,8 @@ def test_ground_population_scales_every_engine(li2, li2_channels,
     channels = list(li2_channels)
     quad = QuadratureSpec(node_count=201)
     (values, check), (values2, check2) = (
-        spectrum._per_channel_spectra(s, li2_ensemble, channels, sc, quad, 1)
+        spectrum._per_channel_spectra(
+            s, li2_ensemble if doppler_on else None, channels, sc, quad, 1)
         for s in (li2, doubled))
     pairs = [(values, values2)]
     if doppler_on:  # the trapezoid and its doubled rule at checked points

@@ -10,8 +10,9 @@ tree next to this script:
   CSVs of each are hashed concatenated in ascending |M|); ``li2_fig6b``
   has the coupling on, so its components carry rho33 and its refinement
   check;
-- ``simulate --threads 1`` on ``li2_fig4`` with ``doppler = off``, once with
-  the analytic engine and once with the oracle engine;
+- ``simulate --threads 1`` on ``li2_fig4`` made Doppler-free by deleting its
+  ``[ensemble]`` and ``[quadrature]`` sections, once with the analytic
+  engine and once with the oracle engine;
 - ``simulate --threads 1`` on ``li2_fig6b`` shrunk to 33 points and 1001
   nodes, with the oracle engine and Doppler on: every point is averaged on
   the trapezoid and checked against its doubled rule;
@@ -59,11 +60,12 @@ def sha256_of(paths):
 
 
 def edited_config(tmp, preset, tag, edits):
-    """Copy of a preset with whole lines replaced, as ``<preset>_<tag>.cfg``."""
+    """Copy of a preset with whole lines or sections replaced, as
+    ``<preset>_<tag>.cfg``."""
     text = (SRC / "eitmol" / "presets" / f"{preset}.cfg").read_text("utf-8")
     for old, new in edits:
         if old not in text:
-            raise SystemExit(f"{preset} preset has no line {old!r}")
+            raise SystemExit(f"{preset} preset has no text {old!r}")
         text = text.replace(old, new)
     path = Path(tmp) / f"{preset}_{tag}.cfg"
     path.write_text(text, "utf-8")
@@ -81,6 +83,11 @@ amplitude_scale_min = 0.1
 amplitude_scale_max = 10
 
 """
+# li2_fig4's velocity-average sections: deleting both makes it Doppler-free
+DOPPLER_FREE = (("[ensemble]\ntemperature = 1000 K\nmass = 14 amu\n"
+                 "geometry = counter_propagating\n\n", ""),
+                ("[quadrature]\nnodes = 4001\nspan = 4.0\n"
+                 "refinement_tolerance = 1e-4\n\n", ""))
 GAMMA12_FREE = (("free = mu_coupling amplitude_scale",
                  "free = mu_coupling gamma12_col amplitude_scale"),
                 ("amplitude_scale_init", "gamma12_col_init = 8 MHz\n"
@@ -118,8 +125,8 @@ def main():
         for engine in ("analytic", "oracle"):
             out = Path(tmp) / f"off_{engine}"
             cfg = edited_config(tmp, "li2_fig4", f"doppler_off_{engine}",
-                                (("doppler = on", "doppler = off"),
-                                 ("engine = analytic", f"engine = {engine}")))
+                                DOPPLER_FREE + (("engine = analytic",
+                                                 f"engine = {engine}"),))
             run_cli("simulate", "--config", cfg, "--out", str(out))
             print(f"li2_fig4 doppler off, {engine} engine"
                   f" {sha256_of([out / 'li2_fig4.csv'])}", flush=True)

@@ -12,7 +12,8 @@ Unknown layout:
          Re rho21, Im rho21, Re rho31, Im rho31, Re rho32, Im rho32]
 
 The matrix holds the right-hand-side coefficients of d(rho)/dt = M x + s with
-source s = (Lambda, 0, ..., 0); the steady state solves M x = -s.  With a
+source s = (Lambda, 0, ..., 0), Lambda = w rho11_init with the transit rate
+w and the system's ``rho11_init``; the steady state solves M x = -s.  With a
 nonzero transit rate the system is nonsingular (transit loss breaks the
 traceless degeneracy of the closed Liouvillian).
 """
@@ -27,7 +28,7 @@ _RESIDUAL_TOL = 1e-10
 
 def solve_steady_state(sys: CascadeSystem, drv: DriveParams) -> DensityState:
     """Exact steady state of one velocity class: a batch of one."""
-    x = _solve(sys, drv.g1, drv.g2, drv.delta1, drv.delta2, drv.rho11_init)
+    x = _solve(sys, drv.g1, drv.g2, drv.delta1, drv.delta2)
     return DensityState(
         rho11=x[0], rho22=x[1], rho33=x[2],
         rho21=complex(x[3], x[4]),
@@ -37,8 +38,7 @@ def solve_steady_state(sys: CascadeSystem, drv: DriveParams) -> DensityState:
 
 
 def populations_grid(sys: CascadeSystem, g1, g2, delta1, delta2):
-    """Batched (rho22, rho33) over broadcast detuning arrays, with the
-    system's own unperturbed ground population ``sys.rho11_init``.
+    """Batched (rho22, rho33) over broadcast detuning arrays.
 
     Used by the spectrum engine's ``oracle`` path and the oracle check; one
     linear solve per grid point, chunked to bound memory.
@@ -53,13 +53,13 @@ def populations_grid(sys: CascadeSystem, g1, g2, delta1, delta2):
     chunk = 65536
     for lo in range(0, d1f.size, chunk):
         hi = min(lo + chunk, d1f.size)
-        x = _solve(sys, g1, g2, d1f[lo:hi], d2f[lo:hi], sys.rho11_init)
+        x = _solve(sys, g1, g2, d1f[lo:hi], d2f[lo:hi])
         out22[lo:hi] = x[..., 1]
         out33[lo:hi] = x[..., 2]
     return out22.reshape(shape), out33.reshape(shape)
 
 
-def _solve(sys, g1, g2, delta1, delta2, rho11_init):
+def _solve(sys, g1, g2, delta1, delta2):
     """Solve M x = -s for broadcast detunings; x has shape (..., 9).
 
     Direct dense solve with partial pivoting, then one check of the
@@ -69,7 +69,7 @@ def _solve(sys, g1, g2, delta1, delta2, rho11_init):
     if sys.transit_rate <= 0.0:
         raise SingularSystem("steady state requires a positive transit rate")
     m = _assemble_grid(sys, g1, g2, delta1, delta2)
-    lam = rho11_init * sys.transit_rate
+    lam = sys.rho11_init * sys.transit_rate
     rhs = np.zeros(m.shape[:-1])
     rhs[..., 0] = -lam
     try:

@@ -314,10 +314,6 @@ def parse_config(text: str, path="<config>") -> RunConfig:
 
     sys_sec = section("system")
     # rates quoted in cyclic MHz pick up their 2*pi here, once
-    transit = sys_sec.quantity("transit_rate", ANGULAR_MRADS, _RATE,
-                               default=0.0)
-    refill = sys_sec.quantity("refill_rate", ANGULAR_MRADS, _RATE,
-                              default=transit)
     system = CascadeSystem(
         **{f"{key}_cm": sys_sec.quantity(key, WAVENUMBER_CM, _POSITIVE,
                                          required=True)
@@ -328,10 +324,11 @@ def parse_config(text: str, path="<config>") -> RunConfig:
                                 required=True),
         b2=sys_sec.number("b2", _FRACTION, required=True),
         b3=sys_sec.number("b3", _FRACTION, required=True),
-        **{key: sys_sec.quantity(key, ANGULAR_MRADS, _RATE, default=0.0)
-           for key in ("gamma12_col", "gamma13_col", "gamma23_col")},
-        transit_rate=transit,
-        refill_rate=refill,
+        # an absent refill_rate is the system's default: the transit rate
+        **{key: sys_sec.quantity(key, ANGULAR_MRADS, _RATE,
+                                 default=getattr(CascadeSystem, key))
+           for key in ("gamma12_col", "gamma13_col", "gamma23_col",
+                       "transit_rate", "refill_rate")},
         **{key: sys_sec.integer(key, 0, required=True)
            for key in ("J1", "J2", "J3")},
         # the R branch has no line-strength formula
@@ -369,7 +366,7 @@ def parse_config(text: str, path="<config>") -> RunConfig:
     ens_sec = section("ensemble")
     geometry = ens_sec.word("geometry",
                             {COUNTER_PROPAGATING, CO_PROPAGATING},
-                            default=COUNTER_PROPAGATING)
+                            default=Ensemble.geometry)
     temp = ens_sec.quantity("temperature", TEMPERATURE_K, _POSITIVE)
     mass = ens_sec.quantity("mass", MASS_AMU, _POSITIVE)
     fwhm = ens_sec.quantity("doppler_fwhm", FREQUENCY_MHZ, _POSITIVE)
@@ -416,10 +413,10 @@ def parse_config(text: str, path="<config>") -> RunConfig:
                 f" frequency {omega} + {key} must be > 0, got {laser:g}"
                 " Mrad/s")
     channels = scan_sec.words("channels", (RHO22, RHO33),
-                              default=(RHO22, RHO33))
-    m_sum_on = scan_sec.flag("m_sum", default=True)
+                              default=ScanConfig.channels)
+    m_sum_on = scan_sec.flag("m_sum", default=ScanConfig.m_sum_on)
     engine = scan_sec.word("engine", {ENGINE_ANALYTIC, ENGINE_ORACLE},
-                           default=ENGINE_ANALYTIC)
+                           default=ScanConfig.engine)
     # the other ScanConfig inputs are checked above, so what it rejects here
     # is the grid: its size, its float resolution or its spacing
     grid_keys = ("delta1_min", "delta1_max", "delta1_points") + (

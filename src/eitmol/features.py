@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .doppler import CO_PROPAGATING, COUNTER_PROPAGATING
+from .doppler import CO_PROPAGATING, Ensemble
 from .errors import FewerThanTwoPeaks, NoDipFound
 
 _PEAK_FLOOR = 1e-6  # of the spectrum maximum
@@ -29,21 +29,19 @@ class LineFeatures:
 
 
 def predict_dip_position(delta2_mhz: float, omega1_cm: float,
-                         omega2_cm: float, doppler_on: bool = True,
-                         geometry: str = COUNTER_PROPAGATING) -> float:
+                         omega2_cm: float, ensemble: Ensemble | None) -> float:
     """Dip location of the two-photon interference feature, in MHz.
 
-    In a Doppler medium the dip sits where the velocity class resonant with
-    the coupling beam sees the probe resonant: delta1 = -|k1/k2| delta2 with
-    counter-propagating beams, +|k1/k2| delta2 with co-propagating ones.
-    Doppler-free it sits at -delta2.  A zero dip is +0.0, never -0.0.
+    With an ``ensemble`` (Doppler on, as in ``simulate``) the dip sits where
+    the velocity class resonant with the coupling beam sees the probe
+    resonant: delta1 = -|k1/k2| delta2 with counter-propagating beams,
+    +|k1/k2| delta2 with co-propagating ones.  With None (Doppler-free) it
+    sits at -delta2.  A zero dip is +0.0, never -0.0.
     """
     if omega2_cm == 0:
         raise ValueError("coupling wavenumber must be nonzero")
-    if geometry not in (COUNTER_PROPAGATING, CO_PROPAGATING):
-        raise ValueError(f"unknown geometry {geometry!r}")
-    if doppler_on:
-        sign = 1.0 if geometry == CO_PROPAGATING else -1.0
+    if ensemble is not None:
+        sign = 1.0 if ensemble.geometry == CO_PROPAGATING else -1.0
         return sign * abs(omega1_cm / omega2_cm) * delta2_mhz + 0.0
     return 0.0 - float(delta2_mhz)
 

@@ -97,9 +97,14 @@ class FitProblem:
         if bad:
             raise ValueError(f"unknown fit parameters: {sorted(bad)}")
         for name in self.free:
+            if name not in self.bounds:
+                raise ValueError(f"free parameter {name} has no bounds")
             lo, hi = self.bounds[name]
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ValueError(f"bounds for {name} must be finite, lo < hi")
+        if not self.max_evaluations >= 1:
+            raise ValueError(f"max_evaluations must be >= 1, got"
+                             f" {self.max_evaluations}")
 
 
 @dataclass
@@ -177,27 +182,13 @@ def model_spectrum(fp: FitProblem, params: dict) -> Spectrum:
     return _simulate(fp, params, verify=False)
 
 
-def objective(p, fp: FitProblem) -> float:
+def _chi2(fp, model, scale, offset):
     """Sum of squared (sigma-weighted) residuals of scale*model + offset
     against the target."""
-    params = _vector_to_params(p, fp)
-    _, _, scale, offset = _context(fp, params)
-    return _chi2(fp, model_spectrum(fp, params).signal(fp.channel), scale,
-                 offset)
-
-
-def _chi2(fp, model, scale, offset):
     resid = scale * model + offset - fp.target_signal
     if fp.target_sigma is not None:
         resid /= fp.target_sigma
     return float(np.dot(resid, resid))
-
-
-def _vector_to_params(p, fp):
-    p = np.asarray(p, float)
-    if p.shape != (len(fp.free),):
-        raise ValueError(f"expected {len(fp.free)} parameters, got {p.shape}")
-    return dict(zip(fp.free, p))
 
 
 def validate_quadrature(fp: FitProblem, params: dict) -> Spectrum:
@@ -219,12 +210,16 @@ def fit(fp: FitProblem, init: dict) -> FitResult:
     search that reaches it flags non-convergence (the best point found is
     still returned), and a curvature that does not fit reads NaN.
     """
+    missing = [name for name in fp.free if name not in init]
+    if missing:
+        raise ValueError(f"free parameters without an initial value:"
+                         f" {missing}")
     x0 = np.array([float(init[name]) for name in fp.free])
     lo = np.array([fp.bounds[n][0] for n in fp.free])
     hi = np.array([fp.bounds[n][1] for n in fp.free])
     if np.any(x0 < lo) or np.any(x0 > hi):
         raise ValueError("initial point outside bounds")
-    start = _vector_to_params(x0, fp)
+    start = dict(zip(fp.free, x0))
 
     nonlinear = [i for i, n in enumerate(fp.free)
                  if n not in LINEAR_PARAMETERS]

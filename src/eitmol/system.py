@@ -4,7 +4,8 @@ Level scheme: ground |1> -- probe --> intermediate |2> -- coupling --> upper
 |3>.  Both excited levels decay radiatively at total rates gamma2, gamma3;
 only the fractions b2, b3 of those decays return to the next level down, so
 the system is open.  A transit rate models molecules crossing the finite
-beams, and the ground level is replenished at a constant rate.
+beams, and the ground level is replenished at a constant rate, by default
+the transit rate itself, so that the unperturbed ground population is 1.
 
 All rates, detunings and Rabi frequencies are angular, in Mrad/s.
 """
@@ -31,7 +32,7 @@ class CascadeSystem:
     gamma13_col: float = 0.0
     gamma23_col: float = 0.0
     transit_rate: float = 0.0   # beam-transit relaxation, Mrad/s
-    refill_rate: float = 0.0    # ground-state replenishment, Mrad/s
+    refill_rate: float | None = None  # ground refill, Mrad/s; None: transit
     J1: int = 0
     J2: int = 0
     J3: int = 0
@@ -39,6 +40,8 @@ class CascadeSystem:
     branch_coupling: str = "Q"
 
     def __post_init__(self):
+        if self.refill_rate is None:
+            object.__setattr__(self, "refill_rate", self.transit_rate)
         for name in ("omega21_cm", "omega32_cm"):
             if not 0.0 < getattr(self, name) < inf:
                 raise ValueError(f"{name} must be finite and > 0")
@@ -129,18 +132,18 @@ class LaserPair:
 
 @dataclass(frozen=True)
 class DriveParams:
-    """Fields and effective detunings seen by one molecule / one channel."""
+    """Fields and effective detunings seen by one molecule / one channel;
+    the unperturbed ground population is the system's ``rho11_init``."""
 
     g1: float                 # probe Rabi frequency, Mrad/s
     g2: float                 # coupling Rabi frequency, Mrad/s
     delta1: float             # effective probe detuning, Mrad/s
     delta2: float             # effective coupling detuning, Mrad/s
-    rho11_init: float = 1.0   # unperturbed ground population
 
     def __post_init__(self):
         if self.g1 < 0.0 or self.g2 < 0.0:
             raise ValueError("Rabi frequencies must be >= 0")
-        for name in ("g1", "g2", "delta1", "delta2", "rho11_init"):
+        for name in ("g1", "g2", "delta1", "delta2"):
             v = getattr(self, name)
             if v != v:
                 raise ValueError(f"{name} is NaN")
@@ -148,7 +151,9 @@ class DriveParams:
     @classmethod
     def for_system(cls, sys: CascadeSystem, g1: float, g2: float,
                    delta1: float, delta2: float) -> "DriveParams":
-        return cls(g1, g2, delta1, delta2, rho11_init=sys.rho11_init)
+        """``DriveParams(g1, g2, delta1, delta2)``: ``sys`` plays no part.
+        Kept because the benchmark's own tests call it."""
+        return cls(g1, g2, delta1, delta2)
 
 
 @dataclass(frozen=True)

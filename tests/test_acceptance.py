@@ -96,7 +96,7 @@ def test_criterion_2_oracle_equivalence():
         for d1 in (-5.0 * gam, 0.0, 5.0 * gam):
             for g2 in (0.2 * gam, 20.0 * gam):
                 s = solve_steady_state(
-                    sys, DriveParams.for_system(sys, g1r, g2, d1, 0.0))
+                    sys, DriveParams(g1r, g2, d1, 0.0))
                 a22 = population_rho22(sys, g1r, g2, d1, 0.0)
                 m = max(m, abs(a22 - s.rho22) / s.rho22)
         devs.append(m)
@@ -269,8 +269,7 @@ def test_criterion_7_closed_system_limit():
     worst = 0.0
     for g2 in (0.0, 55.0, 1234.5, 8000.0):
         for d2 in (0.0, -321.0, 2500.0):
-            drv = DriveParams(g1=0.05, g2=g2, delta1=11.0, delta2=d2,
-                              rho11_init=1.0)
+            drv = DriveParams(g1=0.05, g2=g2, delta1=11.0, delta2=d2)
             a = coupling_saturation_factor(closed, drv)
             d = steady_state_denominator(closed, drv)
             simplified = a * (closed.gamma2 + closed.transit_rate)

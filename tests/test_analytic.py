@@ -21,7 +21,7 @@ from eitmol.units import angular_from_mhz
 
 
 def drv(sys, g1=0.05, g2=0.0, d1=0.0, d2=0.0):
-    return DriveParams.for_system(sys, g1, g2, d1, d2)
+    return DriveParams(g1, g2, d1, d2)
 
 
 def two_level_lorentzian(sys, g1, d1):
@@ -124,8 +124,7 @@ def test_closed_system_denominator_simplifies():
         gamma2=55.0, gamma3=60.0, b2=0.1, b3=1.0,
         transit_rate=0.0, refill_rate=0.0, J1=15, J2=14, J3=14)
     assert closed.is_closed
-    d = DriveParams(g1=0.05, g2=800.0, delta1=0.0, delta2=150.0,
-                    rho11_init=1.0)
+    d = DriveParams(g1=0.05, g2=800.0, delta1=0.0, delta2=150.0)
     A = coupling_saturation_factor(closed, d)
     D = steady_state_denominator(closed, d)
     assert D == pytest.approx(A * closed.gamma2, rel=1e-12)

@@ -10,7 +10,7 @@ from eitmol.system import CascadeSystem, DriveParams
 
 
 def drv(sys, g1=0.05, g2=0.0, d1=0.0, d2=0.0):
-    return DriveParams.for_system(sys, g1, g2, d1, d2)
+    return DriveParams(g1, g2, d1, d2)
 
 
 def test_no_fields_leaves_replenished_ground_state(li2):
@@ -40,6 +40,20 @@ def test_population_row_sums_reproduce_total_loss(li2):
     expected[1] = -w - (1.0 - li2.b2) * li2.gamma2
     expected[2] = -w - (1.0 - li2.b3) * li2.gamma3
     assert np.allclose(total, expected, rtol=1e-14, atol=1e-12)
+
+
+def test_one_velocity_class_is_the_grid_with_the_systems_ground_state(li2):
+    """refill = 2 x transit gives rho11_init = 2 to the single solve as to
+    the batched one, and doubles both populations."""
+    import dataclasses
+
+    doubled = dataclasses.replace(li2, refill_rate=2.0 * li2.transit_rate)
+    one = solve_steady_state(doubled, DriveParams(2.0, 300.0, 0.0, 0.0))
+    r22, r33 = populations_grid(doubled, 2.0, 300.0, 0.0, 0.0)
+    assert (one.rho22, one.rho33) == (r22, r33)
+    single = solve_steady_state(li2, DriveParams(2.0, 300.0, 0.0, 0.0))
+    assert one.rho22 == pytest.approx(2.0 * single.rho22, rel=1e-12)
+    assert one.rho33 == pytest.approx(2.0 * single.rho33, rel=1e-12)
 
 
 def test_population_bookkeeping_in_steady_state(li2):

@@ -69,6 +69,26 @@ def test_minimal_config_parses():
     assert cfg.scan.delta1_mhz.size == 21
 
 
+def test_absent_keys_take_the_dataclass_defaults():
+    """Without channels, m_sum, engine, geometry or refill_rate the config
+    builds what the dataclasses build without them."""
+    import dataclasses
+
+    from eitmol.doppler import Ensemble
+    from eitmol.spectrum import ScanConfig
+    from eitmol.system import CascadeSystem
+
+    cfg = parse_config(MINIMAL + THERMAL)
+    assert cfg.system == CascadeSystem(
+        **{f.name: getattr(cfg.system, f.name)
+           for f in dataclasses.fields(CascadeSystem)
+           if f.name != "refill_rate"})
+    assert cfg.ensemble == Ensemble(temperature_k=1000.0, mass_amu=14.0)
+    bare = ScanConfig(delta1_mhz=cfg.scan.delta1_mhz)
+    for name in ("channels", "m_sum_on", "engine"):
+        assert getattr(cfg.scan, name) == getattr(bare, name)
+
+
 def test_preset_fig4_values():
     cfg = preset_config("li2_fig4")
     s = cfg.system

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from eitmol.doppler import Ensemble
 from eitmol.errors import FewerThanTwoPeaks
 from eitmol.features import (
     extract_features,
@@ -26,25 +27,35 @@ def gaussian(x, center, sigma):
     return np.exp(-0.5 * ((x - center) / sigma) ** 2)
 
 
+COUNTER = Ensemble(temperature_k=1000.0, mass_amu=14.0)
+CO = Ensemble(temperature_k=1000.0, mass_amu=14.0, geometry="co_propagating")
+
+
 def test_dip_position_law_doppler_on():
-    pos = predict_dip_position(420.0, 15642.636, 17053.954, doppler_on=True)
+    pos = predict_dip_position(420.0, 15642.636, 17053.954, COUNTER)
     assert pos == pytest.approx(-385.2, abs=0.05)
-    pos = predict_dip_position(1000.0, 15642.636, 17053.954, doppler_on=True)
+    pos = predict_dip_position(1000.0, 15642.636, 17053.954, COUNTER)
     assert pos == pytest.approx(-917.2, abs=0.05)
+    # co-propagating beams flip the sign of the coupling beam's shift
+    pos = predict_dip_position(420.0, 15642.636, 17053.954, CO)
+    assert pos == pytest.approx(385.2, abs=0.05)
 
 
 def test_dip_position_law_doppler_free():
-    assert predict_dip_position(420.0, 15642.636, 17053.954,
-                                doppler_on=False) == -420.0
-    assert predict_dip_position(0.0, 15642.636, 17053.954) == 0.0
+    assert predict_dip_position(420.0, 15642.636, 17053.954, None) == -420.0
+    assert predict_dip_position(0.0, 15642.636, 17053.954, None) == 0.0
+    # the law follows the ensemble, so it has no default
+    with pytest.raises(TypeError):
+        predict_dip_position(420.0, 15642.636, 17053.954)
 
 
 @pytest.mark.parametrize("doppler_on, geometry", [
     (True, "counter_propagating"), (True, "co_propagating"),
     (False, "counter_propagating")])
 def test_zero_dip_is_unsigned(doppler_on, geometry):
-    pos = predict_dip_position(0.0, 15642.636, 17053.954,
-                               doppler_on=doppler_on, geometry=geometry)
+    ensemble = Ensemble(temperature_k=1000.0, mass_amu=14.0,
+                        geometry=geometry) if doppler_on else None
+    pos = predict_dip_position(0.0, 15642.636, 17053.954, ensemble)
     assert pos == 0.0
     assert math.copysign(1.0, pos) == 1.0
 

@@ -8,10 +8,10 @@ import pytest
 from eitmol.doppler import QuadratureSpec
 from eitmol.fitting import (
     FitProblem,
+    _chi2,
     fit,
     fit_report_dict,
     model_spectrum,
-    objective,
     synthetic_target,
 )
 from eitmol.spectrum import ScanConfig, simulate
@@ -44,10 +44,19 @@ def doppler_free_problem(li2, li2_lasers, free, bounds, mu_truth=1.45,
     )
 
 
+def chi2(values, fp):
+    """chi^2 of scale * model + offset at the free parameters ``values``,
+    the fit's own residual sum."""
+    params = dict(zip(fp.free, np.asarray(values, float)))
+    return _chi2(fp, model_spectrum(fp, params).signal(fp.channel),
+                 params.get("amplitude_scale", 1.0),
+                 params.get("baseline_offset", 0.0))
+
+
 def test_objective_zero_for_self_matching_target(li2, li2_lasers):
     fp = doppler_free_problem(li2, li2_lasers, free=("mu_coupling",),
                               bounds={"mu_coupling": (0.5, 3.0)})
-    assert objective([1.45], fp) == pytest.approx(0.0, abs=1e-20)
+    assert chi2([1.45], fp) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_objective_increases_away_from_truth(li2, li2_lasers):
@@ -55,7 +64,7 @@ def test_objective_increases_away_from_truth(li2, li2_lasers):
                               bounds={"mu_coupling": (0.5, 3.0)})
     # 1-D scan of the objective around the generating value
     mus = [1.45 * (1.0 + s) for s in (-0.1, -0.05, 0.0, 0.05, 0.1)]
-    vals = [objective([m], fp) for m in mus]
+    vals = [chi2([m], fp) for m in mus]
     assert vals[2] == min(vals)
     assert vals[3] > vals[2] and vals[1] > vals[2]
     # a 10% perturbation from truth strictly increases the objective
@@ -67,7 +76,7 @@ def test_objective_zero_target_zero_scale(li2, li2_lasers):
                               free=("amplitude_scale",),
                               bounds={"amplitude_scale": (0.0, 10.0)},
                               target_scale=0.0)
-    assert objective([0.0], fp) == 0.0
+    assert chi2([0.0], fp) == 0.0
 
 
 def test_amplitude_only_fit_matches_linear_solution(li2, li2_lasers):
@@ -357,7 +366,7 @@ def test_every_spectrum_of_a_fit_is_counted(li2, li2_lasers, li2_ensemble,
         assert np.isnan(curvature["mu_coupling"])
         assert np.isnan(curvature["gamma12_col"])
         return
-    # the same chi^2 as the library objective, bit for bit
+    # the same chi^2 as the fit's residual sum, bit for bit
     best = np.array([result.best_params[n] for n in fp.free])
     monkeypatch.undo()
     for i, name in enumerate(fp.free):
@@ -366,9 +375,31 @@ def test_every_spectrum_of_a_fit_is_counted(li2, li2_lasers, li2_ensemble,
         lo, hi = fp.bounds[name]
         h = min(1e-3 * (hi - lo), best[i] - lo, hi - best[i])
         step = h * (np.arange(best.size) == i)
-        assert curvature[name] == (objective(best + step, fp)
+        assert curvature[name] == (chi2(best + step, fp)
                                    - 2.0 * result.residual_norm
-                                   + objective(best - step, fp)) / h**2
+                                   + chi2(best - step, fp)) / h**2
+
+
+@pytest.mark.parametrize("change, init, name", [
+    ({"bounds": {"mu_coupling": (0.5, 3.0)}}, None, "amplitude_scale"),
+    ({"max_evaluations": 0}, None, "max_evaluations"),
+    ({"max_evaluations": -3}, None, "max_evaluations"),
+    ({}, {"mu_coupling": 1.2}, "amplitude_scale"),
+], ids=["unbounded", "zero_budget", "negative_budget", "no_init"])
+def test_bad_fit_input_raises_value_error(li2, li2_lasers, monkeypatch,
+                                          change, init, name):
+    """A free parameter without bounds or initial value, or a budget below
+    one spectrum, is a ValueError naming it, before any spectrum."""
+    from eitmol import fitting
+
+    fp = doppler_free_problem(li2, li2_lasers,
+                              free=("mu_coupling", "amplitude_scale"),
+                              bounds={"mu_coupling": (0.5, 3.0),
+                                      "amplitude_scale": (0.1, 10.0)})
+    monkeypatch.setattr(fitting, "_simulate", None)  # a spectrum would raise
+    with pytest.raises(ValueError, match=name):
+        fit(dataclasses.replace(fp, **change),
+            init or {"mu_coupling": 1.2, "amplitude_scale": 0.8})
 
 
 def test_dipole_fit_needs_few_spectra(li2, li2_lasers):

@@ -474,3 +474,27 @@ def test_ground_population_scales_every_engine(li2, li2_channels,
     for one, two in pairs:
         assert np.max(one[1]) > 0.0  # rho33 is on
         np.testing.assert_allclose(two, 2.0 * one, rtol=1e-12, atol=0.0)
+
+
+def test_library_system_refills_at_its_transit_rate():
+    """A CascadeSystem built without a refill rate refills at its transit
+    rate, the config's default, so it gives the preset's spectrum bit for
+    bit rather than an empty ground state."""
+    import dataclasses
+
+    from eitmol.system import CascadeSystem
+
+    cfg = preset_config("li2_fig4")
+    library = CascadeSystem(**{f.name: getattr(cfg.system, f.name)
+                               for f in dataclasses.fields(CascadeSystem)
+                               if f.name != "refill_rate"})
+    assert library == cfg.system and library.rho11_init == 1.0
+    cs = build_channels(cfg.system, cfg.mu_probe_au, cfg.mu_coupling_au,
+                        cfg.lasers.field_probe, cfg.lasers.field_coupling)
+    sc = scan(np.linspace(-1500.0, 1500.0, 21))
+    built, ours = (simulate(s, cfg.lasers, cfg.ensemble, cs, sc,
+                            quadrature=cfg.quadrature)
+                   for s in (cfg.system, library))
+    assert np.max(ours.signal_rho33) > 0.0
+    assert np.array_equal(ours.signal_rho22, built.signal_rho22)
+    assert np.array_equal(ours.signal_rho33, built.signal_rho33)

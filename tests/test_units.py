@@ -105,18 +105,3 @@ def test_rabi_frequency_scale():
     # 1 a.u. dipole in a 1e4 V/m field
     expected = 8.4783536e-30 * 1e4 / constants.HBAR / 1e6
     assert rabi_frequency(1.0, 1e4) == pytest.approx(expected, rel=1e-12)
-
-
-def test_constants_table_file_matches_module():
-    text = constants.shipped_constants_text()
-    assert text == constants.constants_table_text()
-    table = {}
-    for line in text.splitlines():
-        if line.startswith("#"):
-            continue
-        name, value, _unit = line.split()
-        table[name] = float(value)
-    assert table["speed_of_light"] == constants.SPEED_OF_LIGHT
-    assert table["hbar"] == constants.HBAR
-    assert table["dipole_atomic_unit"] == constants.DIPOLE_AU_CM
-    assert table["wavenumber_to_MHz"] == constants.WAVENUMBER_TO_MHZ

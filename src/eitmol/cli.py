@@ -23,13 +23,7 @@ from .config import available_presets, load_config, load_spectrum
 from .errors import EitmolError, ParseError, UnitError, ValidationError
 from .features import predict_dip_position
 from .fitting import FitProblem, fit, fit_report_dict, validate_quadrature
-from .spectrum import (
-    ENGINE_ANALYTIC,
-    ENGINE_ORACLE,
-    per_m_components,
-    simulate,
-    write_spectrum,
-)
+from .spectrum import per_m_components, simulate, write_spectrum
 from .sublevels import build_channels
 
 EXIT_OK = 0
@@ -64,22 +58,20 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json-errors", action="store_true",
                         help="report errors as JSON on stderr")
 
-    engine = argparse.ArgumentParser(add_help=False)
-    engine.add_argument("--engine", choices=(ENGINE_ANALYTIC, ENGINE_ORACLE),
-                        help="override the scan engine")
-    engine.add_argument("--threads", type=int, default=1,
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--threads", type=int, default=1,
                         help="worker threads for the scan (default 1)")
-    engine.add_argument("--out", help="output directory (default from config)")
+    run.add_argument("--out", help="output directory (default from config)")
 
-    p = sub.add_parser("simulate", parents=[common, engine],
+    p = sub.add_parser("simulate", parents=[common, run],
                        help="write the simulated spectrum as CSV + JSON")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("components", parents=[common, engine],
+    p = sub.add_parser("components", parents=[common, run],
                        help="write one spectrum per |M| channel")
     p.set_defaults(func=cmd_components)
 
-    p = sub.add_parser("fit", parents=[common, engine],
+    p = sub.add_parser("fit", parents=[common, run],
                        help="fit free parameters to a measured spectrum")
     p.add_argument("--data", required=True, help="measured spectrum file")
     p.set_defaults(func=cmd_fit)
@@ -126,7 +118,7 @@ def _run(args):
         return args.func(args), None
     except (ParseError, ValidationError, UnitError, OSError) as exc:
         return EXIT_CONFIG, exc
-    except (EitmolError, ArithmeticError) as exc:
+    except (EitmolError, ArithmeticError, MemoryError) as exc:
         return EXIT_NUMERIC, exc
 
 
@@ -135,13 +127,10 @@ def _prepare(args):
         raise ValidationError(f"--threads: must be at least 1, got"
                               f" {args.threads}")
     cfg = load_config(args.config)
-    scan = cfg.scan
-    if getattr(args, "engine", None):
-        scan = dataclasses.replace(scan, engine=args.engine)
     channelset = build_channels(cfg.system, cfg.mu_probe_au,
                                 cfg.mu_coupling_au, cfg.lasers.field_probe,
                                 cfg.lasers.field_coupling)
-    return cfg, scan, channelset
+    return cfg, channelset
 
 
 def _outdir(args, cfg):
@@ -151,8 +140,8 @@ def _outdir(args, cfg):
 
 
 def cmd_simulate(args) -> int:
-    cfg, scan, channelset = _prepare(args)
-    spec = simulate(cfg.system, cfg.lasers, cfg.ensemble, channelset, scan,
+    cfg, channelset = _prepare(args)
+    spec = simulate(cfg.system, cfg.lasers, cfg.ensemble, channelset, cfg.scan,
                     quadrature=cfg.quadrature, threads=args.threads)
     out = _outdir(args, cfg)
     base = os.path.join(out, cfg.output.basename)
@@ -162,13 +151,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_components(args) -> int:
-    cfg, scan, channelset = _prepare(args)
-    if not scan.m_sum_on:
+    cfg, channelset = _prepare(args)
+    if not cfg.scan.m_sum_on:
         raise ValidationError(f"{cfg.source}: [scan] m_sum: must be on for"
                               " components: off leaves only the bare"
                               " pseudo-channel, which is no |M| sublevel")
     comps = per_m_components(cfg.system, cfg.lasers, cfg.ensemble, channelset,
-                             scan, quadrature=cfg.quadrature,
+                             cfg.scan, quadrature=cfg.quadrature,
                              threads=args.threads)
     out = _outdir(args, cfg)
     for spec in comps:
@@ -188,7 +177,7 @@ def cmd_dip(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg, scan, _ = _prepare(args)
+    cfg, _ = _prepare(args)
     if cfg.fit is None:
         raise ValidationError(f"{cfg.source}: fitting requires a [fit] section")
     data = load_spectrum(args.data, abscissa=cfg.fit.data_abscissa,
@@ -204,13 +193,13 @@ def cmd_fit(args) -> int:
         ensemble=cfg.ensemble,
         mu_probe_au=cfg.mu_probe_au,
         mu_coupling_au=cfg.mu_coupling_au,
-        delta2_mhz=scan.delta2_mhz,
-        doppler_on=scan.doppler_on,
-        m_sum_on=scan.m_sum_on,
+        delta2_mhz=cfg.scan.delta2_mhz,
+        doppler_on=cfg.scan.doppler_on,
+        m_sum_on=cfg.scan.m_sum_on,
         quadrature=cfg.quadrature,
         max_evaluations=cfg.fit.max_evaluations,
         target_sigma=data.sigma,
-        engine=scan.engine,
+        engine=cfg.scan.engine,
         threads=args.threads,
     )
     result = fit(problem, cfg.fit.init)

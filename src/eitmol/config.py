@@ -81,6 +81,15 @@ class RunConfig:
 
 # --- low-level file parsing --------------------------------------------------
 
+@contextmanager
+def _utf8(path):
+    """Re-raise a UnicodeDecodeError of the block as a ParseError."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path) from exc
+
+
 def _parse_sections(text: str, path):
     """-> {section: {key: (raw value, line number, column)}}, strict syntax."""
     sections = {}
@@ -167,12 +176,15 @@ class _Section:
 
     @contextmanager
     def blame(self, *keys):
-        """Re-raise a ValueError or ArithmeticError (overflow, division by
-        zero) of the block as an ``error`` naming ``keys``."""
+        """Re-raise a ValueError, MemoryError or ArithmeticError (overflow,
+        division by zero) of the block as an ``error`` naming ``keys``."""
         try:
             yield
         except ValueError as exc:
             raise self.error(str(exc), *keys) from exc
+        except MemoryError as exc:
+            raise self.error(f"need more memory than can be allocated ({exc})",
+                             *keys) from exc
         except ArithmeticError as exc:
             raise self.error(f"give no finite value ({type(exc).__name__}:"
                              f" {exc})", *keys) from exc
@@ -278,6 +290,11 @@ _REMOVED = {
     " [quadrature]",
     ("quadrature", "scheme"): "was removed: the engine chooses the rule, and"
     " the output reports it as quadrature.scheme",
+    ("scan", "feature_resolution"): "was removed: delta1_min, delta1_max and"
+    " delta1_points set the grid spacing",
+    **{("system", key): "was removed: the J pair fixes the branch, P for"
+       " J -> J-1 and Q for J -> J"
+       for key in ("branch_probe", "branch_coupling")},
 }
 
 _KNOWN_SECTIONS = {"system", "lasers", "ensemble", "scan", "quadrature",
@@ -290,8 +307,9 @@ def load_config(path_or_preset) -> RunConfig:
 
     path = str(path_or_preset)
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read(), path)
+        with _utf8(path), open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        return parse_config(text, path)
     if path not in available_presets():
         raise FileNotFoundError(
             f"no such config file or preset: {path!r}"
@@ -313,6 +331,11 @@ def parse_config(text: str, path="<config>") -> RunConfig:
         return _Section(name, sections.get(name, {}), path)
 
     sys_sec = section("system")
+    levels = {key: sys_sec.integer(key, 0, required=True)
+              for key in ("J1", "J2", "J3")}
+    for lower, upper in (("J1", "J2"), ("J2", "J3")):
+        with sys_sec.blame(lower, upper):  # the selection rule, J >= 1 for Q
+            branch_factor(levels[lower], levels[upper], 0)
     # rates quoted in cyclic MHz pick up their 2*pi here, once
     system = CascadeSystem(
         **{f"{key}_cm": sys_sec.quantity(key, WAVENUMBER_CM, _POSITIVE,
@@ -329,18 +352,8 @@ def parse_config(text: str, path="<config>") -> RunConfig:
                                  default=getattr(CascadeSystem, key))
            for key in ("gamma12_col", "gamma13_col", "gamma23_col",
                        "transit_rate", "refill_rate")},
-        **{key: sys_sec.integer(key, 0, required=True)
-           for key in ("J1", "J2", "J3")},
-        # the R branch has no line-strength formula
-        branch_probe=sys_sec.word("branch_probe", {"P", "Q"}, required=True),
-        branch_coupling=sys_sec.word("branch_coupling", {"P", "Q"},
-                                     required=True),
+        **levels,
     )
-    for lower, upper, branch in (("J1", "J2", "branch_probe"),
-                                 ("J2", "J3", "branch_coupling")):
-        with sys_sec.blame(lower, upper, branch):  # the selection rule
-            branch_factor(getattr(system, branch), getattr(system, lower),
-                          getattr(system, upper), 0)
     mu_probe = sys_sec.quantity("mu_probe", DIPOLE_AU, required=True)
     mu_coupling = sys_sec.quantity("mu_coupling", DIPOLE_AU, required=True)
     sys_sec.reject_unknown()
@@ -398,8 +411,6 @@ def parse_config(text: str, path="<config>") -> RunConfig:
     if not 0.0 < d1_max - d1_min < inf:
         raise scan_sec.error("delta1_max - delta1_min must be finite and"
                              " > 0", "delta1_min", "delta1_max")
-    resolution = scan_sec.quantity("feature_resolution", FREQUENCY_MHZ,
-                                   _POSITIVE)
     delta2 = scan_sec.quantity("delta2", FREQUENCY_MHZ, required=True)
     # each laser, at its transition plus its detuning, must have a positive
     # frequency over the whole scan: the Doppler shifts are proportional to it
@@ -417,16 +428,13 @@ def parse_config(text: str, path="<config>") -> RunConfig:
     m_sum_on = scan_sec.flag("m_sum", default=ScanConfig.m_sum_on)
     engine = scan_sec.word("engine", {ENGINE_ANALYTIC, ENGINE_ORACLE},
                            default=ScanConfig.engine)
-    # the other ScanConfig inputs are checked above, so what it rejects here
-    # is the grid: its size, its float resolution or its spacing
-    grid_keys = ("delta1_min", "delta1_max", "delta1_points") + (
-        ("feature_resolution",) if resolution is not None else ())
-    with scan_sec.blame(*grid_keys):
+    # the other ScanConfig inputs are checked above, so what fails here is
+    # the grid: its allocation or its float resolution
+    with scan_sec.blame("delta1_min", "delta1_max", "delta1_points"):
         scan = ScanConfig(
-            delta1_mhz=np.linspace(d1_min, d1_max, points),  # size capped
+            delta1_mhz=np.linspace(d1_min, d1_max, points),
             delta2_mhz=delta2, channels=channels,
-            doppler_on=ensemble is not None, m_sum_on=m_sum_on, engine=engine,
-            feature_resolution_mhz=resolution)
+            doppler_on=ensemble is not None, m_sum_on=m_sum_on, engine=engine)
     scan_sec.reject_unknown()
 
     quad_sec = section("quadrature")
@@ -521,7 +529,7 @@ def load_spectrum(path, abscissa="detuning_MHz",
     The uncertainty is the 1-sigma error of the signal and must be positive.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8(path), open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

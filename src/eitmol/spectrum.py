@@ -79,7 +79,6 @@ class ScanConfig:
     m_sum_on: bool = True
     engine: str = ENGINE_ANALYTIC
     verify_quadrature: bool = True
-    feature_resolution_mhz: float | None = None
 
     def __post_init__(self):
         grid = np.asarray(self.delta1_mhz, float)
@@ -97,12 +96,6 @@ class ScanConfig:
                              " {rho22, rho33}")
         if self.engine not in (ENGINE_ANALYTIC, ENGINE_ORACLE):
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.feature_resolution_mhz is not None:
-            if not np.isfinite(self.feature_resolution_mhz):
-                raise ValueError("feature resolution must be finite")
-            if np.max(np.diff(grid)) > self.feature_resolution_mhz:
-                raise ValueError("grid spacing exceeds the requested feature"
-                                 " resolution")
 
 
 @dataclass(eq=False)

@@ -19,7 +19,7 @@ drops out of a Q transition.
 from dataclasses import dataclass
 from math import sqrt
 
-from .system import CascadeSystem
+from .system import CascadeSystem, branch
 from .units import rabi_frequency
 
 
@@ -41,18 +41,12 @@ def line_strength_P(J: int, M: int) -> float:
     return sqrt((J * J - M * M) / ((2 * J + 1) * (2 * J - 1)))
 
 
-def branch_factor(branch: str, j_lower: int, j_upper: int, M: int) -> float:
-    """Line-strength factor of one branch; ValueError when the branch does
-    not connect j_lower to j_upper or has no formula here."""
-    if branch == "Q":
-        if j_upper != j_lower:
-            raise ValueError(f"Q branch requires equal J, got {j_lower}->{j_upper}")
-        return line_strength_Q(j_lower, M) if abs(M) <= j_lower else 0.0
-    if branch == "P":
-        if j_upper != j_lower - 1:
-            raise ValueError(f"P branch requires J -> J-1, got {j_lower}->{j_upper}")
-        return line_strength_P(j_lower, M) if abs(M) <= j_lower else 0.0
-    raise ValueError(f"no line-strength formula for branch {branch!r}")
+def branch_factor(j_lower: int, j_upper: int, M: int) -> float:
+    """Line-strength factor of the transition j_lower -> j_upper, whose
+    branch the J pair fixes; ValueError for a pair that is no P or Q."""
+    line_strength = line_strength_P if branch(j_lower, j_upper) == "P" \
+        else line_strength_Q
+    return line_strength(j_lower, M) if abs(M) <= j_lower else 0.0
 
 
 @dataclass(frozen=True)
@@ -69,7 +63,7 @@ class SublevelChannel:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """All coupled |M| channels of one (J1, J2, J3, branch) configuration."""
+    """All coupled |M| channels of one (J1, J2, J3) configuration."""
 
     channels: tuple
     g1_bare: float           # mu_probe E1 / hbar before the f factor
@@ -113,10 +107,10 @@ def build_channels(sys: CascadeSystem, mu_probe_au: float,
     g2_bare = rabi_frequency(mu_coupling_au, field_coupling)
     channels = []
     for m in range(0, sys.J1 + 1):
-        f_p = branch_factor(sys.branch_probe, sys.J1, sys.J2, m)
+        f_p = branch_factor(sys.J1, sys.J2, m)
         if f_p == 0.0:
             continue
-        f_c = branch_factor(sys.branch_coupling, sys.J2, sys.J3, m)
+        f_c = branch_factor(sys.J2, sys.J3, m)
         channels.append(SublevelChannel(
             abs_m=m,
             multiplicity=1 if m == 0 else 2,

@@ -18,6 +18,18 @@ from .units import angular_from_wavenumber, field_amplitude
 _CLOSED_TOL = 1e-12
 
 
+def branch(j_lower: int, j_upper: int) -> str:
+    """The branch of the transition j_lower -> j_upper: P for J -> J-1, Q for
+    J -> J.  Any other Delta J raises ValueError: the R branch has no
+    line-strength formula here."""
+    if j_upper == j_lower - 1:
+        return "P"
+    if j_upper == j_lower:
+        return "Q"
+    raise ValueError(f"J {j_lower} -> {j_upper} is no P (J -> J-1) or Q"
+                     " (J -> J) transition")
+
+
 @dataclass(frozen=True)
 class CascadeSystem:
     """Level energies, relaxation bookkeeping and rotational labels."""
@@ -36,8 +48,6 @@ class CascadeSystem:
     J1: int = 0
     J2: int = 0
     J3: int = 0
-    branch_probe: str = "P"
-    branch_coupling: str = "Q"
 
     def __post_init__(self):
         if self.refill_rate is None:
@@ -52,10 +62,17 @@ class CascadeSystem:
         for name in ("b2", "b3"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        # the R branch has no line-strength formula
-        for name in ("branch_probe", "branch_coupling"):
-            if getattr(self, name) not in ("P", "Q"):
-                raise ValueError(f"{name} must be P or Q")
+        for j_lower, j_upper in ((self.J1, self.J2), (self.J2, self.J3)):
+            branch(j_lower, j_upper)
+
+    # the branch of each transition follows from its J pair
+    @property
+    def branch_probe(self) -> str:
+        return branch(self.J1, self.J2)
+
+    @property
+    def branch_coupling(self) -> str:
+        return branch(self.J2, self.J3)
 
     # population feed rates, always derived, never stored
     @property

@@ -27,8 +27,6 @@ def li2() -> CascadeSystem:
         J1=15,
         J2=14,
         J3=14,
-        branch_probe="P",
-        branch_coupling="Q",
     )
 
 

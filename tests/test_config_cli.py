@@ -38,8 +38,6 @@ b3 = 0.2
 J1 = 15
 J2 = 14
 J3 = 14
-branch_probe = P
-branch_coupling = Q
 mu_probe = 1.0 au
 mu_coupling = 1.45 au
 transit_rate = 2 MHz
@@ -405,6 +403,9 @@ def test_cli_rejects_unusable_quadrature_input(tmp_path, capsys, ensemble,
     ("delta1_max = 3000 MHz", "delta1_max = inf MHz", "delta1_max"),
     ("J1 = 15", "J1 = -1", "J1"),
     ("J1 = 15", "J1 = -7", "J1"),
+    ("J1 = 15\nJ2 = 14\nJ3 = 14", "J1 = 0\nJ2 = 0\nJ3 = 0", "J1, J2"),
+    # too large to allocate: fails at once, without touching memory
+    ("delta1_points = 801", "delta1_points = 1e15", "delta1_points"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_constructor_rejection_exits_config(tmp_path, capsys, old, new,
@@ -889,7 +890,8 @@ def test_cli_fit_honours_engine(tmp_path, capsys, monkeypatch, engine):
         return populations_grid(*args, **kwargs)
 
     outdir = tmp_path / "fitout"
-    cfg_path = small_run_config(tmp_path, outdir)
+    cfg_path = small_run_config(tmp_path, outdir, **{
+        "delta2 = 0 MHz": f"delta2 = 0 MHz\nengine = {engine}"})
     with open(cfg_path, "a") as fh:
         fh.write(FIT_AMPLITUDE)
     x, y = truth_signal(cfg_path)
@@ -898,7 +900,7 @@ def test_cli_fit_honours_engine(tmp_path, capsys, monkeypatch, engine):
     populations_grid = spectrum.populations_grid
     monkeypatch.setattr(spectrum, "populations_grid", counted)
     assert main(["fit", "--config", cfg_path, "--data", str(data),
-                 "--engine", engine, "--threads", "2"]) == 0
+                 "--threads", "2"]) == 0
     assert bool(calls) == (engine == "oracle")
 
 
@@ -969,6 +971,17 @@ def test_cli_rejects_unphysical_laser_frequencies(tmp_path, capsys, command,
      "{cfg}:{line}: key 'm_sum': must be on/off"),
     ("delta2 = 0 MHz", "delta2 = 0 MHz\ndoppler = maybe", None,
      "{cfg}:{line}: key 'doppler': was removed"),
+    ("delta2 = 0 MHz", "delta2 = 0 MHz\nfeature_resolution = 100 MHz", None,
+     "{cfg}:{line}: key 'feature_resolution': was removed: delta1_min,"
+     " delta1_max and delta1_points set the grid spacing"),
+    ("J3 = 14", "J3 = 14\nbranch_probe = P", None,
+     "{cfg}:{line}: key 'branch_probe': was removed: the J pair fixes"),
+    ("J3 = 14", "J3 = 14\nbranch_coupling = Q", None,
+     "{cfg}:{line}: key 'branch_coupling': was removed: the J pair fixes"),
+    ("J2 = 14", "J2 = 16", None, "{cfg}: [system] J1, J2: J 15 -> 16 is no P"
+     " (J -> J-1) or Q (J -> J) transition"),
+    ("J1 = 15\nJ2 = 14\nJ3 = 14", "J1 = 1\nJ2 = 0\nJ3 = 0", None,
+     "{cfg}: [system] J2, J3: Q branch needs J >= 1, got 0"),
     ("[scan]", "[ensemble]\ntemperature = 1000 K\n[scan]", None,
      "{cfg}: [ensemble] temperature, mass: need each other"),
     # the data file of a fit
@@ -980,7 +993,10 @@ def test_cli_rejects_unphysical_laser_frequencies(tmp_path, capsys, command,
     (FIT_AMPLITUDE, "", None, "{cfg}: fitting requires a [fit] section"),
 ], ids=["section-header", "key-outside-section", "no-equals", "empty-key",
         "empty-value", "duplicate-key", "bad-number", "zero-lifetime",
-        "bad-engine", "bad-flag", "removed-key", "temperature-without-mass",
+        "bad-engine", "bad-flag", "removed-key", "removed-feature-resolution",
+        "removed-branch-probe", "removed-branch-coupling", "no-branch",
+        "q-branch-from-j0",
+        "temperature-without-mass",
         "data-non-numeric", "data-single-row", "data-mixed-columns",
         "fit-without-section"])
 def test_cli_rejection_branches_exit_config(tmp_path, capsys, old, new, data,
@@ -1002,24 +1018,50 @@ def test_cli_rejection_branches_exit_config(tmp_path, capsys, old, new, data,
     assert want in one_json_error(capsys)["message"]
 
 
-def test_feature_resolution_bounds_the_grid_spacing(tmp_path, capsys):
-    """100 MHz asks for finer spacing than a 41-point +-3000 MHz grid has
-    (150 MHz) and exits 2 naming the four grid keys; 200 MHz runs."""
-    text = (resources.files("eitmol") / "presets" / "li2_fig6b.cfg") \
-        .read_text("utf-8").replace("delta1_points = 801",
-                                    "delta1_points = 41")
-    fine = write_config(tmp_path, text.replace(
-        "[quadrature]", "feature_resolution = 100 MHz\n\n[quadrature]"))
-    assert main(["simulate", "--config", fine, "--json-errors",
-                 "--out", str(tmp_path)]) == 2
-    message = one_json_error(capsys)["message"]
-    assert ("[scan] delta1_min, delta1_max, delta1_points,"
-            " feature_resolution:") in message, message
-    coarse = write_config(tmp_path, text.replace(
-        "[quadrature]", "feature_resolution = 200 MHz\n\n[quadrature]"))
-    assert main(["simulate", "--config", coarse, "--out",
-                 str(tmp_path)]) == 0
-    capsys.readouterr()
+@pytest.mark.parametrize("command", ["simulate", "components", "fit"])
+def test_engine_is_set_by_the_config_alone(capsys, command):
+    """[scan] engine is the one engine switch: --engine is no option."""
+    data = ["--data", "trace.csv"] if command == "fit" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", "li2_fig3a", "--engine", "oracle"] + data)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+
+def test_cli_unallocatable_nodes_exit_numeric(tmp_path, capsys):
+    """A velocity-node count that cannot be allocated fails in the engine
+    and exits 3 with one JSON object.  The size exceeds the address space,
+    so the allocation fails at once without touching memory."""
+    text = (resources.files("eitmol") / "presets" / "li2_fig3a.cfg") \
+        .read_text("utf-8")
+    assert "nodes = 4001" in text
+    cfg = write_config(tmp_path, text.replace("nodes = 4001",
+                                              "nodes = 1000000000000001"))
+    assert main(["simulate", "--config", cfg, "--json-errors",
+                 "--out", str(tmp_path)]) == 3
+    payload = one_json_error(capsys)
+    assert "Unable to allocate" in payload["message"], payload
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_non_utf8_files_raise_parse_error(tmp_path, capsys):
+    """A config or data file that is not UTF-8 raises a ParseError naming
+    the file, and the CLI exits 2 with one JSON object."""
+    junk = tmp_path / "junk.txt"
+    junk.write_bytes(b"\xff\xfe\x00")
+    for read in (load_config, load_spectrum):
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(junk))}:"
+                                             r" not UTF-8 text"):
+            read(junk)
+    cfg = small_run_config(tmp_path, tmp_path)
+    with open(cfg, "a") as fh:
+        fh.write(FIT_AMPLITUDE)
+    for argv in (["simulate", "--config", str(junk)],
+                 ["fit", "--config", cfg, "--data", str(junk)]):
+        assert main(argv + ["--json-errors"]) == 2
+        payload = one_json_error(capsys)
+        assert payload["error"] == "ParseError"
+        assert str(junk) in payload["message"]
 
 
 def test_doppler_fwhm_alone_reproduces_the_thermal_width(tmp_path, capsys):

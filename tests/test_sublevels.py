@@ -72,18 +72,31 @@ def test_zero_fields_give_zero_rabi(li2):
 
 
 def test_unsupported_branch_rejected(li2):
+    """J -> J+1 is the R branch, which has no line-strength formula."""
     import dataclasses
 
-    with pytest.raises(ValueError):
-        dataclasses.replace(li2, branch_probe="R", J2=16)
+    with pytest.raises(ValueError, match="is no P"):
+        dataclasses.replace(li2, J2=li2.J1 + 1)
 
 
 def test_branch_quantum_number_consistency(li2):
+    """The J pair fixes the branch: J3 = J2 + 1 is rejected, J3 = J2 - 1 is
+    a P-branch coupling that drops the coupling's edge sublevels."""
     import dataclasses
 
-    bad = dataclasses.replace(li2, J3=13)  # Q coupling needs J3 == J2
+    from eitmol.config import preset_config
+
     with pytest.raises(ValueError):
-        build_channels(bad, 1.0, 1.45, 100.0, 100.0)
+        build_channels(dataclasses.replace(li2, J3=15), 1.0, 1.45, 100.0,
+                       100.0)
+    cfg = preset_config("li2_fig4")
+    system = dataclasses.replace(cfg.system, J3=13)
+    assert (system.branch_probe, system.branch_coupling) == ("P", "P")
+    cs = build_channels(system, cfg.mu_probe_au, cfg.mu_coupling_au,
+                        cfg.lasers.field_probe, cfg.lasers.field_coupling)
+    assert len(cs) == 15
+    assert cs.probe_coupled_count == 29
+    assert cs.coupling_coupled_count == 27
 
 
 def test_fourteen_upper_state_channels(li2, li2_channels):

@@ -26,6 +26,8 @@ tree next to this script:
 - the same fit with ``gamma12_col`` free as well (from 8 MHz in
   [1, 20] MHz), so that the search over two or more nonlinear parameters
   is covered too.
+- ``simulate --threads 1`` on ``li2_fig4`` with ``J3 = 13``: the J pair
+  makes the coupling a P-branch transition, which no preset has.
 
 A refactor that must not change the output bytes is checked by running this
 script on the commit before and after it, on the same machine, and comparing
@@ -168,6 +170,13 @@ def main():
             parts = [out / "li2_fig4_fit.json", out / "li2_fig4_bestfit.csv"]
             print(f"li2_fig4 fit, 32 points, 2001 nodes, {label}"
                   f" {sha256_of(parts)}", flush=True)
+
+        out = Path(tmp) / "p_coupling"
+        cfg = edited_config(tmp, "li2_fig4", "p_coupling",
+                            (("J3 = 14", "J3 = 13"),))
+        run_cli("simulate", "--config", cfg, "--out", str(out))
+        print("li2_fig4 J3 = 13, P-branch coupling"
+              f" {sha256_of([out / 'li2_fig4.csv'])}", flush=True)
 
 
 if __name__ == "__main__":

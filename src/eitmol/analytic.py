@@ -21,9 +21,10 @@ rho33 to zero; no special-casing is needed, the formulas are regular there.
 
 Every function accepts numpy arrays for the detunings and broadcasts.
 ``channel_populations`` evaluates both populations for many channels on one
-detuning grid, sharing what the channels have in common, and
+detuning grid in real arithmetic, each factor on the shape it varies over
+and shared by the channels that have it in common, and
 ``doppler_averaged_populations`` gives the Maxwellian velocity averages of
-both populations in closed form.
+both populations in closed form, once per distinct g2.
 """
 
 import numpy as np
@@ -45,29 +46,35 @@ def steady_state_denominator(sys: CascadeSystem, drv: DriveParams):
 # array kernels -------------------------------------------------------------
 
 def _saturation_factor(sys, g2, delta2):
-    w = sys.transit_rate
-    G32 = sys.gamma32 + w
-    G3 = sys.gamma3 + w
-    return delta2**2 + G32**2 + g2**2 * G32 / (2.0 * G3)
+    return _saturation_and_denominator(sys, g2, _uncoupled_saturation(
+        sys, delta2))[0]
 
 
 def _denominator(sys, g2, delta2):
+    return _saturation_and_denominator(sys, g2, _uncoupled_saturation(
+        sys, delta2))[1]
+
+
+def _uncoupled_saturation(sys, delta2):
+    """A at g2 = 0: D2^2 + G32^2."""
+    return delta2**2 + (sys.gamma32 + sys.transit_rate)**2
+
+
+def _saturation_and_denominator(sys, g2, a0):
+    """(A, D) at coupling g2, from a0 = ``_uncoupled_saturation``."""
     w = sys.transit_rate
     G32 = sys.gamma32 + w
     G3 = sys.gamma3 + w
-    A = _saturation_factor(sys, g2, delta2)
-    return A * (sys.gamma2 + w) + 0.5 * g2**2 * G32 * (1.0 - sys.W32 / G3)
+    A = a0 + g2**2 * G32 / (2.0 * G3)
+    return A, A * (sys.gamma2 + w) + 0.5 * g2**2 * G32 * (1.0 - sys.W32 / G3)
 
 
 def _factors(sys, delta1, delta2):
-    """Channel-independent factors of both populations:
-    (D1 + D2 + i G31, (D1 + i G21)(D1 + D2 + i G31), D2 - i G32)."""
+    """Channel-independent factors of both numerators, complex:
+    (D1 + D2 + i G31, D2 - i G32)."""
     w = sys.transit_rate
-    G21 = sys.gamma21 + w
-    G31 = sys.gamma31 + w
-    G32 = sys.gamma32 + w
-    two_photon = delta1 + delta2 + 1j * G31
-    return two_photon, (delta1 + 1j * G21) * two_photon, delta2 - 1j * G32
+    return (delta1 + delta2 + 1j * (sys.gamma31 + w),
+            delta2 - 1j * (sys.gamma32 + w))
 
 
 def population_rho22(sys, g1, g2, delta1, delta2):
@@ -87,27 +94,60 @@ def population_rho33(sys, g1, g2, delta1, delta2):
 def channel_populations(sys, g1, g2, delta1, delta2, rho22=True, rho33=True):
     """Yield (i, rho22, rho33) for each channel i of the arrays ``g1``, ``g2``.
 
-    The factors no channel changes, and the rho33 numerator, are built
-    once; channels with equal g2 also share P, D and N/P and differ only by
+    Every factor is real and built on the shape it varies over.  Once per
+    call, on the grid: the real parts of the two-photon factor
+    D1 + D2 + i G31, of the bare probe response (D1 + i G21)(D1 + D2 + i G31)
+    and of the rho33 numerator, and Im P, which no g2 moves.  The other
+    imaginary parts are scalars, and A and D take the shape of ``delta2``
+    (one row along vz on the velocity grid).  Channels with equal g2 share
+    P, A, D and Im(N/P) = Im N Re(1/P) - Re N Im(1/P), with 1/P formed
+    first because N conj(P) overflows at the rate cap, and differ only by
     their g1^2 prefactor.  A population not requested is None, and so is
     rho33 in channels with g2 == 0, where it is exactly zero; neither is
     evaluated there.  Channels come grouped by g2, in order of first
     appearance.
     """
-    two_photon, bare, coupling = _factors(sys, delta1, delta2)
-    n33 = _rho33_numerator(sys, two_photon, coupling) if rho33 else None
+    w = sys.transit_rate
+    G21 = sys.gamma21 + w
+    G31 = sys.gamma31 + w
+    G32 = sys.gamma32 + w
+    G3 = sys.gamma3 + w
+    two_photon = delta1 + delta2
+    bare = delta1 * two_photon - G21 * G31
+    p_im = delta1 * G31 + G21 * two_photon
+    p_im2 = p_im * p_im
+    a0 = _uncoupled_saturation(sys, delta2)
+    if rho33:
+        G2 = sys.gamma2 + w
+        n33_re = -2.0 * G32 * two_photon + G2 * delta2
+        n33_im = -2.0 * G32 * G31 - G2 * G32
+    inv_re, inv_im, tmp = (np.empty(np.shape(bare)) for _ in range(3))
     groups = {}
     for i, value in enumerate(g2):
         groups.setdefault(value, []).append(i)
     for value, members in groups.items():
-        D = _denominator(sys, value, delta2)
-        P = bare - value**2 / 4.0  # the dressed probe response
-        f22 = _rho22_numerator(sys, value, delta2, two_photon, coupling) / P \
-            if rho22 else None
-        f33 = n33 / P if rho33 and value != 0.0 else None
+        A, D = _saturation_and_denominator(sys, value, a0)
+        # 1/P = inv_re - i inv_im for the dressed probe response P
+        np.subtract(bare, value**2 / 4.0, out=inv_re)
+        np.multiply(inv_re, inv_re, out=tmp)
+        tmp += p_im2
+        np.divide(1.0, tmp, out=tmp)
+        inv_re *= tmp
+        np.multiply(p_im, tmp, out=inv_im)
+        f22 = f33 = None
+        if rho22:
+            c = (value**2 / 4.0) * (1.0 - sys.W32 / G3)
+            f22 = (A * G31 - c * G32) * inv_re
+            np.multiply(A, two_photon, out=tmp)
+            tmp += c * delta2
+            f22 -= np.multiply(tmp, inv_im, out=tmp)
+        if rho33 and value != 0.0:
+            f33 = n33_im * inv_re
+            f33 -= np.multiply(n33_re, inv_im, out=tmp)
         for i in members:
             yield (i,
-                   None if f22 is None else _rho22_from(sys, g1[i], D, f22),
+                   None if f22 is None else
+                   -(g1[i]**2 * sys.rho11_init) / (2.0 * D) * f22,
                    None if f33 is None else
                    _rho33_from(sys, g1[i], value, D, f33))
 
@@ -132,9 +172,9 @@ def _rho22_from(sys, g1, D, frac):
     return -(g1**2 * rho11_init) / (2.0 * D) * np.imag(frac)
 
 
-def _rho33_from(sys, g1, g2, D, frac):
+def _rho33_from(sys, g1, g2, D, im_frac):
     G3 = sys.gamma3 + sys.transit_rate
-    return (g1**2 * g2**2 * sys.rho11_init) / (8.0 * D * G3) * np.imag(frac)
+    return (g1**2 * g2**2 * sys.rho11_init) / (8.0 * D * G3) * im_frac
 
 
 # Maxwellian average in closed form --------------------------------------------
@@ -161,7 +201,10 @@ def doppler_averaged_populations(sys, g1, g2, delta1, delta2, slope1, slope2,
     and ``slope2`` are scalars.  Returns (rho22, rho33), each of shape
     (C, n); a population not requested is left at +0.0, and so is rho33 in
     channels with g2 == 0, where its factor g2^2 makes it exactly zero.
-    Neither is evaluated there.
+    Neither is evaluated there.  The sum runs once per distinct g2, and
+    channels that share one differ only by their g1^2 prefactor; the pair
+    of roots of Dn does not move with delta1, so Z is evaluated on the two
+    roots of P at each of the n points and on the upper root of Dn once.
     """
     g1 = np.asarray(g1, float)[:, None]
     g2 = np.asarray(g2, float)[:, None]
@@ -173,20 +216,27 @@ def doppler_averaged_populations(sys, g1, g2, delta1, delta2, slope1, slope2,
     rows = np.flatnonzero(rho22 | lit)
     if rows.size == 0:
         return out22, out33
-    z, weight = _pole_weights(sys, g2[rows], delta1, delta2, slope1, slope2)
+    # each distinct g2 once: row k of ``rows`` takes the results of at[k]
+    values, at = np.unique(g2[rows, 0], return_inverse=True)
+    values = values[:, None]
+    z, weight = _pole_weights(sys, values, delta1, delta2, slope1, slope2)
     d2 = delta2 + slope2 * z
-    two_photon, _, coupling = _factors(sys, delta1 + slope1 * z, d2)
+    two_photon, coupling = _factors(sys, delta1 + slope1 * z, d2)
     if rho22:
-        frac = np.sum(_rho22_numerator(sys, g2[rows], d2, two_photon,
+        frac = np.sum(_rho22_numerator(sys, values, d2, two_photon,
                                        coupling) * weight, axis=0)
-        out22[rows] = _rho22_from(sys, g1[rows], 1.0, frac)
-    on = lit[rows]
+        out22[rows] = _rho22_from(sys, g1[rows], 1.0, frac[at])
+    on = rho33 & (values[:, 0] != 0.0)
     if on.any():
         frac = np.sum(_rho33_numerator(sys, two_photon[:, on],
                                        coupling[:, on])
                       * weight[:, on], axis=0)
-        up = rows[on]
-        out33[up] = _rho33_from(sys, g1[up], g2[up], 1.0, frac)
+        lit_rows = lit[rows]
+        up = rows[lit_rows]
+        # the row of frac for each channel of ``up``: its g2's rank in ``on``
+        pick = (np.cumsum(on) - 1)[at[lit_rows]]
+        out33[up] = _rho33_from(sys, g1[up], g2[up], 1.0,
+                                np.imag(frac)[pick])
     return out22, out33
 
 
@@ -218,7 +268,14 @@ def _pole_weights(sys, g2, delta1, delta2, slope1, slope2):
     z = np.stack(np.broadcast_arrays(far, c / q, zn, np.conj(zn)))
     n1, n2, n3 = z[1:]
     scale = G2 * slope2**2
-    weight = plasma_dispersion(z)
+    # zn moves with g2 only, and Z(conj(zn)) = conj(Z(zn)), the very bits
+    # plasma_dispersion gives there; one call, as each call has a fixed cost
+    roots = z[:2]
+    value = plasma_dispersion(np.concatenate((roots.ravel(), zn.ravel())))
+    weight = np.empty_like(z)
+    weight[:2] = value[:roots.size].reshape(roots.shape)
+    weight[2] = value[roots.size:].reshape(zn.shape)
+    weight[3] = np.conj(weight[2])
     weight[1] /= scale * (lead * n1 - q) * ((n1 - n2) * (n1 - n3))
     weight[2] /= scale * (lead * n2 - q) * ((n2 - n1) * (n2 - n3))
     weight[3] /= scale * (lead * n3 - q) * ((n3 - n1) * (n3 - n2))

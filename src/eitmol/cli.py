@@ -122,11 +122,15 @@ def _run(args):
         return EXIT_NUMERIC, exc
 
 
-def _prepare(args):
+def _load(args):
     if args.threads < 1:  # argparse would print usage, not --json-errors
         raise ValidationError(f"--threads: must be at least 1, got"
                               f" {args.threads}")
-    cfg = load_config(args.config)
+    return load_config(args.config)
+
+
+def _prepare(args):
+    cfg = _load(args)
     channelset = build_channels(cfg.system, cfg.mu_probe_au,
                                 cfg.mu_coupling_au, cfg.lasers.field_probe,
                                 cfg.lasers.field_coupling)
@@ -177,7 +181,7 @@ def cmd_dip(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg, _ = _prepare(args)
+    cfg = _load(args)
     if cfg.fit is None:
         raise ValidationError(f"{cfg.source}: fitting requires a [fit] section")
     data = load_spectrum(args.data, abscissa=cfg.fit.data_abscissa,

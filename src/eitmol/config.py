@@ -83,7 +83,10 @@ class RunConfig:
 
 @contextmanager
 def _utf8(path):
-    """Re-raise a UnicodeDecodeError of the block as a ParseError."""
+    """Re-raise a UnicodeDecodeError of the block as a ParseError.
+
+    The readers open files as ``utf-8-sig``, which skips a leading byte
+    order mark and is UTF-8 otherwise."""
     try:
         yield
     except UnicodeDecodeError as exc:
@@ -307,7 +310,7 @@ def load_config(path_or_preset) -> RunConfig:
 
     path = str(path_or_preset)
     if os.path.exists(path):
-        with _utf8(path), open(path, "r", encoding="utf-8") as fh:
+        with _utf8(path), open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
         return parse_config(text, path)
     if path not in available_presets():
@@ -529,7 +532,7 @@ def load_spectrum(path, abscissa="detuning_MHz",
     The uncertainty is the 1-sigma error of the signal and must be positive.
     """
     rows = []
-    with _utf8(path), open(path, "r", encoding="utf-8") as fh:
+    with _utf8(path), open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

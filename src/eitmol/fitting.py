@@ -31,7 +31,7 @@ from .doppler import Ensemble, QuadratureSpec
 from .spectrum import ENGINE_ANALYTIC, ScanConfig, Spectrum, simulate
 from .sublevels import build_channels
 from .system import CascadeSystem, LaserPair
-from .units import angular_from_mhz
+from .units import angular_from_mhz, rabi_frequency
 
 FIT_PARAMETERS = ("mu_coupling", "gamma12_col", "gamma13_col", "gamma23_col",
                   "amplitude_scale", "baseline_offset")
@@ -105,6 +105,11 @@ class FitProblem:
         if not self.max_evaluations >= 1:
             raise ValueError(f"max_evaluations must be >= 1, got"
                              f" {self.max_evaluations}")
+        # the line strengths, which no fit parameter moves; each spectrum
+        # sets only the coupling's Rabi frequency (``_simulate``)
+        object.__setattr__(self, "_channels", build_channels(
+            self.system, self.mu_probe_au, self.mu_coupling_au,
+            self.lasers.field_probe, self.lasers.field_coupling))
 
 
 @dataclass
@@ -161,9 +166,8 @@ def _context(fp: FitProblem, params: dict):
 
 def _simulate(fp: FitProblem, params: dict, verify: bool) -> Spectrum:
     sys, mu_c, _, _ = _context(fp, params)
-    channelset = build_channels(sys, fp.mu_probe_au, mu_c,
-                                fp.lasers.field_probe,
-                                fp.lasers.field_coupling)
+    channelset = fp._channels.with_coupling(
+        rabi_frequency(mu_c, fp.lasers.field_coupling))
     scan = ScanConfig(
         delta1_mhz=fp.target_delta1_mhz,
         delta2_mhz=fp.delta2_mhz,

@@ -20,13 +20,14 @@ worst deviation is echoed as ``quadrature.max_refinement_shift`` with
 average on the trapezoid itself (a single node vz = 0 without Doppler), and
 a verified oracle scan checks every point against the doubled rule.
 
-Determinism: the trapezoid grid is processed in blocks of about 2^15
-points x nodes, so that a block's complex temporaries stay in cache; their
-boundaries depend only on the grid and the node count, never on the thread
-count.  Each velocity reduction (``doppler.weighted_sum``) gives a row the
-same bits whatever block it is reduced in, the closed form runs in one
-thread, and the channel sum runs in ascending-|M| order, so outputs are
-bit-identical for any ``threads`` value.
+Determinism: the trapezoid grid is processed in blocks of about 2^14
+points x nodes, so that a block's real temporaries (128 KiB each) stay in
+a core's L2 cache; their boundaries depend only on the grid and the node
+count, never on the thread count.  Each velocity reduction
+(``doppler.weighted_sum``) gives a row the same bits whatever block it is
+reduced in, the closed form runs in one thread, and the channel sum runs in
+ascending-|M| order, so outputs are bit-identical for any ``threads``
+value.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -63,8 +64,10 @@ ENGINE_ORACLE = "oracle"
 RHO22 = "rho22"
 RHO33 = "rho33"
 
-# points x nodes per work unit: a block's complex temporaries stay in cache
-_BLOCK = 1 << 15
+# points x nodes per work unit: the real temporaries of
+# ``analytic.channel_populations`` (128 KiB each) stay in L2; measured
+# against 2^13 ... 2^17 on the verified spot-check (see CHANGES.md)
+_BLOCK = 1 << 14
 _SPOT_CHECK_STRIDE = 50  # closed form: trapezoid-checked every 50th point
 
 

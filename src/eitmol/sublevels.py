@@ -89,6 +89,17 @@ class ChannelSet:
                 return c
         raise KeyError(f"no channel with |M| = {abs_m}")
 
+    def with_coupling(self, g2_bare: float) -> "ChannelSet":
+        """The same channels at the bare coupling Rabi frequency g2_bare:
+        each g2 is f_coupling * g2_bare, formed as ``build_channels`` does."""
+        # a list, not a generator: a fit calls this once per spectrum, and
+        # a generator's frames cost it a fresh heap page about every round
+        channels = [SublevelChannel(c.abs_m, c.multiplicity, c.f_probe,
+                                    c.f_coupling, c.g1, c.f_coupling * g2_bare)
+                    for c in self.channels]
+        return ChannelSet(channels=tuple(channels), g1_bare=self.g1_bare,
+                          g2_bare=g2_bare)
+
     def bare_channel(self) -> SublevelChannel:
         """Single pseudo-channel with unit line strengths (sublevels ignored)."""
         return SublevelChannel(abs_m=0, multiplicity=1, f_probe=1.0,

@@ -1,10 +1,13 @@
 """Closed-form steady-state populations: reductions, scaling, symmetry."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eitmol import analytic
+from eitmol import analytic, spectrum
 from eitmol.analytic import (
     channel_populations,
     coupling_saturation_factor,
@@ -14,7 +17,12 @@ from eitmol.analytic import (
     steady_state_denominator,
 )
 from eitmol.config import preset_config
-from eitmol.doppler import QuadratureSpec, quadrature_nodes, velocity_detunings
+from eitmol.doppler import (
+    QuadratureSpec,
+    node_plan,
+    quadrature_nodes,
+    velocity_detunings,
+)
 from eitmol.sublevels import build_channels
 from eitmol.system import CascadeSystem, DriveParams
 from eitmol.units import angular_from_mhz
@@ -217,7 +225,7 @@ def test_closed_form_uses_lower_half_plane_poles(li2, li2_ensemble):
     lower = z.imag < 0.0
     assert lower.sum(axis=0).min() >= 1
     d2z = d2 + b2 * z
-    two_photon, _, coupling = analytic._factors(li2, d1 + b1 * z, d2z)
+    two_photon, coupling = analytic._factors(li2, d1 + b1 * z, d2z)
     frac = analytic._rho22_numerator(li2, g2[:, None], d2z, two_photon,
                                      coupling) * weight
     share = (np.abs(np.sum(np.where(lower, frac, 0.0), axis=0))
@@ -303,3 +311,115 @@ def test_channel_populations_match_the_single_channel_kernels():
     for _, r22, r33 in channel_populations(sys, g1, g2, big_d1, big_d2,
                                            rho33=False):
         assert r22 is not None and r33 is None
+
+
+# the real-arithmetic kernel against the complex formulas --------------------
+
+def complex_populations(sys, g1, g2, d1, d2):
+    """rho22 and rho33 of one channel by the module docstring's complex
+    formulas, from the factors the closed form uses."""
+    two_photon, coupling = analytic._factors(sys, d1, d2)
+    P = (d1 + 1j * (sys.gamma21 + sys.transit_rate)) * two_photon - g2**2 / 4.0
+    D = analytic._denominator(sys, g2, d2)
+    n22 = analytic._rho22_numerator(sys, g2, d2, two_photon, coupling)
+    n33 = analytic._rho33_numerator(sys, two_photon, coupling)
+    return (analytic._rho22_from(sys, g1, D, n22 / P),
+            analytic._rho33_from(sys, g1, g2, D, np.imag(n33 / P)))
+
+
+def assert_kernel_matches_complex_form(sys, g1, g2, d1, d2):
+    """Each population of ``channel_populations`` within 1e-13 of its peak
+    of the complex form (exactly, where that underflows to zero), computed
+    without a floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = list(channel_populations(sys, g1, g2, d1, d2))
+    assert sorted(i for i, _, _ in rows) == list(range(len(g1)))
+    for i, r22, r33 in rows:
+        ref22, ref33 = complex_populations(sys, g1[i], g2[i], d1, d2)
+        assert (r33 is None) == (g2[i] == 0.0)
+        for got, ref in ((r22, ref22), (r33, ref33)):
+            if got is None:
+                continue
+            peak = np.max(np.abs(ref))
+            assert np.isfinite(peak)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * peak
+
+
+@pytest.mark.parametrize("preset", ["li2_fig3a", "li2_fig3b", "li2_fig4",
+                                    "li2_fig6a", "li2_fig6b"])
+def test_real_kernel_matches_complex_form_on_spot_check_points(preset):
+    """On the velocity grid a verified scan spot-checks (its points, the
+    doubled rule's nodes), every channel of every preset."""
+    cfg = preset_config(preset)
+    sys, ens = cfg.system, cfg.ensemble
+    channels = list(build_channels(sys, cfg.mu_probe_au, cfg.mu_coupling_au,
+                                   cfg.lasers.field_probe,
+                                   cfg.lasers.field_coupling))
+    values = spectrum._doppler_closed_form(sys, ens, channels, cfg.scan)
+    idx = spectrum._spot_check_points(values, channels, cfg.scan)
+    d1 = angular_from_mhz(cfg.scan.delta1_mhz[idx])[:, None]
+    d2 = angular_from_mhz(cfg.scan.delta2_mhz)
+    big_d1, big_d2 = velocity_detunings(
+        d1, d2, sys.omega21_angular + d1, sys.omega32_angular + d2,
+        node_plan(ens, cfg.quadrature).vz[None, :], ens.geometry)
+    assert big_d2.shape == (1, big_d1.shape[1])
+    assert_kernel_matches_complex_form(
+        sys, [ch.g1 for ch in channels], [ch.g2 for ch in channels],
+        big_d1, big_d2)
+
+
+@pytest.mark.parametrize("rate", ["gamma2", "gamma3", "transit_rate",
+                                  "refill_rate", "gamma12_col", "gamma13_col",
+                                  "gamma23_col"])
+def test_real_kernel_matches_complex_form_with_a_rate_at_its_cap(li2, rate):
+    """One rate at config's 1e75 Mrad/s cap: 1/P is formed before it meets
+    a numerator, so nothing overflows and the kernel keeps its accuracy."""
+    sys = replace(li2, **{rate: 1e75})
+    d1 = angular_from_mhz(np.linspace(-3000.0, 3000.0, 61))[:, None]
+    d2 = angular_from_mhz(np.linspace(-2000.0, 2000.0, 41))[None, :]
+    assert_kernel_matches_complex_form(sys, [10.0, 10.0, 3.0],
+                                       [0.0, 800.0, 4000.0], d1, d2)
+
+
+def test_closed_form_shares_repeated_couplings_bit_for_bit(li2, li2_ensemble):
+    """Channels that repeat a g2 (zero included) get the very bits each
+    would get averaged on its own, with and without rho22."""
+    g1 = np.array([10.0, 20.0, 10.0, 5.0, 7.0, 3.0])
+    g2 = np.array([800.0, 0.0, 800.0, 300.0, 0.0, 800.0])
+    d1, d2, b1, b2 = averaging_inputs(li2, li2_ensemble,
+                                      np.linspace(-1500.0, 1500.0, 31), 300.0)
+    for rho22 in (True, False):
+        r22, r33 = doppler_averaged_populations(li2, g1, g2, d1, d2, b1, b2,
+                                                rho22=rho22)
+        for i in range(g1.size):
+            one22, one33 = doppler_averaged_populations(
+                li2, g1[i:i + 1], g2[i:i + 1], d1, d2, b1, b2, rho22=rho22)
+            assert np.array_equal(r22[i], one22[0])
+            assert np.array_equal(r33[i], one33[0])
+
+
+@pytest.mark.parametrize("g2, distinct", [
+    ([0.0] * 15, 1),                        # li2_fig3a: coupling off
+    ([800.0, 0.0, 800.0, 300.0, 0.0], 3),
+    ([100.0, 200.0, 300.0], 3),
+])
+def test_closed_form_evaluates_z_once_per_distinct_coupling(
+        monkeypatch, li2, li2_ensemble, g2, distinct):
+    """Z is evaluated on the two probe-response poles at every point of
+    each distinct g2, and on the normalization's upper pole once per g2:
+    its conjugate's value is the conjugate of that one."""
+    seen = []
+    real = analytic.plasma_dispersion
+
+    def counted(z):
+        seen.append(np.size(z))
+        return real(z)
+
+    monkeypatch.setattr(analytic, "plasma_dispersion", counted)
+    n = 23
+    d1, d2, b1, b2 = averaging_inputs(li2, li2_ensemble,
+                                      np.linspace(-1500.0, 1500.0, n), 300.0)
+    doppler_averaged_populations(li2, np.full(len(g2), 10.0), g2, d1, d2,
+                                 b1, b2)
+    assert sum(seen) == 2 * distinct * n + distinct

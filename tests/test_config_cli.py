@@ -1064,6 +1064,35 @@ def test_non_utf8_files_raise_parse_error(tmp_path, capsys):
         assert str(junk) in payload["message"]
 
 
+def test_config_with_a_byte_order_mark_reads_like_without(tmp_path):
+    """A config saved as UTF-8 with a byte order mark, as some editors
+    write it, loads exactly as the same text without the mark."""
+    text = (resources.files("eitmol") / "presets" / "li2_fig3a.cfg") \
+        .read_text("utf-8")
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(text, "utf-8")
+    marked.write_text(text, "utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    a, b = load_config(plain), load_config(marked)
+    for name in ("system", "lasers", "ensemble", "quadrature", "mu_probe_au",
+                 "mu_coupling_au", "fit", "output"):
+        assert getattr(a, name) == getattr(b, name)
+    assert np.array_equal(a.scan.delta1_mhz, b.scan.delta1_mhz)
+
+
+def test_trace_with_a_byte_order_mark_reads_like_without(tmp_path):
+    """A --data trace whose first field follows a byte order mark reads as
+    the same trace without the mark."""
+    text = "-100,0.2,0.01\n0,0.4,0.01\n100,0.1,0.01\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text, "utf-8")
+    marked.write_text(text, "utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    a, b = load_spectrum(plain), load_spectrum(marked)
+    for name in ("delta1_mhz", "signal", "sigma"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
 def test_doppler_fwhm_alone_reproduces_the_thermal_width(tmp_path, capsys):
     """li2_fig6b with its thermal width given as doppler_fwhm has the same
     data rows as with temperature and mass."""

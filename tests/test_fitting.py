@@ -106,6 +106,44 @@ def test_fit_is_deterministic(li2, li2_lasers):
     assert r1.residual_norm == r2.residual_norm
 
 
+def test_fit_builds_its_channels_once(li2, li2_lasers, monkeypatch):
+    """The line strengths are built with the problem; no spectrum of the fit
+    rebuilds them, and the fit is the one it was when each did."""
+    from eitmol import fitting
+
+    fp = doppler_free_problem(li2, li2_lasers,
+                              free=("mu_coupling", "amplitude_scale"),
+                              bounds={"mu_coupling": (0.5, 3.0),
+                                      "amplitude_scale": (0.1, 10.0)},
+                              noise=0.01)
+    init = {"mu_coupling": 1.2, "amplitude_scale": 0.8}
+    real = fitting.build_channels
+    built = []
+
+    def rebuilt(sys, mu_probe, mu_coupling, *fields):
+        built.append(mu_coupling)
+        return real(sys, mu_probe, mu_coupling, *fields)
+
+    def per_spectrum(fp, params, verify):
+        # what every spectrum of a fit did before: its own build_channels
+        sys, mu_c, _, _ = fitting._context(fp, params)
+        cs = rebuilt(sys, fp.mu_probe_au, mu_c, fp.lasers.field_probe,
+                     fp.lasers.field_coupling)
+        scan = ScanConfig(delta1_mhz=fp.target_delta1_mhz,
+                          channels=(fp.channel,), doppler_on=False)
+        return simulate(sys, fp.lasers, None, cs, scan)
+
+    monkeypatch.setattr(fitting, "build_channels", rebuilt)
+    result = fit(fp, init)
+    assert built == []
+    monkeypatch.setattr(fitting, "_simulate", per_spectrum)
+    reference = fit(fp, init)
+    assert len(built) == reference.evaluations
+    assert result.best_params == reference.best_params
+    assert result.residual_norm == reference.residual_norm
+    assert result.evaluations == reference.evaluations
+
+
 def test_fit_recovers_dipole_doppler_free(li2, li2_lasers):
     fp = doppler_free_problem(li2, li2_lasers,
                               free=("mu_coupling", "amplitude_scale"),

@@ -7,6 +7,7 @@ import pytest
 
 from eitmol.analytic import population_rho33
 from eitmol.sublevels import build_channels, line_strength_P, line_strength_Q
+from eitmol.units import rabi_frequency
 
 
 def test_q_factor_values():
@@ -130,3 +131,17 @@ def test_summed_dip_floor_at_least_m_zero_value(li2, li2_channels):
     total = sum(per[m] for m in sorted(per))
     assert per[0] > 0.0
     assert total >= per[0]
+
+
+@pytest.mark.parametrize("mu_coupling", [0.0, 0.8, 1.4520537467393058, 2.5])
+def test_with_coupling_rebuilds_the_channels_bit_for_bit(li2, li2_lasers,
+                                                        mu_coupling):
+    """Setting the bare coupling Rabi frequency on a built channel set gives
+    exactly the channels ``build_channels`` makes at that dipole."""
+    built = build_channels(li2, 1.0, 1.45, li2_lasers.field_probe,
+                           li2_lasers.field_coupling)
+    moved = built.with_coupling(rabi_frequency(mu_coupling,
+                                               li2_lasers.field_coupling))
+    assert moved == build_channels(li2, 1.0, mu_coupling,
+                                   li2_lasers.field_probe,
+                                   li2_lasers.field_coupling)

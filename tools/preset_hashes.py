@@ -29,9 +29,16 @@ tree next to this script:
 - ``simulate --threads 1`` on ``li2_fig4`` with ``J3 = 13``: the J pair
   makes the coupling a P-branch transition, which no preset has.
 
+Each line gives the label, the SHA-256 of the files, and after ``rows`` the
+SHA-256 of their CSV data rows alone (every line of the CSVs but the ``#``
+header; a fit's ``_fit.json`` is left out).  A change that moves only a
+header value, such as ``quadrature.max_refinement_shift``, keeps the rows
+hash.
+
 A refactor that must not change the output bytes is checked by running this
 script on the commit before and after it, on the same machine, and comparing
-the two listings line by line.
+the two listings line by line.  To list an older commit, copy this script
+into its tree and run it there.
 """
 
 import hashlib
@@ -54,11 +61,25 @@ def run_cli(*args):
                     "1"], env=env, check=True, stdout=subprocess.DEVNULL)
 
 
-def sha256_of(paths):
+def sha256_of(paths, rows_only=False):
+    """SHA-256 of the files concatenated; with ``rows_only``, of their CSV
+    data rows alone (every line of a .csv file that is not a # header)."""
     digest = hashlib.sha256()
     for path in paths:
-        digest.update(Path(path).read_bytes())
+        data = Path(path).read_bytes()
+        if rows_only:
+            if Path(path).suffix != ".csv":
+                continue
+            data = b"".join(line for line in data.splitlines(keepends=True)
+                            if not line.startswith(b"#"))
+        digest.update(data)
     return digest.hexdigest()
+
+
+def report(label, paths):
+    """One listing line: the files' hash, then their data rows' hash."""
+    print(f"{label} {sha256_of(paths)} rows {sha256_of(paths, True)}",
+          flush=True)
 
 
 def edited_config(tmp, preset, tag, edits):
@@ -115,14 +136,13 @@ def main():
         for name in PRESETS:
             out = Path(tmp) / name
             run_cli("simulate", "--config", name, "--out", str(out))
-            print(f"{name} {sha256_of([out / f'{name}.csv'])}", flush=True)
+            report(name, [out / f"{name}.csv"])
 
         for name in ("li2_fig3a", "li2_fig6b"):
             out = Path(tmp) / f"components_{name}"
             run_cli("components", "--config", name, "--out", str(out))
             parts = sorted(out.glob(f"{name}_m*.csv"))
-            print(f"{name} components ({len(parts)} CSVs)"
-                  f" {sha256_of(parts)}", flush=True)
+            report(f"{name} components ({len(parts)} CSVs)", parts)
 
         for engine in ("analytic", "oracle"):
             out = Path(tmp) / f"off_{engine}"
@@ -130,8 +150,8 @@ def main():
                                 DOPPLER_FREE + (("engine = analytic",
                                                  f"engine = {engine}"),))
             run_cli("simulate", "--config", cfg, "--out", str(out))
-            print(f"li2_fig4 doppler off, {engine} engine"
-                  f" {sha256_of([out / 'li2_fig4.csv'])}", flush=True)
+            report(f"li2_fig4 doppler off, {engine} engine",
+                   [out / "li2_fig4.csv"])
 
         out = Path(tmp) / "oracle"
         cfg = edited_config(tmp, "li2_fig6b", "oracle",
@@ -139,16 +159,15 @@ def main():
                              ("nodes = 4001", "nodes = 1001"),
                              ("engine = analytic", "engine = oracle")))
         run_cli("simulate", "--config", cfg, "--out", str(out))
-        print("li2_fig6b 33 points, 1001 nodes, oracle engine, doppler on"
-              f" {sha256_of([out / 'li2_fig6b.csv'])}", flush=True)
+        report("li2_fig6b 33 points, 1001 nodes, oracle engine, doppler on",
+               [out / "li2_fig6b.csv"])
 
         out = Path(tmp) / "co"
         cfg = edited_config(tmp, "li2_fig6a", "co",
                             (("geometry = counter_propagating",
                               "geometry = co_propagating"),))
         run_cli("simulate", "--config", cfg, "--out", str(out))
-        print("li2_fig6a co-propagating"
-              f" {sha256_of([out / 'li2_fig6a.csv'])}", flush=True)
+        report("li2_fig6a co-propagating", [out / "li2_fig6a.csv"])
 
         shrink = (("delta1_min = -3000 MHz", "delta1_min = -1200 MHz"),
                   ("delta1_max = 3000 MHz", "delta1_max = 1200 MHz"),
@@ -168,15 +187,14 @@ def main():
             run_cli("fit", "--config", cfg, "--data", str(data), "--out",
                     str(out))
             parts = [out / "li2_fig4_fit.json", out / "li2_fig4_bestfit.csv"]
-            print(f"li2_fig4 fit, 32 points, 2001 nodes, {label}"
-                  f" {sha256_of(parts)}", flush=True)
+            report(f"li2_fig4 fit, 32 points, 2001 nodes, {label}", parts)
 
         out = Path(tmp) / "p_coupling"
         cfg = edited_config(tmp, "li2_fig4", "p_coupling",
                             (("J3 = 14", "J3 = 13"),))
         run_cli("simulate", "--config", cfg, "--out", str(out))
-        print("li2_fig4 J3 = 13, P-branch coupling"
-              f" {sha256_of([out / 'li2_fig4.csv'])}", flush=True)
+        report("li2_fig4 J3 = 13, P-branch coupling",
+               [out / "li2_fig4.csv"])
 
 
 if __name__ == "__main__":

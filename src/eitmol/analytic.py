@@ -1,10 +1,10 @@
 """Closed-form steady-state populations of the driven cascade system.
 
 The expressions are exact to lowest order in the probe Rabi frequency g1 and
-to all orders in the coupling Rabi frequency g2.  Writing Gij = gamma_ij + w
-(polarization decay plus transit) and G2 = gamma2 + w, G3 = gamma3 + w
-(population decay plus transit), the populations of the two excited levels
-are
+to all orders in the coupling Rabi frequency g2.  With the system's
+transit-broadened rates G21, G31, G32 (coherences) and G2, G3 (excited
+populations), see ``CascadeSystem``, the populations of the two excited
+levels are
 
     rho22 = -(g1^2 rho11_0 / (2 D)) *
             Im{ [ (g2^2/4) (1 - W32/G3) (D2 - i G32) + A (D1 + D2 + i G31) ]
@@ -14,7 +14,8 @@ are
             Im{ [ -2 G32 (D1 + D2 + i G31) + G2 (D2 - i G32) ]
                 / [ (D1 + i G21)(D1 + D2 + i G31) - g2^2/4 ] }
 
-with the coupling-saturation factor A and the normalization D defined below.
+with the coupling-saturation factor A and the normalization D of
+``_coupling_terms``.
 Both populations are non-normalized (arbitrary units) and scale exactly as
 g1^2.  The g2 = 0 limit reduces rho22 to the two-level Lorentzian and sends
 rho33 to zero; no special-casing is needed, the formulas are regular there.
@@ -35,46 +36,31 @@ from .system import CascadeSystem, DriveParams
 
 def coupling_saturation_factor(sys: CascadeSystem, drv: DriveParams):
     """Power-broadened coupling-line factor: D2^2 + G32^2 + g2^2 G32/(2 G3)."""
-    return _saturation_factor(sys, drv.g2, drv.delta2)
-
-
-def steady_state_denominator(sys: CascadeSystem, drv: DriveParams):
-    """Overall population normalization D; strictly positive for physical input."""
-    return _denominator(sys, drv.g2, drv.delta2)
+    return _coupling_terms(sys, drv.g2, drv.delta2**2 + sys.G32**2)[0]
 
 
 # array kernels -------------------------------------------------------------
 
-def _saturation_factor(sys, g2, delta2):
-    return _saturation_and_denominator(sys, g2, _uncoupled_saturation(
-        sys, delta2))[0]
+def _coupling_terms(sys, g2, a0):
+    """(A, D, c) at coupling g2, from A's g2-free part a0 = D2^2 + G32^2:
 
+        A = a0 + g2^2 G32 / (2 G3)             coupling saturation
+        D = A G2 + (g2^2/2) G32 (1 - W32/G3)   population normalization
+        c = (g2^2/4) (1 - W32/G3)              factor of D2 - i G32 in rho22
 
-def _denominator(sys, g2, delta2):
-    return _saturation_and_denominator(sys, g2, _uncoupled_saturation(
-        sys, delta2))[1]
-
-
-def _uncoupled_saturation(sys, delta2):
-    """A at g2 = 0: D2^2 + G32^2."""
-    return delta2**2 + (sys.gamma32 + sys.transit_rate)**2
-
-
-def _saturation_and_denominator(sys, g2, a0):
-    """(A, D) at coupling g2, from a0 = ``_uncoupled_saturation``."""
-    w = sys.transit_rate
-    G32 = sys.gamma32 + w
-    G3 = sys.gamma3 + w
+    D is strictly positive for physical input, and equals A G2 for a closed
+    system (W32 = G3).
+    """
+    G32, G3 = sys.G32, sys.G3
+    leak = 1.0 - sys.W32 / G3   # share of level-3 loss not fed back to 2
     A = a0 + g2**2 * G32 / (2.0 * G3)
-    return A, A * (sys.gamma2 + w) + 0.5 * g2**2 * G32 * (1.0 - sys.W32 / G3)
+    return A, A * sys.G2 + 0.5 * g2**2 * G32 * leak, (g2**2 / 4.0) * leak
 
 
 def _factors(sys, delta1, delta2):
     """Channel-independent factors of both numerators, complex:
     (D1 + D2 + i G31, D2 - i G32)."""
-    w = sys.transit_rate
-    return (delta1 + delta2 + 1j * (sys.gamma31 + w),
-            delta2 - 1j * (sys.gamma32 + w))
+    return delta1 + delta2 + 1j * sys.G31, delta2 - 1j * sys.G32
 
 
 def population_rho22(sys, g1, g2, delta1, delta2):
@@ -107,18 +93,13 @@ def channel_populations(sys, g1, g2, delta1, delta2, rho22=True, rho33=True):
     evaluated there.  Channels come grouped by g2, in order of first
     appearance.
     """
-    w = sys.transit_rate
-    G21 = sys.gamma21 + w
-    G31 = sys.gamma31 + w
-    G32 = sys.gamma32 + w
-    G3 = sys.gamma3 + w
+    G21, G31, G32, G2 = sys.G21, sys.G31, sys.G32, sys.G2
     two_photon = delta1 + delta2
     bare = delta1 * two_photon - G21 * G31
     p_im = delta1 * G31 + G21 * two_photon
     p_im2 = p_im * p_im
-    a0 = _uncoupled_saturation(sys, delta2)
+    a0 = delta2**2 + G32**2
     if rho33:
-        G2 = sys.gamma2 + w
         n33_re = -2.0 * G32 * two_photon + G2 * delta2
         n33_im = -2.0 * G32 * G31 - G2 * G32
     inv_re, inv_im, tmp = (np.empty(np.shape(bare)) for _ in range(3))
@@ -126,7 +107,7 @@ def channel_populations(sys, g1, g2, delta1, delta2, rho22=True, rho33=True):
     for i, value in enumerate(g2):
         groups.setdefault(value, []).append(i)
     for value, members in groups.items():
-        A, D = _saturation_and_denominator(sys, value, a0)
+        A, D, c = _coupling_terms(sys, value, a0)
         # 1/P = inv_re - i inv_im for the dressed probe response P
         np.subtract(bare, value**2 / 4.0, out=inv_re)
         np.multiply(inv_re, inv_re, out=tmp)
@@ -136,7 +117,6 @@ def channel_populations(sys, g1, g2, delta1, delta2, rho22=True, rho33=True):
         np.multiply(p_im, tmp, out=inv_im)
         f22 = f33 = None
         if rho22:
-            c = (value**2 / 4.0) * (1.0 - sys.W32 / G3)
             f22 = (A * G31 - c * G32) * inv_re
             np.multiply(A, two_photon, out=tmp)
             tmp += c * delta2
@@ -153,18 +133,12 @@ def channel_populations(sys, g1, g2, delta1, delta2, rho22=True, rho33=True):
 
 
 def _rho22_numerator(sys, g2, delta2, two_photon, coupling):
-    w = sys.transit_rate
-    G3 = sys.gamma3 + w
-    A = _saturation_factor(sys, g2, delta2)
-    return ((g2**2 / 4.0) * (1.0 - sys.W32 / G3) * coupling
-            + A * two_photon)
+    A, _, c = _coupling_terms(sys, g2, delta2**2 + sys.G32**2)
+    return c * coupling + A * two_photon
 
 
 def _rho33_numerator(sys, two_photon, coupling):
-    w = sys.transit_rate
-    G32 = sys.gamma32 + w
-    G2 = sys.gamma2 + w
-    return -2.0 * G32 * two_photon + G2 * coupling
+    return -2.0 * sys.G32 * two_photon + sys.G2 * coupling
 
 
 def _rho22_from(sys, g1, D, frac):
@@ -173,8 +147,7 @@ def _rho22_from(sys, g1, D, frac):
 
 
 def _rho33_from(sys, g1, g2, D, im_frac):
-    G3 = sys.gamma3 + sys.transit_rate
-    return (g1**2 * g2**2 * sys.rho11_init) / (8.0 * D * G3) * im_frac
+    return (g1**2 * g2**2 * sys.rho11_init) / (8.0 * D * sys.G3) * im_frac
 
 
 # Maxwellian average in closed form --------------------------------------------
@@ -242,10 +215,7 @@ def doppler_averaged_populations(sys, g1, g2, delta1, delta2, slope1, slope2,
 
 def _pole_weights(sys, g2, delta1, delta2, slope1, slope2):
     """Poles z_k of 1/(P*Dn) in t, and Z(z_k)/Q'(z_k), stacked on axis 0."""
-    w = sys.transit_rate
-    G21 = sys.gamma21 + w
-    G31 = sys.gamma31 + w
-    G2 = sys.gamma2 + w
+    G21, G31, G2 = sys.G21, sys.G31, sys.G2
     # P = (alpha + slope1 t)(beta + s t) - g2^2/4 = lead t^2 + b t + c
     alpha = delta1 + 1j * G21
     beta = delta1 + delta2 + 1j * G31
@@ -264,7 +234,8 @@ def _pole_weights(sys, g2, delta1, delta2, slope1, slope2):
     finite = np.broadcast_to(lead != 0.0, q.shape)
     far = np.divide(q, lead, out=np.zeros_like(q), where=finite)
     # Dn = G2 (D2^2 + K) with G2 K = Dn(D2 = 0)
-    zn = (-delta2 + 1j * np.sqrt(_denominator(sys, g2, 0.0) / G2)) / slope2
+    Dn0 = _coupling_terms(sys, g2, sys.G32**2)[1]
+    zn = (-delta2 + 1j * np.sqrt(Dn0 / G2)) / slope2
     z = np.stack(np.broadcast_arrays(far, c / q, zn, np.conj(zn)))
     n1, n2, n3 = z[1:]
     scale = G2 * slope2**2

@@ -13,9 +13,11 @@ Unknown layout:
 
 The matrix holds the right-hand-side coefficients of d(rho)/dt = M x + s with
 source s = (Lambda, 0, ..., 0), Lambda = w rho11_init with the transit rate
-w and the system's ``rho11_init``; the steady state solves M x = -s.  With a
-nonzero transit rate the system is nonsingular (transit loss breaks the
-traceless degeneracy of the closed Liouvillian).
+w and the system's ``rho11_init``; the steady state solves M x = -s.  The
+decay and dephasing rates in M are the system's transit-broadened G21, G31,
+G32, G2 and G3, the same ones the analytic kernels read.  With a nonzero
+transit rate the system is nonsingular (transit loss breaks the traceless
+degeneracy of the closed Liouvillian).
 """
 
 import numpy as np
@@ -93,21 +95,19 @@ def _assemble_grid(sys, g1, g2, delta1, delta2):
     d1, d2 = np.broadcast_arrays(np.asarray(delta1, float),
                                  np.asarray(delta2, float))
     w = sys.transit_rate
-    G21 = sys.gamma21 + w
-    G31 = sys.gamma31 + w
-    G32 = sys.gamma32 + w
+    G21, G31, G32 = sys.G21, sys.G31, sys.G32
     m = np.zeros(d1.shape + (9, 9))
     # d rho11/dt = g1 Im(rho21) + W21 rho22 - w rho11 (+ Lambda)
     m[..., 0, 0] = -w
     m[..., 0, 1] = sys.W21
     m[..., 0, 4] = g1
-    # d rho22/dt = -g1 Im(rho21) + g2 Im(rho32) - (gamma2+w) rho22 + W32 rho33
-    m[..., 1, 1] = -(sys.gamma2 + w)
+    # d rho22/dt = -g1 Im(rho21) + g2 Im(rho32) - G2 rho22 + W32 rho33
+    m[..., 1, 1] = -sys.G2
     m[..., 1, 2] = sys.W32
     m[..., 1, 4] = -g1
     m[..., 1, 8] = g2
-    # d rho33/dt = -g2 Im(rho32) - (gamma3+w) rho33
-    m[..., 2, 2] = -(sys.gamma3 + w)
+    # d rho33/dt = -g2 Im(rho32) - G3 rho33
+    m[..., 2, 2] = -sys.G3
     m[..., 2, 8] = -g2
     # Re rho21: (g2/2) Im(rho31) - D1 Im(rho21) - G21 Re(rho21)
     m[..., 3, 3] = -G21

@@ -17,6 +17,7 @@ import numpy as np
 from .doppler import (
     CO_PROPAGATING,
     COUNTER_PROPAGATING,
+    MAX_SPAN,
     Ensemble,
     QuadratureSpec,
 )
@@ -131,6 +132,8 @@ _FINITE = ("finite", lambda v: True)
 _NONNEGATIVE = (">= 0", lambda v: v >= 0.0)
 _POSITIVE = ("> 0", lambda v: v > 0.0)
 _FRACTION = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_SPAN = (f"in (0, {MAX_SPAN:.4g}], beyond which the weight exp(-span^2)"
+         " underflows to 0", lambda v: 0.0 < v <= MAX_SPAN)
 # The engine multiplies up to four rates (D G3 in rho33, the denominators of
 # the Doppler pole weights), which overflows a float near 1e77 Mrad/s; above
 # 5e102 Mrad/s even D, three rates, raises OverflowError.  Rates and decay
@@ -447,7 +450,7 @@ def parse_config(text: str, path="<config>") -> RunConfig:
     quadrature = QuadratureSpec(
         node_count=quad_sec.integer("nodes", 51, odd=True,
                                     default=QuadratureSpec.node_count),
-        span=quad_sec.number("span", _POSITIVE, default=QuadratureSpec.span),
+        span=quad_sec.number("span", _SPAN, default=QuadratureSpec.span),
         refinement_tolerance=quad_sec.number(
             "refinement_tolerance", _POSITIVE,
             default=QuadratureSpec.refinement_tolerance),

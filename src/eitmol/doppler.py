@@ -49,6 +49,10 @@ FADDEEVA = "faddeeva"
 COUNTER_PROPAGATING = "counter_propagating"
 CO_PROPAGATING = "co_propagating"
 
+# Above this span the Maxwellian weight exp(-span^2) of the outermost nodes
+# underflows to 0.0, so a wider rule only adds nodes that carry no weight.
+MAX_SPAN = sqrt(-log(np.nextafter(0.0, 1.0)))   # 27.28
+
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -65,8 +69,11 @@ class Ensemble:
         if self.u_p_override is None and not (0.0 < self.temperature_k < inf
                                               and 0.0 < self.mass_amu < inf):
             raise ValueError("temperature and mass must be finite and > 0")
-        if not 0.0 < self.u_p < inf:  # u_p_override, or T/m out of range
-            raise ValueError(f"u_p = {self.u_p} m/s must be finite and > 0")
+        # u_p_override, or T/m out of range; the detunings are first order
+        # in vz/c, so a thermal speed is below the speed of light
+        if not 0.0 < self.u_p < SPEED_OF_LIGHT:
+            raise ValueError(f"u_p = {self.u_p} m/s must be > 0 and below the"
+                             f" speed of light, {SPEED_OF_LIGHT:g} m/s")
 
     @property
     def u_p(self) -> float:
@@ -98,6 +105,9 @@ class QuadratureSpec:
         for name in ("span", "refinement_tolerance"):
             if not 0.0 < getattr(self, name) < inf:
                 raise ValueError(f"{name} must be finite and > 0")
+        if not self.span <= MAX_SPAN:
+            raise ValueError(f"span must be at most {MAX_SPAN:.4g}: beyond it"
+                             " the weight exp(-span^2) underflows to 0")
 
     def doubled(self) -> "QuadratureSpec":
         # halves the step and keeps the node count odd

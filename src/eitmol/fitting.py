@@ -197,7 +197,7 @@ def _chi2(fp, model, scale, offset):
 
 def validate_quadrature(fp: FitProblem, params: dict) -> Spectrum:
     """The spectrum at params, checked on doubled nodes if Doppler-on."""
-    return _simulate(fp, params, verify=fp.doppler_on)
+    return _simulate(fp, params, verify=True)
 
 
 def fit(fp: FitProblem, init: dict) -> FitResult:

@@ -6,6 +6,9 @@ only the fractions b2, b3 of those decays return to the next level down, so
 the system is open.  A transit rate models molecules crossing the finite
 beams, and the ground level is replenished at a constant rate, by default
 the transit rate itself, so that the unperturbed ground population is 1.
+``CascadeSystem`` is the one source of the transit-broadened relaxation
+rates G21, G31, G32 (coherences) and G2, G3 (excited populations) that the
+weak-probe kernels and the exact solve read.
 
 All rates, detunings and Rabi frequencies are angular, in Mrad/s.
 """
@@ -83,20 +86,30 @@ class CascadeSystem:
     def W32(self) -> float:
         return self.b3 * self.gamma3
 
-    # polarization decay rates: half the summed population rates out of the
-    # pair of levels, plus the collisional dephasing contribution.  Level 1
-    # has no radiative decay; transit loss is added separately where needed.
+    # Relaxation rates: transit loss w adds to every one.  A coherence
+    # decays at half the summed radiative rates of its pair of levels (level
+    # 1 has none) plus its collisional dephasing plus w; a population at its
+    # radiative rate plus w.
     @property
-    def gamma21(self) -> float:
-        return 0.5 * self.gamma2 + self.gamma12_col
+    def G21(self) -> float:
+        return 0.5 * self.gamma2 + self.gamma12_col + self.transit_rate
 
     @property
-    def gamma31(self) -> float:
-        return 0.5 * self.gamma3 + self.gamma13_col
+    def G31(self) -> float:
+        return 0.5 * self.gamma3 + self.gamma13_col + self.transit_rate
 
     @property
-    def gamma32(self) -> float:
-        return 0.5 * (self.gamma2 + self.gamma3) + self.gamma23_col
+    def G32(self) -> float:
+        return (0.5 * (self.gamma2 + self.gamma3) + self.gamma23_col
+                + self.transit_rate)
+
+    @property
+    def G2(self) -> float:
+        return self.gamma2 + self.transit_rate
+
+    @property
+    def G3(self) -> float:
+        return self.gamma3 + self.transit_rate
 
     @property
     def rho11_init(self) -> float:
@@ -108,8 +121,7 @@ class CascadeSystem:
     @property
     def is_closed(self) -> bool:
         """True when decay from level 3 exactly feeds all level-3 loss."""
-        scale = max(self.gamma3 + self.transit_rate, 1.0)
-        return abs(self.W32 - (self.gamma3 + self.transit_rate)) <= _CLOSED_TOL * scale
+        return abs(self.W32 - self.G3) <= _CLOSED_TOL * max(self.G3, 1.0)
 
     @property
     def omega21_angular(self) -> float:

@@ -14,7 +14,6 @@ from eitmol.analytic import (
     doppler_averaged_populations,
     population_rho22,
     population_rho33,
-    steady_state_denominator,
 )
 from eitmol.config import preset_config
 from eitmol.doppler import (
@@ -34,10 +33,9 @@ def drv(sys, g1=0.05, g2=0.0, d1=0.0, d2=0.0):
 
 def two_level_lorentzian(sys, g1, d1):
     """Hand reduction of the g2 = 0 limit of the intermediate population."""
-    w = sys.transit_rate
-    G21 = sys.gamma21 + w
+    G21 = sys.G21
     return (g1**2 * sys.rho11_init * G21
-            / (2.0 * (sys.gamma2 + w) * (d1**2 + G21**2)))
+            / (2.0 * sys.G2 * (d1**2 + G21**2)))
 
 
 def test_zero_probe_gives_zero(li2):
@@ -63,8 +61,7 @@ def test_eit_dip_suppresses_resonant_population(li2):
 
 
 def test_rho22_decreasing_in_g2_above_threshold(li2):
-    w = li2.transit_rate
-    threshold = 2.0 * np.sqrt((li2.gamma21 + w) * (li2.gamma31 + w))
+    threshold = 2.0 * np.sqrt(li2.G21 * li2.G31)
     g2s = np.linspace(1.2 * threshold, 40 * threshold, 25)
     vals = [population_rho22(li2, 0.05, g2, 0.0, 0.0)
             for g2 in g2s]
@@ -101,28 +98,58 @@ def test_autler_townes_maxima_near_half_coupling_rabi(li2):
     assert mid < r33[locmax].min()
 
 
-def test_helper_factors_drop_coupling_terms(li2):
+def test_system_owns_the_transit_broadened_rates(li2):
+    """G21...G3 are the raw rates plus transit, and a new transit rate moves
+    all five by exactly that much."""
     w = li2.transit_rate
-    G32 = li2.gamma32 + w
+    assert w > 0.0
+    assert li2.G21 == 0.5 * li2.gamma2 + li2.gamma12_col + w
+    assert li2.G31 == 0.5 * li2.gamma3 + li2.gamma13_col + w
+    assert li2.G32 == 0.5 * (li2.gamma2 + li2.gamma3) + li2.gamma23_col + w
+    assert li2.G2 == li2.gamma2 + w
+    assert li2.G3 == li2.gamma3 + w
+    names = ("G21", "G31", "G32", "G2", "G3")
+    moved = replace(li2, transit_rate=w + 10.0)
+    for name in names:
+        assert getattr(moved, name) == pytest.approx(
+            getattr(li2, name) + 10.0, rel=1e-15), name
+    still = replace(li2, transit_rate=0.0, refill_rate=0.0)
+    assert [getattr(still, n) for n in names] == [
+        0.5 * li2.gamma2 + li2.gamma12_col,
+        0.5 * li2.gamma3 + li2.gamma13_col,
+        0.5 * (li2.gamma2 + li2.gamma3) + li2.gamma23_col,
+        li2.gamma2, li2.gamma3]
+
+
+def coupling_terms(sys, d):
+    """(A, D, c) of ``analytic._coupling_terms`` for one drive."""
+    return analytic._coupling_terms(sys, d.g2, d.delta2**2 + sys.G32**2)
+
+
+def test_helper_factors_drop_coupling_terms(li2):
     d = drv(li2, g2=0.0, d2=0.0)
-    assert coupling_saturation_factor(li2, d) == pytest.approx(G32**2, rel=1e-14)
-    assert steady_state_denominator(li2, d) == pytest.approx(
-        G32**2 * (li2.gamma2 + w), rel=1e-14)
+    A, D, c = coupling_terms(li2, d)
+    assert coupling_saturation_factor(li2, d) == A
+    assert A == pytest.approx(li2.G32**2, rel=1e-14)
+    assert D == pytest.approx(li2.G32**2 * li2.G2, rel=1e-14)
+    assert c == 0.0
 
 
 def test_denominator_two_evaluation_paths_agree(li2):
     d = drv(li2, g2=1234.5, d2=-321.0)
+    # from the raw fields, transit added by hand
     w = li2.transit_rate
-    G32 = li2.gamma32 + w
+    G32 = 0.5 * (li2.gamma2 + li2.gamma3) + li2.gamma23_col + w
     G3 = li2.gamma3 + w
     direct = ((d.delta2**2 + G32**2 + d.g2**2 * G32 / (2 * G3))
               * (li2.gamma2 + w)
               + 0.5 * d.g2**2 * G32 * (1.0 - li2.W32 / G3))
-    via_helper = (coupling_saturation_factor(li2, d) * (li2.gamma2 + w)
-                  + 0.5 * d.g2**2 * G32 * (1.0 - li2.W32 / G3))
-    assert steady_state_denominator(li2, d) == pytest.approx(direct, rel=1e-14)
-    assert steady_state_denominator(li2, d) == pytest.approx(via_helper,
-                                                             rel=1e-14)
+    A, D, c = coupling_terms(li2, d)
+    assert D == pytest.approx(direct, rel=1e-14)
+    assert D == pytest.approx(coupling_saturation_factor(li2, d) * li2.G2
+                              + 2.0 * c * G32, rel=1e-14)
+    assert c == pytest.approx(d.g2**2 / 4.0 * (1.0 - li2.W32 / G3),
+                              rel=1e-14)
 
 
 def test_closed_system_denominator_simplifies():
@@ -133,8 +160,8 @@ def test_closed_system_denominator_simplifies():
         transit_rate=0.0, refill_rate=0.0, J1=15, J2=14, J3=14)
     assert closed.is_closed
     d = DriveParams(g1=0.05, g2=800.0, delta1=0.0, delta2=150.0)
-    A = coupling_saturation_factor(closed, d)
-    D = steady_state_denominator(closed, d)
+    A, D, c = coupling_terms(closed, d)
+    assert c == 0.0
     assert D == pytest.approx(A * closed.gamma2, rel=1e-12)
 
 
@@ -319,8 +346,8 @@ def complex_populations(sys, g1, g2, d1, d2):
     """rho22 and rho33 of one channel by the module docstring's complex
     formulas, from the factors the closed form uses."""
     two_photon, coupling = analytic._factors(sys, d1, d2)
-    P = (d1 + 1j * (sys.gamma21 + sys.transit_rate)) * two_photon - g2**2 / 4.0
-    D = analytic._denominator(sys, g2, d2)
+    P = (d1 + 1j * sys.G21) * two_photon - g2**2 / 4.0
+    D = analytic._coupling_terms(sys, g2, d2**2 + sys.G32**2)[1]
     n22 = analytic._rho22_numerator(sys, g2, d2, two_photon, coupling)
     n33 = analytic._rho33_numerator(sys, two_photon, coupling)
     return (analytic._rho22_from(sys, g1, D, n22 / P),

@@ -76,12 +76,11 @@ def test_positivity_and_boundedness(li2):
 
 def test_weak_probe_two_level_match(li2):
     g1 = 1e-3 * li2.gamma2
-    w = li2.transit_rate
-    G21 = li2.gamma21 + w
+    G21 = li2.G21
     for d1 in (0.0, 50.0, -321.0):
         s = solve_steady_state(li2, drv(li2, g1=g1, g2=0.0, d1=d1))
         lorentz = (g1**2 * li2.rho11_init * G21
-                   / (2.0 * (li2.gamma2 + w) * (d1**2 + G21**2)))
+                   / (2.0 * li2.G2 * (d1**2 + G21**2)))
         assert s.rho22 == pytest.approx(lorentz, rel=1e-6)
 
 

@@ -438,13 +438,25 @@ def test_cli_constructor_rejection_exits_config(tmp_path, capsys, old, new,
     ("tau3 = 16.15 ns", "tau3 = 1e-300 ns", 2, "tau3"),
     ("transit_rate = 2 MHz", "transit_rate = 1e300 MHz", 2, "transit_rate"),
     ("gamma23_col = 1 MHz", "gamma23_col = 1e300 MHz", 2, "gamma23_col"),
+    ("span = 4.0", "span = 1e100", 2, "key 'span'"),
+    ("span = 4.0", "span = 1e306", 2, "key 'span'"),
+    ("span = 4.0", "span = 1e4", 2, "key 'span'"),
+    ("temperature = 1000 K", "temperature = 1e200 K", 2,
+     "[ensemble] temperature, mass:"),
+    ("temperature = 1000 K", "temperature = 1e30 K", 2,
+     "[ensemble] temperature, mass:"),
+    ("temperature = 1000 K\nmass = 14 amu", "doppler_fwhm = 1e300 MHz", 2,
+     "key 'doppler_fwhm'"),
 ])
 def test_cli_extreme_finite_input_keeps_exit_codes(tmp_path, capsys, old, new,
                                                    code, key):
     """Finite values whose arithmetic overflows or divides by zero exit 2
     naming the key: the config layer computes the beam fields and u_p, and
     bounds the rates (1/tau included) at 1e75 Mrad/s so that the engine's
-    products of rates stay finite; never 1 with a traceback."""
+    products of rates stay finite; never 1 with a traceback.  So do velocity
+    widths outside the Doppler model: a span at which the Maxwellian weight
+    exp(-span^2) underflows to 0, and a thermal speed u_p at or above the
+    speed of light (the detunings are first order in vz/c)."""
     text = (resources.files("eitmol") / "presets" / "li2_fig3a.cfg") \
         .read_text("utf-8")
     assert old in text
@@ -458,6 +470,19 @@ def test_cli_extreme_finite_input_keeps_exit_codes(tmp_path, capsys, old, new,
     assert payload["error"] == "ValidationError"
     assert key in payload["message"]
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_span_below_the_underflow_limit_is_accepted(tmp_path, capsys):
+    """span = 27 still reaches the engine: li2_fig6b's 4001 nodes are too
+    few that wide, and the check asks for more."""
+    text = (resources.files("eitmol") / "presets" / "li2_fig6b.cfg") \
+        .read_text("utf-8").replace("delta1_points = 801",
+                                    "delta1_points = 11")
+    cfg = write_config(tmp_path, text.replace("span = 4.0", "span = 27"))
+    assert main(["simulate", "--config", cfg, "--json-errors",
+                 "--out", str(tmp_path)]) == 3
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "increase node_count above 4001" in message, message
 
 
 FUZZ_BASE = (resources.files("eitmol") / "presets" / "li2_fig6b.cfg") \

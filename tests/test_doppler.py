@@ -10,6 +10,7 @@ from eitmol.constants import SPEED_OF_LIGHT
 from eitmol.doppler import (
     CO_PROPAGATING,
     COUNTER_PROPAGATING,
+    MAX_SPAN,
     Ensemble,
     QuadratureSpec,
     faddeeva,
@@ -79,6 +80,32 @@ def test_quadrature_spec_validation():
             QuadratureSpec(span=bad)
         with pytest.raises(ValueError):
             QuadratureSpec(refinement_tolerance=bad)
+
+
+def test_span_beyond_weight_underflow_rejected(li2_ensemble):
+    """Up to MAX_SPAN the Maxwellian factor exp(-(vz/u_p)^2) of the
+    outermost node is nonzero; beyond it it underflows to 0 and the span is
+    rejected."""
+    assert math.exp(-27.3**2) == 0.0 < MAX_SPAN - 27.28 < 0.01
+    vz, _ = quadrature_nodes(li2_ensemble, QuadratureSpec(51, MAX_SPAN))
+    assert np.exp(-(vz[[0, -1]] / li2_ensemble.u_p) ** 2).min() > 0.0
+    for bad in (float(np.nextafter(MAX_SPAN, 30.0)), 27.3, 1e4, 1e306):
+        with pytest.raises(ValueError, match="span"):
+            QuadratureSpec(span=bad)
+
+
+def test_thermal_speed_at_or_above_light_rejected():
+    """The detunings are first order in vz/c: u_p must stay below c."""
+    below = float(np.nextafter(SPEED_OF_LIGHT, 0.0))
+    assert Ensemble(0.0, 0.0, u_p_override=below).u_p == below
+    for bad in (SPEED_OF_LIGHT, 1e300):
+        with pytest.raises(ValueError, match="speed of light"):
+            Ensemble(0.0, 0.0, u_p_override=bad)
+    for temperature in (1e30, 1e200):
+        with pytest.raises(ValueError, match="speed of light"):
+            Ensemble(temperature_k=temperature, mass_amu=14.0)
+    with pytest.raises(ValueError, match="speed of light"):
+        Ensemble.from_doppler_fwhm(1e300, 15642.636)
 
 
 def test_weights_normalized(li2_ensemble):

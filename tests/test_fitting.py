@@ -13,6 +13,7 @@ from eitmol.fitting import (
     fit_report_dict,
     model_spectrum,
     synthetic_target,
+    validate_quadrature,
 )
 from eitmol.spectrum import ScanConfig, simulate
 from eitmol.sublevels import build_channels
@@ -347,6 +348,18 @@ def test_search_evaluates_only_points_in_the_box(li2, li2_lasers,
             assert lo <= value <= hi, (name, value)
 
 
+def test_doppler_free_validation_is_the_unverified_spectrum(li2, li2_lasers):
+    """A Doppler-free scan has no velocity average to check, so validating
+    its quadrature gives the unverified spectrum, header included."""
+    fp = doppler_free_problem(li2, li2_lasers, free=("mu_coupling",),
+                              bounds={"mu_coupling": (0.5, 3.0)})
+    checked = validate_quadrature(fp, {"mu_coupling": 1.3})
+    plain = model_spectrum(fp, {"mu_coupling": 1.3})
+    assert np.array_equal(checked.signal_rho33, plain.signal_rho33)
+    assert checked.metadata == plain.metadata
+    assert not any(k.startswith("quadrature.") for k in checked.metadata)
+
+
 def doppler_on_problem(li2, li2_lasers, li2_ensemble):
     """The dipole fit of the benchmark, 32 points x 2001 nodes."""
     grid = np.linspace(-1200.0, 1200.0, 32)
@@ -394,8 +407,9 @@ def test_every_spectrum_of_a_fit_is_counted(li2, li2_lasers, li2_ensemble,
     monkeypatch.setattr(fitting, "_simulate", recording)
     result = fit(fp, init)
     assert len(verified) == result.evaluations <= budget
-    # the start spectrum is the one that validates the quadrature
-    assert verified == [doppler_on] + [False] * (len(verified) - 1)
+    # the start spectrum is the one that validates the quadrature (a
+    # Doppler-free scan has none to check: see the next test)
+    assert verified == [True] + [False] * (len(verified) - 1)
     curvature = dict(zip(fp.free, result.curvature.tolist()))
     assert curvature["amplitude_scale"] > 0
     if budget == 10:

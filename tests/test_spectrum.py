@@ -91,7 +91,7 @@ def test_single_channel_autler_townes_splitting_matches_rabi(li2,
     from eitmol.sublevels import ChannelSet
 
     ch = li2_channels.channel(14)
-    assert ch.g2 > 10.0 * li2.gamma32  # strong-coupling regime
+    assert ch.g2 > 10.0 * li2.G32  # strong-coupling regime
     one = ChannelSet(channels=(ch,), g1_bare=li2_channels.g1_bare,
                      g2_bare=li2_channels.g2_bare)
     g2_mhz = ch.g2 / (2.0 * np.pi)

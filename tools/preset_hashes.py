@@ -28,6 +28,9 @@ tree next to this script:
   is covered too.
 - ``simulate --threads 1`` on ``li2_fig4`` with ``J3 = 13``: the J pair
   makes the coupling a P-branch transition, which no preset has.
+- ``simulate --threads 1`` on ``li2_fig4`` with ``transit_rate = 5 MHz``,
+  ``refill_rate = 1 MHz`` and ``gamma13_col = 3 MHz``: transit apart from
+  refill, so every transit-broadened rate and rho11_0 != 1 are covered.
 
 Each line gives the label, the SHA-256 of the files, and after ``rows`` the
 SHA-256 of their CSV data rows alone (every line of the CSVs but the ``#``
@@ -194,6 +197,15 @@ def main():
                             (("J3 = 14", "J3 = 13"),))
         run_cli("simulate", "--config", cfg, "--out", str(out))
         report("li2_fig4 J3 = 13, P-branch coupling",
+               [out / "li2_fig4.csv"])
+
+        out = Path(tmp) / "transit"
+        cfg = edited_config(tmp, "li2_fig4", "transit",
+                            (("gamma13_col = 1 MHz", "gamma13_col = 3 MHz"),
+                             ("transit_rate = 2 MHz", "transit_rate = 5 MHz"),
+                             ("refill_rate = 2 MHz", "refill_rate = 1 MHz")))
+        run_cli("simulate", "--config", cfg, "--out", str(out))
+        report("li2_fig4 transit 5 MHz, refill 1 MHz, gamma13 3 MHz",
                [out / "li2_fig4.csv"])
 
 

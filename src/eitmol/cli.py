@@ -8,7 +8,6 @@ warnings of the run.
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import sys as _sys
@@ -215,11 +214,10 @@ def cmd_fit(args) -> int:
         json.dump(fit_report_dict(result, problem), fh, indent=1,
                   sort_keys=True)
         fh.write("\n")
-    best_signal = (result.best_params.get("amplitude_scale", 1.0)
-                   * best.signal(problem.channel)
-                   + result.best_params.get("baseline_offset", 0.0))
-    best = dataclasses.replace(
-        best, **{f"signal_{problem.channel}": best_signal})
+    best.signals[problem.channel] = (
+        result.best_params.get("amplitude_scale", 1.0)
+        * best.signals[problem.channel]
+        + result.best_params.get("baseline_offset", 0.0))
     write_spectrum(best, base + "_bestfit.csv", base + "_bestfit.json")
     for name in problem.free:
         unit = result.units[name]

@@ -23,7 +23,7 @@ from .doppler import (
 )
 from .errors import ParseError, UnitError, ValidationError
 from .fitting import FIT_PARAMETERS, FitProblem
-from .spectrum import ENGINE_ANALYTIC, ENGINE_ORACLE, RHO22, RHO33, ScanConfig
+from .spectrum import ENGINE_ANALYTIC, ENGINE_ORACLE, RHO33, SIGNALS, ScanConfig
 from .sublevels import branch_factor
 from .system import CascadeSystem, LaserPair
 from .units import (
@@ -429,8 +429,7 @@ def parse_config(text: str, path="<config>") -> RunConfig:
                 f"{path}: [scan] {key}, [system] {omega}: the laser"
                 f" frequency {omega} + {key} must be > 0, got {laser:g}"
                 " Mrad/s")
-    channels = scan_sec.words("channels", (RHO22, RHO33),
-                              default=ScanConfig.channels)
+    channels = scan_sec.words("channels", SIGNALS, default=ScanConfig.channels)
     m_sum_on = scan_sec.flag("m_sum", default=ScanConfig.m_sum_on)
     engine = scan_sec.word("engine", {ENGINE_ANALYTIC, ENGINE_ORACLE},
                            default=ScanConfig.engine)
@@ -481,7 +480,7 @@ def parse_config(text: str, path="<config>") -> RunConfig:
                                         f" {g:g} Mrad/s", key)
             bounds[name] = (lo, hi)
         fit_settings = FitSettings(
-            channel=fit_sec.word("channel", {RHO22, RHO33}, default=RHO33),
+            channel=fit_sec.word("channel", SIGNALS, default=RHO33),
             free=free,
             init=init,
             bounds=bounds,

@@ -79,7 +79,7 @@ def find_peaks(x, y, floor_frac: float = _PEAK_FLOOR):
 def extract_features(spectrum, channel: str) -> LineFeatures:
     """Quantify a two-peak spectrum; raises for weak-coupling single peaks."""
     x = np.asarray(spectrum.delta1_mhz, float)
-    y = np.asarray(spectrum.signal(channel), float)
+    y = np.asarray(spectrum.signals[channel], float)
     peaks = find_peaks(x, y)
     if len(peaks) < 2:
         raise FewerThanTwoPeaks(

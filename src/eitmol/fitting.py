@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .doppler import Ensemble, QuadratureSpec
-from .spectrum import ENGINE_ANALYTIC, ScanConfig, Spectrum, simulate
+from .spectrum import ENGINE_ANALYTIC, SIGNALS, ScanConfig, Spectrum, simulate
 from .sublevels import build_channels
 from .system import CascadeSystem, LaserPair
 from .units import angular_from_mhz, rabi_frequency
@@ -91,6 +91,9 @@ class FitProblem:
             if not np.all(np.isfinite(sigma) & (sigma > 0.0)):
                 raise ValueError("target sigma must be finite and positive")
             object.__setattr__(self, "target_sigma", sigma)
+        if self.channel not in SIGNALS:
+            raise ValueError(f"channel must be one of {', '.join(SIGNALS)},"
+                             f" got {self.channel!r}")
         if not self.free:
             raise ValueError("at least one free parameter is required")
         bad = set(self.free) - set(FIT_PARAMETERS)
@@ -271,7 +274,7 @@ def synthetic_target(spec: Spectrum, channel: str, noise_fraction: float,
                      seed: int):
     """Multiplicative-Gaussian noisy copy of a simulated signal."""
     rng = np.random.default_rng(seed)
-    signal = spec.signal(channel)
+    signal = spec.signals[channel]
     return signal * (1.0 + noise_fraction * rng.standard_normal(signal.size))
 
 
@@ -307,7 +310,7 @@ class _Projection:
             validate_quadrature
         self.evaluations += 1
         return simulate_at(self.fp, dict(zip(self.names, x.tolist()))) \
-            .signal(self.fp.channel)
+            .signals[self.fp.channel]
 
     def project(self, x, model):
         linear, sum_wm2 = self._solve(model)

@@ -63,6 +63,7 @@ ENGINE_ORACLE = "oracle"
 
 RHO22 = "rho22"
 RHO33 = "rho33"
+SIGNALS = (RHO22, RHO33)  # order of the written columns and the signal rows
 
 # points x nodes per work unit: the real temporaries of
 # ``analytic.channel_populations`` (128 KiB each) stay in L2; measured
@@ -77,7 +78,7 @@ class ScanConfig:
 
     delta1_mhz: np.ndarray
     delta2_mhz: float = 0.0
-    channels: tuple = (RHO22, RHO33)
+    channels: tuple = SIGNALS
     doppler_on: bool = True
     m_sum_on: bool = True
     engine: str = ENGINE_ANALYTIC
@@ -94,28 +95,28 @@ class ScanConfig:
         object.__setattr__(self, "delta1_mhz", grid)
         if not np.isfinite(self.delta2_mhz):
             raise ValueError("delta2 must be finite")
-        if not self.channels or not set(self.channels) <= {RHO22, RHO33}:
-            raise ValueError("channels must be a non-empty subset of"
-                             " {rho22, rho33}")
+        if not 0 < len({*self.channels} & {*SIGNALS}) == len(self.channels):
+            raise ValueError("channels must be one or more distinct names out"
+                             f" of {', '.join(SIGNALS)}")
         if self.engine not in (ENGINE_ANALYTIC, ENGINE_ORACLE):
             raise ValueError(f"unknown engine {self.engine!r}")
 
 
 @dataclass(eq=False)
 class Spectrum:
-    """Signals on the probe-detuning grid plus a full parameter echo."""
+    """Signals on the probe-detuning grid plus a full parameter echo.
+
+    ``signals`` maps each name of ``SIGNALS`` to its array; a signal the
+    scan did not request reads 0."""
 
     delta1_mhz: np.ndarray
-    signal_rho22: np.ndarray
-    signal_rho33: np.ndarray
+    signals: dict
     metadata: dict = field(default_factory=dict)
 
-    def signal(self, channel: str) -> np.ndarray:
-        if channel == RHO22:
-            return self.signal_rho22
-        if channel == RHO33:
-            return self.signal_rho33
-        raise KeyError(channel)
+    @property
+    def signal_rho33(self) -> np.ndarray:
+        """Read-only alias of ``signals["rho33"]``."""
+        return self.signals[RHO33]
 
 
 def simulate(sys: CascadeSystem, lasers: LaserPair, ensemble: Ensemble | None,
@@ -161,9 +162,6 @@ def per_m_components(sys: CascadeSystem, lasers: LaserPair,
 
 # engine internals -----------------------------------------------------------
 
-SIGNALS = (RHO22, RHO33)  # row order of the per-channel signal arrays
-
-
 def _active_channels(channelset: ChannelSet, scan: ScanConfig):
     if scan.m_sum_on:
         return list(channelset.channels)
@@ -179,7 +177,7 @@ def _channel_rows(sys, scan, channels, d1, d2):
     The oracle solve yields both populations together, so nothing is
     skipped there.
     """
-    wanted = (RHO22 in scan.channels, RHO33 in scan.channels)
+    wanted = [s in scan.channels for s in SIGNALS]
     if scan.engine == ENGINE_ANALYTIC:
         yield from channel_populations(
             sys, [ch.g1 for ch in channels], [ch.g2 for ch in channels], d1,
@@ -238,7 +236,7 @@ def _doppler_closed_form(sys, ensemble, channels, scan):
                                 ensemble.geometry)
     return np.stack(doppler_averaged_populations(
         sys, [ch.g1 for ch in channels], [ch.g2 for ch in channels], d1, d2,
-        b1, b2, RHO22 in scan.channels, RHO33 in scan.channels))
+        b1, b2, *(s in scan.channels for s in SIGNALS)))
 
 
 def _spot_check_points(values, channels, scan):
@@ -310,8 +308,7 @@ def _spectrum(per, channels, sys, lasers, ensemble, channelset, scan,
         shift = _check_refinement(total, coarse, fine, idx, scan, quadrature)
     return Spectrum(
         delta1_mhz=scan.delta1_mhz.copy(),
-        signal_rho22=_finalize(total[0]),
-        signal_rho33=_finalize(total[1]),
+        signals={s: _finalize(row) for s, row in zip(SIGNALS, total)},
         metadata=_metadata(sys, lasers, ensemble, channelset, scan,
                            quadrature, shift),
     )
@@ -432,8 +429,7 @@ def _metadata(sys, lasers, ensemble, channelset, scan, quadrature, shift):
 
 # serialization ---------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
+_NUMBER = "{:.12g}"  # every written value: 12 significant digits
 
 
 def _plain(value):
@@ -446,22 +442,28 @@ def _plain(value):
     return value
 
 
+def _columns(spec: Spectrum) -> dict:
+    """The written columns by name, as lists: delta1, then each signal."""
+    return {"delta1_MHz": spec.delta1_mhz.tolist(),
+            **{f"{s}_au": spec.signals[s].tolist() for s in SIGNALS}}
+
+
 def spectrum_csv_text(spec: Spectrum) -> str:
     lines = ["# eitmol spectrum"]
     for key in sorted(spec.metadata):
         lines.append(f"# {key} = {_plain(spec.metadata[key])}")
-    lines.append("delta1_MHz,rho22_au,rho33_au")
-    for x, a, b in zip(spec.delta1_mhz, spec.signal_rho22, spec.signal_rho33):
-        lines.append(f"{_fmt(x)},{_fmt(a)},{_fmt(b)}")
+    columns = _columns(spec)
+    lines.append(",".join(columns))
+    row = ",".join([_NUMBER] * len(columns)).format
+    lines += [row(*r) for r in zip(*columns.values())]
     return "\n".join(lines) + "\n"
 
 
 def spectrum_json_dict(spec: Spectrum) -> dict:
     return {
         "metadata": {k: _plain(spec.metadata[k]) for k in sorted(spec.metadata)},
-        "delta1_MHz": [float(_fmt(x)) for x in spec.delta1_mhz],
-        "rho22_au": [float(_fmt(x)) for x in spec.signal_rho22],
-        "rho33_au": [float(_fmt(x)) for x in spec.signal_rho33],
+        **{k: [float(_NUMBER.format(x)) for x in c]
+           for k, c in _columns(spec).items()},
     }
 
 

@@ -110,7 +110,7 @@ def test_criterion_3_doppler_width():
     width within 15% of the measured 2.6 GHz."""
     t0 = time.time()
     cfg, spec = run_preset("li2_fig3a")
-    _, fwhm = profile_fwhm(spec.delta1_mhz, spec.signal_rho22)
+    _, fwhm = profile_fwhm(spec.delta1_mhz, spec.signals["rho22"])
     elapsed = time.time() - t0
     assert abs(fwhm - 2600.0) / 2600.0 <= 0.15
     assert elapsed < 10.0
@@ -217,7 +217,7 @@ def test_criterion_6_m_structure():
                       delta2_mhz=1000.0, channels=("rho33",), doppler_on=True)
     comps = per_m_components(cfg.system, cfg.lasers, cfg.ensemble, cs, scan,
                              quadrature=cfg.quadrature, threads=4)
-    nonzero = [c for c in comps if c.signal_rho33.max() > 0.0]
+    nonzero = [c for c in comps if c.signals["rho33"].max() > 0.0]
     assert len(nonzero) == 14
 
     splittings = {}
@@ -246,12 +246,12 @@ def test_criterion_6_m_structure():
     m0 = simulate(cfg4.system, cfg4.lasers, cfg4.ensemble, m0_only, scan4,
                   quadrature=cfg4.quadrature)
     mid = grid.size // 2
-    assert m0.signal_rho22[mid] > 0.0
-    assert summed.signal_rho22[mid] >= m0.signal_rho22[mid]
+    assert m0.signals["rho22"][mid] > 0.0
+    assert summed.signals["rho22"][mid] >= m0.signals["rho22"][mid]
     print(f"\nPASS criterion 6: 14 nonzero components, splitting ratio"
           f" |M|=14/7 = {ratio:.3f} (2 +- 10%), dip floor"
-          f" {summed.signal_rho22[mid]:.3e} >= M=0 value"
-          f" {m0.signal_rho22[mid]:.3e} > 0")
+          f" {summed.signals['rho22'][mid]:.3e} >= M=0 value"
+          f" {m0.signals['rho22'][mid]:.3e} > 0")
 
 
 def test_criterion_7_closed_system_limit():

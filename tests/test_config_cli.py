@@ -128,7 +128,7 @@ def test_all_presets_parse_and_run(tmp_path):
         spec = simulate(cfg.system, cfg.lasers, cfg.ensemble, cs, small,
                         quadrature=QuadratureSpec(node_count=1001,
                                                   refinement_tolerance=1.0))
-        assert np.all(np.isfinite(spec.signal_rho22))
+        assert np.all(np.isfinite(spec.signals["rho22"]))
 
 
 def test_missing_key_names_it():
@@ -684,7 +684,7 @@ def test_cli_fit_roundtrip_writes_report(tmp_path, capsys):
     truth = simulate(cfg.system, cfg.lasers, None, cs, cfg.scan)
     data = tmp_path / "target.csv"
     rows = "\n".join(f"{x},{2.5 * y}" for x, y in
-                     zip(truth.delta1_mhz, truth.signal_rho33))
+                     zip(truth.delta1_mhz, truth.signals["rho33"]))
     data.write_text(rows + "\n")
 
     assert main(["fit", "--config", cfg_path, "--data", str(data)]) == 0
@@ -696,7 +696,7 @@ def test_cli_fit_roundtrip_writes_report(tmp_path, capsys):
     rows = (outdir / "run_bestfit.csv").read_text().splitlines()
     data_rows = [r for r in rows if r and not r.startswith("#")][1:]
     best_rho33 = [float(r.split(",")[2]) for r in data_rows]
-    assert best_rho33 == pytest.approx(2.5 * truth.signal_rho33, rel=1e-5)
+    assert best_rho33 == pytest.approx(2.5 * truth.signals["rho33"], rel=1e-5)
 
 
 def test_cli_fit_out_of_budget_exits_fit(tmp_path, capsys):
@@ -734,7 +734,7 @@ def truth_signal(cfg_path):
                         cfg.lasers.field_probe, cfg.lasers.field_coupling)
     truth = simulate(cfg.system, cfg.lasers, cfg.ensemble, cs, cfg.scan,
                      quadrature=cfg.quadrature)
-    return truth.delta1_mhz, truth.signal_rho33
+    return truth.delta1_mhz, truth.signals["rho33"]
 
 
 def write_trace(path, *columns):

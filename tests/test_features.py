@@ -18,9 +18,9 @@ from eitmol.spectrum import Spectrum
 
 def make_spectrum(x, y22=None, y33=None):
     zeros = np.zeros_like(np.asarray(x, float))
-    return Spectrum(delta1_mhz=np.asarray(x, float),
-                    signal_rho22=zeros if y22 is None else np.asarray(y22),
-                    signal_rho33=zeros if y33 is None else np.asarray(y33))
+    return Spectrum(delta1_mhz=np.asarray(x, float), signals={
+        "rho22": zeros if y22 is None else np.asarray(y22),
+        "rho33": zeros if y33 is None else np.asarray(y33)})
 
 
 def gaussian(x, center, sigma):

@@ -27,7 +27,7 @@ def doppler_free_problem(li2, li2_lasers, free, bounds, mu_truth=1.45,
                         li2_lasers.field_coupling)
     sc = ScanConfig(delta1_mhz=grid, channels=("rho33",), doppler_on=False)
     truth = simulate(li2, li2_lasers, None, cs, sc)
-    target = target_scale * truth.signal_rho33
+    target = target_scale * truth.signals["rho33"]
     if noise:
         target = target_scale * synthetic_target(truth, "rho33", noise, seed)
     return FitProblem(
@@ -49,7 +49,7 @@ def chi2(values, fp):
     """chi^2 of scale * model + offset at the free parameters ``values``,
     the fit's own residual sum."""
     params = dict(zip(fp.free, np.asarray(values, float)))
-    return _chi2(fp, model_spectrum(fp, params).signal(fp.channel),
+    return _chi2(fp, model_spectrum(fp, params).signals[fp.channel],
                  params.get("amplitude_scale", 1.0),
                  params.get("baseline_offset", 0.0))
 
@@ -184,6 +184,12 @@ def test_problem_validation(li2, li2_lasers):
     with pytest.raises(ValueError):
         doppler_free_problem(li2, li2_lasers, free=("mu_coupling",),
                              bounds={"mu_coupling": (3.0, 0.5)})
+    # the fitted channel is checked when the problem is built
+    fp = doppler_free_problem(li2, li2_lasers, free=("mu_coupling",),
+                              bounds={"mu_coupling": (0.5, 3.0)})
+    with pytest.raises(ValueError, match="channel must be one of rho22,"
+                       " rho33, got 'rho44'"):
+        dataclasses.replace(fp, channel="rho44")
 
 
 def test_branching_ratio_insensitivity(li2, li2_lasers, li2_ensemble):
@@ -355,7 +361,7 @@ def test_doppler_free_validation_is_the_unverified_spectrum(li2, li2_lasers):
                               bounds={"mu_coupling": (0.5, 3.0)})
     checked = validate_quadrature(fp, {"mu_coupling": 1.3})
     plain = model_spectrum(fp, {"mu_coupling": 1.3})
-    assert np.array_equal(checked.signal_rho33, plain.signal_rho33)
+    assert np.array_equal(checked.signals["rho33"], plain.signals["rho33"])
     assert checked.metadata == plain.metadata
     assert not any(k.startswith("quadrature.") for k in checked.metadata)
 
@@ -484,7 +490,7 @@ def test_linear_parameters_match_brute_force_with_active_bound(
     fp = doppler_free_problem(li2, li2_lasers, free=("amplitude_scale",),
                               bounds={"amplitude_scale": (0.1, 10.0)},
                               noise=0.02)
-    model = model_spectrum(fp, {}).signal_rho33
+    model = model_spectrum(fp, {}).signals["rho33"]
     peak = float(np.max(model))
     rng = np.random.default_rng(3)
     sigma = peak * (0.01 + 0.05 * rng.random(model.size))

@@ -42,6 +42,8 @@ def test_grid_must_increase():
         scan([0.0, 1.0], channels=("rho44",))
     with pytest.raises(ValueError):
         scan([0.0, 1.0], engine="magic")
+    with pytest.raises(ValueError, match="distinct names out of rho22, rho33"):
+        scan([0.0, 1.0], channels=("rho22", "rho22"))
 
 
 def test_coupling_off_gives_doppler_profile_and_dark_upper_level(
@@ -50,11 +52,11 @@ def test_coupling_off_gives_doppler_profile_and_dark_upper_level(
     sp = simulate(li2, li2_lasers, li2_ensemble, cs,
                   scan(np.linspace(-3000, 3000, 241)),
                   quadrature=fast_quadrature)
-    assert np.all(sp.signal_rho33 == 0.0)
+    assert np.all(sp.signals["rho33"] == 0.0)
     # single smooth Doppler-dominated profile, peaked at line center
     with pytest.raises(FewerThanTwoPeaks):
         extract_features(sp, "rho22")
-    pos, fwhm = profile_fwhm(sp.delta1_mhz, sp.signal_rho22)
+    pos, fwhm = profile_fwhm(sp.delta1_mhz, sp.signals["rho22"])
     assert pos == pytest.approx(0.0, abs=15.0)
     assert 2000.0 < fwhm < 3600.0
 
@@ -68,7 +70,7 @@ def test_weak_coupling_single_oodr_peak(li2, li2_lasers, li2_ensemble,
                   quadrature=fast_quadrature)
     with pytest.raises(FewerThanTwoPeaks):
         extract_features(sp, "rho33")
-    pos, fwhm = profile_fwhm(sp.delta1_mhz, sp.signal_rho33)
+    pos, fwhm = profile_fwhm(sp.delta1_mhz, sp.signals["rho33"])
     assert pos == pytest.approx(0.0, abs=10.0)
     assert fwhm < 400.0  # far below the Doppler width: velocity selective
 
@@ -114,10 +116,10 @@ def test_components_sum_to_simulated_spectrum(li2, li2_lasers, li2_ensemble,
     total22 = np.zeros_like(grid)
     total33 = np.zeros_like(grid)
     for c in comps:
-        total22 += c.signal_rho22
-        total33 += c.signal_rho33
-    assert np.allclose(total22, sp.signal_rho22, rtol=1e-12, atol=0)
-    assert np.allclose(total33, sp.signal_rho33, rtol=1e-12, atol=0)
+        total22 += c.signals["rho22"]
+        total33 += c.signals["rho33"]
+    assert np.allclose(total22, sp.signals["rho22"], rtol=1e-12, atol=0)
+    assert np.allclose(total33, sp.signals["rho33"], rtol=1e-12, atol=0)
 
 
 def test_m_sum_off_simulates_the_bare_channel_alone(li2, li2_lasers,
@@ -134,8 +136,8 @@ def test_m_sum_off_simulates_the_bare_channel_alone(li2, li2_lasers,
                       g2_bare=li2_channels.g2_bare)
     alone = simulate(li2, li2_lasers, li2_ensemble, bare, scan(grid),
                      quadrature=q)
-    assert np.array_equal(off.signal_rho22, alone.signal_rho22)
-    assert np.array_equal(off.signal_rho33, alone.signal_rho33)
+    assert np.array_equal(off.signals["rho22"], alone.signals["rho22"])
+    assert np.array_equal(off.signals["rho33"], alone.signals["rho33"])
     assert "# scan.m_sum_on = False" in spectrum_csv_text(off).splitlines()
     # the bare pseudo-channel is no |M| component
     with pytest.raises(ValueError, match="m_sum_on"):
@@ -152,7 +154,7 @@ def test_components_metadata_and_upper_level_count(li2, li2_lasers,
                              scan(grid, delta2_mhz=420.0), quadrature=q)
     ms = [c.metadata["component.abs_m"] for c in comps]
     assert ms == list(range(15))
-    nonzero33 = [c for c in comps if c.signal_rho33.max() > 0]
+    nonzero33 = [c for c in comps if c.signals["rho33"].max() > 0]
     assert len(nonzero33) == 14
 
 
@@ -187,8 +189,8 @@ def test_coupling_off_never_evaluates_rho33(monkeypatch, li2, li2_lasers,
                                 scan(grid), quadrature=q)
     assert calls == []
     for sp in spectra:
-        assert np.all(sp.signal_rho33 == 0.0)
-    assert spectra[0].signal_rho22.max() > 0
+        assert np.all(sp.signals["rho33"] == 0.0)
+    assert spectra[0].signals["rho22"].max() > 0
 
 
 def test_weak_coupling_still_evaluates_rho33(monkeypatch):
@@ -206,7 +208,7 @@ def test_weak_coupling_still_evaluates_rho33(monkeypatch):
     assert len(calls) > 0
     assert 0.0 not in calls
     assert set(calls) == {ch.g2 for ch in cs if ch.g2 != 0}
-    assert sp.signal_rho33.max() > 0
+    assert sp.signals["rho33"].max() > 0
 
 
 @pytest.mark.parametrize("doppler_on", [True, False])
@@ -298,7 +300,7 @@ def test_engines_agree_in_weak_probe_regime(li2, li2_lasers):
     a = simulate(li2, li2_lasers, None, cs, sc_a)
     o = simulate(li2, li2_lasers, None, cs, sc_o)
     for channel in ("rho22", "rho33"):
-        ya, yo = a.signal(channel), o.signal(channel)
+        ya, yo = a.signals[channel], o.signals[channel]
         assert np.max(np.abs(ya - yo) / np.abs(yo)) <= 1e-3
 
 
@@ -316,8 +318,8 @@ def test_oracle_engine_with_doppler_average(li2, li2_lasers, li2_ensemble,
     assert o.metadata["quadrature.verified"] is True
     assert o.metadata["quadrature.scheme"] == "uniform_trapezoid"
     assert a.metadata["quadrature.scheme"] == "faddeeva"
-    assert np.max(np.abs(a.signal_rho22 - o.signal_rho22)
-                  / np.abs(o.signal_rho22)) <= 1e-3
+    assert np.max(np.abs(a.signals["rho22"] - o.signals["rho22"])
+                  / np.abs(o.signals["rho22"])) <= 1e-3
 
 
 def test_threads_do_not_change_bytes(li2, li2_lasers, li2_ensemble,
@@ -329,8 +331,8 @@ def test_threads_do_not_change_bytes(li2, li2_lasers, li2_ensemble,
     s8 = simulate(li2, li2_lasers, li2_ensemble, li2_channels, scan(grid),
                   threads=8, **kw)
     assert spectrum_csv_text(s1) == spectrum_csv_text(s8)
-    assert np.array_equal(s1.signal_rho22, s8.signal_rho22)
-    assert np.array_equal(s1.signal_rho33, s8.signal_rho33)
+    assert np.array_equal(s1.signals["rho22"], s8.signals["rho22"])
+    assert np.array_equal(s1.signals["rho33"], s8.signals["rho33"])
 
 
 def test_threads_do_not_change_oracle_trapezoid(li2, li2_lasers, li2_ensemble,
@@ -345,8 +347,8 @@ def test_threads_do_not_change_oracle_trapezoid(li2, li2_lasers, li2_ensemble,
     s3 = simulate(li2, li2_lasers, li2_ensemble, li2_channels, grid,
                   threads=3, **kw)
     assert s1.metadata["quadrature.scheme"] == "uniform_trapezoid"
-    assert np.array_equal(s1.signal_rho22, s3.signal_rho22)
-    assert np.array_equal(s1.signal_rho33, s3.signal_rho33)
+    assert np.array_equal(s1.signals["rho22"], s3.signals["rho22"])
+    assert np.array_equal(s1.signals["rho33"], s3.signals["rho33"])
 
 
 def blocks_of(n, plan):
@@ -404,11 +406,11 @@ def test_csv_and_json_round_trip(tmp_path, li2, li2_lasers, li2_channels):
     assert len(rows) == 11
     parsed = np.array([[float(v) for v in r.split(",")] for r in rows])
     assert np.allclose(parsed[:, 0], sp.delta1_mhz, rtol=1e-11)
-    assert np.allclose(parsed[:, 1], sp.signal_rho22, rtol=1e-11)
+    assert np.allclose(parsed[:, 1], sp.signals["rho22"], rtol=1e-11)
 
     blob = json.loads(json_path.read_text())
     assert blob["metadata"]["engine"] == "analytic"
-    assert np.allclose(blob["rho22_au"], sp.signal_rho22, rtol=1e-11)
+    assert np.allclose(blob["rho22_au"], sp.signals["rho22"], rtol=1e-11)
     # 12-significant-digit fixed formatting, stable across writes
     assert spectrum_csv_text(sp) == spectrum_csv_text(sp)
 
@@ -428,8 +430,34 @@ def test_requested_channel_subset(li2, li2_lasers, li2_channels):
     sp = simulate(li2, li2_lasers, None, li2_channels,
                   scan(np.linspace(-100, 100, 11), doppler_on=False,
                        channels=("rho33",)))
-    assert np.all(sp.signal_rho22 == 0.0)
-    assert sp.signal_rho33.max() > 0.0
+    assert np.all(sp.signals["rho22"] == 0.0)
+    assert sp.signals["rho33"].max() > 0.0
+    assert sp.signal_rho33 is sp.signals["rho33"]  # the read-only alias
+
+
+@pytest.mark.parametrize("engine", ["analytic", "oracle"])
+@pytest.mark.parametrize("doppler_on", [True, False])
+@pytest.mark.parametrize("run", ["simulate", "simulate, m_sum off",
+                                 "per_m_components"])
+def test_every_spectrum_holds_and_writes_the_signal_table(
+        li2, li2_lasers, li2_ensemble, li2_channels, engine, doppler_on, run):
+    """Each spectrum maps exactly the names of ``SIGNALS`` (an unrequested
+    one included), and the CSV header and the JSON keys are delta1_MHz and
+    then <name>_au for each of them."""
+    sc = scan(np.linspace(-100.0, 100.0, 3), channels=("rho33",),
+              doppler_on=doppler_on, m_sum_on=run != "simulate, m_sum off",
+              engine=engine, verify_quadrature=False)
+    args = (li2, li2_lasers, li2_ensemble if doppler_on else None,
+            li2_channels, sc, QuadratureSpec(node_count=201))
+    spectra = per_m_components(*args) if run == "per_m_components" \
+        else [simulate(*args)]
+    columns = ["delta1_MHz"] + [f"{s}_au" for s in spectrum.SIGNALS]
+    for sp in spectra:
+        assert list(sp.signals) == list(spectrum.SIGNALS)
+        header = [line for line in spectrum_csv_text(sp).splitlines()
+                  if not line.startswith("#")][0]
+        assert header.split(",") == columns
+        assert set(spectrum_json_dict(sp)) == {"metadata", *columns}
 
 
 def test_metadata_echoes_parameters(li2, li2_lasers, li2_ensemble,
@@ -495,6 +523,6 @@ def test_library_system_refills_at_its_transit_rate():
     built, ours = (simulate(s, cfg.lasers, cfg.ensemble, cs, sc,
                             quadrature=cfg.quadrature)
                    for s in (cfg.system, library))
-    assert np.max(ours.signal_rho33) > 0.0
-    assert np.array_equal(ours.signal_rho22, built.signal_rho22)
-    assert np.array_equal(ours.signal_rho33, built.signal_rho33)
+    assert np.max(ours.signals["rho33"]) > 0.0
+    assert np.array_equal(ours.signals["rho22"], built.signals["rho22"])
+    assert np.array_equal(ours.signals["rho33"], built.signals["rho33"])

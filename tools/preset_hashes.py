@@ -32,11 +32,12 @@ tree next to this script:
   ``refill_rate = 1 MHz`` and ``gamma13_col = 3 MHz``: transit apart from
   refill, so every transit-broadened rate and rho11_0 != 1 are covered.
 
-Each line gives the label, the SHA-256 of the files, and after ``rows`` the
+Each line gives the label, the SHA-256 of the files, after ``rows`` the
 SHA-256 of their CSV data rows alone (every line of the CSVs but the ``#``
-header; a fit's ``_fit.json`` is left out).  A change that moves only a
-header value, such as ``quadrature.max_refinement_shift``, keeps the rows
-hash.
+header; a fit's ``_fit.json`` is left out), and after ``json`` the SHA-256
+of the ``.json`` mirror of each CSV, concatenated in the same order (a
+fit's ``_bestfit.json``).  A change that moves only a header value, such as
+``quadrature.max_refinement_shift``, keeps the rows hash.
 
 A refactor that must not change the output bytes is checked by running this
 script on the commit before and after it, on the same machine, and comparing
@@ -80,9 +81,12 @@ def sha256_of(paths, rows_only=False):
 
 
 def report(label, paths):
-    """One listing line: the files' hash, then their data rows' hash."""
-    print(f"{label} {sha256_of(paths)} rows {sha256_of(paths, True)}",
-          flush=True)
+    """One listing line: the files' hash, their data rows' hash, then the
+    hash of the CSVs' JSON mirrors."""
+    mirrors = [Path(p).with_suffix(".json") for p in paths
+               if Path(p).suffix == ".csv"]
+    print(f"{label} {sha256_of(paths)} rows {sha256_of(paths, True)}"
+          f" json {sha256_of(mirrors)}", flush=True)
 
 
 def edited_config(tmp, preset, tag, edits):

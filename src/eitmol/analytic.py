@@ -171,46 +171,39 @@ def doppler_averaged_populations(sys, g1, g2, delta1, delta2, slope1, slope2,
 
     ``g1``, ``g2`` are per-channel arrays of shape (C,); ``delta1`` and
     ``slope1`` are per-point arrays of shape (n,) (or scalars); ``delta2``
-    and ``slope2`` are scalars.  Returns (rho22, rho33), each of shape
-    (C, n); a population not requested is left at +0.0, and so is rho33 in
-    channels with g2 == 0, where its factor g2^2 makes it exactly zero.
-    Neither is evaluated there.  The sum runs once per distinct g2, and
-    channels that share one differ only by their g1^2 prefactor; the pair
-    of roots of Dn does not move with delta1, so Z is evaluated on the two
-    roots of P at each of the n points and on the upper root of Dn once.
+    and ``slope2`` are scalars.  Returns one (2, C, n) array, rho22 then
+    rho33.  A population not requested stays +0.0 and is not evaluated, nor
+    is rho33 at g2 == 0, where its factor g2^2 makes it exactly zero.  Each
+    distinct g2 is summed once (channels sharing it differ only by g1^2),
+    and Z is evaluated on the two roots of P at each point and on the upper
+    root of Dn, which does not move with delta1, once.
     """
     g1 = np.asarray(g1, float)[:, None]
     g2 = np.asarray(g2, float)[:, None]
     delta1 = np.atleast_1d(delta1)
     slope1 = np.atleast_1d(slope1)
-    out22 = np.zeros((g2.shape[0], np.broadcast(delta1, slope1).size))
-    out33 = np.zeros_like(out22)
+    out = np.zeros((2, g2.shape[0], np.broadcast(delta1, slope1).size))
     lit = rho33 & (g2[:, 0] != 0.0)
     rows = np.flatnonzero(rho22 | lit)
-    if rows.size == 0:
-        return out22, out33
     # each distinct g2 once: row k of ``rows`` takes the results of at[k]
     values, at = np.unique(g2[rows, 0], return_inverse=True)
-    values = values[:, None]
-    z, weight = _pole_weights(sys, values, delta1, delta2, slope1, slope2)
+    z, weight = _pole_weights(sys, values[:, None], delta1, delta2, slope1,
+                              slope2)
     d2 = delta2 + slope2 * z
     two_photon, coupling = _factors(sys, delta1 + slope1 * z, d2)
     if rho22:
-        frac = np.sum(_rho22_numerator(sys, values, d2, two_photon,
+        frac = np.sum(_rho22_numerator(sys, values[:, None], d2, two_photon,
                                        coupling) * weight, axis=0)
-        out22[rows] = _rho22_from(sys, g1[rows], 1.0, frac[at])
-    on = rho33 & (values[:, 0] != 0.0)
-    if on.any():
-        frac = np.sum(_rho33_numerator(sys, two_photon[:, on],
-                                       coupling[:, on])
-                      * weight[:, on], axis=0)
-        lit_rows = lit[rows]
-        up = rows[lit_rows]
-        # the row of frac for each channel of ``up``: its g2's rank in ``on``
-        pick = (np.cumsum(on) - 1)[at[lit_rows]]
-        out33[up] = _rho33_from(sys, g1[up], g2[up], 1.0,
-                                np.imag(frac)[pick])
-    return out22, out33
+        out[0, rows] = _rho22_from(sys, g1[rows], 1.0, frac[at])
+    if lit.any():
+        on = values != 0.0
+        frac = np.zeros((on.size, out.shape[2]))   # a row per g2, 0 at g2 = 0
+        frac[on] = np.imag(np.sum(_rho33_numerator(sys, two_photon[:, on],
+                                                   coupling[:, on])
+                                  * weight[:, on], axis=0))
+        out[1, lit] = _rho33_from(sys, g1[lit], g2[lit], 1.0,
+                                  frac[at[lit[rows]]])
+    return out
 
 
 def _pole_weights(sys, g2, delta1, delta2, slope1, slope2):

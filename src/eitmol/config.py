@@ -195,15 +195,13 @@ class _Section:
             raise self.error(f"give no finite value ({type(exc).__name__}:"
                              f" {exc})", *keys) from exc
 
-    def _raw(self, key, default=None, required=False):
-        if key not in self.entries:
-            if required:
-                raise ValidationError(
-                    f"{self.path}: missing required key '{key}' in"
-                    f" section [{self.name}]")
-            return default
-        self.seen.add(key)
-        return self.entries[key][0]
+    def _raw(self, key, required=False):
+        if key in self.entries:
+            self.seen.add(key)
+            return self.entries[key][0]
+        if required:
+            raise ValidationError(f"{self.path}: missing required key '{key}'"
+                                  f" in section [{self.name}]")
 
     def _within(self, key, value, domain):
         """``value`` if it is finite and in ``domain``, else an error."""

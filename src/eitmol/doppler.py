@@ -52,6 +52,9 @@ CO_PROPAGATING = "co_propagating"
 # Above this span the Maxwellian weight exp(-span^2) of the outermost nodes
 # underflows to 0.0, so a wider rule only adds nodes that carry no weight.
 MAX_SPAN = sqrt(-log(np.nextafter(0.0, 1.0)))   # 27.28
+# Slowest thermal speed, m/s: far above the ~1e-82 m/s where the closed
+# form's poles, which grow as 1/u_p, leave the float range; below any gas.
+MIN_U_P = 1e-9
 
 
 @dataclass(frozen=True)
@@ -71,9 +74,10 @@ class Ensemble:
             raise ValueError("temperature and mass must be finite and > 0")
         # u_p_override, or T/m out of range; the detunings are first order
         # in vz/c, so a thermal speed is below the speed of light
-        if not 0.0 < self.u_p < SPEED_OF_LIGHT:
-            raise ValueError(f"u_p = {self.u_p} m/s must be > 0 and below the"
-                             f" speed of light, {SPEED_OF_LIGHT:g} m/s")
+        if not MIN_U_P <= self.u_p < SPEED_OF_LIGHT:
+            raise ValueError(f"u_p = {self.u_p} m/s must be >= {MIN_U_P:g}"
+                             " m/s and below the speed of light,"
+                             f" {SPEED_OF_LIGHT:g} m/s")
 
     @property
     def u_p(self) -> float:

@@ -121,19 +121,13 @@ def profile_fwhm(x, y):
     return pos, _half_max_width(x, y, level=0.5 * height)
 
 
-def _cross_left(x, y, start, level):
-    for i in range(start, 0, -1):
-        if y[i - 1] < level <= y[i]:
-            frac = (y[i] - level) / (y[i] - y[i - 1])
-            return float(x[i] - frac * (x[i] - x[i - 1]))
-    return float("nan")
-
-
-def _cross_right(x, y, start, level):
-    for i in range(start, y.size - 1):
-        if y[i + 1] < level <= y[i]:
-            frac = (y[i] - level) / (y[i] - y[i + 1])
-            return float(x[i] + frac * (x[i + 1] - x[i]))
+def _crossing(x, y, start, level, step):
+    """Where y first falls below ``level`` going from ``start`` by ``step``
+    (+1 to the right, -1 to the left), linearly interpolated; NaN if never."""
+    for i in range(start, y.size - 1 if step > 0 else 0, step):
+        if y[i + step] < level <= y[i]:
+            frac = (y[i] - level) / (y[i] - y[i + step])
+            return float(x[i] + frac * (x[i + step] - x[i]))
     return float("nan")
 
 
@@ -141,7 +135,7 @@ def _half_max_width(x, y, level=None):
     i = int(np.argmax(y))
     if level is None:
         level = 0.5 * float(y[i])
-    return _cross_right(x, y, i, level) - _cross_left(x, y, i, level)
+    return _crossing(x, y, i, level, 1) - _crossing(x, y, i, level, -1)
 
 
 def _dip_width(x, y, left_peak, right_peak, dip_pos, dip_val):
@@ -153,4 +147,5 @@ def _dip_width(x, y, left_peak, right_peak, dip_pos, dip_val):
     depth = baseline - y[mask]  # dip appears as a peak of this curve
     j = int(np.argmin(np.abs(xs - dip_pos)))
     level = 0.5 * float(np.max(depth))
-    return _cross_right(xs, depth, j, level) - _cross_left(xs, depth, j, level)
+    return (_crossing(xs, depth, j, level, 1)
+            - _crossing(xs, depth, j, level, -1))

@@ -82,6 +82,12 @@ class FitProblem:
         sig = np.asarray(self.target_signal, float)
         if grid.shape != sig.shape or grid.ndim != 1:
             raise ValueError("target grid and signal must be equal-length 1-D")
+        if not np.all(np.isfinite(sig)):
+            raise ValueError("target_signal must be finite")
+        try:   # the grid checks of every scan
+            ScanConfig(grid)
+        except ValueError as exc:
+            raise ValueError(f"target_delta1_mhz: {exc}") from None
         object.__setattr__(self, "target_delta1_mhz", grid)
         object.__setattr__(self, "target_signal", sig)
         if self.target_sigma is not None:
@@ -510,12 +516,12 @@ def _powell(func, x, fx, lo, hi, room):
                 f_start - fx - big)**2 < big * (f_start - f_ahead)**2:
             x, fx, converged, steps = _line(func, x, fx, move, lo, hi, room)
             iterations += steps
-            if not converged:
-                return x, fx, False, iterations
             del directions[int(np.argmax(drops))]
             directions.append(move)
-        elif f_ahead < fx:
+        if f_ahead < fx:   # also where that search stopped short of 2x - start
             x, fx = ahead, f_ahead
+        if not converged:
+            return x, fx, False, iterations
 
 
 def _half_step(x, lo, hi):

@@ -234,9 +234,9 @@ def _doppler_closed_form(sys, ensemble, channels, scan):
     b1, b2 = velocity_detunings(0.0, 0.0, sys.omega21_angular + d1,
                                 sys.omega32_angular + d2, ensemble.u_p,
                                 ensemble.geometry)
-    return np.stack(doppler_averaged_populations(
+    return doppler_averaged_populations(
         sys, [ch.g1 for ch in channels], [ch.g2 for ch in channels], d1, d2,
-        b1, b2, *(s in scan.channels for s in SIGNALS)))
+        b1, b2, *(s in scan.channels for s in SIGNALS))
 
 
 def _spot_check_points(values, channels, scan):

@@ -1,5 +1,6 @@
 """Closed-form steady-state populations: reductions, scaling, symmetry."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -170,6 +171,25 @@ def test_nan_inputs_rejected(li2):
         DriveParams(g1=float("nan"), g2=0.0, delta1=0.0, delta2=0.0)
     with pytest.raises(ValueError):
         DriveParams(g1=0.1, g2=0.0, delta1=float("nan"), delta2=0.0)
+
+
+@pytest.mark.parametrize("of, name, value, message", [
+    ("system", "omega21_cm", 0.0, "omega21_cm must be finite and > 0"),
+    ("system", "omega32_cm", float("inf"), "omega32_cm must be finite"),
+    ("system", "gamma2", -1.0, "gamma2 must be finite and >= 0"),
+    ("system", "refill_rate", float("inf"), "refill_rate must be finite"),
+    ("system", "b3", 1.5, "b3 must lie in [0, 1]"),
+    ("lasers", "power_coupling_w", -1e-3, "power_coupling_w must be finite"
+     " and >= 0"),
+    ("lasers", "waist_probe_m", 0.0, "waist_probe_m must be finite and > 0"),
+    ("drive", "g2", -1.0, "Rabi frequencies must be >= 0"),
+])
+def test_constructors_reject_a_value_outside_its_domain(li2, li2_lasers, of,
+                                                        name, value, message):
+    base = {"system": li2, "lasers": li2_lasers,
+            "drive": DriveParams(g1=0.1, g2=800.0, delta1=0.0, delta2=0.0)}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replace(base[of], **{name: value})
 
 
 _rates = st.floats(min_value=0.1, max_value=500.0)

@@ -447,6 +447,11 @@ def test_cli_constructor_rejection_exits_config(tmp_path, capsys, old, new,
      "[ensemble] temperature, mass:"),
     ("temperature = 1000 K\nmass = 14 amu", "doppler_fwhm = 1e300 MHz", 2,
      "key 'doppler_fwhm'"),
+    ("temperature = 1000 K", "temperature = 1e-300 K", 2,
+     "[ensemble] temperature, mass:"),
+    ("mass = 14 amu", "mass = 1e300 amu", 2, "[ensemble] temperature, mass:"),
+    ("temperature = 1000 K\nmass = 14 amu", "doppler_fwhm = 1e-300 MHz", 2,
+     "key 'doppler_fwhm'"),
 ])
 def test_cli_extreme_finite_input_keeps_exit_codes(tmp_path, capsys, old, new,
                                                    code, key):
@@ -455,8 +460,9 @@ def test_cli_extreme_finite_input_keeps_exit_codes(tmp_path, capsys, old, new,
     bounds the rates (1/tau included) at 1e75 Mrad/s so that the engine's
     products of rates stay finite; never 1 with a traceback.  So do velocity
     widths outside the Doppler model: a span at which the Maxwellian weight
-    exp(-span^2) underflows to 0, and a thermal speed u_p at or above the
-    speed of light (the detunings are first order in vz/c)."""
+    exp(-span^2) underflows to 0, a thermal speed u_p at or above the speed
+    of light (the detunings are first order in vz/c), and one below
+    ``doppler.MIN_U_P``, where the closed form's poles would overflow."""
     text = (resources.files("eitmol") / "presets" / "li2_fig3a.cfg") \
         .read_text("utf-8")
     assert old in text

@@ -11,6 +11,7 @@ from eitmol.doppler import (
     CO_PROPAGATING,
     COUNTER_PROPAGATING,
     MAX_SPAN,
+    MIN_U_P,
     Ensemble,
     QuadratureSpec,
     faddeeva,
@@ -106,6 +107,19 @@ def test_thermal_speed_at_or_above_light_rejected():
             Ensemble(temperature_k=temperature, mass_amu=14.0)
     with pytest.raises(ValueError, match="speed of light"):
         Ensemble.from_doppler_fwhm(1e300, 15642.636)
+
+
+def test_thermal_speed_below_the_closed_form_floor_rejected():
+    """Far below MIN_U_P the closed form's poles leave the float range, so
+    u_p is bounded from below: by an override, by T and m, or by a width."""
+    assert Ensemble(0.0, 0.0, u_p_override=MIN_U_P).u_p == MIN_U_P
+    below = float(np.nextafter(MIN_U_P, 0.0))
+    for make in (lambda: Ensemble(0.0, 0.0, u_p_override=below),
+                 lambda: Ensemble(temperature_k=1e-300, mass_amu=14.0),
+                 lambda: Ensemble(temperature_k=1000.0, mass_amu=1e300),
+                 lambda: Ensemble.from_doppler_fwhm(1e-300, 15642.636)):
+        with pytest.raises(ValueError, match=r"must be >= 1e-09 m/s"):
+            make()
 
 
 def test_weights_normalized(li2_ensemble):

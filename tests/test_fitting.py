@@ -192,6 +192,27 @@ def test_problem_validation(li2, li2_lasers):
         dataclasses.replace(fp, channel="rho44")
 
 
+def test_problem_rejects_a_non_finite_target(li2, li2_lasers):
+    """A NaN in the target signal, or a grid that a scan would refuse, is
+    an error when the problem is built: not a NaN fit reported converged,
+    nor an error about another object's field at the first spectrum."""
+    fp = doppler_free_problem(li2, li2_lasers, free=("mu_coupling",),
+                              bounds={"mu_coupling": (0.5, 3.0)})
+    signal = fp.target_signal.copy()
+    signal[5] = np.nan
+    with pytest.raises(ValueError, match="target_signal must be finite"):
+        dataclasses.replace(fp, target_signal=signal)
+    for bad, reason in ((np.inf, "finite"),
+                        (fp.target_delta1_mhz[4], "strictly increasing")):
+        grid = fp.target_delta1_mhz.copy()
+        grid[5] = bad
+        with pytest.raises(ValueError, match="target_delta1_mhz: delta1 grid"
+                           f" must be {reason}"):
+            dataclasses.replace(fp, target_delta1_mhz=grid)
+    with pytest.raises(ValueError, match="target_delta1_mhz: .* >= 2 points"):
+        dataclasses.replace(fp, target_delta1_mhz=[0.0], target_signal=[1.0])
+
+
 def test_branching_ratio_insensitivity(li2, li2_lasers, li2_ensemble):
     """Recovered dipole moment barely moves when the fixed upper branching
     ratio is swept over [0.1, 0.5]: the change stays within the reported
@@ -322,6 +343,74 @@ def test_budget_spent_mid_line_search_is_not_converged(li2, li2_lasers):
     assert result.iterations == 9
     assert result.best_params["gamma12_col"] == 8.0
     assert result.residual_norm <= result.initial_residual_norm
+
+
+def correlated_quadratic(p):
+    """A quadratic in three correlated parameters, least (0) at
+    (-1, -2, 0)."""
+    a, b, c = (p - (-1.0, -2.0, 0.0)).tolist()
+    return a * a + b * b + c * c + 1.5 * a * b - b * c - a * c
+
+
+def powell_on_quadratic(monkeypatch, budget):
+    """``_powell`` on ``correlated_quadratic`` from (-5, 3, 2) in the box
+    [-10, 10]^3, with a ``room`` that allows ``budget`` evaluations; returns
+    its result, the evaluated points and the (start, direction, end) of
+    each line search."""
+    from eitmol import fitting
+
+    points, lines = [], []
+    real = fitting._line
+
+    def recorded(func, x, fx, d, lo, hi, room):
+        out = real(func, x, fx, d, lo, hi, room)
+        lines.append((x, d, out[0]))
+        return out
+
+    def func(p):
+        points.append(p.copy())
+        return correlated_quadratic(p)
+
+    monkeypatch.setattr(fitting, "_line", recorded)
+    x = np.array([-5.0, 3.0, 2.0])
+    box = np.full(3, 10.0)
+    return (fitting._powell(func, x, func(x), -box, box,
+                            lambda: len(points) < budget), points, lines)
+
+
+def test_powell_extrapolates_past_a_rejected_direction(monkeypatch):
+    """Where Powell's test keeps the directions but 2x - start is better
+    than x, the search moves there: the next line search starts at a point
+    no line search ended at.  It still converges on the minimum."""
+    (x, fx, converged, _), points, lines = powell_on_quadratic(monkeypatch,
+                                                              10**6)
+    assert converged
+    assert np.allclose(x, [-1.0, -2.0, 0.0], atol=1e-6)
+    assert fx == min(map(correlated_quadratic, points))
+    jumps = [k for k in range(1, len(lines))
+             if not np.array_equal(lines[k][0], lines[k - 1][2])]
+    assert jumps
+    for k in jumps:
+        assert any(np.array_equal(lines[k][0], p) for p in points)
+
+
+@pytest.mark.parametrize("budget, searches, last_along_an_axis", [
+    (16, 3, True),     # spent by the first cycle: 2x - start not evaluated
+    (49, 10, False),   # spent along a cycle's net move, short of 2x - start
+])
+def test_powell_stops_when_the_budget_is_spent(monkeypatch, budget,
+                                               searches, last_along_an_axis):
+    """With ``room`` spent, Powell returns unconverged after exactly the
+    budget, at the best point it evaluated."""
+    (x, fx, converged, _), points, lines = powell_on_quadratic(monkeypatch,
+                                                              budget)
+    assert not converged
+    assert len(points) == budget
+    assert len(lines) == searches
+    assert (np.count_nonzero(lines[-1][1]) == 1) == last_along_an_axis
+    values = [correlated_quadratic(p) for p in points]
+    assert fx == min(values)
+    assert np.array_equal(x, points[int(np.argmin(values))])
 
 
 def test_search_evaluates_only_points_in_the_box(li2, li2_lasers,

@@ -22,7 +22,7 @@ from eitmol.spectrum import (
     write_spectrum,
 )
 from eitmol.sublevels import build_channels
-from eitmol.doppler import QuadratureSpec, node_plan
+from eitmol.doppler import MIN_U_P, Ensemble, QuadratureSpec, node_plan
 
 
 def scan(grid, **kw):
@@ -240,8 +240,9 @@ def test_spot_check_catches_a_wrong_closed_form(monkeypatch, li2,
     real = spectrum.doppler_averaged_populations
 
     def off_by_1e3(*args, **kw):
-        r22, r33 = real(*args, **kw)
-        return r22, r33 * (1.0 + 1e-3)
+        out = real(*args, **kw)
+        out[1] *= 1.0 + 1e-3
+        return out
 
     monkeypatch.setattr(spectrum, "doppler_averaged_populations", off_by_1e3)
     grid = np.linspace(-800, 800, 41)
@@ -413,6 +414,45 @@ def test_csv_and_json_round_trip(tmp_path, li2, li2_lasers, li2_channels):
     assert np.allclose(blob["rho22_au"], sp.signals["rho22"], rtol=1e-11)
     # 12-significant-digit fixed formatting, stable across writes
     assert spectrum_csv_text(sp) == spectrum_csv_text(sp)
+
+
+def test_numpy_scalar_inputs_write_the_same_bytes(tmp_path, li2, li2_lasers,
+                                                  li2_ensemble, li2_channels):
+    """A scan built from numpy scalars echoes them as the Python scalars
+    they equal: the CSV and the JSON are byte-identical."""
+    grid = np.linspace(-800.0, 800.0, 21)
+    written = []
+    for f, i, b in ((float, int, bool),
+                    (np.float64, np.int64, np.bool_)):
+        ensemble = Ensemble(temperature_k=f(1000.0), mass_amu=f(14.0))
+        sc = ScanConfig(grid, delta2_mhz=f(0.0), doppler_on=b(True),
+                        m_sum_on=b(True), verify_quadrature=b(False))
+        quad = QuadratureSpec(node_count=i(201), span=f(4.0),
+                              refinement_tolerance=f(1e-3))
+        sp = simulate(li2, li2_lasers, ensemble, li2_channels, sc,
+                      quadrature=quad)
+        assert isinstance(sp.metadata["quadrature.node_count"], i)
+        base = tmp_path / f.__name__
+        write_spectrum(sp, base.with_suffix(".csv"), base.with_suffix(".json"))
+        written.append([base.with_suffix(s).read_bytes()
+                        for s in (".csv", ".json")])
+    assert written[0] == written[1]
+
+
+def test_every_preset_averages_at_the_slowest_thermal_speed():
+    """At u_p = MIN_U_P every preset's closed form is finite and agrees with
+    the trapezoid: the floor is far from where the closed form fails."""
+    for name in ("li2_fig3a", "li2_fig3b", "li2_fig4", "li2_fig6a",
+                 "li2_fig6b"):
+        cfg = preset_config(name)
+        cs = build_channels(cfg.system, cfg.mu_probe_au, cfg.mu_coupling_au,
+                            cfg.lasers.field_probe, cfg.lasers.field_coupling)
+        ens = Ensemble(0.0, 0.0, cfg.ensemble.geometry, u_p_override=MIN_U_P)
+        sp = simulate(cfg.system, cfg.lasers, ens, cs,
+                      scan(np.linspace(-3000.0, 3000.0, 61)),
+                      quadrature=QuadratureSpec(node_count=201))
+        assert sp.metadata["quadrature.verified"] is True, name
+        assert all(np.all(np.isfinite(sp.signals[s])) for s in sp.signals)
 
 
 def test_ensemble_is_given_exactly_when_doppler_is_on(li2, li2_lasers,

@@ -1,6 +1,6 @@
 """Print the SHA-256 of eitmol's output for every preset.
 
-Usage: python3 tools/preset_hashes.py
+Usage: python3 tools/preset_hashes.py [--against REV]
 
 Runs, each in a fresh ``python -m eitmol.cli`` process against the ``src/``
 tree next to this script:
@@ -39,16 +39,19 @@ of the ``.json`` mirror of each CSV, concatenated in the same order (a
 fit's ``_bestfit.json``).  A change that moves only a header value, such as
 ``quadrature.max_refinement_shift``, keeps the rows hash.
 
-A refactor that must not change the output bytes is checked by running this
-script on the commit before and after it, on the same machine, and comparing
-the two listings line by line.  To list an older commit, copy this script
-into its tree and run it there.
+A refactor that must not change the output bytes is checked with
+``--against REV``: after its own listing the script extracts REV's ``src/``
+with ``git archive``, runs the same list against it, and prints the labels
+whose lines differ, or ``identical``; it exits 1 on any difference.
 """
 
+import argparse
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -59,8 +62,8 @@ SRC = ROOT / "src"
 PRESETS = ("li2_fig3a", "li2_fig3b", "li2_fig4", "li2_fig6a", "li2_fig6b")
 
 
-def run_cli(*args):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+def run_cli(src, *args):
+    env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-m", "eitmol.cli", *args, "--threads",
                     "1"], env=env, check=True, stdout=subprocess.DEVNULL)
 
@@ -81,18 +84,18 @@ def sha256_of(paths, rows_only=False):
 
 
 def report(label, paths):
-    """One listing line: the files' hash, their data rows' hash, then the
-    hash of the CSVs' JSON mirrors."""
+    """One listing entry: the label, then the files' hash, their data rows'
+    hash and the hash of the CSVs' JSON mirrors."""
     mirrors = [Path(p).with_suffix(".json") for p in paths
                if Path(p).suffix == ".csv"]
-    print(f"{label} {sha256_of(paths)} rows {sha256_of(paths, True)}"
-          f" json {sha256_of(mirrors)}", flush=True)
+    return label, (f"{sha256_of(paths)} rows {sha256_of(paths, True)}"
+                   f" json {sha256_of(mirrors)}")
 
 
-def edited_config(tmp, preset, tag, edits):
+def edited_config(src, tmp, preset, tag, edits):
     """Copy of a preset with whole lines or sections replaced, as
     ``<preset>_<tag>.cfg``."""
-    text = (SRC / "eitmol" / "presets" / f"{preset}.cfg").read_text("utf-8")
+    text = (src / "eitmol" / "presets" / f"{preset}.cfg").read_text("utf-8")
     for old, new in edits:
         if old not in text:
             raise SystemExit(f"{preset} preset has no text {old!r}")
@@ -138,43 +141,45 @@ def write_noisy_trace(spectrum_csv, path, seed=20240817):
                     "ascii")
 
 
-def main():
+def listing(src):
+    """Yield (label, hashes) for each run of the list, against ``src``."""
     with tempfile.TemporaryDirectory() as tmp:
         for name in PRESETS:
             out = Path(tmp) / name
-            run_cli("simulate", "--config", name, "--out", str(out))
-            report(name, [out / f"{name}.csv"])
+            run_cli(src, "simulate", "--config", name, "--out", str(out))
+            yield report(name, [out / f"{name}.csv"])
 
         for name in ("li2_fig3a", "li2_fig6b"):
             out = Path(tmp) / f"components_{name}"
-            run_cli("components", "--config", name, "--out", str(out))
+            run_cli(src, "components", "--config", name, "--out", str(out))
             parts = sorted(out.glob(f"{name}_m*.csv"))
-            report(f"{name} components ({len(parts)} CSVs)", parts)
+            yield report(f"{name} components ({len(parts)} CSVs)", parts)
 
         for engine in ("analytic", "oracle"):
             out = Path(tmp) / f"off_{engine}"
-            cfg = edited_config(tmp, "li2_fig4", f"doppler_off_{engine}",
+            cfg = edited_config(src, tmp, "li2_fig4",
+                                f"doppler_off_{engine}",
                                 DOPPLER_FREE + (("engine = analytic",
                                                  f"engine = {engine}"),))
-            run_cli("simulate", "--config", cfg, "--out", str(out))
-            report(f"li2_fig4 doppler off, {engine} engine",
-                   [out / "li2_fig4.csv"])
+            run_cli(src, "simulate", "--config", cfg, "--out", str(out))
+            yield report(f"li2_fig4 doppler off, {engine} engine",
+                         [out / "li2_fig4.csv"])
 
         out = Path(tmp) / "oracle"
-        cfg = edited_config(tmp, "li2_fig6b", "oracle",
+        cfg = edited_config(src, tmp, "li2_fig6b", "oracle",
                             (("delta1_points = 801", "delta1_points = 33"),
                              ("nodes = 4001", "nodes = 1001"),
                              ("engine = analytic", "engine = oracle")))
-        run_cli("simulate", "--config", cfg, "--out", str(out))
-        report("li2_fig6b 33 points, 1001 nodes, oracle engine, doppler on",
-               [out / "li2_fig6b.csv"])
+        run_cli(src, "simulate", "--config", cfg, "--out", str(out))
+        yield report("li2_fig6b 33 points, 1001 nodes, oracle engine,"
+                     " doppler on", [out / "li2_fig6b.csv"])
 
         out = Path(tmp) / "co"
-        cfg = edited_config(tmp, "li2_fig6a", "co",
+        cfg = edited_config(src, tmp, "li2_fig6a", "co",
                             (("geometry = counter_propagating",
                               "geometry = co_propagating"),))
-        run_cli("simulate", "--config", cfg, "--out", str(out))
-        report("li2_fig6a co-propagating", [out / "li2_fig6a.csv"])
+        run_cli(src, "simulate", "--config", cfg, "--out", str(out))
+        yield report("li2_fig6a co-propagating", [out / "li2_fig6a.csv"])
 
         shrink = (("delta1_min = -3000 MHz", "delta1_min = -1200 MHz"),
                   ("delta1_max = 3000 MHz", "delta1_max = 1200 MHz"),
@@ -187,31 +192,63 @@ def main():
                 ("fit3", shrink + GAMMA12_FREE,
                  "mu, gamma12 and amplitude free")):
             out = Path(tmp) / tag
-            cfg = edited_config(tmp, "li2_fig4", tag, edits)
+            cfg = edited_config(src, tmp, "li2_fig4", tag, edits)
             if not data.exists():
-                run_cli("simulate", "--config", cfg, "--out", str(out))
+                run_cli(src, "simulate", "--config", cfg, "--out", str(out))
                 write_noisy_trace(out / "li2_fig4.csv", data)
-            run_cli("fit", "--config", cfg, "--data", str(data), "--out",
-                    str(out))
+            run_cli(src, "fit", "--config", cfg, "--data", str(data),
+                    "--out", str(out))
             parts = [out / "li2_fig4_fit.json", out / "li2_fig4_bestfit.csv"]
-            report(f"li2_fig4 fit, 32 points, 2001 nodes, {label}", parts)
+            yield report(f"li2_fig4 fit, 32 points, 2001 nodes, {label}",
+                         parts)
 
         out = Path(tmp) / "p_coupling"
-        cfg = edited_config(tmp, "li2_fig4", "p_coupling",
+        cfg = edited_config(src, tmp, "li2_fig4", "p_coupling",
                             (("J3 = 14", "J3 = 13"),))
-        run_cli("simulate", "--config", cfg, "--out", str(out))
-        report("li2_fig4 J3 = 13, P-branch coupling",
-               [out / "li2_fig4.csv"])
+        run_cli(src, "simulate", "--config", cfg, "--out", str(out))
+        yield report("li2_fig4 J3 = 13, P-branch coupling",
+                     [out / "li2_fig4.csv"])
 
         out = Path(tmp) / "transit"
-        cfg = edited_config(tmp, "li2_fig4", "transit",
+        cfg = edited_config(src, tmp, "li2_fig4", "transit",
                             (("gamma13_col = 1 MHz", "gamma13_col = 3 MHz"),
                              ("transit_rate = 2 MHz", "transit_rate = 5 MHz"),
                              ("refill_rate = 2 MHz", "refill_rate = 1 MHz")))
-        run_cli("simulate", "--config", cfg, "--out", str(out))
-        report("li2_fig4 transit 5 MHz, refill 1 MHz, gamma13 3 MHz",
-               [out / "li2_fig4.csv"])
+        run_cli(src, "simulate", "--config", cfg, "--out", str(out))
+        yield report("li2_fig4 transit 5 MHz, refill 1 MHz, gamma13 3 MHz",
+                     [out / "li2_fig4.csv"])
+
+
+def tree_of(rev, dest):
+    """Extract the ``src/`` tree of git revision ``rev`` into ``dest``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return Path(dest) / "src"
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="also list git revision REV and compare")
+    args = parser.parse_args()
+    ours = []
+    for label, hashes in listing(SRC):
+        print(label, hashes, flush=True)
+        ours.append((label, hashes))
+    if args.against is None:
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        theirs = list(listing(tree_of(args.against, tmp)))
+    differ = [label for (label, mine), (_, other) in zip(ours, theirs)
+              if mine != other]
+    for label in differ:
+        print(f"differs from {args.against}: {label}")
+    if not differ:
+        print(f"identical to {args.against}: all {len(ours)} lines")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

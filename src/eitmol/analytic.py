@@ -22,8 +22,8 @@ rho33 to zero; no special-casing is needed, the formulas are regular there.
 
 Every function accepts numpy arrays for the detunings and broadcasts.
 ``channel_populations`` evaluates both populations for many channels on one
-detuning grid in real arithmetic, each factor on the shape it varies over
-and shared by the channels that have it in common, and
+detuning grid in real arithmetic, from the ``group_factors`` that the
+channels of one ``coupling_groups`` entry (one g2) share, and
 ``doppler_averaged_populations`` gives the Maxwellian velocity averages of
 both populations in closed form, once per distinct g2.
 """
@@ -41,7 +41,7 @@ def coupling_saturation_factor(sys: CascadeSystem, drv: DriveParams):
 
 # array kernels -------------------------------------------------------------
 
-def _coupling_terms(sys, g2, a0):
+def _coupling_terms(sys, g2, a0, normalization=True):
     """(A, D, c) at coupling g2, from A's g2-free part a0 = D2^2 + G32^2:
 
         A = a0 + g2^2 G32 / (2 G3)             coupling saturation
@@ -49,12 +49,13 @@ def _coupling_terms(sys, g2, a0):
         c = (g2^2/4) (1 - W32/G3)              factor of D2 - i G32 in rho22
 
     D is strictly positive for physical input, and equals A G2 for a closed
-    system (W32 = G3).
+    system (W32 = G3); without ``normalization`` it is None.
     """
     G32, G3 = sys.G32, sys.G3
     leak = 1.0 - sys.W32 / G3   # share of level-3 loss not fed back to 2
     A = a0 + g2**2 * G32 / (2.0 * G3)
-    return A, A * sys.G2 + 0.5 * g2**2 * G32 * leak, (g2**2 / 4.0) * leak
+    D = A * sys.G2 + 0.5 * g2**2 * G32 * leak if normalization else None
+    return A, D, (g2**2 / 4.0) * leak
 
 
 def _factors(sys, delta1, delta2):
@@ -78,44 +79,61 @@ def population_rho33(sys, g1, g2, delta1, delta2):
 
 
 def channel_populations(sys, g1, g2, delta1, delta2, rho22=True, rho33=True):
-    """Yield (i, rho22, rho33) for each channel i of the arrays ``g1``, ``g2``.
+    """Yield (i, rho22, rho33) for each channel i of the arrays ``g1``, ``g2``,
+    grouped by g2: a prefactor times ``group_factors``, None where that is."""
+    groups = coupling_groups(sys, g2, delta2)
+    factors = group_factors(sys, groups, delta1, delta2, rho22, rho33)
+    for (value, members, _, D, _), (f22, f33) in zip(groups, factors):
+        for i in members:
+            yield (i, None if f22 is None else
+                   -(g1[i]**2 * sys.rho11_init) / (2.0 * D) * f22,
+                   None if f33 is None else
+                   _rho33_from(sys, g1[i], value, D, f33))
+
+
+def coupling_groups(sys, g2, delta2):
+    """[(g2, channel indices, A, D, c)] for each distinct value of the array
+    ``g2`` in order of first appearance, A, D, c on ``delta2``'s shape."""
+    members = {}
+    for i, value in enumerate(g2):
+        members.setdefault(value, []).append(i)
+    a0 = delta2**2 + sys.G32**2
+    return [(value, idx, *_coupling_terms(sys, value, a0))
+            for value, idx in members.items()]
+
+
+def group_factors(sys, groups, delta1, delta2, rho22=True, rho33=True):
+    """Yield Im(N/P) of rho22 and rho33, (f22, f33), for each group.
 
     Every factor is real and built on the shape it varies over.  Once per
     call, on the grid: the real parts of the two-photon factor
     D1 + D2 + i G31, of the bare probe response (D1 + i G21)(D1 + D2 + i G31)
     and of the rho33 numerator, and Im P, which no g2 moves.  The other
-    imaginary parts are scalars, and A and D take the shape of ``delta2``
-    (one row along vz on the velocity grid).  Channels with equal g2 share
-    P, A, D and Im(N/P) = Im N Re(1/P) - Re N Im(1/P), with 1/P formed
-    first because N conj(P) overflows at the rate cap, and differ only by
-    their g1^2 prefactor.  A population not requested is None, and so is
-    rho33 in channels with g2 == 0, where it is exactly zero; neither is
-    evaluated there.  Channels come grouped by g2, in order of first
-    appearance.
+    imaginary parts are scalars; A and c come with the group.  Per group
+    Im(N/P) = Im N Re(1/P) - Re N Im(1/P), with 1/P formed first because
+    N conj(P) overflows at the rate cap.  A factor not requested is None,
+    and so is f33 at g2 == 0; a group with neither builds no 1/P.
     """
     G21, G31, G32, G2 = sys.G21, sys.G31, sys.G32, sys.G2
     two_photon = delta1 + delta2
     bare = delta1 * two_photon - G21 * G31
     p_im = delta1 * G31 + G21 * two_photon
     p_im2 = p_im * p_im
-    a0 = delta2**2 + G32**2
+    rho33 = rho33 and any(value != 0.0 for value, *_ in groups)
     if rho33:
         n33_re = -2.0 * G32 * two_photon + G2 * delta2
         n33_im = -2.0 * G32 * G31 - G2 * G32
     inv_re, inv_im, tmp = (np.empty(np.shape(bare)) for _ in range(3))
-    groups = {}
-    for i, value in enumerate(g2):
-        groups.setdefault(value, []).append(i)
-    for value, members in groups.items():
-        A, D, c = _coupling_terms(sys, value, a0)
-        # 1/P = inv_re - i inv_im for the dressed probe response P
-        np.subtract(bare, value**2 / 4.0, out=inv_re)
-        np.multiply(inv_re, inv_re, out=tmp)
-        tmp += p_im2
-        np.divide(1.0, tmp, out=tmp)
-        inv_re *= tmp
-        np.multiply(p_im, tmp, out=inv_im)
+    for value, _, A, _, c in groups:
         f22 = f33 = None
+        if rho22 or rho33 and value != 0.0:     # anything to evaluate
+            # 1/P = inv_re - i inv_im for the dressed probe response P
+            np.subtract(bare, value**2 / 4.0, out=inv_re)
+            np.multiply(inv_re, inv_re, out=tmp)
+            tmp += p_im2
+            np.divide(1.0, tmp, out=tmp)
+            inv_re *= tmp
+            np.multiply(p_im, tmp, out=inv_im)
         if rho22:
             f22 = (A * G31 - c * G32) * inv_re
             np.multiply(A, two_photon, out=tmp)
@@ -124,16 +142,11 @@ def channel_populations(sys, g1, g2, delta1, delta2, rho22=True, rho33=True):
         if rho33 and value != 0.0:
             f33 = n33_im * inv_re
             f33 -= np.multiply(n33_re, inv_im, out=tmp)
-        for i in members:
-            yield (i,
-                   None if f22 is None else
-                   -(g1[i]**2 * sys.rho11_init) / (2.0 * D) * f22,
-                   None if f33 is None else
-                   _rho33_from(sys, g1[i], value, D, f33))
+        yield f22, f33
 
 
 def _rho22_numerator(sys, g2, delta2, two_photon, coupling):
-    A, _, c = _coupling_terms(sys, g2, delta2**2 + sys.G32**2)
+    A, _, c = _coupling_terms(sys, g2, delta2**2 + sys.G32**2, False)
     return c * coupling + A * two_photon
 
 

@@ -21,8 +21,8 @@ average on the trapezoid itself (a single node vz = 0 without Doppler), and
 a verified oracle scan checks every point against the doubled rule.
 
 Determinism: the trapezoid grid is processed in blocks of about 2^14
-points x nodes, so that a block's real temporaries (128 KiB each) stay in
-a core's L2 cache; their boundaries depend only on the grid and the node
+points x nodes, so that each temporary of ``analytic.group_factors`` stays
+at or below 128 KiB; their boundaries depend only on the grid and the node
 count, never on the thread count.  Each velocity reduction
 (``doppler.weighted_sum``) gives a row the same bits whatever block it is
 reduced in, the closed form runs in one thread, and the channel sum runs in
@@ -35,10 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, analytic
 from .analytic import (
-    channel_populations,
+    coupling_groups,
     doppler_averaged_populations,
+    group_factors,
     population_rho22,  # noqa: F401  (re-exported as spectrum.population_rho22)
 )
 from .bloch import populations_grid
@@ -65,9 +66,9 @@ RHO22 = "rho22"
 RHO33 = "rho33"
 SIGNALS = (RHO22, RHO33)  # order of the written columns and the signal rows
 
-# points x nodes per work unit: the real temporaries of
-# ``analytic.channel_populations`` (128 KiB each) stay in L2; measured
-# against 2^13 ... 2^17 on the verified spot-check (see CHANGES.md)
+# points x nodes per work unit: the block-sized temporaries of
+# ``analytic.group_factors`` stay at or below 128 KiB; measured against
+# 2^13 ... 2^16 on the grouped spot-check (see CHANGES.md)
 _BLOCK = 1 << 14
 _SPOT_CHECK_STRIDE = 50  # closed form: trapezoid-checked every 50th point
 
@@ -168,26 +169,6 @@ def _active_channels(channelset: ChannelSet, scan: ScanConfig):
     return [channelset.bare_channel()]
 
 
-def _channel_rows(sys, scan, channels, d1, d2):
-    """Yield (i, rho22, rho33) on the detuning grid for each channel i.
-
-    A population the scan does not request is None, and so is the analytic
-    rho33 of a channel with g2 == 0: it carries an explicit factor g2^2, so
-    it is exactly zero and ``channel_populations`` does not evaluate it.
-    The oracle solve yields both populations together, so nothing is
-    skipped there.
-    """
-    wanted = [s in scan.channels for s in SIGNALS]
-    if scan.engine == ENGINE_ANALYTIC:
-        yield from channel_populations(
-            sys, [ch.g1 for ch in channels], [ch.g2 for ch in channels], d1,
-            d2, *wanted)
-        return
-    for i, ch in enumerate(channels):
-        pops = populations_grid(sys, ch.g1, ch.g2, d1, d2)
-        yield (i, *(p if want else None for p, want in zip(pops, wanted)))
-
-
 def _closed_form(scan):
     """True when the Doppler average is taken in closed form."""
     return scan.engine == ENGINE_ANALYTIC and scan.doppler_on
@@ -256,32 +237,60 @@ def _trapezoid(sys, ensemble, channels, scan, delta1_mhz, plan, threads):
 
     Returns (coarse, fine), each of shape (signals, channels, points); fine
     is None when the plan carries no doubled rule.  Rows a scan does not
-    evaluate stay zero.  Each channel's rows are reduced as soon as they are
-    produced, one block of about ``_BLOCK`` points x nodes at a time.
-    """
+    evaluate stay zero.  Block by block (about ``_BLOCK`` points x nodes),
+    each row is reduced once for the channels sharing it (one g2, or one
+    oracle channel) and scaled for each, with 1/D in the weights, or in the
+    prefactor on the one node of a Doppler-free scan."""
     geometry = ensemble.geometry if ensemble is not None else CO_PROPAGATING
     n = delta1_mhz.size
     shape = (len(SIGNALS), len(channels), n)
     coarse = np.zeros(shape)
     fine = None if plan.fine is None else np.zeros(shape)
-    rules = [(out, rule) for out, rule in ((coarse, plan.coarse),
-                                           (fine, plan.fine))
+    rules = [(out, *rule) for out, rule in ((coarse, plan.coarse),
+                                            (fine, plan.fine))
              if rule is not None]
+    d2 = angular_from_mhz(scan.delta2_mhz)
+    omega2 = sys.omega32_angular + d2
+    d2_row = velocity_detunings(0.0, d2, 0.0, omega2, plan.vz, geometry)[1]
+    wanted = [s in scan.channels for s in SIGNALS]
+    groups = []     # (channel indices, rules, scales per signal)
+    if scan.engine == ENGINE_ORACLE:
+        groups += [([i], rules, ([1.0], [1.0])) for i in range(len(channels))]
+
+        def rows_of(big_d1):
+            for ch in channels:
+                pops = populations_grid(sys, ch.g1, ch.g2, big_d1, d2_row)
+                yield [p if want else None for p, want in zip(pops, wanted)]
+    else:
+        coupled = coupling_groups(sys, [ch.g2 for ch in channels], d2_row)
+        fold = plan.vz.size > 1
+        for g2, members, _, D, _ in coupled:
+            at = 1.0 if fold else D     # where 1/D goes
+            g1 = [channels[i].g1 for i in members]
+            groups.append((members, [(out, sl, w / D[sl] if fold else w)
+                                     for out, sl, w in rules],
+                           ([-(x**2 * sys.rho11_init) / (2.0 * at)
+                             for x in g1],
+                            [analytic._rho33_from(sys, x, g2, at, 1.0)
+                             for x in g1 if wanted[1] and g2 != 0.0])))
+
+        def rows_of(big_d1):
+            return group_factors(sys, coupled, big_d1, d2_row, *wanted)
     step = max(1, _BLOCK // plan.vz.size)
 
     def work(lo):
         hi = min(lo + step, n)
         d1 = angular_from_mhz(delta1_mhz[lo:hi])[:, None]
-        d2 = angular_from_mhz(scan.delta2_mhz)
-        big_d1, big_d2 = velocity_detunings(
-            d1, d2, sys.omega21_angular + d1, sys.omega32_angular + d2,
-            plan.vz[None, :], geometry)
-        for i, *rows in _channel_rows(sys, scan, channels, big_d1, big_d2):
+        big_d1 = velocity_detunings(d1, d2, sys.omega21_angular + d1, omega2,
+                                    plan.vz, geometry)[0]
+        for (members, g_rules, scales), rows in zip(groups, rows_of(big_d1)):
             for s, row in enumerate(rows):
                 if row is None:
                     continue
-                for out, (sl, w) in rules:
-                    out[s, i, lo:hi] = weighted_sum(row[..., sl], w)
+                for out, sl, w in g_rules:
+                    total = weighted_sum(row[..., sl], w)
+                    for i, scale in zip(members, scales[s]):
+                        out[s, i, lo:hi] = scale * total
 
     blocks = range(0, n, step)
     if threads <= 1:
@@ -433,46 +442,53 @@ _NUMBER = "{:.12g}"  # every written value: 12 significant digits
 
 
 def _plain(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _columns(spec: Spectrum) -> dict:
-    """The written columns by name, as lists: delta1, then each signal."""
-    return {"delta1_MHz": spec.delta1_mhz.tolist(),
-            **{f"{s}_au": spec.signals[s].tolist() for s in SIGNALS}}
+    """The written columns by name, formatted with ``_NUMBER``."""
+    cols = {"delta1_MHz": spec.delta1_mhz,
+            **{f"{s}_au": spec.signals[s] for s in SIGNALS}}
+    return {k: list(map(_NUMBER.format, c.tolist())) for k, c in cols.items()}
 
 
 def spectrum_csv_text(spec: Spectrum) -> str:
+    return _csv_text(spec, _columns(spec))
+
+
+def _csv_text(spec, columns):
     lines = ["# eitmol spectrum"]
-    for key in sorted(spec.metadata):
-        lines.append(f"# {key} = {_plain(spec.metadata[key])}")
-    columns = _columns(spec)
-    lines.append(",".join(columns))
-    row = ",".join([_NUMBER] * len(columns)).format
-    lines += [row(*r) for r in zip(*columns.values())]
+    lines += (f"# {k} = {_plain(v)}" for k, v in sorted(spec.metadata.items()))
+    lines += [",".join(columns), *map(",".join, zip(*columns.values()))]
     return "\n".join(lines) + "\n"
 
 
 def spectrum_json_dict(spec: Spectrum) -> dict:
     return {
         "metadata": {k: _plain(spec.metadata[k]) for k in sorted(spec.metadata)},
-        **{k: [float(_NUMBER.format(x)) for x in c]
-           for k, c in _columns(spec).items()},
+        **{k: [float(s) for s in c] for k, c in _columns(spec).items()},
     }
 
 
-def write_spectrum(spec: Spectrum, csv_path, json_path=None) -> None:
-    import json
+def _json_text(spec, columns):
+    """What ``json.dump(spectrum_json_dict(spec), fh, indent=1,
+    sort_keys=True)`` writes, without its pure-Python encoder."""
+    from json import dumps
 
+    def block(brackets, items, pad="\n "):    # the layout of indent=1
+        return f"{brackets[0]}{pad} {f',{pad} '.join(items)}{pad}{brackets[1]}"
+
+    top = {k: block("[]", map(repr, map(float, c)))  # json: repr if finite
+           for k, c in columns.items()}
+    top["metadata"] = block("{}", (f"{dumps(k)}: {dumps(_plain(v))}" for
+                                   k, v in sorted(spec.metadata.items())))
+    return block("{}", (f"{dumps(k)}: {top[k]}" for k in sorted(top)), "\n")
+
+
+def write_spectrum(spec: Spectrum, csv_path, json_path=None) -> None:
+    columns = _columns(spec)      # formatted once for both files
     with open(csv_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(spectrum_csv_text(spec))
+        fh.write(_csv_text(spec, columns))
     if json_path is not None:
         with open(json_path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(spectrum_json_dict(spec), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(_json_text(spec, columns) + "\n")

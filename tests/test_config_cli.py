@@ -632,11 +632,11 @@ def test_cli_rejection_names_exactly_the_bad_key(tmp_path, capsys, key,
 def test_cli_nonfinite_signal_exits_numeric(tmp_path, capsys, monkeypatch):
     from eitmol import spectrum
 
-    def nan_kernel(sys, g1, g2, d1, d2, rho22=True, rho33=True):
-        for i in range(len(g1)):
-            yield i, np.full(np.broadcast(d1, d2).shape, np.nan), None
+    def nan_kernel(sys, groups, d1, d2, rho22=True, rho33=True):
+        for _ in groups:
+            yield np.full(np.broadcast(d1, d2).shape, np.nan), None
 
-    monkeypatch.setattr(spectrum, "channel_populations", nan_kernel)
+    monkeypatch.setattr(spectrum, "group_factors", nan_kernel)
     cfg = small_run_config(tmp_path, tmp_path)
     code = main(["simulate", "--config", cfg, "--json-errors"])
     assert code == 3

@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eitmol import analytic, spectrum
+from eitmol.analytic import channel_populations
 from eitmol.config import preset_config
 from eitmol.errors import (
     FewerThanTwoPeaks,
@@ -22,7 +24,15 @@ from eitmol.spectrum import (
     write_spectrum,
 )
 from eitmol.sublevels import build_channels
-from eitmol.doppler import MIN_U_P, Ensemble, QuadratureSpec, node_plan
+from eitmol.doppler import (
+    MIN_U_P,
+    Ensemble,
+    QuadratureSpec,
+    node_plan,
+    velocity_detunings,
+    weighted_sum,
+)
+from eitmol.units import angular_from_mhz
 
 
 def scan(grid, **kw):
@@ -160,7 +170,7 @@ def test_components_metadata_and_upper_level_count(li2, li2_lasers,
 
 def counting_rho33(monkeypatch):
     """Route the per-channel rho33 step of the population kernels (the
-    trapezoid's ``channel_populations`` and the closed form) through a
+    trapezoid's group prefactors and the closed form) through a
     recorder of the g2 value of every channel it is formed for."""
     calls = []
     real = analytic._rho33_from
@@ -216,14 +226,14 @@ def test_nonfinite_signal_raises(monkeypatch, li2, li2_lasers, li2_ensemble,
                                  li2_channels, doppler_on):
     """A NaN from the kernel at a single node must stop the scan, not be
     dropped by the refinement check or the negativity floor."""
-    real = spectrum.channel_populations
+    real = spectrum.group_factors
 
     def poisoned(*args, **kw):
-        for i, r22, r33 in real(*args, **kw):
-            r22.flat[r22.size // 2 + 1] = np.nan
-            yield i, r22, r33
+        for f22, f33 in real(*args, **kw):
+            f22.flat[f22.size // 2 + 1] = np.nan
+            yield f22, f33
 
-    monkeypatch.setattr(spectrum, "channel_populations", poisoned)
+    monkeypatch.setattr(spectrum, "group_factors", poisoned)
     q = QuadratureSpec(node_count=501, refinement_tolerance=1.0)
     with pytest.raises(UnphysicalSignal):
         simulate(li2, li2_lasers, li2_ensemble if doppler_on else None,
@@ -389,6 +399,119 @@ def test_trapezoid_bits_do_not_depend_on_the_block_size(
     for a, b in zip(whole, tiny):
         assert np.any(a != 0.0)
         assert np.array_equal(a, b)
+
+
+def per_channel_trapezoid(sys, ensemble, channels, sc, plan):
+    """The trapezoid's (coarse, fine) the long way: every channel's
+    ``channel_populations`` rows on the whole grid, each reduced alone."""
+    d1 = angular_from_mhz(sc.delta1_mhz)[:, None]
+    d2 = angular_from_mhz(sc.delta2_mhz)
+    big_d1, big_d2 = velocity_detunings(
+        d1, d2, sys.omega21_angular + d1, sys.omega32_angular + d2,
+        plan.vz[None, :], ensemble.geometry)
+    out = [np.zeros((2, len(channels), d1.size)) for _ in range(2)]
+    rows = channel_populations(
+        sys, [ch.g1 for ch in channels], [ch.g2 for ch in channels], big_d1,
+        big_d2, *(s in sc.channels for s in spectrum.SIGNALS))
+    for i, *pops in rows:
+        for s, row in enumerate(pops):
+            if row is None:
+                continue
+            for o, (sl, w) in zip(out, (plan.coarse, plan.fine)):
+                o[s, i] = weighted_sum(row[..., sl], w)
+    return out
+
+
+@pytest.mark.parametrize("case", ["coupling off", "15 couplings",
+                                  "rho33 only"])
+def test_grouped_trapezoid_matches_per_channel_reduction(
+        case, li2, li2_lasers, li2_ensemble, li2_channels):
+    """Reduced once per g2 with 1/D folded into the weights, each channel's
+    average on both rules is within 1e-13 of its row's peak of the
+    per-channel reduction, and rows not evaluated stay exactly zero: one
+    group (coupling off), 15 groups of one (li2_fig6b), and groups with
+    g2 = 0 and g2 != 0 with only rho33 requested."""
+    sys, ens = li2, li2_ensemble
+    grid = np.linspace(-1500.0, 1500.0, 7)
+    if case == "coupling off":
+        channels = build_channels(li2, 1.0, 1.45, li2_lasers.field_probe, 0.0)
+        sc = scan(grid)
+        assert len({ch.g2 for ch in channels}) == 1
+    elif case == "15 couplings":
+        cfg = preset_config("li2_fig6b")
+        sys, ens = cfg.system, cfg.ensemble
+        channels = build_channels(sys, cfg.mu_probe_au, cfg.mu_coupling_au,
+                                  cfg.lasers.field_probe,
+                                  cfg.lasers.field_coupling)
+        sc = scan(grid, delta2_mhz=cfg.scan.delta2_mhz)
+        assert len({ch.g2 for ch in channels}) == len(channels) == 15
+    else:
+        channels = li2_channels
+        sc = scan(grid, delta2_mhz=420.0, channels=("rho33",))
+        assert 0.0 in {ch.g2 for ch in channels}
+    channels = list(channels.channels)
+    plan = node_plan(ens, QuadratureSpec(node_count=1001))
+    got = spectrum._trapezoid(sys, ens, channels, sc, sc.delta1_mhz, plan, 1)
+    want = per_channel_trapezoid(sys, ens, channels, sc, plan)
+    for g, w in zip(got, want):
+        peak = np.max(np.abs(w), axis=-1, keepdims=True)
+        assert np.all(np.abs(g - w) <= 1e-13 * peak)
+    lit = [ch.g2 != 0.0 for ch in channels]
+    assert np.all(np.any(want[0][1] != 0.0, axis=-1) == lit)
+    assert np.all((want[0][0] != 0.0) == (case != "rho33 only"))
+
+
+def assert_writes_the_reference_bytes(spec, base):
+    """``write_spectrum`` writes ``spectrum_csv_text`` and the bytes of the
+    json module's indented, key-sorted dump of ``spectrum_json_dict``."""
+    write_spectrum(spec, base.with_suffix(".csv"), base.with_suffix(".json"))
+    assert (base.with_suffix(".csv").read_text("ascii")
+            == spectrum_csv_text(spec))
+    assert (base.with_suffix(".json").read_text("ascii")
+            == json.dumps(spectrum_json_dict(spec), indent=1,
+                          sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("kind", ["verified", "unverified", "doppler free"])
+def test_write_spectrum_matches_the_json_encoder(tmp_path, kind, li2,
+                                                  li2_lasers, li2_ensemble,
+                                                  li2_channels):
+    grid = np.linspace(-800.0, 800.0, 21)
+    if kind == "doppler free":
+        sp = simulate(li2, li2_lasers, None, li2_channels,
+                      scan(grid, doppler_on=False))
+        assert "quadrature.max_refinement_shift" not in sp.metadata
+    else:
+        sp = simulate(li2, li2_lasers, li2_ensemble, li2_channels,
+                      scan(grid, verify_quadrature=kind == "verified"),
+                      quadrature=QuadratureSpec(node_count=501,
+                                                refinement_tolerance=1.0))
+        shift = sp.metadata["quadrature.max_refinement_shift"]
+        assert (shift is None) == (kind == "unverified")
+    assert_writes_the_reference_bytes(sp, tmp_path / "spec")
+
+
+_EDGES = st.sampled_from([-0.0, 0.0, 100.0, 1e16, 1e-300, 5e-324, -2.5e-7])
+_VALUES = st.one_of(_EDGES, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(_VALUES, _VALUES, _VALUES), min_size=1,
+                     max_size=12),
+       shift=st.one_of(st.none(), _VALUES))
+def test_written_values_match_the_json_encoder(tmp_path_factory, rows,
+                                               shift):
+    """Signed zeros, integral values, exponents and subnormals are written
+    as the json module writes them, and each CSV field as ``_NUMBER``."""
+    x, r22, r33 = (np.array(c) for c in zip(*rows))
+    sp = spectrum.Spectrum(
+        x, {"rho22": r22, "rho33": r33},
+        {"engine": "analytic", "scan.points": len(rows),
+         "quadrature.max_refinement_shift": shift,
+         "quadrature.verified": shift is not None, "system.b2": 0.1})
+    assert_writes_the_reference_bytes(sp, tmp_path_factory.mktemp("w") / "s")
+    data = spectrum_csv_text(sp).splitlines()[-len(rows):]
+    assert data == [",".join(f"{v:.12g}" for v in r) for r in rows]
 
 
 def test_csv_and_json_round_trip(tmp_path, li2, li2_lasers, li2_channels):

@@ -66,29 +66,31 @@ def _factors(sys, delta1, delta2):
 
 def population_rho22(sys, g1, g2, delta1, delta2):
     """rho22 of one channel: ``channel_populations`` for scalar g1, g2."""
-    return next(channel_populations(sys, [g1], [g2], delta1, delta2,
-                                    rho33=False))[1]
+    return channel_populations(sys, [g1], [g2], delta1, delta2,
+                               rho33=False)[0, 0]
 
 
 def population_rho33(sys, g1, g2, delta1, delta2):
     """rho33 of one channel; zero when g2 == 0."""
-    rho33 = next(channel_populations(sys, [g1], [g2], delta1, delta2,
-                                     rho22=False))[2]
-    return np.zeros(np.broadcast(delta1, delta2).shape) if rho33 is None \
-        else rho33
+    return channel_populations(sys, [g1], [g2], delta1, delta2,
+                               rho22=False)[1, 0]
 
 
 def channel_populations(sys, g1, g2, delta1, delta2, rho22=True, rho33=True):
-    """Yield (i, rho22, rho33) for each channel i of the arrays ``g1``, ``g2``,
-    grouped by g2: a prefactor times ``group_factors``, None where that is."""
+    """rho22 and rho33 of each channel of the arrays ``g1``, ``g2`` on the
+    broadcast detunings, as one (2, C, *shape) table: per g2 group a
+    prefactor times ``group_factors``.  A row not requested stays +0.0, and
+    so does rho33 at g2 == 0."""
     groups = coupling_groups(sys, g2, delta2)
     factors = group_factors(sys, groups, delta1, delta2, rho22, rho33)
+    out = np.zeros((2, len(g2), *np.broadcast(delta1, delta2).shape))
     for (value, members, _, D, _), (f22, f33) in zip(groups, factors):
         for i in members:
-            yield (i, None if f22 is None else
-                   -(g1[i]**2 * sys.rho11_init) / (2.0 * D) * f22,
-                   None if f33 is None else
-                   _rho33_from(sys, g1[i], value, D, f33))
+            if f22 is not None:
+                out[0, i] = -(g1[i]**2 * sys.rho11_init) / (2.0 * D) * f22
+            if f33 is not None:
+                out[1, i] = _rho33_from(sys, g1[i], value, D, f33)
+    return out
 
 
 def coupling_groups(sys, g2, delta2):

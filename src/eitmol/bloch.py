@@ -40,25 +40,21 @@ def solve_steady_state(sys: CascadeSystem, drv: DriveParams) -> DensityState:
 
 
 def populations_grid(sys: CascadeSystem, g1, g2, delta1, delta2):
-    """Batched (rho22, rho33) over broadcast detuning arrays.
+    """Batched rho22 and rho33 as one (2, *shape) array over the broadcast
+    shape of the Rabi frequencies and detunings: g1 and g2 of shape (C, 1)
+    against (n,) detunings give the (2, C, n) table of ``C`` channels.
 
     Used by the spectrum engine's ``oracle`` path and the oracle check; one
     linear solve per grid point, chunked to bound memory.
     """
-    d1, d2 = np.broadcast_arrays(np.asarray(delta1, float),
-                                 np.asarray(delta2, float))
-    shape = d1.shape
-    d1f = d1.ravel()
-    d2f = d2.ravel()
-    out22 = np.empty(d1f.shape)
-    out33 = np.empty(d1f.shape)
+    args = np.broadcast_arrays(g1, g2, delta1, delta2)
+    flat = [a.ravel() for a in args]
+    out = np.empty((2, flat[0].size))
     chunk = 65536
-    for lo in range(0, d1f.size, chunk):
-        hi = min(lo + chunk, d1f.size)
-        x = _solve(sys, g1, g2, d1f[lo:hi], d2f[lo:hi])
-        out22[lo:hi] = x[..., 1]
-        out33[lo:hi] = x[..., 2]
-    return out22.reshape(shape), out33.reshape(shape)
+    for lo in range(0, flat[0].size, chunk):
+        x = _solve(sys, *(a[lo:lo + chunk] for a in flat))
+        out[:, lo:lo + chunk] = x[:, 1:3].T
+    return out.reshape(2, *args[0].shape)
 
 
 def _solve(sys, g1, g2, delta1, delta2):

@@ -30,8 +30,7 @@ resolved by the node spacing.  Convergence is enforced, not assumed:
 ``node_plan`` lays out the doubled rule (2N - 1 nodes), whose every second
 node is the N-node rule, so one evaluation of the integrand yields both
 averages, and an average is rejected if it moved by more than the
-refinement tolerance between them.  A Doppler-free scan uses the same plan
-shape with the single node vz = 0.  Each average is one ``weighted_sum``,
+refinement tolerance between them.  Each average is one ``weighted_sum``,
 whose O(eps * n) rounding is far below any refinement tolerance.
 """
 
@@ -184,11 +183,6 @@ def node_plan(ens: Ensemble, q: QuadratureSpec, verified=True) -> NodePlan:
     w_coarse = maxwellian_trapezoid_weights(vz[::2], ens)
     return NodePlan(vz, (slice(None, None, 2), w_coarse),
                     (slice(None), w_fine))
-
-
-def rest_frame_plan() -> NodePlan:
-    """The Doppler-free limit: the single node vz = 0 with weight 1."""
-    return NodePlan(np.zeros(1), (slice(None), np.ones(1)), None)
 
 
 # Weideman's rational approximation of the Faddeeva function w(z) with

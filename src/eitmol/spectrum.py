@@ -16,9 +16,9 @@ points at once.  When the quadrature is verified, that result is checked
 against the trapezoid of ``doppler.node_plan`` and its doubled rule at every
 50th point, the last point and the extremes of each summed signal, and the
 worst deviation is echoed as ``quadrature.max_refinement_shift`` with
-``quadrature.scheme = faddeeva``.  The oracle engine and Doppler-free scans
-average on the trapezoid itself (a single node vz = 0 without Doppler), and
-a verified oracle scan checks every point against the doubled rule.
+``quadrature.scheme = faddeeva``.  The oracle engine averages on the
+trapezoid itself, and a verified oracle scan checks every point against the
+doubled rule.  A Doppler-free scan is the population table on the delta1 grid.
 
 Determinism: the trapezoid grid is processed in blocks of about 2^14
 points x nodes, so that each temporary of ``analytic.group_factors`` stays
@@ -32,11 +32,13 @@ value.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
 from . import __version__, analytic
 from .analytic import (
+    channel_populations,
     coupling_groups,
     doppler_averaged_populations,
     group_factors,
@@ -44,13 +46,11 @@ from .analytic import (
 )
 from .bloch import populations_grid
 from .doppler import (
-    CO_PROPAGATING,
     FADDEEVA,
     TRAPEZOID,
     Ensemble,
     QuadratureSpec,
     node_plan,
-    rest_frame_plan,
     velocity_detunings,
     weighted_sum,
 )
@@ -101,6 +101,12 @@ class ScanConfig:
                              f" of {', '.join(SIGNALS)}")
         if self.engine not in (ENGINE_ANALYTIC, ENGINE_ORACLE):
             raise ValueError(f"unknown engine {self.engine!r}")
+
+    @property
+    def requested(self) -> tuple:
+        """One flag per name of ``SIGNALS``, in its order: is it in
+        ``channels``."""
+        return RHO22 in self.channels, RHO33 in self.channels
 
 
 @dataclass(eq=False)
@@ -169,27 +175,24 @@ def _active_channels(channelset: ChannelSet, scan: ScanConfig):
     return [channelset.bare_channel()]
 
 
-def _closed_form(scan):
-    """True when the Doppler average is taken in closed form."""
-    return scan.engine == ENGINE_ANALYTIC and scan.doppler_on
-
-
 def _per_channel_spectra(sys, ensemble, channels, scan, quadrature, threads):
-    """Velocity-averaged signals of each channel, before multiplicity.
+    """Signals of each channel before multiplicity: the kernel table on the
+    delta1 grid without Doppler, else its velocity averages.
 
     Returns (values, check).  ``values`` has shape (signals, channels,
-    points).  ``check`` is None when the quadrature is not verified, else
+    points).  ``check`` is None when no quadrature is verified, else
     (idx, coarse, fine): the trapezoid averages on the N-node rule and on
     its doubled rule at the delta1 indices ``idx``, shaped like ``values``
     restricted to those points.  The analytic engine averages in closed form
     and is checked at a few points; the oracle engine averages on the
-    trapezoid and is checked everywhere.  A Doppler-free scan runs the
-    trapezoid path on the single node vz = 0.
+    trapezoid and is checked everywhere.
     """
     if scan.doppler_on != (ensemble is not None):
         raise ValueError("an Ensemble is given exactly for a doppler_on scan")
     grid = scan.delta1_mhz
-    if _closed_form(scan):
+    if not scan.doppler_on:
+        return _rest_frame(sys, channels, scan), None
+    if scan.engine == ENGINE_ANALYTIC:
         values = _doppler_closed_form(sys, ensemble, channels, scan)
         if not scan.verify_quadrature:
             return values, None
@@ -197,14 +200,25 @@ def _per_channel_spectra(sys, ensemble, channels, scan, quadrature, threads):
         coarse, fine = _trapezoid(sys, ensemble, channels, scan, grid[idx],
                                   node_plan(ensemble, quadrature), threads)
         return values, (idx, coarse, fine)
-    if scan.doppler_on:
-        plan = node_plan(ensemble, quadrature, scan.verify_quadrature)
-    else:
-        plan = rest_frame_plan()
-    coarse, fine = _trapezoid(sys, ensemble, channels, scan, grid, plan,
-                              threads)
+    coarse, fine = _trapezoid(sys, ensemble, channels, scan, grid,
+                              node_plan(ensemble, quadrature,
+                                        scan.verify_quadrature), threads)
     return coarse, None if fine is None else (np.arange(grid.size), coarse,
                                               fine)
+
+
+def _rest_frame(sys, channels, scan):
+    """The kernel table of each channel on the delta1 grid, unaveraged."""
+    d1 = angular_from_mhz(scan.delta1_mhz)
+    d2 = angular_from_mhz(scan.delta2_mhz)
+    g1 = [ch.g1 for ch in channels]
+    g2 = [ch.g2 for ch in channels]
+    if scan.engine == ENGINE_ANALYTIC:
+        return channel_populations(sys, g1, g2, d1, d2, *scan.requested)
+    table = populations_grid(sys, np.array(g1)[:, None],
+                             np.array(g2)[:, None], d1, d2)
+    table[np.logical_not(scan.requested)] = 0.0
+    return table
 
 
 def _doppler_closed_form(sys, ensemble, channels, scan):
@@ -217,7 +231,7 @@ def _doppler_closed_form(sys, ensemble, channels, scan):
                                 ensemble.geometry)
     return doppler_averaged_populations(
         sys, [ch.g1 for ch in channels], [ch.g2 for ch in channels], d1, d2,
-        b1, b2, *(s in scan.channels for s in SIGNALS))
+        b1, b2, *scan.requested)
 
 
 def _spot_check_points(values, channels, scan):
@@ -226,9 +240,8 @@ def _spot_check_points(values, channels, scan):
     n = scan.delta1_mhz.size
     total = _channel_sum(values, channels)
     idx = set(range(0, n, _SPOT_CHECK_STRIDE)) | {n - 1}
-    for sig in scan.channels:
-        s = SIGNALS.index(sig)
-        idx |= {int(np.argmax(total[s])), int(np.argmin(total[s]))}
+    for row in compress(total, scan.requested):
+        idx |= {int(np.argmax(row)), int(np.argmin(row))}
     return np.array(sorted(idx))
 
 
@@ -239,9 +252,7 @@ def _trapezoid(sys, ensemble, channels, scan, delta1_mhz, plan, threads):
     is None when the plan carries no doubled rule.  Rows a scan does not
     evaluate stay zero.  Block by block (about ``_BLOCK`` points x nodes),
     each row is reduced once for the channels sharing it (one g2, or one
-    oracle channel) and scaled for each, with 1/D in the weights, or in the
-    prefactor on the one node of a Doppler-free scan."""
-    geometry = ensemble.geometry if ensemble is not None else CO_PROPAGATING
+    oracle channel) and scaled for each, with 1/D in the weights."""
     n = delta1_mhz.size
     shape = (len(SIGNALS), len(channels), n)
     coarse = np.zeros(shape)
@@ -251,8 +262,9 @@ def _trapezoid(sys, ensemble, channels, scan, delta1_mhz, plan, threads):
              if rule is not None]
     d2 = angular_from_mhz(scan.delta2_mhz)
     omega2 = sys.omega32_angular + d2
-    d2_row = velocity_detunings(0.0, d2, 0.0, omega2, plan.vz, geometry)[1]
-    wanted = [s in scan.channels for s in SIGNALS]
+    d2_row = velocity_detunings(0.0, d2, 0.0, omega2, plan.vz,
+                                ensemble.geometry)[1]
+    wanted = scan.requested
     groups = []     # (channel indices, rules, scales per signal)
     if scan.engine == ENGINE_ORACLE:
         groups += [([i], rules, ([1.0], [1.0])) for i in range(len(channels))]
@@ -263,15 +275,12 @@ def _trapezoid(sys, ensemble, channels, scan, delta1_mhz, plan, threads):
                 yield [p if want else None for p, want in zip(pops, wanted)]
     else:
         coupled = coupling_groups(sys, [ch.g2 for ch in channels], d2_row)
-        fold = plan.vz.size > 1
         for g2, members, _, D, _ in coupled:
-            at = 1.0 if fold else D     # where 1/D goes
             g1 = [channels[i].g1 for i in members]
-            groups.append((members, [(out, sl, w / D[sl] if fold else w)
+            groups.append((members, [(out, sl, w / D[sl])
                                      for out, sl, w in rules],
-                           ([-(x**2 * sys.rho11_init) / (2.0 * at)
-                             for x in g1],
-                            [analytic._rho33_from(sys, x, g2, at, 1.0)
+                           ([-(x**2 * sys.rho11_init) / 2.0 for x in g1],
+                            [analytic._rho33_from(sys, x, g2, 1.0, 1.0)
                              for x in g1 if wanted[1] and g2 != 0.0])))
 
         def rows_of(big_d1):
@@ -282,7 +291,7 @@ def _trapezoid(sys, ensemble, channels, scan, delta1_mhz, plan, threads):
         hi = min(lo + step, n)
         d1 = angular_from_mhz(delta1_mhz[lo:hi])[:, None]
         big_d1 = velocity_detunings(d1, d2, sys.omega21_angular + d1, omega2,
-                                    plan.vz, geometry)[0]
+                                    plan.vz, ensemble.geometry)[0]
         for (members, g_rules, scales), rows in zip(groups, rows_of(big_d1)):
             for s, row in enumerate(rows):
                 if row is None:
@@ -349,8 +358,7 @@ def _check_refinement(total, coarse, fine, idx, scan, quadrature):
     reported value is the N-node average itself.
     """
     worst, where = 0.0, None
-    for sig in scan.channels:
-        s = SIGNALS.index(sig)
+    for s, sig in compress(enumerate(SIGNALS), scan.requested):
         peak = float(np.max(np.abs(total[s])))
         if peak == 0.0:
             continue
@@ -427,7 +435,8 @@ def _metadata(sys, lasers, ensemble, channelset, scan, quadrature, shift):
         meta["ensemble.mass_amu"] = ensemble.mass_amu
     meta["ensemble.geometry"] = ensemble.geometry
     meta["ensemble.u_p_m_s"] = ensemble.u_p
-    meta["quadrature.scheme"] = FADDEEVA if _closed_form(scan) else TRAPEZOID
+    meta["quadrature.scheme"] = (FADDEEVA if scan.engine == ENGINE_ANALYTIC
+                                 else TRAPEZOID)
     meta["quadrature.node_count"] = quadrature.node_count
     meta["quadrature.span_u_p"] = quadrature.span
     meta["quadrature.refinement_tolerance"] = quadrature.refinement_tolerance

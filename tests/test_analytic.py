@@ -319,11 +319,16 @@ def test_closed_form_with_equal_wavenumbers(li2, li2_ensemble):
         assert np.max(np.abs(c - t)) <= 1e-6 * np.max(np.abs(t))
 
 
+def is_plus_zero(a):
+    """Every element is +0.0: equal to zero, and without a sign bit."""
+    return bool(np.all(a == 0.0) and not np.any(np.signbit(a)))
+
+
 def test_channel_populations_match_the_single_channel_kernels():
-    """The shared-factor kernel gives, channel by channel, the bits of
-    population_rho22/33 on li2_fig3b's channels (one of them with g2 = 0)
-    plus two channels that share an existing g2; it skips rho33 at g2 = 0
-    and every population it is not asked for."""
+    """The shared-factor kernel's table gives, channel by channel, the bits
+    of population_rho22/33 on li2_fig3b's channels (one of them with
+    g2 = 0) plus two channels that share an existing g2; it leaves +0.0 in
+    rho33 at g2 = 0 and in every row it is not asked for."""
     cfg = preset_config("li2_fig3b")
     sys, ens = cfg.system, cfg.ensemble
     cs = build_channels(sys, cfg.mu_probe_au, cfg.mu_coupling_au,
@@ -341,23 +346,30 @@ def test_channel_populations_match_the_single_channel_kernels():
         d1, d2, sys.omega21_angular + d1, sys.omega32_angular + d2,
         vz[None, :], ens.geometry)
 
-    rows = list(channel_populations(sys, g1, g2, big_d1, big_d2))
-    assert sorted(i for i, _, _ in rows) == list(range(len(g1)))
-    for i, r22, r33 in rows:
+    table = channel_populations(sys, g1, g2, big_d1, big_d2)
+    assert table.shape == (2, len(g1), *big_d1.shape)
+    for i in range(len(g1)):
         assert np.array_equal(
-            r22, population_rho22(sys, g1[i], g2[i], big_d1, big_d2))
-        if g2[i] == 0.0:
-            assert r33 is None
-        else:
-            assert np.array_equal(r33, population_rho33(
-                sys, g1[i], g2[i], big_d1, big_d2))
+            table[0, i], population_rho22(sys, g1[i], g2[i], big_d1, big_d2))
+        assert np.array_equal(
+            table[1, i], population_rho33(sys, g1[i], g2[i], big_d1, big_d2))
+        assert np.any(table[0, i] != 0.0)
+        assert is_plus_zero(table[1, i]) == (g2[i] == 0.0)
 
-    for i, r22, r33 in channel_populations(sys, g1, g2, big_d1, big_d2,
-                                           rho22=False):
-        assert r22 is None and (r33 is None) == (g2[i] == 0.0)
-    for _, r22, r33 in channel_populations(sys, g1, g2, big_d1, big_d2,
-                                           rho33=False):
-        assert r22 is not None and r33 is None
+    no22 = channel_populations(sys, g1, g2, big_d1, big_d2, rho22=False)
+    assert is_plus_zero(no22[0]) and np.array_equal(no22[1], table[1])
+    no33 = channel_populations(sys, g1, g2, big_d1, big_d2, rho33=False)
+    assert is_plus_zero(no33[1]) and np.array_equal(no33[0], table[0])
+
+
+def test_unrequested_rows_are_plus_zero(li2):
+    """A row the kernel is not asked for is +0.0, though the populations
+    it would hold are negative zero or NaN where the factors are."""
+    d1 = angular_from_mhz(np.array([-10.0, 0.0, np.nan]))
+    for rho22, rho33 in ((True, False), (False, True), (False, False)):
+        table = channel_populations(li2, [0.0, 2.0], [300.0, 0.0], d1, 0.0,
+                                    rho22, rho33)
+        assert is_plus_zero(table[[not rho22, not rho33]])
 
 
 # the real-arithmetic kernel against the complex formulas --------------------
@@ -375,19 +387,21 @@ def complex_populations(sys, g1, g2, d1, d2):
 
 
 def assert_kernel_matches_complex_form(sys, g1, g2, d1, d2):
-    """Each population of ``channel_populations`` within 1e-13 of its peak
-    of the complex form (exactly, where that underflows to zero), computed
-    without a floating-point warning."""
+    """Each population of the ``channel_populations`` table within 1e-13 of
+    its peak of the complex form (exactly, where that underflows to zero),
+    computed without a floating-point warning; rho33 at g2 = 0 is +0.0."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = list(channel_populations(sys, g1, g2, d1, d2))
-    assert sorted(i for i, _, _ in rows) == list(range(len(g1)))
-    for i, r22, r33 in rows:
+        table = channel_populations(sys, g1, g2, d1, d2)
+    assert table.shape[:2] == (2, len(g1))
+    for i, (r22, r33) in enumerate(table.swapaxes(0, 1)):
         ref22, ref33 = complex_populations(sys, g1[i], g2[i], d1, d2)
-        assert (r33 is None) == (g2[i] == 0.0)
-        for got, ref in ((r22, ref22), (r33, ref33)):
-            if got is None:
-                continue
+        pairs = [(r22, ref22)]
+        if g2[i] == 0.0:
+            assert is_plus_zero(r33)
+        else:
+            pairs.append((r33, ref33))
+        for got, ref in pairs:
             peak = np.max(np.abs(ref))
             assert np.isfinite(peak)
             assert np.max(np.abs(got - ref)) <= 1e-13 * peak

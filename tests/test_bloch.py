@@ -115,6 +115,20 @@ def test_batched_grid_matches_scalar_solves(li2):
             assert r33[i, j] == pytest.approx(s.rho33, rel=1e-12)
 
 
+def test_channel_axis_matches_one_call_per_channel(li2):
+    """g1 and g2 of shape (C, 1) broadcast with the detunings: one call
+    gives the (2, C, n) table, each channel's rows the bits of its own
+    call, a g2 = 0 channel included."""
+    g1 = np.array([2.0, 0.5, 3.0])
+    g2 = np.array([800.0, 0.0, 300.0])
+    d1 = np.linspace(-3000.0, 3000.0, 17)
+    table = populations_grid(li2, g1[:, None], g2[:, None], d1, 420.0)
+    assert table.shape == (2, 3, 17)
+    for i in range(3):
+        one = populations_grid(li2, g1[i], g2[i], d1, 420.0)
+        assert np.array_equal(table[:, i], one)
+
+
 def test_zero_transit_rate_is_singular():
     sys = CascadeSystem(omega21_cm=15000.0, omega32_cm=17000.0,
                         gamma2=55.0, gamma3=60.0, b2=0.1, b3=0.2,

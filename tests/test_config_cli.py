@@ -630,19 +630,26 @@ def test_cli_rejection_names_exactly_the_bad_key(tmp_path, capsys, key,
 
 
 def test_cli_nonfinite_signal_exits_numeric(tmp_path, capsys, monkeypatch):
-    from eitmol import spectrum
+    """A NaN kernel exits 3 and writes nothing, Doppler-free (the table on
+    the grid, from ``analytic``) and Doppler on (the spot-check, from
+    ``spectrum``)."""
+    from eitmol import analytic, spectrum
 
     def nan_kernel(sys, groups, d1, d2, rho22=True, rho33=True):
         for _ in groups:
             yield np.full(np.broadcast(d1, d2).shape, np.nan), None
 
-    monkeypatch.setattr(spectrum, "group_factors", nan_kernel)
-    cfg = small_run_config(tmp_path, tmp_path)
-    code = main(["simulate", "--config", cfg, "--json-errors"])
-    assert code == 3
-    payload = json.loads(capsys.readouterr().err)
-    assert payload["error"] == "UnphysicalSignal"
-    assert not (tmp_path / "run.csv").exists()
+    for module in (analytic, spectrum):
+        monkeypatch.setattr(module, "group_factors", nan_kernel)
+    for thermal in ("", THERMAL):
+        cfg = small_run_config(tmp_path, tmp_path)
+        with open(cfg, "a") as fh:
+            fh.write(thermal)
+        code = main(["simulate", "--config", cfg, "--json-errors"])
+        assert code == 3
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "UnphysicalSignal"
+        assert not (tmp_path / "run.csv").exists()
 
 
 def test_cli_oracle_check_passes_on_preset(capsys):

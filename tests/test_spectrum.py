@@ -225,21 +225,58 @@ def test_weak_coupling_still_evaluates_rho33(monkeypatch):
 def test_nonfinite_signal_raises(monkeypatch, li2, li2_lasers, li2_ensemble,
                                  li2_channels, doppler_on):
     """A NaN from the kernel at a single node must stop the scan, not be
-    dropped by the refinement check or the negativity floor."""
-    real = spectrum.group_factors
+    dropped by the refinement check or the negativity floor.  The factors
+    are poisoned in both modules: the spot-check calls them from
+    ``spectrum``, the Doppler-free table from ``analytic``."""
+    real = analytic.group_factors
 
     def poisoned(*args, **kw):
         for f22, f33 in real(*args, **kw):
             f22.flat[f22.size // 2 + 1] = np.nan
             yield f22, f33
 
-    monkeypatch.setattr(spectrum, "group_factors", poisoned)
+    for module in (analytic, spectrum):
+        monkeypatch.setattr(module, "group_factors", poisoned)
     q = QuadratureSpec(node_count=501, refinement_tolerance=1.0)
     with pytest.raises(UnphysicalSignal):
         simulate(li2, li2_lasers, li2_ensemble if doppler_on else None,
                  li2_channels,
                  scan(np.linspace(-800, 800, 41), doppler_on=doppler_on),
                  quadrature=q)
+
+
+@pytest.mark.parametrize("engine", ["analytic", "oracle"])
+@pytest.mark.parametrize("signals", [("rho22", "rho33"), ("rho33",)])
+def test_doppler_free_scan_is_the_kernel_table_summed(
+        li2, li2_lasers, li2_channels, engine, signals):
+    """Without Doppler each reported signal is the multiplicity-weighted
+    channel sum of the engine's kernel table on the delta1 grid, bit for
+    bit, and a signal not requested reads 0.  The |M| = 0 channel of the
+    Q-branch coupling has g2 = 0 and adds nothing to rho33."""
+    from eitmol.bloch import populations_grid
+
+    grid = np.linspace(-800.0, 800.0, 41)
+    sp = simulate(li2, li2_lasers, None, li2_channels,
+                  scan(grid, delta2_mhz=420.0, doppler_on=False,
+                       engine=engine, channels=signals))
+    channels = list(li2_channels.channels)
+    g1 = np.array([ch.g1 for ch in channels])
+    g2 = np.array([ch.g2 for ch in channels])
+    assert 0.0 in g2
+    d1, d2 = angular_from_mhz(grid), angular_from_mhz(420.0)
+    if engine == "analytic":
+        table = channel_populations(li2, g1, g2, d1, d2)
+    else:
+        table = populations_grid(li2, g1[:, None], g2[:, None], d1, d2)
+    total = np.zeros((2, grid.size))
+    for ch, rows in zip(channels, table.swapaxes(0, 1)):
+        total += ch.multiplicity * rows
+    for name, row in zip(spectrum.SIGNALS, total):
+        if name in signals:
+            assert np.all(row > 0.0)
+            assert np.array_equal(sp.signals[name], row)
+        else:
+            assert np.all(sp.signals[name] == 0.0)
 
 
 def test_spot_check_catches_a_wrong_closed_form(monkeypatch, li2,
@@ -402,24 +439,19 @@ def test_trapezoid_bits_do_not_depend_on_the_block_size(
 
 
 def per_channel_trapezoid(sys, ensemble, channels, sc, plan):
-    """The trapezoid's (coarse, fine) the long way: every channel's
-    ``channel_populations`` rows on the whole grid, each reduced alone."""
+    """The trapezoid's (coarse, fine) the long way: the
+    ``channel_populations`` table on the whole grid, each row reduced
+    alone."""
     d1 = angular_from_mhz(sc.delta1_mhz)[:, None]
     d2 = angular_from_mhz(sc.delta2_mhz)
     big_d1, big_d2 = velocity_detunings(
         d1, d2, sys.omega21_angular + d1, sys.omega32_angular + d2,
         plan.vz[None, :], ensemble.geometry)
-    out = [np.zeros((2, len(channels), d1.size)) for _ in range(2)]
-    rows = channel_populations(
+    table = channel_populations(
         sys, [ch.g1 for ch in channels], [ch.g2 for ch in channels], big_d1,
-        big_d2, *(s in sc.channels for s in spectrum.SIGNALS))
-    for i, *pops in rows:
-        for s, row in enumerate(pops):
-            if row is None:
-                continue
-            for o, (sl, w) in zip(out, (plan.coarse, plan.fine)):
-                o[s, i] = weighted_sum(row[..., sl], w)
-    return out
+        big_d2, *sc.requested)
+    return [weighted_sum(table[..., sl], w)
+            for sl, w in (plan.coarse, plan.fine)]
 
 
 @pytest.mark.parametrize("case", ["coupling off", "15 couplings",

@@ -12,7 +12,10 @@ tree next to this script:
   check;
 - ``simulate --threads 1`` on ``li2_fig4`` made Doppler-free by deleting its
   ``[ensemble]`` and ``[quadrature]`` sections, once with the analytic
-  engine and once with the oracle engine;
+  engine, once with the oracle engine, and once with the oracle engine and
+  ``channels = rho33``, whose rho22 column is the zeroed row of the table;
+- ``components --threads 1`` on that Doppler-free ``li2_fig4`` (analytic):
+  the 15 CSVs, hashed concatenated in ascending |M|;
 - ``simulate --threads 1`` on ``li2_fig6b`` shrunk to 33 points and 1001
   nodes, with the oracle engine and Doppler on: every point is averaged on
   the trapezoid and checked against its doubled rule;
@@ -155,15 +158,26 @@ def listing(src):
             parts = sorted(out.glob(f"{name}_m*.csv"))
             yield report(f"{name} components ({len(parts)} CSVs)", parts)
 
-        for engine in ("analytic", "oracle"):
-            out = Path(tmp) / f"off_{engine}"
-            cfg = edited_config(src, tmp, "li2_fig4",
-                                f"doppler_off_{engine}",
-                                DOPPLER_FREE + (("engine = analytic",
-                                                 f"engine = {engine}"),))
+        oracle = (("engine = analytic", "engine = oracle"),)
+        for tag, edits, label in (
+                ("analytic", (), "analytic engine"),
+                ("oracle", oracle, "oracle engine"),
+                ("oracle_rho33", oracle + (("channels = rho22 rho33",
+                                            "channels = rho33"),),
+                 "oracle engine, rho33 only")):
+            out = Path(tmp) / f"off_{tag}"
+            cfg = edited_config(src, tmp, "li2_fig4", f"doppler_off_{tag}",
+                                DOPPLER_FREE + edits)
             run_cli(src, "simulate", "--config", cfg, "--out", str(out))
-            yield report(f"li2_fig4 doppler off, {engine} engine",
+            yield report(f"li2_fig4 doppler off, {label}",
                          [out / "li2_fig4.csv"])
+
+        out = Path(tmp) / "off_components"
+        cfg = edited_config(src, tmp, "li2_fig4", "doppler_off", DOPPLER_FREE)
+        run_cli(src, "components", "--config", cfg, "--out", str(out))
+        parts = sorted(out.glob("li2_fig4_m*.csv"))
+        yield report(f"li2_fig4 doppler off components ({len(parts)} CSVs)",
+                     parts)
 
         out = Path(tmp) / "oracle"
         cfg = edited_config(src, tmp, "li2_fig6b", "oracle",

@@ -223,7 +223,7 @@ def cmd_fit(args) -> int:
         unit = result.units[name]
         print(f"{name} = {result.best_params[name]:.6g} {unit}"
               f" (+- {result.sensitivity[name]['half_interval']:.2g},"
-              " curvature sensitivity)")
+              " marginal 1-sigma)")
     print(f"residual {result.residual_norm:.6g} after"
           f" {result.evaluations} evaluations;"
           f" converged: {result.converged}")

@@ -9,17 +9,31 @@ The fit is a variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10
 (1973) 413).  ``amplitude_scale`` and ``baseline_offset`` enter the model
 linearly, so at every point of the search they are solved for exactly, by
 bounded least squares on the one simulated spectrum, and the search runs
-over the other (nonlinear) free parameters only.  That search is Powell's
-conjugate-direction method (Powell, Comput. J. 7 (1964) 155), each line
-search a bounded Brent golden-section and parabolic search (Brent,
-Algorithms for Minimization without Derivatives, 1973): with one nonlinear
-parameter, as in the dipole fit, a single Brent search; with none, the
-spectrum at the initial values is the whole fit.
+over the other (nonlinear) free parameters only; with none, the spectrum at
+the initial values is the whole fit.
 
-Objective evaluations are full spectrum simulations, so the search is
-derivative-free with a hard evaluation cap.  Residuals are weighted by
-1/sigma when the target carries uncertainties.  Identical problems and
-starting points always produce identical results.
+The search is one Levenberg-Marquardt loop (Marquardt, J. SIAM 11 (1963)
+431) on the projected residual, the residual at the solved linear values.
+Its Jacobian is a forward difference with step h = 1e-3 (hi - lo), taken
+backward where x + h would leave the box (Kaufman, BIT 15 (1975) 49, for
+the projected Jacobian).  The damping starts at 1e-3, is divided by 10 on
+an accepted step and multiplied by 10 on a rejected one, and each step is
+clipped to the box.  A trial point is simulated in one call together with
+its mu_coupling partner x + h e_mu, which shares its system (only the
+coupling Rabi frequency differs), so an accepted point's mu column costs
+nothing more; every other column costs one spectrum.  The search converges
+when an evaluated step, accepted or rejected, moves no parameter x by more
+than 1e-4 max(|x|, 1e-3 (hi - lo)).  The narrow lines of a Doppler-free
+target give chi^2 several minima in mu, so there the search starts from the
+best of the start and a bracket of mu values at the centres of
+``_BRACKET`` equal cells of the box, simulated in one call.
+
+The error bars come from the same Jacobian at the best point, with the
+linear parameters' columns added (Golub & Pereyra, Inverse Problems 19
+(2003) R1): no spectrum is simulated for them.  Every spectrum counts
+against a hard cap.  Residuals are weighted by 1/sigma when the target
+carries uncertainties.  Identical problems and starting points always
+produce identical results.
 """
 
 import math
@@ -28,7 +42,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .doppler import Ensemble, QuadratureSpec
-from .spectrum import ENGINE_ANALYTIC, SIGNALS, ScanConfig, Spectrum, simulate
+from .spectrum import (ENGINE_ANALYTIC, SIGNALS, ScanConfig, Spectrum,
+                       simulate_many)
 from .sublevels import build_channels
 from .system import CascadeSystem, LaserPair
 from .units import angular_from_mhz, rabi_frequency
@@ -45,8 +60,10 @@ PARAMETER_UNITS = {
     "baseline_offset": "signal",
 }
 
-_REL_TOL = 1e-4
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_REL_TOL = 1e-4      # convergence: a step within 1e-4 max(|x|, 1e-3 (hi - lo))
+_STEP = 1e-3         # Jacobian step, as a share of the box
+_DAMPING = 1e-3      # initial Marquardt damping
+_BRACKET = 12        # mu values of the Doppler-free bracket
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,14 +158,17 @@ class FitResult:
 
     @property
     def sensitivity(self) -> dict:
-        """name -> {curvature, half_interval, tolerance_interval}: local,
-        curvature-based scales rather than full confidence intervals.
+        """name -> {curvature, half_interval, tolerance_interval}: local
+        scales from the Jacobian at the best point, not full confidence
+        intervals.
 
-        ``half_interval``, sqrt(2 (chi^2/dof) / curvature), is the 1-sigma
-        scale implied by the residual level; ``tolerance_interval``,
-        sqrt(2 chi^2 / curvature), is the parameter move that doubles the
-        best objective.  Both are NaN for a parameter pinned at a bound and
-        inf where the curvature is not positive.
+        ``curvature`` is 2 / [(J^T W J)^-1]_ii, so ``half_interval``,
+        sqrt(2 (chi^2/dof) / curvature), is the marginal 1-sigma with the
+        noise level read from the residuals; ``tolerance_interval``,
+        sqrt(2 chi^2 / curvature), is the move that doubles the best
+        objective when the other parameters follow.  Both are NaN for a
+        parameter pinned at a bound and inf where the curvature is not
+        positive.
         """
         base = max(self.residual_norm, np.finfo(float).eps)
         out = {}
@@ -173,10 +193,13 @@ def _context(fp: FitProblem, params: dict):
     return sys, mu_c, scale, offset
 
 
-def _simulate(fp: FitProblem, params: dict, verify: bool) -> Spectrum:
-    sys, mu_c, _, _ = _context(fp, params)
-    channelset = fp._channels.with_coupling(
-        rabi_frequency(mu_c, fp.lasers.field_coupling))
+def _simulate(fp: FitProblem, points: list, verify: bool) -> list:
+    """The spectra at ``points``, dicts of parameters, in one simulation;
+    the points share the system, so they differ in mu_coupling at most."""
+    sys = _context(fp, points[0])[0]
+    channelsets = [fp._channels.with_coupling(rabi_frequency(
+        _context(fp, params)[1], fp.lasers.field_coupling))
+        for params in points]
     scan = ScanConfig(
         delta1_mhz=fp.target_delta1_mhz,
         delta2_mhz=fp.delta2_mhz,
@@ -186,42 +209,45 @@ def _simulate(fp: FitProblem, params: dict, verify: bool) -> Spectrum:
         engine=fp.engine,
         verify_quadrature=verify,
     )
-    return simulate(sys, fp.lasers, fp.ensemble, channelset, scan,
-                    quadrature=fp.quadrature, threads=fp.threads)
+    return simulate_many(sys, fp.lasers, fp.ensemble, channelsets, scan,
+                         quadrature=fp.quadrature, threads=fp.threads)
 
 
 def model_spectrum(fp: FitProblem, params: dict) -> Spectrum:
     """Unverified simulated spectrum on the target grid at params."""
-    return _simulate(fp, params, verify=False)
+    return _simulate(fp, [params], verify=False)[0]
+
+
+def _residual(fp, model, scale, offset):
+    """(Sigma-weighted) residual of scale*model + offset against the
+    target."""
+    resid = scale * model + offset - fp.target_signal
+    if fp.target_sigma is not None:
+        resid /= fp.target_sigma
+    return resid
 
 
 def _chi2(fp, model, scale, offset):
     """Sum of squared (sigma-weighted) residuals of scale*model + offset
     against the target."""
-    resid = scale * model + offset - fp.target_signal
-    if fp.target_sigma is not None:
-        resid /= fp.target_sigma
+    resid = _residual(fp, model, scale, offset)
     return float(np.dot(resid, resid))
 
 
 def validate_quadrature(fp: FitProblem, params: dict) -> Spectrum:
     """The spectrum at params, checked on doubled nodes if Doppler-on."""
-    return _simulate(fp, params, verify=True)
+    return _simulate(fp, [params], verify=True)[0]
 
 
 def fit(fp: FitProblem, init: dict) -> FitResult:
-    """Variable-projection least squares over the free parameters.
-
-    The linear parameters are solved for exactly at every nonlinear point
-    (see the module docstring for the search).  ``evaluations`` counts every
-    spectrum the fit simulates: the start, whose quadrature is validated,
-    the search's and two per nonlinear curvature.  The search converges when
-    a cycle of Powell's method (Powell 1964) moves no nonlinear parameter x
-    by more than Brent's tolerance 1e-4 max(|x|, 1e-3 (hi - lo)); with one,
-    its Brent search is the whole search.  ``iterations`` counts the Brent
-    steps of all line searches.  ``fp.max_evaluations`` caps all spectra: a
-    search that reaches it flags non-convergence (the best point found is
-    still returned), and a curvature that does not fit reads NaN.
+    """Variable-projection least squares over the free parameters, by the
+    search of the module docstring.  ``evaluations`` counts every spectrum
+    the fit simulates (the error bars take none) and ``iterations`` the
+    evaluated steps.  ``fp.max_evaluations`` caps all spectra: a batch that
+    does not fit it is not started, and the search stops unconverged at the
+    best point found.  ``curvature`` is 2 / [(J^T W J)^-1]_ii of the
+    Jacobian J at the best point, NaN for a parameter pinned at a bound or
+    whose column the budget left unsimulated (both are then held fixed).
     """
     missing = [name for name in fp.free if name not in init]
     if missing:
@@ -237,41 +263,32 @@ def fit(fp: FitProblem, init: dict) -> FitResult:
     nonlinear = [i for i, n in enumerate(fp.free)
                  if n not in LINEAR_PARAMETERS]
     proj = _Projection(fp, [fp.free[i] for i in nonlinear], start)
-    xn, xlo, xhi = x0[nonlinear], lo[nonlinear], hi[nonlinear]
-    model = proj.spectrum(xn)
+    box = lo[nonlinear], hi[nonlinear]
+    xn = x0[nonlinear]
+    model = proj.spectra([xn])[0]
     _, _, scale, offset = _context(fp, start)
     initial_f = _chi2(fp, model, scale, offset)
-    best_f = proj.project(xn, model)
-    xn, best_f, converged, iterations = _powell(proj, xn, best_f, xlo, xhi,
-                                                proj.room)
-    linear, sum_wm2 = proj.solutions[xn.tobytes()]
+    proj.note(proj.chi2(model))
+    partners, converged, iterations = [], True, 0
+    if nonlinear:
+        if not fp.doppler_on and "mu_coupling" in proj.names:
+            xn, model = _bracket(proj, xn, model, *box)
+        xn, model, partners, converged, iterations = _search(proj, xn, model,
+                                                             *box)
+    residual, linear = proj.residual(model)
     best = dict(zip(proj.names, xn.tolist())) | linear
     best_x = np.array([best[n] for n in fp.free])
-
-    # second differences of chi^2 at the best linear values
-    _, _, scale, offset = _context(fp, linear)
-    curvature = np.full(len(fp.free), np.nan)
-    for i, name in enumerate(fp.free):
-        h = _half_step(best_x[i], lo[i], hi[i])
-        if h is None:
-            continue
-        if name in LINEAR_PARAMETERS:  # chi^2 is exactly quadratic in it
-            curvature[i] = 2.0 * (sum_wm2 if name == "amplitude_scale"
-                                  else proj.weight_sum)
-        elif proj.room(2):
-            step = h * (np.arange(xn.size) == nonlinear.index(i))
-            f_up, f_down = (_chi2(fp, proj.spectrum(x), scale, offset)
-                            for x in (xn + step, xn - step))
-            curvature[i] = (f_up - 2.0 * best_f + f_down) / h**2
+    slopes = {name: (p - model) / h for name, p, h in
+              zip(proj.names, partners, _steps(xn, *box)) if p is not None}
     return FitResult(
         best_params=dict(zip(fp.free, best_x.tolist())),
-        residual_norm=best_f,
+        residual_norm=float(np.dot(residual, residual)),
         initial_residual_norm=initial_f,
         iterations=iterations,
         evaluations=proj.evaluations,
         converged=converged,
         dof=max(fp.target_signal.size - len(fp.free), 1),
-        curvature=curvature,
+        curvature=_curvature(fp, linear, model, slopes, best_x, lo, hi),
         trace=np.array(proj.trace, float).reshape(-1, 2),
     )
 
@@ -284,14 +301,119 @@ def synthetic_target(spec: Spectrum, channel: str, noise_fraction: float,
     return signal * (1.0 + noise_fraction * rng.standard_normal(signal.size))
 
 
+def _steps(x, lo, hi):
+    """Jacobian steps at x: 1e-3 of the box, backward where x + h > hi."""
+    h = _STEP * (hi - lo)
+    return np.where(x + h > hi, -h, h)
+
+
+def _bracket(proj, x, model, lo, hi):
+    """The best of x and the mu values at the centres of ``_BRACKET`` equal
+    cells of the box, the other parameters as at x, simulated in one call
+    (skipped when it does not fit the budget).  Returns (point, model)."""
+    mu = proj.names.index("mu_coupling")
+    points = np.repeat(x[None, :], _BRACKET, axis=0)
+    points[:, mu] = lo[mu] + (np.arange(_BRACKET) + 0.5) * (
+        (hi[mu] - lo[mu]) / _BRACKET)
+    models = proj.spectra(list(points)) or []
+    f = proj.chi2(model)
+    for k, trial in enumerate(models):
+        f_trial = proj.chi2(trial)
+        proj.note(f_trial, k)
+        if f_trial < f:
+            x, model, f = points[k], trial, f_trial
+    return x, model
+
+
+def _search(proj, x, model, lo, hi):
+    """Levenberg-Marquardt from x, whose model signal is ``model`` (see the
+    module docstring).  Returns (x, model, partners, converged, iterations):
+    the best point, its model, and per nonlinear parameter j the model at
+    x + h_j e_j, None where the budget left it unsimulated.  Once converged
+    it completes the Jacobian at the best point, for the error bars."""
+    mu = proj.names.index("mu_coupling") if "mu_coupling" in proj.names \
+        else None
+    axes = np.eye(x.size)
+    resid = proj.residual(model)[0]
+    f = float(np.dot(resid, resid))
+    partners = [None] * x.size
+    jac = None
+    damping, iterations, converged = _DAMPING, 0, False
+    while True:
+        h = _steps(x, lo, hi)
+        for j in range(x.size):   # the Jacobian at x, for a step or the end
+            if partners[j] is None:
+                models = proj.spectra([x + h[j] * axes[j]])
+                if models is None:
+                    return x, model, partners, converged, iterations
+                partners[j] = models[0]
+        if converged:
+            return x, model, partners, True, iterations
+        if jac is None:
+            jac = np.stack([(proj.residual(p)[0] - resid) / h[j]
+                            for j, p in enumerate(partners)], axis=1)
+        a = jac.T @ jac
+        d = np.diag(a)      # Marquardt's scaling; 1 for a column of zeros
+        step = np.linalg.solve(a + damping * np.diag(np.where(d > 0, d, 1.0)),
+                               -(jac.T @ resid))
+        trial = np.clip(x + step, lo, hi)
+        if np.array_equal(trial, x):
+            return x, model, partners, True, iterations
+        batch = [trial] if mu is None else \
+            [trial, trial + _steps(trial, lo, hi)[mu] * axes[mu]]
+        models = proj.spectra(batch)
+        if models is None:
+            return x, model, partners, False, iterations
+        iterations += 1
+        small = np.all(np.abs(trial - x) <= _REL_TOL * np.maximum(
+            np.abs(x), 1e-3 * (hi - lo)))
+        trial_resid = proj.residual(models[0])[0]
+        f_trial = float(np.dot(trial_resid, trial_resid))
+        if f_trial < f:
+            x, model, resid, f = trial, models[0], trial_resid, f_trial
+            partners = [models[1] if j == mu else None for j in range(x.size)]
+            jac = None
+            proj.note(f)
+            damping /= 10.0
+        else:
+            damping *= 10.0
+        converged = bool(small)
+
+
+def _curvature(fp, linear, model, slopes, x, lo, hi):
+    """2 / [(J^T W J)^-1]_ii per free parameter at the best point x, for the
+    Jacobian J of scale*model + offset: the model itself, ones, and scale
+    times ``slopes`` (name -> forward difference of the model).
+
+    A parameter pinned at a bound or without a slope is held fixed and
+    reads NaN.  Each value is twice the Schur complement of its parameter
+    in J^T W J, so a direction the data leave free reads 0, not NaN."""
+    scale = _context(fp, linear)[2]
+    columns = {"amplitude_scale": model,
+               "baseline_offset": np.ones_like(model)}
+    columns |= {name: scale * slope for name, slope in slopes.items()}
+    use = [i for i, name in enumerate(fp.free) if name in columns
+           and min(x[i] - lo[i], hi[i] - x[i]) >= 1e-12 * (hi[i] - lo[i])]
+    jac = np.reshape([columns[fp.free[i]] for i in use],
+                     (len(use), model.size))    # a row per parameter
+    if fp.target_sigma is not None:
+        jac /= fp.target_sigma
+    a = jac @ jac.T
+    curvature = np.full(len(fp.free), np.nan)
+    for k, i in enumerate(use):
+        rest = np.arange(len(use)) != k
+        curvature[i] = 2.0 * (a[k, k] - a[k, rest] @ np.linalg.pinv(
+            a[np.ix_(rest, rest)]) @ a[rest, k])
+    return curvature
+
+
 class _Projection:
     """chi^2 of the nonlinear parameters, with the linear ones at their exact
     bounded least-squares values.
 
-    Counts the spectra it simulates against ``fp.max_evaluations``, records
-    the convergence trace and keeps the linear solution (and the model's
-    sum w m^2) at every point it evaluates, keyed by the point's bytes; it
-    keeps no model arrays.
+    Simulates the fit's spectra, counting them against
+    ``fp.max_evaluations``, and records the convergence trace; it keeps no
+    model arrays.
     """
 
     def __init__(self, fp, names, start):
@@ -302,33 +424,38 @@ class _Projection:
             if fp.target_sigma is None else 1.0 / fp.target_sigma**2
         self.weight_sum = float(np.sum(self.weight))
         self.evaluations = 0
+        self.batch = 0
         self.trace = []
-        self.solutions = {}
 
-    def room(self, n=1):
-        """True when n more evaluations fit the budget."""
-        return self.evaluations + n <= self.fp.max_evaluations
+    def spectra(self, xs):
+        """The model signals at the nonlinear points xs (linear ones unset),
+        simulated in one call, or None when they do not fit the budget.
+        The points differ in mu_coupling at most; the first call, the fit's
+        start alone, validates the quadrature."""
+        if self.evaluations + len(xs) > self.fp.max_evaluations:
+            return None
+        verify = not self.evaluations
+        self.evaluations += len(xs)
+        self.batch = len(xs)
+        points = [dict(zip(self.names, x.tolist())) for x in xs]
+        return [spec.signals[self.fp.channel]
+                for spec in _simulate(self.fp, points, verify)]
 
-    def spectrum(self, x):
-        """One model signal at the nonlinear point x (linear ones unset);
-        the first, the fit's start, validates the quadrature."""
-        simulate_at = model_spectrum if self.evaluations else \
-            validate_quadrature
-        self.evaluations += 1
-        return simulate_at(self.fp, dict(zip(self.names, x.tolist()))) \
-            .signals[self.fp.channel]
-
-    def project(self, x, model):
-        linear, sum_wm2 = self._solve(model)
+    def residual(self, model):
+        """The residual at the model's best linear values, and those."""
+        linear = self._solve(model)
         _, _, scale, offset = _context(self.fp, linear)
-        f = _chi2(self.fp, model, scale, offset)
-        self.solutions[x.tobytes()] = (linear, sum_wm2)
-        if not self.trace or f < self.trace[-1][1]:
-            self.trace.append((self.evaluations, f))
-        return f
+        return _residual(self.fp, model, scale, offset), linear
 
-    def __call__(self, x):
-        return self.project(x, self.spectrum(x))
+    def chi2(self, model):
+        resid = self.residual(model)[0]
+        return float(np.dot(resid, resid))
+
+    def note(self, f, k=0):
+        """Trace chi^2 f of spectrum k of the last batch if it is a new
+        best."""
+        if not self.trace or f < self.trace[-1][1]:
+            self.trace.append((self.evaluations - self.batch + k + 1, f))
 
     def _solve(self, m):
         """Bounded weighted least squares for the free linear parameters.
@@ -336,7 +463,7 @@ class _Projection:
         The normal-equation solution when it lies in the box, else the best
         of the clipped 1-D solutions along the box's edges; a scale whose
         model column is all zeros keeps its initial value.  Returns
-        ({name: value}, sum w m^2)."""
+        {name: value}."""
         fp, w, t = self.fp, self.weight, self.fp.target_signal
         free_s = "amplitude_scale" in fp.free
         free_o = "baseline_offset" in fp.free
@@ -375,160 +502,7 @@ class _Projection:
             linear["amplitude_scale"] = float(s)
         if free_o:
             linear["baseline_offset"] = float(o)
-        return linear, smm
-
-
-def _brent(func, x, fx, lo, hi, room):
-    """Brent's bounded minimization of func on [lo, hi] from x, f(x) = fx.
-
-    Golden-section steps, parabolic steps where the parabola through the
-    three best points is trusted (Brent 1973, ch. 5).  It stops once the
-    bracket around x lies within tol/2 of it, tol = 1e-4 max(|x|,
-    1e-3 (hi - lo)); a minimum within tol of a bound is then compared with
-    the bound itself, so a parameter pinned there lands exactly on it.
-    ``room()`` says whether one more evaluation is allowed.  Returns
-    (x, f(x), converged, iterations).
-    """
-    a, b = lo, hi
-    v = w = x
-    fv = fw = fx
-    d = e = 0.0
-    iterations = 0
-    converged = False
-    while True:
-        tol = _REL_TOL * max(abs(x), 1e-3 * (hi - lo))
-        tol1, tol2 = 0.25 * tol, 0.5 * tol
-        xm = 0.5 * (a + b)
-        if abs(x - xm) <= tol2 - 0.5 * (b - a):
-            converged = True
-            break
-        if not room():
-            break
-        iterations += 1
-        golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            if abs(p) < abs(0.5 * q * e_prev) \
-                    and q * (a - x) < p < q * (b - x):
-                d = p / q
-                if x + d - a < tol2 or b - (x + d) < tol2:
-                    d = tol1 if xm >= x else -tol1
-                golden = False
-        if golden:
-            e = a - x if x >= xm else b - x
-            d = _GOLDEN * e
-        u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
-        fu = func(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    edge = lo if x - lo <= hi - x else hi
-    if converged and x != edge and abs(x - edge) <= tol and room():
-        fe = func(edge)
-        if fe <= fx:
-            x, fx = edge, fe
-    return x, fx, converged, iterations
-
-
-def _line(func, x, fx, d, lo, hi, room):
-    """Brent's search of func along direction d through x, f(x) = fx.
-
-    The line is parametrized by the coordinate k where |d| is largest and
-    restricted to the segment that stays in the box, so along a coordinate
-    axis this is ``_brent`` on that coordinate.  Returns (point, f(point),
-    converged, iterations)."""
-    k = int(np.argmax(np.abs(d)))
-    d = d / d[k]
-    others = (d != 0.0) & (np.arange(x.size) != k)
-    ends = np.sort(x[k] + (np.stack([lo, hi])[:, others] - x[others])
-                   / d[others], axis=0)
-    t_lo = min(x[k], ends[0].max(initial=lo[k]))
-    t_hi = max(x[k], ends[1].min(initial=hi[k]))
-
-    def point(t):
-        p = np.clip(x + (t - x[k]) * d, lo, hi)
-        p[k] = t
-        return p
-
-    t, ft, converged, iterations = _brent(lambda t: func(point(t)), x[k], fx,
-                                          t_lo, t_hi, room)
-    # x itself when the search stays put: point(x[k]) may differ from x in
-    # the sign of a zero, and the projection keeps solutions by the bytes
-    return (x if t == x[k] else point(t)), ft, converged, iterations
-
-
-def _powell(func, x, fx, lo, hi, room):
-    """Powell's conjugate-direction minimization of func on the box [lo, hi]
-    from x, f(x) = fx (Powell, Comput. J. 7 (1964) 155).
-
-    A cycle runs ``_line`` along each direction, the axes at first; one that
-    moves no coordinate by more than Brent's tolerance ends the search, as
-    does the first line search in one dimension.  Otherwise Powell's test on
-    f at the cycle's start, at its end x and at 2x - start decides whether a
-    line search along the net move follows, the move then replacing the
-    direction of largest decrease.  A net move that starts or would end on a
-    face of the box in a coordinate it changes is not taken: a bound stopped
-    it.  x is always the best point evaluated.  Returns (x, f(x), converged,
-    the Brent steps of all line searches).
-    """
-    directions = list(np.eye(x.size))
-    iterations = 0
-    while True:
-        start, f_start, drops = x, fx, []
-        for d in directions:
-            x, f, converged, steps = _line(func, x, fx, d, lo, hi, room)
-            iterations += steps
-            drops.append(fx - f)
-            fx = f
-            if not converged:
-                return x, fx, False, iterations
-        move = x - start
-        if x.size == 1 or np.all(np.abs(move) <= _REL_TOL * np.maximum(
-                np.abs(x), 1e-3 * (hi - lo))):
-            return x, fx, True, iterations
-        ahead = 2.0 * x - start
-        if np.any((move != 0.0) & ((start <= lo) | (start >= hi)
-                                   | (ahead <= lo) | (ahead >= hi))):
-            continue
-        if not room():
-            return x, fx, False, iterations
-        f_ahead, big = func(ahead), max(drops)
-        if f_ahead < f_start and 2.0 * (f_start - 2.0 * fx + f_ahead) * (
-                f_start - fx - big)**2 < big * (f_start - f_ahead)**2:
-            x, fx, converged, steps = _line(func, x, fx, move, lo, hi, room)
-            iterations += steps
-            del directions[int(np.argmax(drops))]
-            directions.append(move)
-        if f_ahead < fx:   # also where that search stopped short of 2x - start
-            x, fx = ahead, f_ahead
-        if not converged:
-            return x, fx, False, iterations
-
-
-def _half_step(x, lo, hi):
-    """Second-difference step at x in [lo, hi]; None when x is pinned at a
-    bound (closer to it than 1e-12 of the span)."""
-    h = min(1e-3 * (hi - lo), x - lo, hi - x)
-    return None if h < 1e-12 * (hi - lo) else h
+        return linear
 
 
 def fit_report_dict(result: FitResult, fp: FitProblem) -> dict:

@@ -131,12 +131,25 @@ def simulate(sys: CascadeSystem, lasers: LaserPair, ensemble: Ensemble | None,
              quadrature: QuadratureSpec | None = None,
              threads: int = 1) -> Spectrum:
     """Run the scan and return the |M|-summed spectrum."""
-    quadrature = quadrature or QuadratureSpec()
-    channels = _active_channels(channelset, scan)
-    per = _per_channel_spectra(sys, ensemble, channels, scan, quadrature,
-                               threads)
-    return _spectrum(per, channels, sys, lasers, ensemble, channelset, scan,
-                     quadrature)
+    return simulate_many(sys, lasers, ensemble, [channelset], scan,
+                         quadrature, threads)[0]
+
+
+def simulate_many(sys: CascadeSystem, lasers: LaserPair,
+                  ensemble: Ensemble | None, channelsets, scan: ScanConfig,
+                  quadrature: QuadratureSpec | None = None,
+                  threads: int = 1) -> list:
+    """One spectrum per ``ChannelSet`` of ``channelsets``, from one kernel
+    call over all their channels: the sets share the system, lasers,
+    ensemble and scan.  Each spectrum is the one ``simulate`` gives its set
+    alone, bit for bit.  A verified Doppler-averaged scan is checked at
+    points of its own signals, so it takes one set only (ValueError)."""
+    if len(channelsets) > 1 and scan.doppler_on and scan.verify_quadrature:
+        raise ValueError("a verified Doppler-averaged scan simulates one"
+                         " channel set per call")
+    return _spectra(sys, lasers, ensemble, [
+        (cs, _active_channels(cs, scan)) for cs in channelsets], scan,
+        quadrature, threads)
 
 
 def per_m_components(sys: CascadeSystem, lasers: LaserPair,
@@ -150,20 +163,13 @@ def per_m_components(sys: CascadeSystem, lasers: LaserPair,
     pseudo-channel, which is no |M| sublevel."""
     if not scan.m_sum_on:
         raise ValueError("per-|M| components need scan.m_sum_on")
-    quadrature = quadrature or QuadratureSpec()
     channels = _active_channels(channelset, scan)
-    values, check = _per_channel_spectra(sys, ensemble, channels, scan,
-                                         quadrature, threads)
-    out = []
-    for i, ch in enumerate(channels):
-        one = slice(i, i + 1)
-        row_check = None if check is None else \
-            (check[0], check[1][:, one], check[2][:, one])
-        spec = _spectrum((values[:, one], row_check), [ch], sys, lasers,
-                         ensemble, channelset, scan, quadrature)
+    out = _spectra(sys, lasers, ensemble, [(channelset, [ch])
+                                           for ch in channels],
+                   scan, quadrature, threads)
+    for ch, spec in zip(channels, out):
         spec.metadata["component.abs_m"] = ch.abs_m
         spec.metadata["component.multiplicity"] = ch.multiplicity
-        out.append(spec)
     return out
 
 
@@ -173,6 +179,25 @@ def _active_channels(channelset: ChannelSet, scan: ScanConfig):
     if scan.m_sum_on:
         return list(channelset.channels)
     return [channelset.bare_channel()]
+
+
+def _spectra(sys, lasers, ensemble, pieces, scan, quadrature, threads):
+    """One spectrum per (channel set, channels) of ``pieces``, each summed
+    over its own channels, from one ``_per_channel_spectra`` call over all
+    of them; each piece is checked on its own share of the check."""
+    quadrature = quadrature or QuadratureSpec()
+    values, check = _per_channel_spectra(
+        sys, ensemble, [ch for _, channels in pieces for ch in channels],
+        scan, quadrature, threads)
+    out, lo = [], 0
+    for channelset, channels in pieces:
+        part = slice(lo, lo + len(channels))
+        lo = part.stop
+        part_check = None if check is None else \
+            (check[0], check[1][:, part], check[2][:, part])
+        out.append(_spectrum((values[:, part], part_check), channels, sys,
+                             lasers, ensemble, channelset, scan, quadrature))
+    return out
 
 
 def _per_channel_spectra(sys, ensemble, channels, scan, quadrature, threads):

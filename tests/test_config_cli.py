@@ -791,6 +791,42 @@ def test_cli_fit_weights_by_sigma(tmp_path, capsys):
     assert mus["unweighted"] != pytest.approx(1.45, rel=0.02)
 
 
+def test_cli_fit_leaves_a_doppler_free_local_minimum(tmp_path, capsys):
+    """A Doppler-free trace over +-1200 MHz in 61 points, weighted, every
+    third point junk at 100x sigma: chi^2(mu) has a local minimum at
+    1.418 au (chi^2 64.7) next to the true one at 1.45 au (41.5), closer
+    than 0.03 au.  From 1.2 au in [0.5, 3] au the fit recovers mu within
+    2%; the Powell search stopped at 1.4183 au."""
+    outdir = tmp_path / "fitout"
+    cfg_path = small_run_config(
+        tmp_path, outdir,
+        **{"delta1_min = -100 MHz": "delta1_min = -1200 MHz",
+           "delta1_max = 100 MHz": "delta1_max = 1200 MHz",
+           "delta1_points = 21": "delta1_points = 61"})
+    with open(cfg_path, "a") as fh:
+        fh.write("\n[fit]\nchannel = rho33\n"
+                 "free = mu_coupling amplitude_scale\n"
+                 "mu_coupling_init = 1.2 au\nmu_coupling_min = 0.5 au\n"
+                 "mu_coupling_max = 3.0 au\namplitude_scale_init = 1.0\n"
+                 "amplitude_scale_min = 0.1\namplitude_scale_max = 10.0\n")
+    x, y = truth_signal(cfg_path)
+    peak = float(np.max(y))
+    rng = np.random.default_rng(5)
+    sigma = np.full(y.size, 0.01 * peak)
+    y = y + sigma * rng.standard_normal(y.size)
+    junk = np.arange(1, y.size, 3)
+    y[junk] = rng.uniform(0.0, peak, junk.size)
+    sigma[junk] *= 100.0
+    data = tmp_path / "trace.csv"
+    write_trace(data, x, y, sigma)
+    assert main(["fit", "--config", cfg_path, "--data", str(data)]) == 0
+    report = json.loads((outdir / "run_fit.json").read_text())
+    assert report["converged"] is True
+    assert report["best_params"]["mu_coupling"] == pytest.approx(1.45,
+                                                                 rel=0.02)
+    assert report["residual_norm"] < 45.0
+
+
 def test_cli_fit_reads_a_wavenumber_abscissa(tmp_path, capsys):
     """The same noisy trace, its abscissa once as probe detuning and once as
     absolute wavenumber, gives the same dipole through eitmol fit."""

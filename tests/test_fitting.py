@@ -1,4 +1,5 @@
-"""Objective behavior, Powell-search recovery, and fit determinism."""
+"""Objective behavior, Levenberg-Marquardt recovery, error bars and fit
+determinism."""
 
 import dataclasses
 
@@ -125,14 +126,18 @@ def test_fit_builds_its_channels_once(li2, li2_lasers, monkeypatch):
         built.append(mu_coupling)
         return real(sys, mu_probe, mu_coupling, *fields)
 
-    def per_spectrum(fp, params, verify):
+    def per_spectrum(fp, points, verify):
         # what every spectrum of a fit did before: its own build_channels
-        sys, mu_c, _, _ = fitting._context(fp, params)
-        cs = rebuilt(sys, fp.mu_probe_au, mu_c, fp.lasers.field_probe,
-                     fp.lasers.field_coupling)
-        scan = ScanConfig(delta1_mhz=fp.target_delta1_mhz,
-                          channels=(fp.channel,), doppler_on=False)
-        return simulate(sys, fp.lasers, None, cs, scan)
+        # and its own simulate
+        out = []
+        for params in points:
+            sys, mu_c, _, _ = fitting._context(fp, params)
+            cs = rebuilt(sys, fp.mu_probe_au, mu_c, fp.lasers.field_probe,
+                         fp.lasers.field_coupling)
+            scan = ScanConfig(delta1_mhz=fp.target_delta1_mhz,
+                              channels=(fp.channel,), doppler_on=False)
+            out.append(simulate(sys, fp.lasers, None, cs, scan))
+        return out
 
     monkeypatch.setattr(fitting, "build_channels", rebuilt)
     result = fit(fp, init)
@@ -286,6 +291,14 @@ def test_sensitivity_of_a_pinned_parameter(li2, li2_lasers):
     assert trace[-1][1] <= result.residual_norm
 
 
+def test_a_fit_pinned_in_every_parameter_reads_nan(li2, li2_lasers):
+    fp = doppler_free_problem(li2, li2_lasers, free=("mu_coupling",),
+                              bounds={"mu_coupling": (0.5, 1.3)})
+    result = fit(fp, {"mu_coupling": 1.0})
+    assert result.best_params == {"mu_coupling": 1.3}
+    assert np.isnan(result.curvature).all()
+
+
 def test_model_spectrum_uses_target_grid(li2, li2_lasers):
     fp = doppler_free_problem(li2, li2_lasers, free=("mu_coupling",),
                               bounds={"mu_coupling": (0.5, 3.0)})
@@ -293,8 +306,8 @@ def test_model_spectrum_uses_target_grid(li2, li2_lasers):
     assert np.array_equal(spec.delta1_mhz, fp.target_delta1_mhz)
 
 
-def test_powell_path_recovers_dipole(li2, li2_lasers):
-    # two nonlinear parameters: Powell's search over mu and gamma12_col
+def test_search_recovers_dipole_with_a_dephasing(li2, li2_lasers):
+    # two nonlinear parameters: one search over mu and gamma12_col
     fp = doppler_free_problem(li2, li2_lasers,
                               free=("mu_coupling", "gamma12_col",
                                     "amplitude_scale"),
@@ -309,7 +322,7 @@ def test_powell_path_recovers_dipole(li2, li2_lasers):
     assert result.residual_norm <= result.initial_residual_norm
 
 
-def test_powell_path_recovers_dephasings_off_a_bound(li2, li2_lasers):
+def test_search_recovers_dephasings_off_a_bound(li2, li2_lasers):
     # mu held at its true value; a search that lets gamma12 settle on its
     # 1 MHz bound ends near chi^2 = 6.4e-2, 31 times the true minimum
     fp = doppler_free_problem(li2, li2_lasers,
@@ -326,7 +339,7 @@ def test_powell_path_recovers_dephasings_off_a_bound(li2, li2_lasers):
     assert result.residual_norm < 2.2e-3
 
 
-def test_budget_spent_mid_line_search_is_not_converged(li2, li2_lasers):
+def test_budget_spent_mid_search_is_not_converged(li2, li2_lasers):
     fp = doppler_free_problem(li2, li2_lasers,
                               free=("mu_coupling", "gamma12_col",
                                     "amplitude_scale"),
@@ -338,79 +351,101 @@ def test_budget_spent_mid_line_search_is_not_converged(li2, li2_lasers):
     result = fit(fp, {"mu_coupling": 1.2, "gamma12_col": 8.0,
                       "amplitude_scale": 0.8})
     assert not result.converged
-    # ten spectra: the start and nine Brent steps along mu, cut before mu
-    # converged, so gamma12 was never searched
-    assert result.iterations == 9
-    assert result.best_params["gamma12_col"] == 8.0
+    # the 12-spectrum bracket does not fit, so the search starts at the
+    # start: its Jacobian (mu, gamma12), then two steps, each a trial with
+    # its mu partner and a gamma12 column; the third trial's pair does not
+    # fit the one spectrum left and is not started
+    assert result.iterations == 2
+    assert result.evaluations == 9
     assert result.residual_norm <= result.initial_residual_norm
 
 
-def correlated_quadratic(p):
-    """A quadratic in three correlated parameters, least (0) at
-    (-1, -2, 0)."""
-    a, b, c = (p - (-1.0, -2.0, 0.0)).tolist()
-    return a * a + b * b + c * c + 1.5 * a * b - b * c - a * c
+class LinearModel:
+    """A stand-in for ``fitting._Projection``: the model at x is x itself
+    and its residual is A x - b, with ``budget`` spectra."""
+
+    def __init__(self, names, budget, a, b):
+        self.names, self.budget, self.a, self.b = names, budget, a, b
+        self.batches = []
+
+    def spectra(self, xs):
+        if sum(map(len, self.batches)) + len(xs) > self.budget:
+            return None
+        self.batches.append([x.copy() for x in xs])
+        return [x.copy() for x in xs]
+
+    def residual(self, model):
+        return self.a @ model - self.b, {}
+
+    def note(self, f, k=0):
+        pass
 
 
-def powell_on_quadratic(monkeypatch, budget):
-    """``_powell`` on ``correlated_quadratic`` from (-5, 3, 2) in the box
-    [-10, 10]^3, with a ``room`` that allows ``budget`` evaluations; returns
-    its result, the evaluated points and the (start, direction, end) of
-    each line search."""
+CORRELATED = np.array([[1.0, 0.75, -0.5], [0.0, 1.0, -0.5], [0.3, 0.0, 1.0],
+                       [0.2, 0.1, 0.0]])
+
+
+def test_search_batches_each_trial_with_its_mu_partner():
+    """On a linear residual the search reaches the least-squares point; each
+    trial is simulated together with x + h e_mu, and each other Jacobian
+    column alone."""
     from eitmol import fitting
 
-    points, lines = [], []
-    real = fitting._line
-
-    def recorded(func, x, fx, d, lo, hi, room):
-        out = real(func, x, fx, d, lo, hi, room)
-        lines.append((x, d, out[0]))
-        return out
-
-    def func(p):
-        points.append(p.copy())
-        return correlated_quadratic(p)
-
-    monkeypatch.setattr(fitting, "_line", recorded)
-    x = np.array([-5.0, 3.0, 2.0])
-    box = np.full(3, 10.0)
-    return (fitting._powell(func, x, func(x), -box, box,
-                            lambda: len(points) < budget), points, lines)
-
-
-def test_powell_extrapolates_past_a_rejected_direction(monkeypatch):
-    """Where Powell's test keeps the directions but 2x - start is better
-    than x, the search moves there: the next line search starts at a point
-    no line search ended at.  It still converges on the minimum."""
-    (x, fx, converged, _), points, lines = powell_on_quadratic(monkeypatch,
-                                                              10**6)
+    names = ["gamma12_col", "mu_coupling", "gamma13_col"]
+    best = np.array([-1.0, -2.0, 0.5])
+    proj = LinearModel(names, 10**6, CORRELATED, CORRELATED @ best)
+    lo, hi = np.full(3, -10.0), np.full(3, 10.0)
+    x0 = np.array([-5.0, 3.0, 2.0])
+    proj.spectra([x0])
+    x, model, partners, converged, iterations = fitting._search(
+        proj, x0, x0.copy(), lo, hi)
     assert converged
-    assert np.allclose(x, [-1.0, -2.0, 0.0], atol=1e-6)
-    assert fx == min(map(correlated_quadratic, points))
-    jumps = [k for k in range(1, len(lines))
-             if not np.array_equal(lines[k][0], lines[k - 1][2])]
-    assert jumps
-    for k in jumps:
-        assert any(np.array_equal(lines[k][0], p) for p in points)
+    assert np.allclose(x, best, atol=1e-9)
+    assert np.array_equal(model, x)
+    h = 1e-3 * 20.0
+    assert [np.array_equal(p, x + h * e) for p, e in
+            zip(partners, np.eye(3))] == [True] * 3
+    pairs = [b for b in proj.batches if len(b) == 2]
+    assert len(pairs) == iterations
+    for trial, partner in pairs:
+        assert np.array_equal(partner, trial + h * np.eye(3)[1])
+    assert all(len(b) in (1, 2) for b in proj.batches)
 
 
-@pytest.mark.parametrize("budget, searches, last_along_an_axis", [
-    (16, 3, True),     # spent by the first cycle: 2x - start not evaluated
-    (49, 10, False),   # spent along a cycle's net move, short of 2x - start
-])
-def test_powell_stops_when_the_budget_is_spent(monkeypatch, budget,
-                                               searches, last_along_an_axis):
-    """With ``room`` spent, Powell returns unconverged after exactly the
-    budget, at the best point it evaluated."""
-    (x, fx, converged, _), points, lines = powell_on_quadratic(monkeypatch,
-                                                              budget)
+def test_search_clips_to_the_box_and_steps_back_at_an_upper_bound():
+    """A least-squares point outside the box: the search lands exactly on
+    the bound, and its Jacobian steps backward there."""
+    from eitmol import fitting
+
+    proj = LinearModel(["mu_coupling"], 10**6, np.eye(1), np.array([3.0]))
+    lo, hi = np.array([0.0]), np.array([2.0])
+    x, _, partners, converged, _ = fitting._search(
+        proj, np.array([1.0]), np.array([1.0]), lo, hi)
+    assert converged
+    assert x.tolist() == [2.0]
+    assert partners[0].tolist() == [2.0 - 2e-3]
+    assert all(lo[0] <= p[0] <= hi[0] for b in proj.batches for p in b)
+
+
+@pytest.mark.parametrize("budget", [3, 6, 9])
+def test_search_starts_no_batch_that_does_not_fit(budget):
+    """With the budget spent the search returns unconverged at the best
+    point it accepted; the spectra it took never pass the budget, and no
+    batch that would have fit was left out."""
+    from eitmol import fitting
+
+    names = ["gamma12_col", "mu_coupling", "gamma13_col"]
+    proj = LinearModel(names, budget, CORRELATED,
+                       CORRELATED @ np.array([-1.0, -2.0, 0.5]))
+    x0 = np.array([-5.0, 3.0, 2.0])
+    x, model, partners, converged, _ = fitting._search(
+        proj, x0, x0.copy(), np.full(3, -10.0), np.full(3, 10.0))
+    spent = sum(map(len, proj.batches))
     assert not converged
-    assert len(points) == budget
-    assert len(lines) == searches
-    assert (np.count_nonzero(lines[-1][1]) == 1) == last_along_an_axis
-    values = [correlated_quadratic(p) for p in points]
-    assert fx == min(values)
-    assert np.array_equal(x, points[int(np.argmin(values))])
+    assert budget - 2 < spent <= budget
+    assert np.array_equal(model, x)
+    assert any(np.array_equal(x, b[0]) for b in proj.batches) or \
+        np.array_equal(x, x0)
 
 
 def test_search_evaluates_only_points_in_the_box(li2, li2_lasers,
@@ -426,9 +461,9 @@ def test_search_evaluates_only_points_in_the_box(li2, li2_lasers,
     seen = []
     simulate_at = fitting._simulate
 
-    def recording(fp, params, verify):
-        seen.append(dict(params))
-        return simulate_at(fp, params, verify)
+    def recording(fp, points, verify):
+        seen.extend(map(dict, points))
+        return simulate_at(fp, points, verify)
 
     monkeypatch.setattr(fitting, "_simulate", recording)
     result = fit(fp, {"mu_coupling": 1.3, "gamma12_col": 8.0,
@@ -495,9 +530,9 @@ def test_every_spectrum_of_a_fit_is_counted(li2, li2_lasers, li2_ensemble,
     verified = []
     simulate_at = fitting._simulate
 
-    def recording(fp, params, verify):
-        verified.append(verify)
-        return simulate_at(fp, params, verify)
+    def recording(fp, points, verify):
+        verified.extend([verify] * len(points))
+        return simulate_at(fp, points, verify)
 
     monkeypatch.setattr(fitting, "_simulate", recording)
     result = fit(fp, init)
@@ -508,23 +543,43 @@ def test_every_spectrum_of_a_fit_is_counted(li2, li2_lasers, li2_ensemble,
     curvature = dict(zip(fp.free, result.curvature.tolist()))
     assert curvature["amplitude_scale"] > 0
     if budget == 10:
-        # the search spends the budget, so no curvature spectrum fits it
-        assert result.evaluations == 10
-        assert np.isnan(curvature["mu_coupling"])
+        # the next trial and its mu partner do not fit the one spectrum left,
+        # and gamma12 stopped on its 20 MHz bound, where it reads NaN
+        assert result.evaluations == 9
+        assert result.best_params["gamma12_col"] == 20.0
         assert np.isnan(curvature["gamma12_col"])
-        return
-    # the same chi^2 as the fit's residual sum, bit for bit
-    best = np.array([result.best_params[n] for n in fp.free])
+    # the Jacobian at the best point, from spectra the fit already took
     monkeypatch.undo()
-    for i, name in enumerate(fp.free):
+    held = [name for name in fp.free if not np.isnan(curvature[name])]
+    assert len(held) == len(fp.free) - (budget == 10)
+    expect = jacobian_curvature(fp, result.best_params, held)
+    for name, value in zip(held, expect):
+        assert curvature[name] == pytest.approx(value, rel=1e-9)
+
+
+def jacobian_curvature(fp, best, names):
+    """2 / [(J^T W J)^-1]_ii over ``names`` at ``best``, the others held:
+    J is the model itself and ones for the linear parameters, else the
+    scale times a forward difference of ``model_spectrum`` with step 1e-3 of
+    the box, backward where it would pass the upper bound."""
+    model = model_spectrum(fp, best).signals[fp.channel]
+    columns = []
+    for name in names:
         if name == "amplitude_scale":
-            continue
-        lo, hi = fp.bounds[name]
-        h = min(1e-3 * (hi - lo), best[i] - lo, hi - best[i])
-        step = h * (np.arange(best.size) == i)
-        assert curvature[name] == (chi2(best + step, fp)
-                                   - 2.0 * result.residual_norm
-                                   + chi2(best - step, fp)) / h**2
+            columns.append(model)
+        elif name == "baseline_offset":
+            columns.append(np.ones_like(model))
+        else:
+            lo, hi = fp.bounds[name]
+            h = 1e-3 * (hi - lo)
+            h = -h if best[name] + h > hi else h
+            moved = model_spectrum(fp, best | {name: best[name] + h})
+            columns.append(best.get("amplitude_scale", 1.0)
+                           * (moved.signals[fp.channel] - model) / h)
+    jac = np.stack(columns, axis=1)
+    if fp.target_sigma is not None:
+        jac /= fp.target_sigma[:, None]
+    return 2.0 / np.diag(np.linalg.inv(jac.T @ jac))
 
 
 @pytest.mark.parametrize("change, init, name", [
@@ -651,3 +706,92 @@ def test_all_zero_model_keeps_the_initial_scale(li2, li2_lasers):
     assert result.best_params["baseline_offset"] == pytest.approx(0.01,
                                                                   rel=1e-12)
     assert result.sensitivity["amplitude_scale"]["half_interval"] == np.inf
+
+
+@pytest.mark.parametrize("budget", [
+    12,    # the 12-spectrum bracket does not fit after the start
+    13,    # it fits, and then no Jacobian column does
+])
+def test_a_batch_that_does_not_fit_the_budget_is_not_started(
+        li2, li2_lasers, monkeypatch, budget):
+    from eitmol import fitting
+
+    fp = doppler_free_problem(li2, li2_lasers,
+                              free=("mu_coupling", "amplitude_scale"),
+                              bounds={"mu_coupling": (0.5, 3.0),
+                                      "amplitude_scale": (0.1, 10.0)},
+                              noise=0.01)
+    fp = dataclasses.replace(fp, max_evaluations=budget)
+    sizes = []
+    simulate_at = fitting._simulate
+
+    def recording(fp, points, verify):
+        sizes.append(len(points))
+        return simulate_at(fp, points, verify)
+
+    monkeypatch.setattr(fitting, "_simulate", recording)
+    result = fit(fp, {"mu_coupling": 1.2, "amplitude_scale": 0.8})
+    # every spectrum of every batch counts
+    assert sum(sizes) == result.evaluations <= budget
+    assert (12 in sizes) == (budget == 13)
+    assert not result.converged
+    # the search stopped at a batch of one or two that did not fit
+    assert result.evaluations >= budget - 1
+    if budget == 13:
+        assert result.iterations == 0
+        assert np.isnan(result.curvature[0])
+
+
+def test_four_parameter_doppler_on_fit_takes_few_spectra(li2, li2_lasers,
+                                                         li2_ensemble):
+    """mu, gamma23, gamma13 and the scale on the 32-point, 2001-node dipole
+    problem, from either side of the truth: at most 93 spectra, half the
+    186 that the Powell search took from its best start, and both starts
+    reach the same point."""
+    fp = doppler_on_problem(li2, li2_lasers, li2_ensemble)
+    fp = dataclasses.replace(
+        fp, free=("mu_coupling", "gamma23_col", "gamma13_col",
+                  "amplitude_scale"),
+        bounds=fp.bounds | {"gamma23_col": (0.1, 20.0),
+                            "gamma13_col": (0.1, 20.0)})
+    results = [fit(fp, init) for init in (
+        {"mu_coupling": 1.2, "gamma23_col": 4.0, "gamma13_col": 4.0,
+         "amplitude_scale": 0.8},
+        {"mu_coupling": 1.8, "gamma23_col": 8.0, "gamma13_col": 0.5,
+         "amplitude_scale": 2.0})]
+    for result in results:
+        assert result.converged
+        assert result.evaluations <= 93
+        assert result.best_params["mu_coupling"] == pytest.approx(1.45,
+                                                                  rel=0.02)
+    assert results[0].best_params["mu_coupling"] == pytest.approx(
+        results[1].best_params["mu_coupling"], rel=1e-4)
+
+
+@pytest.mark.parametrize("doppler_on", [True, False])
+def test_refit_scatter_matches_the_jacobian_sigma(li2, li2_lasers,
+                                                  li2_ensemble, doppler_on):
+    """Forty targets with 1% multiplicative noise, each weighted by its
+    true sigma: the fitted mu scatter within 1.5x of the median reported
+    half_interval, either way.  The second-difference curvature of the
+    Powell search read 2.0x on the Doppler-averaged problem."""
+    if doppler_on:
+        fp = doppler_on_problem(li2, li2_lasers, li2_ensemble)
+        truth = model_spectrum(fp, {"mu_coupling": 1.45})
+    else:
+        fp = doppler_free_problem(li2, li2_lasers,
+                                  free=("mu_coupling", "amplitude_scale"),
+                                  bounds={"mu_coupling": (0.5, 3.0),
+                                          "amplitude_scale": (0.1, 10.0)})
+        truth = model_spectrum(fp, {"mu_coupling": 1.45})
+    sigma = 0.01 * truth.signals["rho33"]
+    mus, reported = [], []
+    for seed in range(40):
+        target = synthetic_target(truth, "rho33", 0.01, seed)
+        result = fit(dataclasses.replace(fp, target_signal=target,
+                                         target_sigma=sigma),
+                     {"mu_coupling": 1.2, "amplitude_scale": 0.8})
+        mus.append(result.best_params["mu_coupling"])
+        reported.append(result.sensitivity["mu_coupling"]["half_interval"])
+    ratio = np.std(mus, ddof=1) / np.median(reported)
+    assert 1 / 1.5 <= ratio <= 1.5

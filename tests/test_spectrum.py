@@ -19,6 +19,7 @@ from eitmol.spectrum import (
     ScanConfig,
     per_m_components,
     simulate,
+    simulate_many,
     spectrum_csv_text,
     spectrum_json_dict,
     write_spectrum,
@@ -130,6 +131,52 @@ def test_components_sum_to_simulated_spectrum(li2, li2_lasers, li2_ensemble,
         total33 += c.signals["rho33"]
     assert np.allclose(total22, sp.signals["rho22"], rtol=1e-12, atol=0)
     assert np.allclose(total33, sp.signals["rho33"], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("engine", ["analytic", "oracle"])
+@pytest.mark.parametrize("doppler_on", [True, False])
+def test_batched_sets_equal_separate_simulations(li2, li2_lasers,
+                                                 li2_ensemble, li2_channels,
+                                                 engine, doppler_on):
+    """Each channel set of one ``simulate_many`` call gets the spectrum that
+    ``simulate`` gives it alone, bit for bit, signals and metadata; a set
+    repeated and a set with the coupling off included."""
+    grid = np.linspace(-800, 800, 21)
+    sets = [li2_channels.with_coupling(li2_channels.g2_bare * f)
+            for f in (1.0, 1.001, 0.0, 1.0)]
+    ensemble = li2_ensemble if doppler_on else None
+    # a Doppler-free scan has nothing to verify, so it batches verified
+    sc = scan(grid, engine=engine, doppler_on=doppler_on,
+              verify_quadrature=not doppler_on)
+    q = QuadratureSpec(node_count=201)
+    batch = simulate_many(li2, li2_lasers, ensemble, sets, sc, quadrature=q)
+    assert len(batch) == len(sets)
+    for channelset, spec in zip(sets, batch):
+        alone = simulate(li2, li2_lasers, ensemble, channelset, sc,
+                         quadrature=q)
+        assert np.array_equal(spec.delta1_mhz, alone.delta1_mhz)
+        assert spec.signals.keys() == alone.signals.keys()
+        for name, signal in alone.signals.items():
+            assert np.array_equal(spec.signals[name], signal), name
+        assert spec.metadata == alone.metadata
+
+
+def test_verified_doppler_average_takes_one_set(li2, li2_lasers,
+                                                li2_ensemble, li2_channels):
+    """The spot-check picks its points on each summed signal, so a verified
+    Doppler-averaged batch of two sets is refused; one set is ``simulate``."""
+    sc = scan(np.linspace(-800, 800, 21))
+    q = QuadratureSpec(node_count=201, refinement_tolerance=1.0)
+    with pytest.raises(ValueError, match="one channel set"):
+        simulate_many(li2, li2_lasers, li2_ensemble,
+                      [li2_channels, li2_channels], sc, quadrature=q)
+    one, = simulate_many(li2, li2_lasers, li2_ensemble, [li2_channels], sc,
+                         quadrature=q)
+    alone = simulate(li2, li2_lasers, li2_ensemble, li2_channels, sc,
+                     quadrature=q)
+    assert one.metadata["quadrature.verified"] is True
+    assert one.metadata == alone.metadata
+    assert np.array_equal(one.signals["rho33"], alone.signals["rho33"])
 
 
 def test_m_sum_off_simulates_the_bare_channel_alone(li2, li2_lasers,

@@ -22,8 +22,9 @@ clipped to the box.  A trial point is simulated in one call together with
 its mu_coupling partner x + h e_mu, which shares its system (only the
 coupling Rabi frequency differs), so an accepted point's mu column costs
 nothing more; every other column costs one spectrum.  The search converges
-when an evaluated step, accepted or rejected, moves no parameter x by more
-than 1e-4 max(|x|, 1e-3 (hi - lo)).  The narrow lines of a Doppler-free
+when the proposed step, once clipped, moves no parameter x by more than
+1e-4 max(|x|, 1e-3 (hi - lo)); that step is not simulated, and x, whose
+Jacobian is complete, is the result.  The narrow lines of a Doppler-free
 target give chi^2 several minima in mu, so there the search starts from the
 best of the start and a bracket of mu values at the centres of
 ``_BRACKET`` equal cells of the box, simulated in one call.
@@ -329,8 +330,9 @@ def _search(proj, x, model, lo, hi):
     """Levenberg-Marquardt from x, whose model signal is ``model`` (see the
     module docstring).  Returns (x, model, partners, converged, iterations):
     the best point, its model, and per nonlinear parameter j the model at
-    x + h_j e_j, None where the budget left it unsimulated.  Once converged
-    it completes the Jacobian at the best point, for the error bars."""
+    x + h_j e_j, None where the budget left it unsimulated.  It converges on
+    a proposed step within the tolerance, which it does not simulate, so the
+    Jacobian at the best point, for the error bars, is the one just used."""
     mu = proj.names.index("mu_coupling") if "mu_coupling" in proj.names \
         else None
     axes = np.eye(x.size)
@@ -338,17 +340,15 @@ def _search(proj, x, model, lo, hi):
     f = float(np.dot(resid, resid))
     partners = [None] * x.size
     jac = None
-    damping, iterations, converged = _DAMPING, 0, False
+    damping, iterations = _DAMPING, 0
     while True:
         h = _steps(x, lo, hi)
-        for j in range(x.size):   # the Jacobian at x, for a step or the end
+        for j in range(x.size):   # the Jacobian at x
             if partners[j] is None:
                 models = proj.spectra([x + h[j] * axes[j]])
                 if models is None:
-                    return x, model, partners, converged, iterations
+                    return x, model, partners, False, iterations
                 partners[j] = models[0]
-        if converged:
-            return x, model, partners, True, iterations
         if jac is None:
             jac = np.stack([(proj.residual(p)[0] - resid) / h[j]
                             for j, p in enumerate(partners)], axis=1)
@@ -357,7 +357,8 @@ def _search(proj, x, model, lo, hi):
         step = np.linalg.solve(a + damping * np.diag(np.where(d > 0, d, 1.0)),
                                -(jac.T @ resid))
         trial = np.clip(x + step, lo, hi)
-        if np.array_equal(trial, x):
+        if np.all(np.abs(trial - x) <= _REL_TOL * np.maximum(
+                np.abs(x), 1e-3 * (hi - lo))):
             return x, model, partners, True, iterations
         batch = [trial] if mu is None else \
             [trial, trial + _steps(trial, lo, hi)[mu] * axes[mu]]
@@ -365,8 +366,6 @@ def _search(proj, x, model, lo, hi):
         if models is None:
             return x, model, partners, False, iterations
         iterations += 1
-        small = np.all(np.abs(trial - x) <= _REL_TOL * np.maximum(
-            np.abs(x), 1e-3 * (hi - lo)))
         trial_resid = proj.residual(models[0])[0]
         f_trial = float(np.dot(trial_resid, trial_resid))
         if f_trial < f:
@@ -377,7 +376,6 @@ def _search(proj, x, model, lo, hi):
             damping /= 10.0
         else:
             damping *= 10.0
-        converged = bool(small)
 
 
 def _curvature(fp, linear, model, slopes, x, lo, hi):

@@ -30,7 +30,6 @@ ascending-|M| order, so outputs are bit-identical for any ``threads``
 value.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import compress
 
@@ -331,6 +330,8 @@ def _trapezoid(sys, ensemble, channels, scan, delta1_mhz, plan, threads):
         for lo in blocks:
             work(lo)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, blocks))
     return coarse, fine

@@ -412,6 +412,38 @@ def test_search_batches_each_trial_with_its_mu_partner():
     assert all(len(b) in (1, 2) for b in proj.batches)
 
 
+def test_search_simulates_no_step_within_its_tolerance():
+    """The search stops on a proposed step that moves no parameter by more
+    than the tolerance, before simulating it: every simulated trial moved x
+    by more, and the result is the last accepted point."""
+    from eitmol import fitting
+
+    names = ["gamma12_col", "mu_coupling", "gamma13_col"]
+    best = np.array([-1.0, -2.0, 0.5])
+    proj = LinearModel(names, 10**6, CORRELATED, CORRELATED @ best)
+    lo, hi = np.full(3, -10.0), np.full(3, 10.0)
+    x0 = np.array([-5.0, 3.0, 2.0])
+    x, model, _, converged, iterations = fitting._search(
+        proj, x0, x0.copy(), lo, hi)
+    assert converged
+    trials = [b[0] for b in proj.batches if len(b) == 2]
+    assert len(trials) == iterations > 0
+
+    def chi2(point):
+        resid = proj.residual(point)[0]
+        return float(np.dot(resid, resid))
+
+    accepted = x0
+    for trial in trials:
+        tol = fitting._REL_TOL * np.maximum(np.abs(accepted), 1e-3 * (hi - lo))
+        assert np.any(np.abs(trial - accepted) > tol)
+        if chi2(trial) < chi2(accepted):
+            accepted = trial
+    assert np.array_equal(x, accepted)
+    assert np.array_equal(model, x)
+    assert np.allclose(x, best, atol=1e-6)
+
+
 def test_search_clips_to_the_box_and_steps_back_at_an_upper_bound():
     """A least-squares point outside the box: the search lands exactly on
     the bound, and its Jacobian steps backward there."""
@@ -613,6 +645,19 @@ def test_dipole_fit_needs_few_spectra(li2, li2_lasers):
     result = fit(fp, {"mu_coupling": 1.2, "amplitude_scale": 0.8})
     assert result.converged
     assert result.evaluations <= 30
+
+
+def test_doppler_on_dipole_fit_skips_its_last_batch(li2, li2_lasers,
+                                                    li2_ensemble):
+    """The benchmark's dipole fit: the start, its Jacobian column and two
+    steps with their mu partners; the step that converges is not
+    simulated."""
+    fp = doppler_on_problem(li2, li2_lasers, li2_ensemble)
+    result = fit(fp, {"mu_coupling": 1.2, "amplitude_scale": 0.8})
+    assert result.converged
+    assert result.evaluations <= 6
+    assert result.best_params["mu_coupling"] == pytest.approx(1.452688,
+                                                              rel=1e-4)
 
 
 def brute_force_linear_fit(model, target, weight, s_range, o_range, n=401):

@@ -39,7 +39,9 @@ Each line gives the label, the SHA-256 of the files, after ``rows`` the
 SHA-256 of their CSV data rows alone (every line of the CSVs but the ``#``
 header; a fit's ``_fit.json`` is left out), and after ``json`` the SHA-256
 of the ``.json`` mirror of each CSV, concatenated in the same order (a
-fit's ``_bestfit.json``).  A change that moves only a header value, such as
+fit's ``_bestfit.json``).  A fit line ends with the fit's
+``evaluations``, the number of spectra it simulated, read from its
+``_fit.json``.  A change that moves only a header value, such as
 ``quadrature.max_refinement_shift``, keeps the rows hash.
 
 A refactor that must not change the output bytes is checked with
@@ -51,6 +53,7 @@ whose lines differ, or ``identical``; it exits 1 on any difference.
 import argparse
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -213,8 +216,10 @@ def listing(src):
             run_cli(src, "fit", "--config", cfg, "--data", str(data),
                     "--out", str(out))
             parts = [out / "li2_fig4_fit.json", out / "li2_fig4_bestfit.csv"]
-            yield report(f"li2_fig4 fit, 32 points, 2001 nodes, {label}",
-                         parts)
+            label, hashes = report(
+                f"li2_fig4 fit, 32 points, 2001 nodes, {label}", parts)
+            spent = json.loads(parts[0].read_text("ascii"))["evaluations"]
+            yield label, f"{hashes} evaluations {spent}"
 
         out = Path(tmp) / "p_coupling"
         cfg = edited_config(src, tmp, "li2_fig4", "p_coupling",

@@ -22,20 +22,22 @@ the Faddeeva function (the residues are taken in ``analytic``).  That
 average has no nodes and no truncation.
 
 Everything else is averaged by one quadrature rule, which is also the
-reference the closed form is checked against: a uniform trapezoid over
-+-span*u_p with Maxwellian-folded weights.  The integrand contains
-sub-natural-width coherence structures, and for an analytic integrand the
-trapezoid rule is spectrally accurate once the narrowest Lorentzian is
-resolved by the node spacing.  Convergence is enforced, not assumed:
-``node_plan`` lays out the doubled rule (2N - 1 nodes), whose every second
-node is the N-node rule, so one evaluation of the integrand yields both
-averages, and an average is rejected if it moved by more than the
-refinement tolerance between them.  Each average is one ``weighted_sum``,
+reference the closed form is checked against: a uniform trapezoid with
+density-folded weights, ``doubled_rule``, whose one instance is the velocity
+rule ``node_plan`` over +-span*u_p with the Maxwellian.  The integrand
+contains sub-natural-width coherence structures, and for an analytic
+integrand the trapezoid rule is spectrally accurate once the narrowest
+Lorentzian is resolved by the node spacing.  Convergence is enforced, not
+assumed: ``doubled_rule`` lays out the doubled rule (2N - 1 nodes), whose
+every second node is the N-node rule, so one evaluation of the integrand
+yields both averages, and an average is rejected if it moved by more than
+the refinement tolerance between them.  Each average is one ``weighted_sum``,
 whose O(eps * n) rounding is far below any refinement tolerance.
 """
 
 from dataclasses import dataclass
 from math import inf, log, pi, sqrt
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -103,19 +105,16 @@ class QuadratureSpec:
     refinement_tolerance: float = 1e-4   # relative, against the peak value
 
     def __post_init__(self):
-        if self.node_count < 51 or self.node_count % 2 == 0:
-            raise ValueError("trapezoid node_count must be odd and >= 51")
+        n = self.node_count
+        if not isinstance(n, Integral) or n < 51 or n % 2 == 0:
+            raise ValueError(f"trapezoid node_count must be an odd integer"
+                             f" >= 51, got {n!r}")
         for name in ("span", "refinement_tolerance"):
             if not 0.0 < getattr(self, name) < inf:
                 raise ValueError(f"{name} must be finite and > 0")
         if not self.span <= MAX_SPAN:
             raise ValueError(f"span must be at most {MAX_SPAN:.4g}: beyond it"
                              " the weight exp(-span^2) underflows to 0")
-
-    def doubled(self) -> "QuadratureSpec":
-        # halves the step and keeps the node count odd
-        return QuadratureSpec(2 * self.node_count - 1, self.span,
-                              self.refinement_tolerance)
 
 
 def velocity_detunings(delta1, delta2, omega1, omega2, vz, geometry):
@@ -135,54 +134,52 @@ def velocity_detunings(delta1, delta2, omega1, omega2, vz, geometry):
     return d1, d2
 
 
-def maxwellian_trapezoid_weights(vz: np.ndarray, ens: Ensemble) -> np.ndarray:
-    """Trapezoid weights folded with N(vz) on the given uniform nodes.
-
-    Normalizing the discrete weights to sum to one removes the ~1e-8 tail
-    truncation of the finite span, so a constant observable averages exactly
-    to itself.
-    """
-    u = ens.u_p
-    h = vz[1] - vz[0]
-    w = np.full(vz.size, h)
-    w[0] = w[-1] = 0.5 * h
-    w *= np.exp(-((vz / u) ** 2)) / (sqrt(pi) * u)
-    return w / w.sum()
-
-
-def quadrature_nodes(ens: Ensemble, q: QuadratureSpec):
-    """Velocity nodes and Maxwellian-folded weights, weights summing to 1."""
-    u = ens.u_p
-    vz = np.linspace(-q.span * u, q.span * u, q.node_count)
-    return vz, maxwellian_trapezoid_weights(vz, ens)
-
-
-class NodePlan(NamedTuple):
-    """Velocity nodes plus the (slice, weights) rules that reduce them.
+class DoubledRule(NamedTuple):
+    """Nodes plus the (slice, weights) rules that reduce them.
 
     ``coarse`` is the rule whose average is reported; ``fine`` is the
     doubled rule it is checked against, or None when nothing is checked.
     """
 
-    vz: np.ndarray
+    nodes: np.ndarray
     coarse: tuple
     fine: tuple | None
 
 
-def node_plan(ens: Ensemble, q: QuadratureSpec, verified=True) -> NodePlan:
-    """Nodes on which an integrand is evaluated once for ``q``.
+def _weights(nodes, density):
+    """Trapezoid weights folded with ``density`` on uniform ``nodes``, summing
+    to one: a constant then averages to itself, whatever the truncation."""
+    h = nodes[1] - nodes[0]
+    w = np.full(nodes.size, h)
+    w[0] = w[-1] = 0.5 * h
+    w *= density(nodes)
+    return w / w.sum()
 
-    Verified, the nodes are those of the doubled rule and the coarse rule
-    takes every second one of them.  Unverified, they are the nodes of ``q``
-    itself.
+
+def doubled_rule(lo, hi, count, density, verified=True) -> DoubledRule:
+    """The ``count``-node trapezoid on [lo, hi] weighted by ``density``.
+
+    Verified, the nodes are those of the doubled rule (2 count - 1 nodes,
+    half the step) and the coarse rule takes every second one of them.
+    Unverified, they are the ``count`` nodes of the rule itself.
     """
     if not verified:
-        vz, w = quadrature_nodes(ens, q)
-        return NodePlan(vz, (slice(None), w), None)
-    vz, w_fine = quadrature_nodes(ens, q.doubled())
-    w_coarse = maxwellian_trapezoid_weights(vz[::2], ens)
-    return NodePlan(vz, (slice(None, None, 2), w_coarse),
-                    (slice(None), w_fine))
+        nodes = np.linspace(lo, hi, count)
+        return DoubledRule(nodes, (slice(None), _weights(nodes, density)),
+                           None)
+    nodes = np.linspace(lo, hi, 2 * count - 1)
+    return DoubledRule(nodes, (slice(None, None, 2),
+                               _weights(nodes[::2], density)),
+                       (slice(None), _weights(nodes, density)))
+
+
+def node_plan(ens: Ensemble, q: QuadratureSpec, verified=True) -> DoubledRule:
+    """The velocity rule of ``q``: nodes vz over +-span*u_p, weighted by the
+    Maxwellian N(vz)."""
+    u = ens.u_p
+    return doubled_rule(-q.span * u, q.span * u, q.node_count,
+                        lambda vz: np.exp(-((vz / u) ** 2)) / (sqrt(pi) * u),
+                        verified)
 
 
 # Weideman's rational approximation of the Faddeeva function w(z) with

@@ -137,6 +137,10 @@ class FitProblem:
         object.__setattr__(self, "_channels", build_channels(
             self.system, self.mu_probe_au, self.mu_coupling_au,
             self.lasers.field_probe, self.lasers.field_coupling))
+        # the unverified and the verified scan, indexed by ``verify``
+        object.__setattr__(self, "_scans", tuple(ScanConfig(
+            grid, self.delta2_mhz, (self.channel,), self.doppler_on,
+            self.m_sum_on, self.engine, verify) for verify in (False, True)))
 
 
 @dataclass
@@ -201,17 +205,8 @@ def _simulate(fp: FitProblem, points: list, verify: bool) -> list:
     channelsets = [fp._channels.with_coupling(rabi_frequency(
         _context(fp, params)[1], fp.lasers.field_coupling))
         for params in points]
-    scan = ScanConfig(
-        delta1_mhz=fp.target_delta1_mhz,
-        delta2_mhz=fp.delta2_mhz,
-        channels=(fp.channel,),
-        doppler_on=fp.doppler_on,
-        m_sum_on=fp.m_sum_on,
-        engine=fp.engine,
-        verify_quadrature=verify,
-    )
-    return simulate_many(sys, fp.lasers, fp.ensemble, channelsets, scan,
-                         quadrature=fp.quadrature, threads=fp.threads)
+    return simulate_many(sys, fp.lasers, fp.ensemble, channelsets,
+                         fp._scans[verify], fp.quadrature, fp.threads)
 
 
 def model_spectrum(fp: FitProblem, params: dict) -> Spectrum:

@@ -13,12 +13,13 @@ The velocity integral is taken in one of two ways.  With the analytic
 engine and Doppler on, it is the closed form of
 ``analytic.doppler_averaged_populations``, for all channels and delta1
 points at once.  When the quadrature is verified, that result is checked
-against the trapezoid of ``doppler.node_plan`` and its doubled rule at every
-50th point, the last point and the extremes of each summed signal, and the
-worst deviation is echoed as ``quadrature.max_refinement_shift`` with
-``quadrature.scheme = faddeeva``.  The oracle engine averages on the
-trapezoid itself, and a verified oracle scan checks every point against the
-doubled rule.  A Doppler-free scan is the population table on the delta1 grid.
+against both rules of ``doppler.node_plan``, the velocity instance of
+``doppler.doubled_rule``, at every 50th point, the last point and the
+extremes of each summed signal, and the worst deviation is echoed as
+``quadrature.max_refinement_shift`` with ``quadrature.scheme = faddeeva``.
+The oracle engine averages on the trapezoid itself, and a verified oracle
+scan checks every point against the doubled rule.  A Doppler-free scan is
+the population table on the delta1 grid.
 
 Determinism: the trapezoid grid is processed in blocks of about 2^14
 points x nodes, so that each temporary of ``analytic.group_factors`` stays
@@ -286,7 +287,7 @@ def _trapezoid(sys, ensemble, channels, scan, delta1_mhz, plan, threads):
              if rule is not None]
     d2 = angular_from_mhz(scan.delta2_mhz)
     omega2 = sys.omega32_angular + d2
-    d2_row = velocity_detunings(0.0, d2, 0.0, omega2, plan.vz,
+    d2_row = velocity_detunings(0.0, d2, 0.0, omega2, plan.nodes,
                                 ensemble.geometry)[1]
     wanted = scan.requested
     groups = []     # (channel indices, rules, scales per signal)
@@ -309,13 +310,13 @@ def _trapezoid(sys, ensemble, channels, scan, delta1_mhz, plan, threads):
 
         def rows_of(big_d1):
             return group_factors(sys, coupled, big_d1, d2_row, *wanted)
-    step = max(1, _BLOCK // plan.vz.size)
+    step = max(1, _BLOCK // plan.nodes.size)
 
     def work(lo):
         hi = min(lo + step, n)
         d1 = angular_from_mhz(delta1_mhz[lo:hi])[:, None]
         big_d1 = velocity_detunings(d1, d2, sys.omega21_angular + d1, omega2,
-                                    plan.vz, ensemble.geometry)[0]
+                                    plan.nodes, ensemble.geometry)[0]
         for (members, g_rules, scales), rows in zip(groups, rows_of(big_d1)):
             for s, row in enumerate(rows):
                 if row is None:

@@ -15,6 +15,7 @@ All rates, detunings and Rabi frequencies are angular, in Mrad/s.
 
 from dataclasses import dataclass, field
 from math import inf
+from numbers import Integral
 
 from .units import angular_from_wavenumber, field_amplitude
 
@@ -65,6 +66,9 @@ class CascadeSystem:
         for name in ("b2", "b3"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        for name in ("J1", "J2", "J3"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer")
         for j_lower, j_upper in ((self.J1, self.J2), (self.J2, self.J3)):
             branch(j_lower, j_upper)
 

@@ -20,7 +20,6 @@ from eitmol.config import preset_config
 from eitmol.doppler import (
     QuadratureSpec,
     node_plan,
-    quadrature_nodes,
     velocity_detunings,
 )
 from eitmol.sublevels import build_channels
@@ -228,7 +227,8 @@ def averaging_inputs(sys, ensemble, delta1_mhz, delta2_mhz):
 
 def trapezoid_populations(sys, ensemble, g1, g2, d1, d2, nodes=8001):
     """Unverified trapezoid averages of both populations, per channel."""
-    vz, w = quadrature_nodes(ensemble, QuadratureSpec(node_count=nodes))
+    vz, (_, w), _ = node_plan(ensemble, QuadratureSpec(node_count=nodes),
+                              verified=False)
     big_d1, big_d2 = velocity_detunings(
         d1[:, None], d2, sys.omega21_angular + d1[:, None],
         sys.omega32_angular + d2, vz[None, :], ensemble.geometry)
@@ -341,7 +341,7 @@ def test_channel_populations_match_the_single_channel_kernels():
     g2 += [shared, shared]
     d1 = angular_from_mhz(np.linspace(-900.0, 900.0, 7))[:, None]
     d2 = angular_from_mhz(cfg.scan.delta2_mhz)
-    vz, _ = quadrature_nodes(ens, QuadratureSpec(node_count=101))
+    vz = node_plan(ens, QuadratureSpec(node_count=101), verified=False).nodes
     big_d1, big_d2 = velocity_detunings(
         d1, d2, sys.omega21_angular + d1, sys.omega32_angular + d2,
         vz[None, :], ens.geometry)
@@ -423,7 +423,7 @@ def test_real_kernel_matches_complex_form_on_spot_check_points(preset):
     d2 = angular_from_mhz(cfg.scan.delta2_mhz)
     big_d1, big_d2 = velocity_detunings(
         d1, d2, sys.omega21_angular + d1, sys.omega32_angular + d2,
-        node_plan(ens, cfg.quadrature).vz[None, :], ens.geometry)
+        node_plan(ens, cfg.quadrature).nodes[None, :], ens.geometry)
     assert big_d2.shape == (1, big_d1.shape[1])
     assert_kernel_matches_complex_form(
         sys, [ch.g1 for ch in channels], [ch.g2 for ch in channels],

@@ -14,10 +14,10 @@ from eitmol.doppler import (
     MIN_U_P,
     Ensemble,
     QuadratureSpec,
+    doubled_rule,
     faddeeva,
     node_plan,
     plasma_dispersion,
-    quadrature_nodes,
     velocity_detunings,
     weighted_sum,
 )
@@ -81,6 +81,11 @@ def test_quadrature_spec_validation():
             QuadratureSpec(span=bad)
         with pytest.raises(ValueError):
             QuadratureSpec(refinement_tolerance=bad)
+    # an integral float would construct and fail later inside np.linspace
+    for bad in (201.0, 201.5, "201"):
+        with pytest.raises(ValueError, match="node_count"):
+            QuadratureSpec(node_count=bad)
+    assert QuadratureSpec(node_count=np.int64(201)).node_count == 201
 
 
 def test_span_beyond_weight_underflow_rejected(li2_ensemble):
@@ -88,8 +93,8 @@ def test_span_beyond_weight_underflow_rejected(li2_ensemble):
     outermost node is nonzero; beyond it it underflows to 0 and the span is
     rejected."""
     assert math.exp(-27.3**2) == 0.0 < MAX_SPAN - 27.28 < 0.01
-    vz, _ = quadrature_nodes(li2_ensemble, QuadratureSpec(51, MAX_SPAN))
-    assert np.exp(-(vz[[0, -1]] / li2_ensemble.u_p) ** 2).min() > 0.0
+    plan = node_plan(li2_ensemble, QuadratureSpec(51, MAX_SPAN))
+    assert np.exp(-(plan.nodes[[0, -1]] / li2_ensemble.u_p) ** 2).min() > 0.0
     for bad in (float(np.nextafter(MAX_SPAN, 30.0)), 27.3, 1e4, 1e306):
         with pytest.raises(ValueError, match="span"):
             QuadratureSpec(span=bad)
@@ -123,8 +128,11 @@ def test_thermal_speed_below_the_closed_form_floor_rejected():
 
 
 def test_weights_normalized(li2_ensemble):
-    _, w = quadrature_nodes(li2_ensemble, QuadratureSpec(node_count=201))
-    assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
+    q = QuadratureSpec(node_count=201)
+    plan = node_plan(li2_ensemble, q)
+    unverified = node_plan(li2_ensemble, q, verified=False)
+    for _, w in (unverified.coarse, plan.coarse, plan.fine):
+        assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_nonpositive_doppler_width_rejected():
@@ -169,43 +177,75 @@ def averages(plan, values):
             for sl, w in (plan.coarse, plan.fine)]
 
 
+def maxwellian_rule(ens, nodes):
+    """The N-node velocity rule written out: trapezoid weights times the
+    Maxwellian, normalized."""
+    u = ens.u_p
+    w = np.full(nodes.size, nodes[1] - nodes[0])
+    w[0] = w[-1] = 0.5 * (nodes[1] - nodes[0])
+    w *= np.exp(-((nodes / u) ** 2)) / (math.sqrt(math.pi) * u)
+    return w / w.sum()
+
+
 def test_average_evaluates_observable_once_on_doubled_nodes(li2_ensemble):
     """A verified plan's nodes are those of the doubled rule; its fine rule
     is that rule and its coarse rule every second node, which is the N-node
     rule of ``q``.  Unverified, the nodes are those of ``q``."""
     q = QuadratureSpec(node_count=201)
+    u = li2_ensemble.u_p
+    vz_fine = np.linspace(-q.span * u, q.span * u, 2 * q.node_count - 1)
     plan = node_plan(li2_ensemble, q)
-    vz_fine, w_fine = quadrature_nodes(li2_ensemble, q.doubled())
-    assert np.array_equal(plan.vz, vz_fine)
+    assert np.array_equal(plan.nodes, vz_fine)
     assert plan.fine[0] == slice(None)
-    assert np.array_equal(plan.fine[1], w_fine)
-    vz, w = quadrature_nodes(li2_ensemble, q)
+    assert np.array_equal(plan.fine[1], maxwellian_rule(li2_ensemble,
+                                                        vz_fine))
+    vz = np.linspace(-q.span * u, q.span * u, q.node_count)
+    w = maxwellian_rule(li2_ensemble, vz)
     assert plan.coarse[0] == slice(None, None, 2)
-    assert plan.vz[plan.coarse[0]] == pytest.approx(vz, rel=0, abs=1e-12)
+    assert plan.nodes[plan.coarse[0]] == pytest.approx(vz, rel=0, abs=1e-12)
     assert plan.coarse[1] == pytest.approx(w, rel=1e-12)
     unverified = node_plan(li2_ensemble, q, verified=False)
     assert unverified.fine is None
-    assert np.array_equal(unverified.vz, vz)
+    assert np.array_equal(unverified.nodes, vz)
     assert np.array_equal(unverified.coarse[1], w)
+
+
+def test_doubled_rule_with_another_density():
+    """The builder on its own, with a uniform density on [0, 1]: weights
+    summing to 1, the doubled rule's every second node equal to the
+    unverified rule's nodes bit for bit, and <x^2> = 1/3 on both rules, the
+    doubled one closer."""
+    fine_rule = doubled_rule(0.0, 1.0, 51, np.ones_like)
+    rule = doubled_rule(0.0, 1.0, 51, np.ones_like, verified=False)
+    assert rule.fine is None and rule.nodes.size == 51
+    assert fine_rule.nodes.size == 101
+    assert np.array_equal(fine_rule.nodes[::2], rule.nodes)
+    assert np.array_equal(fine_rule.coarse[1], rule.coarse[1])
+    for _, w in (rule.coarse, fine_rule.fine):
+        assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
+    coarse, fine = averages(fine_rule, fine_rule.nodes**2)
+    assert weighted_sum(rule.nodes**2, rule.coarse[1]) == pytest.approx(
+        coarse, rel=1e-15)
+    assert abs(fine - 1.0 / 3.0) < abs(coarse - 1.0 / 3.0) < 1e-3
 
 
 def test_average_of_unity(li2_ensemble):
     plan = node_plan(li2_ensemble, QuadratureSpec(node_count=201))
-    for avg in averages(plan, np.ones_like(plan.vz)):
+    for avg in averages(plan, np.ones_like(plan.nodes)):
         assert avg == pytest.approx(1.0, abs=1e-8)
 
 
 def test_average_of_odd_observable_vanishes(li2_ensemble):
     plan = node_plan(li2_ensemble, QuadratureSpec(node_count=201))
     for power in (1, 3):
-        for avg in averages(plan, plan.vz**power):
+        for avg in averages(plan, plan.nodes**power):
             assert abs(avg) <= 1e-8 * li2_ensemble.u_p**power
 
 
 def test_second_moment_is_half_u_p_squared(li2_ensemble):
     """<vz^2> = u_p^2 / 2 for the Maxwellian exp(-(vz/u_p)^2)."""
     plan = node_plan(li2_ensemble, QuadratureSpec(node_count=51))
-    for avg in averages(plan, plan.vz**2):
+    for avg in averages(plan, plan.nodes**2):
         assert avg == pytest.approx(0.5 * li2_ensemble.u_p**2, rel=1e-3)
 
 
@@ -223,7 +263,7 @@ def test_doppler_dominated_profile_is_gaussian(li2_ensemble):
     plan = node_plan(li2_ensemble, q)
     deltas = np.linspace(-3.0, 3.0, 121) * k1 * li2_ensemble.u_p
     d1 = deltas[:, None] \
-        - (plan.vz / SPEED_OF_LIGHT) * (OM1 + deltas[:, None])
+        - (plan.nodes / SPEED_OF_LIGHT) * (OM1 + deltas[:, None])
     signal, fine = averages(plan, population_rho22(sys, 0.01, 0.0, d1, 0.0))
     assert np.max(np.abs(fine - signal)) \
         <= q.refinement_tolerance * np.max(signal)
@@ -242,7 +282,7 @@ def test_unresolved_feature_fails_the_refinement_check(li2_ensemble):
     width = 0.05 * li2_ensemble.u_p / 100.0  # ~0.5 m/s
     q = QuadratureSpec(node_count=51)
     plan = node_plan(li2_ensemble, q)
-    coarse, fine = averages(plan, width**2 / (plan.vz**2 + width**2))
+    coarse, fine = averages(plan, width**2 / (plan.nodes**2 + width**2))
     assert abs(fine - coarse) > q.refinement_tolerance * max(coarse, fine)
 
 

@@ -218,6 +218,19 @@ def test_problem_rejects_a_non_finite_target(li2, li2_lasers):
         dataclasses.replace(fp, target_delta1_mhz=[0.0], target_signal=[1.0])
 
 
+def test_problem_rejects_a_scan_it_cannot_run(li2, li2_lasers):
+    """The fit's scans are built with the problem, so a non-finite delta2 or
+    an unknown engine is an error there, not at the first spectrum."""
+    fp = doppler_free_problem(li2, li2_lasers, free=("mu_coupling",),
+                              bounds={"mu_coupling": (0.5, 3.0)})
+    assert [scan.verify_quadrature for scan in fp._scans] == [False, True]
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="delta2 must be finite"):
+            dataclasses.replace(fp, delta2_mhz=bad)
+    with pytest.raises(ValueError, match="unknown engine 'exact'"):
+        dataclasses.replace(fp, engine="exact")
+
+
 def test_branching_ratio_insensitivity(li2, li2_lasers, li2_ensemble):
     """Recovered dipole moment barely moves when the fixed upper branching
     ratio is swept over [0.1, 0.5]: the change stays within the reported

@@ -447,7 +447,7 @@ def test_threads_do_not_change_oracle_trapezoid(li2, li2_lasers, li2_ensemble,
 
 
 def blocks_of(n, plan):
-    step = max(1, spectrum._BLOCK // plan.vz.size)
+    step = max(1, spectrum._BLOCK // plan.nodes.size)
     return len(range(0, n, step))
 
 
@@ -493,7 +493,7 @@ def per_channel_trapezoid(sys, ensemble, channels, sc, plan):
     d2 = angular_from_mhz(sc.delta2_mhz)
     big_d1, big_d2 = velocity_detunings(
         d1, d2, sys.omega21_angular + d1, sys.omega32_angular + d2,
-        plan.vz[None, :], ensemble.geometry)
+        plan.nodes[None, :], ensemble.geometry)
     table = channel_populations(
         sys, [ch.g1 for ch in channels], [ch.g2 for ch in channels], big_d1,
         big_d2, *sc.requested)

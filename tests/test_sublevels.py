@@ -80,6 +80,22 @@ def test_unsupported_branch_rejected(li2):
         dataclasses.replace(li2, J2=li2.J1 + 1)
 
 
+def test_non_integer_j_rejected(li2):
+    """A float J would construct and fail later inside ``build_channels``;
+    it is rejected where the system is built, naming the field.  numpy
+    integers are integers."""
+    import dataclasses
+
+    with pytest.raises(ValueError, match="J1 must be an integer"):
+        dataclasses.replace(li2, J1=15.0, J2=14.0, J3=14.0)
+    for name, bad in (("J2", 14.5), ("J3", 14.0), ("J3", "14")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            dataclasses.replace(li2, **{name: bad})
+    system = dataclasses.replace(li2, J1=np.int64(15), J2=np.int32(14),
+                                 J3=np.int64(14))
+    assert len(build_channels(system, 1.0, 1.45, 100.0, 100.0)) == 15
+
+
 def test_branch_quantum_number_consistency(li2):
     """The J pair fixes the branch: J3 = J2 + 1 is rejected, J3 = J2 - 1 is
     a P-branch coupling that drops the coupling's edge sublevels."""

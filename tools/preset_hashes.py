@@ -28,9 +28,14 @@ tree next to this script:
   are hashed concatenated;
 - the same fit with ``gamma12_col`` free as well (from 8 MHz in
   [1, 20] MHz), so that the search over two or more nonlinear parameters
-  is covered too.
+  is covered too;
+- the ``mu_coupling`` and ``amplitude_scale`` fit with ``engine = oracle``,
+  on ``li2_fig4`` shrunk to 16 points over +-1200 MHz and 2001 nodes,
+  against a trace made the same way from that grid's analytic
+  ``simulate``: the only line that averages on the unverified trapezoid
+  (every spectrum of an oracle fit but its verified start);
 - ``simulate --threads 1`` on ``li2_fig4`` with ``J3 = 13``: the J pair
-  makes the coupling a P-branch transition, which no preset has.
+  makes the coupling a P-branch transition, which no preset has;
 - ``simulate --threads 1`` on ``li2_fig4`` with ``transit_rate = 5 MHz``,
   ``refill_rate = 1 MHz`` and ``gamma13_col = 3 MHz``: transit apart from
   refill, so every transit-broadened rate and rho11_0 != 1 are covered.
@@ -200,24 +205,28 @@ def listing(src):
 
         shrink = (("delta1_min = -3000 MHz", "delta1_min = -1200 MHz"),
                   ("delta1_max = 3000 MHz", "delta1_max = 1200 MHz"),
-                  ("delta1_points = 801", "delta1_points = 32"),
                   ("nodes = 4001", "nodes = 2001"),
                   ("[output]", FIT_SECTION + "[output]"))
-        data = Path(tmp) / "li2_fig4_trace.csv"
-        for tag, edits, label in (
-                ("fit", shrink, "mu and amplitude free"),
-                ("fit3", shrink + GAMMA12_FREE,
-                 "mu, gamma12 and amplitude free")):
+        for tag, points, edits, label in (
+                ("fit", 32, (), "mu and amplitude free"),
+                ("fit3", 32, GAMMA12_FREE, "mu, gamma12 and amplitude free"),
+                ("fit_oracle", 16, oracle,
+                 "mu and amplitude free, oracle engine")):
+            grid = shrink + (("delta1_points = 801",
+                              f"delta1_points = {points}"),)
             out = Path(tmp) / tag
-            cfg = edited_config(src, tmp, "li2_fig4", tag, edits)
-            if not data.exists():
+            data = Path(tmp) / f"li2_fig4_trace_{points}.csv"
+            if not data.exists():   # the analytic simulate of the same grid
+                cfg = edited_config(src, tmp, "li2_fig4", f"trace_{points}",
+                                    grid)
                 run_cli(src, "simulate", "--config", cfg, "--out", str(out))
                 write_noisy_trace(out / "li2_fig4.csv", data)
+            cfg = edited_config(src, tmp, "li2_fig4", tag, grid + edits)
             run_cli(src, "fit", "--config", cfg, "--data", str(data),
                     "--out", str(out))
             parts = [out / "li2_fig4_fit.json", out / "li2_fig4_bestfit.csv"]
             label, hashes = report(
-                f"li2_fig4 fit, 32 points, 2001 nodes, {label}", parts)
+                f"li2_fig4 fit, {points} points, 2001 nodes, {label}", parts)
             spent = json.loads(parts[0].read_text("ascii"))["evaluations"]
             yield label, f"{hashes} evaluations {spent}"
 

@@ -125,6 +125,9 @@ def _load(args):
     if args.threads < 1:  # argparse would print usage, not --json-errors
         raise ValidationError(f"--threads: must be at least 1, got"
                               f" {args.threads}")
+    if args.out == "":      # rejected before the run, like --threads
+        raise ValidationError("--out: must name a directory, got an empty"
+                              " path")
     return load_config(args.config)
 
 
@@ -137,7 +140,7 @@ def _prepare(args):
 
 
 def _outdir(args, cfg):
-    out = args.out if getattr(args, "out", None) else cfg.output.directory
+    out = cfg.output.directory if args.out is None else args.out
     os.makedirs(out, exist_ok=True)
     return out
 

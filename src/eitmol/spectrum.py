@@ -26,9 +26,10 @@ points x nodes, so that each temporary of ``analytic.group_factors`` stays
 at or below 128 KiB; their boundaries depend only on the grid and the node
 count, never on the thread count.  Each velocity reduction
 (``doppler.weighted_sum``) gives a row the same bits whatever block it is
-reduced in, the closed form runs in one thread, and the channel sum runs in
-ascending-|M| order, so outputs are bit-identical for any ``threads``
-value.
+reduced in; a row shared by a coupling group is reduced once, and the
+channel scales are applied after the last block.  The closed form runs in
+one thread, and the channel sum runs in ascending-|M| order, so outputs are
+bit-identical for any ``threads`` value.
 """
 
 from dataclasses import dataclass, field
@@ -277,22 +278,20 @@ def _trapezoid(sys, ensemble, channels, scan, delta1_mhz, plan, threads):
     is None when the plan carries no doubled rule.  Rows a scan does not
     evaluate stay zero.  Block by block (about ``_BLOCK`` points x nodes),
     each row is reduced once for the channels sharing it (one g2, or one
-    oracle channel) and scaled for each, with 1/D in the weights."""
+    oracle channel), with 1/D in the weights, into a (signal, group, point)
+    table per rule; after the last block each group's row is scaled for
+    each of its channels."""
     n = delta1_mhz.size
-    shape = (len(SIGNALS), len(channels), n)
-    coarse = np.zeros(shape)
-    fine = None if plan.fine is None else np.zeros(shape)
-    rules = [(out, *rule) for out, rule in ((coarse, plan.coarse),
-                                            (fine, plan.fine))
-             if rule is not None]
+    rules = [rule for rule in (plan.coarse, plan.fine) if rule is not None]
     d2 = angular_from_mhz(scan.delta2_mhz)
     omega2 = sys.omega32_angular + d2
     d2_row = velocity_detunings(0.0, d2, 0.0, omega2, plan.nodes,
                                 ensemble.geometry)[1]
     wanted = scan.requested
-    groups = []     # (channel indices, rules, scales per signal)
+    groups = []     # (channel indices, rules, scales per evaluated signal)
     if scan.engine == ENGINE_ORACLE:
-        groups += [([i], rules, ([1.0], [1.0])) for i in range(len(channels))]
+        ones = tuple([1.0] if want else [] for want in wanted)
+        groups += [([i], rules, ones) for i in range(len(channels))]
 
         def rows_of(big_d1):
             for ch in channels:
@@ -302,14 +301,15 @@ def _trapezoid(sys, ensemble, channels, scan, delta1_mhz, plan, threads):
         coupled = coupling_groups(sys, [ch.g2 for ch in channels], d2_row)
         for g2, members, _, D, _ in coupled:
             g1 = [channels[i].g1 for i in members]
-            groups.append((members, [(out, sl, w / D[sl])
-                                     for out, sl, w in rules],
-                           ([-(x**2 * sys.rho11_init) / 2.0 for x in g1],
+            groups.append((members, [(sl, w / D[sl]) for sl, w in rules],
+                           ([-(x**2 * sys.rho11_init) / 2.0
+                             for x in g1 if wanted[0]],
                             [analytic._rho33_from(sys, x, g2, 1.0, 1.0)
                              for x in g1 if wanted[1] and g2 != 0.0])))
 
         def rows_of(big_d1):
             return group_factors(sys, coupled, big_d1, d2_row, *wanted)
+    reduced = [np.zeros((len(SIGNALS), len(groups), n)) for _ in rules]
     step = max(1, _BLOCK // plan.nodes.size)
 
     def work(lo):
@@ -317,14 +317,13 @@ def _trapezoid(sys, ensemble, channels, scan, delta1_mhz, plan, threads):
         d1 = angular_from_mhz(delta1_mhz[lo:hi])[:, None]
         big_d1 = velocity_detunings(d1, d2, sys.omega21_angular + d1, omega2,
                                     plan.nodes, ensemble.geometry)[0]
-        for (members, g_rules, scales), rows in zip(groups, rows_of(big_d1)):
-            for s, row in enumerate(rows):
-                if row is None:
-                    continue
-                for out, sl, w in g_rules:
-                    total = weighted_sum(row[..., sl], w)
-                    for i, scale in zip(members, scales[s]):
-                        out[s, i, lo:hi] = scale * total
+        factors = rows_of(big_d1)
+        for g, (_, g_rules, _) in enumerate(groups):
+            for s, row in enumerate(next(factors)):
+                if row is not None:
+                    for table, (sl, w) in zip(reduced, g_rules):
+                        table[s, g, lo:hi] = weighted_sum(row[..., sl], w)
+            del row     # freed, so the next group's rows reuse its memory
 
     blocks = range(0, n, step)
     if threads <= 1:
@@ -335,7 +334,14 @@ def _trapezoid(sys, ensemble, channels, scan, delta1_mhz, plan, threads):
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, blocks))
-    return coarse, fine
+    out = [np.zeros((len(SIGNALS), len(channels), n)) for _ in rules]
+    for g, (members, _, scales) in enumerate(groups):
+        for s, signal_scales in enumerate(scales):
+            if signal_scales:
+                for per, table in zip(out, reduced):
+                    per[s, members] = np.multiply.outer(signal_scales,
+                                                        table[s, g])
+    return out[0], (out[1] if len(out) > 1 else None)
 
 
 def _spectrum(per, channels, sys, lasers, ensemble, channelset, scan,
@@ -360,11 +366,11 @@ def _spectrum(per, channels, sys, lasers, ensemble, channelset, scan,
 
 
 def _channel_sum(per, channels):
-    """Multiplicity-weighted channel sum, accumulated in ascending |M|."""
-    total = np.zeros((per.shape[0], per.shape[2]))
-    for i, ch in enumerate(channels):
-        total += ch.multiplicity * per[:, i]
-    return total
+    """Multiplicity-weighted channel sum, accumulated in ascending |M| from
+    +0.0: numpy reduces the channel axis in order while the points, two or
+    more, are its inner loop."""
+    weights = np.array([ch.multiplicity for ch in channels], float)
+    return np.add.reduce(per * weights[:, None], axis=1, initial=0.0)
 
 
 def _require_finite(total, delta1_mhz):
@@ -474,7 +480,29 @@ def _metadata(sys, lasers, ensemble, channelset, scan, quadrature, shift):
 
 # serialization ---------------------------------------------------------------
 
-_NUMBER = "{:.12g}"  # every written value: 12 significant digits
+_NUMBER = "%.12g"  # every written value: 12 significant digits
+# exponents of a _NUMBER text whose repr differs in more than a ".0": repr
+# writes 1e12 <= |x| < 1e16 in fixed notation, a subnormal in fewer digits
+_REPR_EXPONENTS = frozenset([*(f"e+{k}" for k in range(12, 16)),
+                             *(f"e-{k}" for k in range(308, 325))])
+
+
+def _json_numbers(texts):
+    """``repr(float(t))`` of each ``_NUMBER`` text ``t``, which the json
+    module writes for a finite value.  A normal double's 12 significant
+    digits are already its shortest repr, so a text is kept, with ".0"
+    added to an integral one; only the ``_REPR_EXPONENTS`` go through
+    ``repr``."""
+    out = []
+    for t in texts:
+        if "e" in t:
+            out.append(repr(float(t)) if t[t.index("e"):] in _REPR_EXPONENTS
+                       else t)
+        elif "." in t or not t[-1].isdigit():     # fixed, inf or nan
+            out.append(t)
+        else:                                       # integral
+            out.append(t + ".0")
+    return out
 
 
 def _plain(value):
@@ -485,7 +513,7 @@ def _columns(spec: Spectrum) -> dict:
     """The written columns by name, formatted with ``_NUMBER``."""
     cols = {"delta1_MHz": spec.delta1_mhz,
             **{f"{s}_au": spec.signals[s] for s in SIGNALS}}
-    return {k: list(map(_NUMBER.format, c.tolist())) for k, c in cols.items()}
+    return {k: [_NUMBER % v for v in c.tolist()] for k, c in cols.items()}
 
 
 def spectrum_csv_text(spec: Spectrum) -> str:
@@ -514,8 +542,7 @@ def _json_text(spec, columns):
     def block(brackets, items, pad="\n "):    # the layout of indent=1
         return f"{brackets[0]}{pad} {f',{pad} '.join(items)}{pad}{brackets[1]}"
 
-    top = {k: block("[]", map(repr, map(float, c)))  # json: repr if finite
-           for k, c in columns.items()}
+    top = {k: block("[]", _json_numbers(c)) for k, c in columns.items()}
     top["metadata"] = block("{}", (f"{dumps(k)}: {dumps(_plain(v))}" for
                                    k, v in sorted(spec.metadata.items())))
     return block("{}", (f"{dumps(k)}: {top[k]}" for k in sorted(top)), "\n")

@@ -325,6 +325,27 @@ def test_cli_rejects_threads_below_one(tmp_path, capsys, threads):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("json_errors", [True, False])
+def test_cli_rejects_an_empty_out(tmp_path, capsys, json_errors):
+    """An empty --out names no directory: exit 2 naming --out, before any
+    file is written, rather than the config's output directory."""
+    default = tmp_path / "default"
+    cfg = small_run_config(tmp_path, default)
+    flags = ["--json-errors"] if json_errors else []
+    for command in (["simulate"], ["components"],
+                    ["fit", "--data", str(tmp_path / "trace.csv")]):
+        assert main(command + ["--config", cfg, "--out", ""] + flags) == 2
+        if json_errors:
+            payload = one_json_error(capsys)
+            assert payload["exit_code"] == 2
+            assert payload["message"].startswith("--out")
+        else:
+            assert (capsys.readouterr().err
+                    .startswith("eitmol: error: --out: "))
+    assert not default.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 def test_cli_simulate_coupling_off_zeroes_upper_channel(tmp_path, capsys):
     cfg = small_run_config(tmp_path, tmp_path,
                            **{"power_coupling = 480 mW":

@@ -540,6 +540,29 @@ def test_grouped_trapezoid_matches_per_channel_reduction(
     assert np.all((want[0][0] != 0.0) == (case != "rho33 only"))
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_grouped_trapezoid_keeps_the_bits_of_each_channel_alone(
+        li2, li2_lasers, li2_ensemble, threads):
+    """The 15 coupling-off channels share one g2 group; scaling its row for
+    each channel after the last block gives, on both rules, the bits of
+    the trapezoid of each channel alone."""
+    channels = list(build_channels(li2, 1.0, 1.45, li2_lasers.field_probe,
+                                   0.0).channels)
+    assert len(channels) == 15 and len({ch.g2 for ch in channels}) == 1
+    plan = node_plan(li2_ensemble, QuadratureSpec(node_count=2001))
+    sc = scan(np.linspace(-1500.0, 1500.0, 40))
+    assert blocks_of(40, plan) >= 3
+    args = (li2, li2_ensemble)
+    group = spectrum._trapezoid(*args, channels, sc, sc.delta1_mhz, plan,
+                                threads)
+    for i, ch in enumerate(channels):
+        alone = spectrum._trapezoid(*args, [ch], sc, sc.delta1_mhz, plan,
+                                    threads)
+        for g, a in zip(group, alone):
+            assert np.any(a != 0.0)
+            assert np.array_equal(g[:, i], a[:, 0])
+
+
 def assert_writes_the_reference_bytes(spec, base):
     """``write_spectrum`` writes ``spectrum_csv_text`` and the bytes of the
     json module's indented, key-sorted dump of ``spectrum_json_dict``."""
@@ -570,7 +593,14 @@ def test_write_spectrum_matches_the_json_encoder(tmp_path, kind, li2,
     assert_writes_the_reference_bytes(sp, tmp_path / "spec")
 
 
-_EDGES = st.sampled_from([-0.0, 0.0, 100.0, 1e16, 1e-300, 5e-324, -2.5e-7])
+# the notation and digit edges of a .12g text against repr: 1e12 <= |x| <
+# 1e16 (fixed in repr only), 1e-4 (the fixed-notation edge of both), the
+# smallest normal, and subnormals, whose repr can be shorter than the text
+# (-3.14159264341e-316 reprs as -3.14159264e-316)
+_EDGES = st.sampled_from([-0.0, 0.0, 100.0, 1e16, 1e-300, 5e-324, -2.5e-7,
+                          1e12, -123456789012.5, 9.99999999999e15, 1e-4,
+                          9.99999999999e-5, 2.2250738585072014e-308, 1e-310,
+                          -3.14159265358979e-316])
 _VALUES = st.one_of(_EDGES, st.floats(allow_nan=False, allow_infinity=False))
 
 

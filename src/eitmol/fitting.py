@@ -123,6 +123,12 @@ class FitProblem:
         bad = set(self.free) - set(FIT_PARAMETERS)
         if bad:
             raise ValueError(f"unknown fit parameters: {sorted(bad)}")
+        if len(set(self.free)) != len(self.free):
+            raise ValueError(f"free: each parameter at most once, got"
+                             f" {list(self.free)}")
+        if self.doppler_on != (self.ensemble is not None):
+            raise ValueError(f"doppler_on = {self.doppler_on} needs"
+                             f" {'an' if self.doppler_on else 'no'} ensemble")
         for name in self.free:
             if name not in self.bounds:
                 raise ValueError(f"free parameter {name} has no bounds")
@@ -252,8 +258,11 @@ def fit(fp: FitProblem, init: dict) -> FitResult:
     x0 = np.array([float(init[name]) for name in fp.free])
     lo = np.array([fp.bounds[n][0] for n in fp.free])
     hi = np.array([fp.bounds[n][1] for n in fp.free])
-    if np.any(x0 < lo) or np.any(x0 > hi):
-        raise ValueError("initial point outside bounds")
+    outside = [n for n, x, a, b in zip(fp.free, x0, lo, hi)
+               if not a <= x <= b]      # a NaN is in no box
+    if outside:
+        raise ValueError(f"initial values not finite and within their"
+                         f" bounds: {outside}")
     start = dict(zip(fp.free, x0))
 
     nonlinear = [i for i, n in enumerate(fp.free)

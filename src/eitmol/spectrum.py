@@ -21,6 +21,11 @@ The oracle engine averages on the trapezoid itself, and a verified oracle
 scan checks every point against the doubled rule.  A Doppler-free scan is
 the population table on the delta1 grid.
 
+A scan is one pass (``_spectra``): its inputs are converted once, every
+channel's table comes from one kernel call, and each spectrum's channels
+are summed once.  The spot-check points are read from those sums, and the
+oracle's N-node rule is the reported sum itself.
+
 Determinism: the trapezoid grid is processed in blocks of about 2^14
 points x nodes, so that each temporary of ``analytic.group_factors`` stays
 at or below 128 KiB; their boundaries depend only on the grid and the node
@@ -183,88 +188,85 @@ def _active_channels(channelset: ChannelSet, scan: ScanConfig):
 
 
 def _spectra(sys, lasers, ensemble, pieces, scan, quadrature, threads):
-    """One spectrum per (channel set, channels) of ``pieces``, each summed
-    over its own channels, from one ``_per_channel_spectra`` call over all
-    of them; each piece is checked on its own share of the check."""
-    quadrature = quadrature or QuadratureSpec()
-    values, check = _per_channel_spectra(
-        sys, ensemble, [ch for _, channels in pieces for ch in channels],
-        scan, quadrature, threads)
-    out, lo = [], 0
-    for channelset, channels in pieces:
-        part = slice(lo, lo + len(channels))
-        lo = part.stop
-        part_check = None if check is None else \
-            (check[0], check[1][:, part], check[2][:, part])
-        out.append(_spectrum((values[:, part], part_check), channels, sys,
-                             lasers, ensemble, channelset, scan, quadrature))
-    return out
+    """One spectrum per (channel set, channels) of ``pieces``, in one pass
+    over all their channels.
 
-
-def _per_channel_spectra(sys, ensemble, channels, scan, quadrature, threads):
-    """Signals of each channel before multiplicity: the kernel table on the
-    delta1 grid without Doppler, else its velocity averages.
-
-    Returns (values, check).  ``values`` has shape (signals, channels,
-    points).  ``check`` is None when no quadrature is verified, else
-    (idx, coarse, fine): the trapezoid averages on the N-node rule and on
-    its doubled rule at the delta1 indices ``idx``, shaped like ``values``
-    restricted to those points.  The analytic engine averages in closed form
-    and is checked at a few points; the oracle engine averages on the
-    trapezoid and is checked everywhere.
-    """
+    The delta1 and delta2 inputs are converted and the g1/g2 lists built
+    once.  Every channel's signals, before multiplicity, come from one call:
+    the kernel table on the delta1 grid without Doppler, else its velocity
+    averages, in closed form (analytic engine) or on the trapezoid (oracle
+    engine).  Each piece's channels are then summed once.  A verified
+    Doppler-averaged scan checks each piece against the doubled rule: the
+    closed form at the spot-check points of the pieces' summed totals, the
+    oracle's trapezoid at every point, its N-node rule being the reported
+    total itself."""
     if scan.doppler_on != (ensemble is not None):
         raise ValueError("an Ensemble is given exactly for a doppler_on scan")
+    quadrature = quadrature or QuadratureSpec()
+    channels = [ch for _, piece in pieces for ch in piece]
     grid = scan.delta1_mhz
-    if not scan.doppler_on:
-        return _rest_frame(sys, channels, scan), None
-    if scan.engine == ENGINE_ANALYTIC:
-        values = _doppler_closed_form(sys, ensemble, channels, scan)
-        if not scan.verify_quadrature:
-            return values, None
-        idx = _spot_check_points(values, channels, scan)
-        coarse, fine = _trapezoid(sys, ensemble, channels, scan, grid[idx],
-                                  node_plan(ensemble, quadrature), threads)
-        return values, (idx, coarse, fine)
-    coarse, fine = _trapezoid(sys, ensemble, channels, scan, grid,
-                              node_plan(ensemble, quadrature,
-                                        scan.verify_quadrature), threads)
-    return coarse, None if fine is None else (np.arange(grid.size), coarse,
-                                              fine)
-
-
-def _rest_frame(sys, channels, scan):
-    """The kernel table of each channel on the delta1 grid, unaveraged."""
-    d1 = angular_from_mhz(scan.delta1_mhz)
+    d1 = angular_from_mhz(grid)
     d2 = angular_from_mhz(scan.delta2_mhz)
     g1 = [ch.g1 for ch in channels]
     g2 = [ch.g2 for ch in channels]
-    if scan.engine == ENGINE_ANALYTIC:
-        return channel_populations(sys, g1, g2, d1, d2, *scan.requested)
-    table = populations_grid(sys, np.array(g1)[:, None],
-                             np.array(g2)[:, None], d1, d2)
-    table[np.logical_not(scan.requested)] = 0.0
-    return table
+    check = None    # (idx, coarse or None for the reported total, fine)
+    if not scan.doppler_on:
+        if scan.engine == ENGINE_ANALYTIC:
+            values = channel_populations(sys, g1, g2, d1, d2, *scan.requested)
+        else:
+            values = populations_grid(sys, np.array(g1)[:, None],
+                                      np.array(g2)[:, None], d1, d2)
+            values[np.logical_not(scan.requested)] = 0.0
+    elif scan.engine == ENGINE_ANALYTIC:
+        # slopes of D1 and D2 in t = vz/u_p
+        b1, b2 = velocity_detunings(0.0, 0.0, sys.omega21_angular + d1,
+                                    sys.omega32_angular + d2, ensemble.u_p,
+                                    ensemble.geometry)
+        values = doppler_averaged_populations(sys, g1, g2, d1, d2, b1, b2,
+                                              *scan.requested)
+    else:
+        values, fine = _trapezoid(sys, ensemble, channels, scan, grid,
+                                  node_plan(ensemble, quadrature,
+                                            scan.verify_quadrature), threads)
+        if fine is not None:
+            check = np.arange(grid.size), None, fine
+    totals, lo = [], 0
+    for _, piece in pieces:
+        totals.append(_channel_sum(values[:, lo:lo + len(piece)], piece))
+        lo += len(piece)
+    if scan.doppler_on and scan.verify_quadrature and \
+            scan.engine == ENGINE_ANALYTIC:
+        # sum adds the pieces from +0.0 in ascending |M|, as _channel_sum
+        # adds channels, so these are the bits of the whole set's sum
+        idx = _spot_check_points(sum(totals), scan)
+        check = (idx, *_trapezoid(sys, ensemble, channels, scan, grid[idx],
+                                  node_plan(ensemble, quadrature), threads))
+    out, lo = [], 0
+    for (channelset, piece), total in zip(pieces, totals):
+        _require_finite(total, grid)
+        shift = None
+        if check is not None:
+            idx, coarse, fine = check
+            hi = lo + len(piece)
+            sums = [total if rule is None else
+                    _channel_sum(rule[:, lo:hi], piece)
+                    for rule in (coarse, fine)]
+            lo = hi
+            for part in sums:
+                _require_finite(part, grid[idx])
+            shift = _check_refinement(total, *sums, idx, scan, quadrature)
+        out.append(Spectrum(
+            delta1_mhz=grid.copy(),
+            signals={s: _finalize(row) for s, row in zip(SIGNALS, total)},
+            metadata=_metadata(sys, lasers, ensemble, channelset, scan,
+                               quadrature, shift)))
+    return out
 
 
-def _doppler_closed_form(sys, ensemble, channels, scan):
-    """Closed-form Maxwellian averages of the analytic populations."""
-    d1 = angular_from_mhz(scan.delta1_mhz)
-    d2 = angular_from_mhz(scan.delta2_mhz)
-    # slopes of D1 and D2 in t = vz/u_p
-    b1, b2 = velocity_detunings(0.0, 0.0, sys.omega21_angular + d1,
-                                sys.omega32_angular + d2, ensemble.u_p,
-                                ensemble.geometry)
-    return doppler_averaged_populations(
-        sys, [ch.g1 for ch in channels], [ch.g2 for ch in channels], d1, d2,
-        b1, b2, *scan.requested)
-
-
-def _spot_check_points(values, channels, scan):
+def _spot_check_points(total, scan):
     """Every 50th delta1 index, the last one, and the extremes of each
-    requested summed signal."""
+    requested signal of ``total``, the scan's summed signals."""
     n = scan.delta1_mhz.size
-    total = _channel_sum(values, channels)
     idx = set(range(0, n, _SPOT_CHECK_STRIDE)) | {n - 1}
     for row in compress(total, scan.requested):
         idx |= {int(np.argmax(row)), int(np.argmin(row))}
@@ -342,27 +344,6 @@ def _trapezoid(sys, ensemble, channels, scan, delta1_mhz, plan, threads):
                     per[s, members] = np.multiply.outer(signal_scales,
                                                         table[s, g])
     return out[0], (out[1] if len(out) > 1 else None)
-
-
-def _spectrum(per, channels, sys, lasers, ensemble, channelset, scan,
-              quadrature):
-    """Sum per-channel rows over ``channels``, check and finalize them."""
-    values, check = per
-    total = _channel_sum(values, channels)
-    _require_finite(total, scan.delta1_mhz)
-    shift = None
-    if check is not None:
-        idx, coarse, fine = check
-        coarse, fine = (_channel_sum(p, channels) for p in (coarse, fine))
-        for part in (coarse, fine):
-            _require_finite(part, scan.delta1_mhz[idx])
-        shift = _check_refinement(total, coarse, fine, idx, scan, quadrature)
-    return Spectrum(
-        delta1_mhz=scan.delta1_mhz.copy(),
-        signals={s: _finalize(row) for s, row in zip(SIGNALS, total)},
-        metadata=_metadata(sys, lasers, ensemble, channelset, scan,
-                           quadrature, shift),
-    )
 
 
 def _channel_sum(per, channels):

@@ -55,3 +55,21 @@ def li2_ensemble() -> Ensemble:
 def fast_quadrature() -> QuadratureSpec:
     """Coarser-but-sufficient quadrature for the cheaper engine tests."""
     return QuadratureSpec(node_count=2001)
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """``spy(module, name)`` routes ``module.name`` through a recorder and
+    returns the list of its calls, each (args, result), in call order."""
+    def watch(module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def recorded(*args):
+            calls.append((args, real(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(module, name, recorded)
+        return calls
+
+    return watch

@@ -409,16 +409,19 @@ def assert_kernel_matches_complex_form(sys, g1, g2, d1, d2):
 
 @pytest.mark.parametrize("preset", ["li2_fig3a", "li2_fig3b", "li2_fig4",
                                     "li2_fig6a", "li2_fig6b"])
-def test_real_kernel_matches_complex_form_on_spot_check_points(preset):
-    """On the velocity grid a verified scan spot-checks (its points, the
-    doubled rule's nodes), every channel of every preset."""
+def test_real_kernel_matches_complex_form_on_spot_check_points(spy, preset):
+    """On the velocity grid a verified scan spot-checks (the points its
+    ``simulate`` picks, the doubled rule's nodes), every channel of every
+    preset."""
     cfg = preset_config(preset)
     sys, ens = cfg.system, cfg.ensemble
-    channels = list(build_channels(sys, cfg.mu_probe_au, cfg.mu_coupling_au,
-                                   cfg.lasers.field_probe,
-                                   cfg.lasers.field_coupling))
-    values = spectrum._doppler_closed_form(sys, ens, channels, cfg.scan)
-    idx = spectrum._spot_check_points(values, channels, cfg.scan)
+    channels = build_channels(sys, cfg.mu_probe_au, cfg.mu_coupling_au,
+                              cfg.lasers.field_probe,
+                              cfg.lasers.field_coupling)
+    picked = spy(spectrum, "_spot_check_points")
+    spectrum.simulate(sys, cfg.lasers, ens, channels, cfg.scan,
+                      cfg.quadrature)
+    [(_, idx)] = picked
     d1 = angular_from_mhz(cfg.scan.delta1_mhz[idx])[:, None]
     d2 = angular_from_mhz(cfg.scan.delta2_mhz)
     big_d1, big_d2 = velocity_detunings(

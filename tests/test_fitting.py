@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from eitmol.doppler import QuadratureSpec
+from eitmol.doppler import Ensemble, QuadratureSpec
 from eitmol.fitting import (
     FitProblem,
     _chi2,
@@ -632,11 +632,21 @@ def jacobian_curvature(fp, best, names):
     ({"max_evaluations": 0}, None, "max_evaluations"),
     ({"max_evaluations": -3}, None, "max_evaluations"),
     ({}, {"mu_coupling": 1.2}, "amplitude_scale"),
-], ids=["unbounded", "zero_budget", "negative_budget", "no_init"])
+    ({}, {"mu_coupling": np.nan, "amplitude_scale": 0.8}, "mu_coupling"),
+    ({}, {"mu_coupling": 1.2, "amplitude_scale": np.nan}, "amplitude_scale"),
+    ({"free": ("mu_coupling", "mu_coupling")}, {"mu_coupling": 1.2}, "free"),
+    ({"doppler_on": True}, None, "doppler_on"),
+    ({"ensemble": Ensemble(temperature_k=1000.0, mass_amu=14.0)}, None,
+     "doppler_on"),
+], ids=["unbounded", "zero_budget", "negative_budget", "no_init", "nan_mu",
+        "nan_scale", "repeated_free", "doppler_without_ensemble",
+        "ensemble_without_doppler"])
 def test_bad_fit_input_raises_value_error(li2, li2_lasers, monkeypatch,
                                           change, init, name):
-    """A free parameter without bounds or initial value, or a budget below
-    one spectrum, is a ValueError naming it, before any spectrum."""
+    """A free parameter without bounds or a finite initial value, a free
+    parameter named twice, a budget below one spectrum, or a doppler_on
+    that disagrees with the ensemble, is a ValueError naming it, before
+    any spectrum."""
     from eitmol import fitting
 
     fp = doppler_free_problem(li2, li2_lasers,

@@ -359,19 +359,53 @@ def test_spot_check_blames_a_short_span(li2, li2_lasers, li2_ensemble,
                  quadrature=QuadratureSpec(node_count=2001, span=0.5))
 
 
-def test_spot_check_points(li2, li2_lasers, li2_ensemble, li2_channels):
+def test_spot_check_points(spy, li2, li2_lasers, li2_ensemble,
+                           li2_channels):
     """The spot-check points are every 50th point, the last one and the
-    extremes of each summed signal, and nothing else."""
+    extremes of each summed signal, and nothing else; the summed signals
+    are the reported ones before clipping, and the closed form is checked
+    on the trapezoid at exactly those points."""
     grid = np.linspace(-3000, 3000, 161)
-    sc = scan(grid)
-    channels = list(li2_channels.channels)
-    values = spectrum._doppler_closed_form(li2, li2_ensemble, channels, sc)
-    idx = spectrum._spot_check_points(values, channels, sc)
-    total = spectrum._channel_sum(values, channels)
+    picked = spy(spectrum, "_spot_check_points")
+    checked = spy(spectrum, "_trapezoid")
+    spec = simulate(li2, li2_lasers, li2_ensemble, li2_channels, scan(grid))
+    [((total, _), idx)] = picked
+    for name, row in zip(spectrum.SIGNALS, total):
+        assert np.array_equal(np.clip(row, 0.0, None), spec.signals[name])
     expected = {0, 50, 100, 150, 160}
     for row in total:
         expected |= {int(np.argmax(row)), int(np.argmin(row))}
     assert list(idx) == sorted(expected)
+    [(args, _)] = checked
+    assert np.array_equal(args[4], grid[idx])
+
+
+def test_each_piece_is_summed_once(spy, li2, li2_lasers, li2_ensemble):
+    """A verified scan sums each piece's channels once for its total and
+    once per rule of its check: 3 sums for a closed-form spectrum, 3 per
+    |M| component, 2 for an oracle scan, whose N-node rule is its total.
+    The components are checked at the points of their summed totals, the
+    very points ``simulate`` checks."""
+    cfg = preset_config("li2_fig3a")
+    cs = build_channels(cfg.system, cfg.mu_probe_au, cfg.mu_coupling_au,
+                        cfg.lasers.field_probe, cfg.lasers.field_coupling)
+    args = cfg.system, cfg.lasers, cfg.ensemble, cs, cfg.scan, cfg.quadrature
+    sums = spy(spectrum, "_channel_sum")
+    picked = spy(spectrum, "_spot_check_points")
+    simulate(*args)
+    assert len(sums) == 3
+    sums.clear()
+    assert len(per_m_components(*args)) == len(cs) == 15
+    assert len(sums) == 45
+    [((whole, _), at), ((parts, _), at_parts)] = picked
+    assert np.array_equal(whole, parts) and np.array_equal(at, at_parts)
+    sums.clear()
+    o = simulate(li2, li2_lasers, li2_ensemble,
+                 weak_probe_channels(li2, li2_lasers),
+                 scan(np.linspace(-200.0, 200.0, 5), engine="oracle"),
+                 quadrature=QuadratureSpec(node_count=2001))
+    assert o.metadata["quadrature.verified"] is True
+    assert len(sums) == 2
 
 
 def test_unconverged_trapezoid_names_worst_point(li2, li2_lasers,
@@ -749,29 +783,33 @@ def test_metadata_echoes_parameters(li2, li2_lasers, li2_ensemble,
 @pytest.mark.parametrize("engine, doppler_on", [
     ("analytic", True), ("analytic", False), ("oracle", True),
     ("oracle", False)])
-def test_ground_population_scales_every_engine(li2, li2_channels,
+def test_ground_population_scales_every_engine(spy, li2, li2_channels,
                                                 li2_ensemble, engine,
                                                 doppler_on):
     """refill = 2 x transit gives rho11_init = 2, which doubles rho22 and
     rho33 of every channel within 1e-12 relative: in the closed form and
-    its trapezoid check (analytic, Doppler on), on the trapezoid (oracle),
-    and on the single rest-frame node (Doppler off)."""
+    its trapezoid check (analytic, Doppler on), on the trapezoid and its
+    doubled rule (oracle), and on the single rest-frame node (Doppler
+    off).  The channel tables are the ones the scan sums."""
     import dataclasses
 
     doubled = dataclasses.replace(li2, refill_rate=2.0 * li2.transit_rate)
     assert li2.rho11_init == 1.0 and doubled.rho11_init == 2.0
     sc = scan(np.linspace(-1500.0, 1500.0, 5), delta2_mhz=300.0,
               doppler_on=doppler_on, engine=engine)
-    channels = list(li2_channels)
-    quad = QuadratureSpec(node_count=201)
-    (values, check), (values2, check2) = (
-        spectrum._per_channel_spectra(
-            s, li2_ensemble if doppler_on else None, channels, sc, quad, 1)
-        for s in (li2, doubled))
-    pairs = [(values, values2)]
-    if doppler_on:  # the trapezoid and its doubled rule at checked points
-        pairs += zip(check[1:], check2[1:])
-    for one, two in pairs:
+    # the doubling is the point here, not the convergence of 201 nodes
+    quad = QuadratureSpec(node_count=201, refinement_tolerance=1.0)
+    sums = spy(spectrum, "_channel_sum")
+    for s in (li2, doubled):
+        simulate(s, None, li2_ensemble if doppler_on else None,
+                 li2_channels, sc, quad)
+    # per scan: the values, then the N-node rule at the checked points
+    # (not on the oracle's, which is the values) and the doubled rule
+    per_scan = 1 if not doppler_on else 3 if engine == "analytic" else 2
+    tables = [per for (per, _), _ in sums]
+    assert len(tables) == 2 * per_scan
+    for one, two in zip(tables[:per_scan], tables[per_scan:]):
+        assert one.shape[1] == len(li2_channels)
         assert np.max(one[1]) > 0.0  # rho33 is on
         np.testing.assert_allclose(two, 2.0 * one, rtol=1e-12, atol=0.0)
 

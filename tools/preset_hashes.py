@@ -51,8 +51,11 @@ fit's ``_bestfit.json``).  A fit line ends with the fit's
 
 A refactor that must not change the output bytes is checked with
 ``--against REV``: after its own listing the script extracts REV's ``src/``
-with ``git archive``, runs the same list against it, and prints the labels
-whose lines differ, or ``identical``; it exits 1 on any difference.
+with ``git archive``, runs the same list against it, and prints the label
+of each line that differs with the fields that moved (``file``, ``rows``,
+``json``, ``evaluations``), or ``identical``; it exits 1 on any
+difference.  A line whose ``rows`` did not move differs in its headers
+alone (or, for a fit, in its ``_fit.json``).
 """
 
 import argparse
@@ -247,6 +250,17 @@ def listing(src):
                      [out / "li2_fig4.csv"])
 
 
+def moved(mine, other):
+    """The fields of two listing lines' hashes that differ: ``file`` (the
+    first hash), then each named one (``rows``, ``json``, ``evaluations``)."""
+    def fields(hashes):
+        words = hashes.split()
+        return {"file": words[0], **dict(zip(words[1::2], words[2::2]))}
+
+    mine, other = fields(mine), fields(other)
+    return [k for k in {**mine, **other} if mine.get(k) != other.get(k)]
+
+
 def tree_of(rev, dest):
     """Extract the ``src/`` tree of git revision ``rev`` into ``dest``."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
@@ -269,10 +283,10 @@ def main():
         return 0
     with tempfile.TemporaryDirectory() as tmp:
         theirs = list(listing(tree_of(args.against, tmp)))
-    differ = [label for (label, mine), (_, other) in zip(ours, theirs)
-              if mine != other]
-    for label in differ:
-        print(f"differs from {args.against}: {label}")
+    differ = [(label, moved(mine, other)) for (label, mine), (_, other)
+              in zip(ours, theirs) if mine != other]
+    for label, fields in differ:
+        print(f"differs from {args.against}: {label} ({', '.join(fields)})")
     if not differ:
         print(f"identical to {args.against}: all {len(ours)} lines")
     return 1 if differ else 0

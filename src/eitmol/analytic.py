@@ -114,21 +114,24 @@ def group_factors(sys, groups, delta1, delta2, rho22=True, rho33=True):
     imaginary parts are scalars; A and c come with the group.  Per group
     Im(N/P) = Im N Re(1/P) - Re N Im(1/P), with 1/P formed first because
     N conj(P) overflows at the rate cap.  A factor not requested is None,
-    and so is f33 at g2 == 0; a group with neither builds no 1/P.
+    and so is f33 at g2 == 0; a group with neither builds no 1/P.  A
+    group's g2 may also be an array that broadcasts against the grid, one
+    value per row; f33 is then None only if every value is 0.
     """
     G21, G31, G32, G2 = sys.G21, sys.G31, sys.G32, sys.G2
     two_photon = delta1 + delta2
     bare = delta1 * two_photon - G21 * G31
     p_im = delta1 * G31 + G21 * two_photon
     p_im2 = p_im * p_im
-    rho33 = rho33 and any(value != 0.0 for value, *_ in groups)
+    rho33 = rho33 and any(np.any(value != 0.0) for value, *_ in groups)
     if rho33:
         n33_re = -2.0 * G32 * two_photon + G2 * delta2
         n33_im = -2.0 * G32 * G31 - G2 * G32
     inv_re, inv_im, tmp = (np.empty(np.shape(bare)) for _ in range(3))
     for value, _, A, _, c in groups:
         f22 = f33 = None
-        if rho22 or rho33 and value != 0.0:     # anything to evaluate
+        lit = rho33 and np.any(value != 0.0)
+        if rho22 or lit:                        # anything to evaluate
             # 1/P = inv_re - i inv_im for the dressed probe response P
             np.subtract(bare, value**2 / 4.0, out=inv_re)
             np.multiply(inv_re, inv_re, out=tmp)
@@ -141,7 +144,7 @@ def group_factors(sys, groups, delta1, delta2, rho22=True, rho33=True):
             np.multiply(A, two_photon, out=tmp)
             tmp += c * delta2
             f22 -= np.multiply(tmp, inv_im, out=tmp)
-        if rho33 and value != 0.0:
+        if lit:
             f33 = n33_im * inv_re
             f33 -= np.multiply(n33_re, inv_im, out=tmp)
         yield f22, f33
@@ -221,8 +224,15 @@ def doppler_averaged_populations(sys, g1, g2, delta1, delta2, slope1, slope2,
     return out
 
 
-def _pole_weights(sys, g2, delta1, delta2, slope1, slope2):
-    """Poles z_k of 1/(P*Dn) in t, and Z(z_k)/Q'(z_k), stacked on axis 0."""
+def _poles(sys, g2, delta1, delta2, slope1, slope2):
+    """The poles of 1/(P*Dn) in t, (far, near, upper), and the factors
+    (lead, q) of P's roots that their weights reuse.
+
+    far = q/lead and near = c/q are the roots of the probe response
+    P = lead t^2 + b t + c, and upper is the root of Dn above the real
+    axis, whose conjugate is the fourth pole; upper has the shape of g2,
+    as it does not move with delta1.  No Z is evaluated here.
+    """
     G21, G31, G2 = sys.G21, sys.G31, sys.G2
     # P = (alpha + slope1 t)(beta + s t) - g2^2/4 = lead t^2 + b t + c
     alpha = delta1 + 1j * G21
@@ -237,16 +247,24 @@ def _pole_weights(sys, g2, delta1, delta2, slope1, slope2):
     q = -0.5 * (b + root)
     # As lead -> 0 (counter-propagating beams of equal wavenumber) the root
     # q/lead leaves for infinity and its residue vanishes; at lead == 0 it
-    # is parked at 0 with zero weight.  The factor lead*(z_k - q/lead) of
-    # Q'(z_k) is written lead*z_k - q, which stays finite there.
+    # is parked at 0 with zero weight.
     finite = np.broadcast_to(lead != 0.0, q.shape)
     far = np.divide(q, lead, out=np.zeros_like(q), where=finite)
     # Dn = G2 (D2^2 + K) with G2 K = Dn(D2 = 0)
     Dn0 = _coupling_terms(sys, g2, sys.G32**2)[1]
-    zn = (-delta2 + 1j * np.sqrt(Dn0 / G2)) / slope2
-    z = np.stack(np.broadcast_arrays(far, c / q, zn, np.conj(zn)))
+    upper = (-delta2 + 1j * np.sqrt(Dn0 / G2)) / slope2
+    return (far, c / q, upper), lead, q
+
+
+def _pole_weights(sys, g2, delta1, delta2, slope1, slope2):
+    """Poles z_k of 1/(P*Dn) in t (``_poles``), and Z(z_k)/Q'(z_k), stacked
+    on axis 0."""
+    (far, near, zn), lead, q = _poles(sys, g2, delta1, delta2, slope1,
+                                      slope2)
+    finite = np.broadcast_to(lead != 0.0, q.shape)
+    z = np.stack(np.broadcast_arrays(far, near, zn, np.conj(zn)))
     n1, n2, n3 = z[1:]
-    scale = G2 * slope2**2
+    scale = sys.G2 * slope2**2
     # zn moves with g2 only, and Z(conj(zn)) = conj(Z(zn)), the very bits
     # plasma_dispersion gives there; one call, as each call has a fixed cost
     roots = z[:2]
@@ -255,6 +273,8 @@ def _pole_weights(sys, g2, delta1, delta2, slope1, slope2):
     weight[:2] = value[:roots.size].reshape(roots.shape)
     weight[2] = value[roots.size:].reshape(zn.shape)
     weight[3] = np.conj(weight[2])
+    # The factor lead*(z_k - q/lead) of Q'(z_k) is written lead*z_k - q,
+    # which stays finite as lead -> 0.
     weight[1] /= scale * (lead * n1 - q) * ((n1 - n2) * (n1 - n3))
     weight[2] /= scale * (lead * n2 - q) * ((n2 - n1) * (n2 - n3))
     weight[3] /= scale * (lead * n3 - q) * ((n3 - n1) * (n3 - n2))

@@ -21,18 +21,30 @@ dispersion function Z(z) = (1/sqrt(pi)) int exp(-t^2)/(t - z) dt, which
 the Faddeeva function (the residues are taken in ``analytic``).  That
 average has no nodes and no truncation.
 
-Everything else is averaged by one quadrature rule, which is also the
-reference the closed form is checked against: a uniform trapezoid with
-density-folded weights, ``doubled_rule``, whose one instance is the velocity
-rule ``node_plan`` over +-span*u_p with the Maxwellian.  The integrand
-contains sub-natural-width coherence structures, and for an analytic
-integrand the trapezoid rule is spectrally accurate once the narrowest
-Lorentzian is resolved by the node spacing.  Convergence is enforced, not
-assumed: ``doubled_rule`` lays out the doubled rule (2N - 1 nodes), whose
-every second node is the N-node rule, so one evaluation of the integrand
-yields both averages, and an average is rejected if it moved by more than
-the refinement tolerance between them.  Each average is one ``weighted_sum``,
-whose O(eps * n) rounding is far below any refinement tolerance.
+Two quadrature rules average on nodes.  The closed form is checked against
+``graded_rule``: per (g2, delta1) row, panels graded toward the integrand's
+poles, with the nested Gauss-7/Kronrod-15 pair of QUADPACK on each panel
+(Piessens et al., Springer 1983), so one evaluation of the integrand on the
+15 nodes of a panel yields both averages.  A uniform rule's error falls as
+exp(-2 pi d / h), with d the distance of the nearest pole from the real axis
+and h the node step (Trefethen & Weideman, SIAM Rev. 56 (2014) 385), so its
+node count must grow with the ratio of the Doppler width to the narrowest
+coherence width; the graded rule's does not.  The poles only place the
+nodes: the values on them come from the population kernel, never from the
+residues, so a misplaced pole can only make the check fail.
+
+The oracle engine averages on a uniform trapezoid with density-folded
+weights, ``doubled_rule``, whose one instance is the velocity rule
+``node_plan`` over +-span*u_p with the Maxwellian.  For an analytic integrand
+the trapezoid rule is spectrally accurate once the narrowest Lorentzian is
+resolved by the node spacing.  ``doubled_rule`` lays out the doubled rule
+(2N - 1 nodes), whose every second node is the N-node rule, so one
+evaluation of the integrand yields both averages.
+
+Convergence is enforced, not assumed: an average is rejected if it moved by
+more than the refinement tolerance between a rule's coarse and fine
+averages.  Each trapezoid average is one ``weighted_sum``, whose
+O(eps * n) rounding is far below any refinement tolerance.
 """
 
 from dataclasses import dataclass
@@ -180,6 +192,98 @@ def node_plan(ens: Ensemble, q: QuadratureSpec, verified=True) -> DoubledRule:
     return doubled_rule(-q.span * u, q.span * u, q.node_count,
                         lambda vz: np.exp(-((vz / u) ** 2)) / (sqrt(pi) * u),
                         verified)
+
+
+# Gauss-Kronrod G7/K15 on [-1, 1] (Piessens et al., QUADPACK, Springer
+# 1983), from the outermost node in to 0: the Kronrod nodes and weights, and
+# the Gauss weights of every second node from the second.
+_K15_HALF = (0.991455371120812639206854697526329,
+             0.949107912342758524526189684047851,
+             0.864864423359769072789712788640926,
+             0.741531185599394439863864773280788,
+             0.586087235467691130294144845693013,
+             0.405845151377397166906606412076961,
+             0.207784955007898467600689403773245,
+             0.0)
+_K15_W_HALF = (0.022935322010529224963732008058970,
+               0.063092092629978553290700663189204,
+               0.104790010322250183839876322541518,
+               0.140653259715525918745189590510238,
+               0.169004726639267902826583426598550,
+               0.190350578064785409913256402421014,
+               0.204432940075298892414161999234649,
+               0.209482141084727828012999174891714)
+_G7_W_HALF = (0.129484966168869693270611432679082,
+              0.279705391489276667901467771423780,
+              0.381830050505118944950369775488975,
+              0.417959183673469387755102040816327)
+
+
+def _mirrored(half):
+    """The 15 values, ascending in node, of a rule given from the
+    outermost node in to 0."""
+    half = np.asarray(half)
+    return np.concatenate((half, half[-2::-1]))
+
+
+KRONROD_NODES = np.concatenate((-np.array(_K15_HALF), _K15_HALF[-2::-1]))
+KRONROD_WEIGHTS = _mirrored(_K15_W_HALF)
+GAUSS_WEIGHTS = np.zeros(15)          # the Gauss-7 rule on the same nodes
+GAUSS_WEIGHTS[1::2] = _mirrored(_G7_W_HALF)
+
+# panel breakpoints of ``graded_rule`` (measured): each pole's real part and
+# Re z +- |Im z| * 6^j for j = 0 ... 11, over 13 uniform ones
+_GRADING = 6.0 ** np.arange(12)
+_BASE_CUTS = 13
+
+
+class GradedRule(NamedTuple):
+    """Nodes t of shape (rows, K) with the Maxwellian-folded weights of
+    both rules on them: ``coarse`` Gauss-7 (0 at the Kronrod-only nodes)
+    and ``fine`` Kronrod-15."""
+
+    nodes: np.ndarray
+    coarse: np.ndarray
+    fine: np.ndarray
+
+
+def graded_rule(poles, span) -> GradedRule:
+    """Panels graded toward each row's ``poles``, over t = vz/u_p in
+    [-span, span], with the Gauss-7/Kronrod-15 pair on every panel.
+
+    ``poles`` is a complex (rows, P) array.  A row's breakpoints are the
+    13 uniform ones and, for each pole z, Re z and Re z +- |Im z| 6^j for
+    j = 0 ... 11, clipped to +-span; a repeated breakpoint (or NaN) is
+    dropped, and the row is padded with zero-width panels at +span to the
+    widest row of the call.  A pole only places nodes: the rule's averages
+    are of whatever is evaluated on them.  The weights are those of
+    exp(-t^2)/sqrt(pi) over [-span, span], unnormalized.
+    """
+    poles = np.asarray(poles, complex)
+    rows = poles.shape[0]
+    centre = poles.real[..., None]
+    # a breakpoint that overflows is clipped, and a NaN one dropped, below
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = np.abs(poles.imag)[..., None] * _GRADING
+        cuts = np.concatenate(
+            (np.broadcast_to(np.linspace(-span, span, _BASE_CUTS),
+                             (rows, _BASE_CUTS)),
+             poles.real, (centre - reach).reshape(rows, -1),
+             (centre + reach).reshape(rows, -1)), axis=1)
+    cuts = np.sort(np.clip(cuts, -span, span), axis=1)   # NaN sorts last
+    keep = np.ones(cuts.shape, bool)
+    np.greater(cuts[:, 1:], cuts[:, :-1], out=keep[:, 1:])
+    # a dropped breakpoint reads +span and sorts after the kept ones, which
+    # are at most +span: the zero-width panels that pad the row
+    cuts = np.sort(np.where(keep, cuts, span), axis=1)
+    cuts = cuts[:, :keep.sum(axis=1).max()]
+    lo, hi = cuts[:, :-1, None], cuts[:, 1:, None]
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi) + half * KRONROD_NODES).reshape(rows, -1)
+    density = np.exp(-nodes**2) / sqrt(pi)
+    return GradedRule(nodes,
+                      (half * GAUSS_WEIGHTS).reshape(rows, -1) * density,
+                      (half * KRONROD_WEIGHTS).reshape(rows, -1) * density)
 
 
 # Weideman's rational approximation of the Faddeeva function w(z) with

@@ -237,7 +237,8 @@ def _chi2(fp, model, scale, offset):
 
 
 def validate_quadrature(fp: FitProblem, params: dict) -> Spectrum:
-    """The spectrum at params, checked on doubled nodes if Doppler-on."""
+    """The spectrum at params, its velocity average checked if
+    Doppler-on."""
     return _simulate(fp, [params], verify=True)[0]
 
 

@@ -13,28 +13,31 @@ The velocity integral is taken in one of two ways.  With the analytic
 engine and Doppler on, it is the closed form of
 ``analytic.doppler_averaged_populations``, for all channels and delta1
 points at once.  When the quadrature is verified, that result is checked
-against both rules of ``doppler.node_plan``, the velocity instance of
-``doppler.doubled_rule``, at every 50th point, the last point and the
-extremes of each summed signal, and the worst deviation is echoed as
-``quadrature.max_refinement_shift`` with ``quadrature.scheme = faddeeva``.
-The oracle engine averages on the trapezoid itself, and a verified oracle
-scan checks every point against the doubled rule.  A Doppler-free scan is
-the population table on the delta1 grid.
+at every 50th point, the last point and the extremes of each summed signal
+against both rules of ``doppler.graded_rule`` (``_graded_check``): panels
+graded toward each (g2, delta1) row's poles, Gauss-7 and Kronrod-15 on each,
+with the values from the real-arithmetic kernel.  The worst deviation is
+echoed as ``quadrature.max_refinement_shift`` with
+``quadrature.scheme = faddeeva``.  The oracle engine averages on the
+trapezoid of ``doppler.node_plan``, and a verified oracle scan checks every
+point against its doubled rule.  A Doppler-free scan is the population
+table on the delta1 grid.
 
 A scan is one pass (``_spectra``): its inputs are converted once, every
 channel's table comes from one kernel call, and each spectrum's channels
 are summed once.  The spot-check points are read from those sums, and the
 oracle's N-node rule is the reported sum itself.
 
-Determinism: the trapezoid grid is processed in blocks of about 2^14
-points x nodes, so that each temporary of ``analytic.group_factors`` stays
-at or below 128 KiB; their boundaries depend only on the grid and the node
-count, never on the thread count.  Each velocity reduction
-(``doppler.weighted_sum``) gives a row the same bits whatever block it is
-reduced in; a row shared by a coupling group is reduced once, and the
-channel scales are applied after the last block.  The closed form runs in
-one thread, and the channel sum runs in ascending-|M| order, so outputs are
-bit-identical for any ``threads`` value.
+Determinism: the graded check runs in fixed blocks of ``_ROWS`` rows, each
+padded to its widest row, and the oracle's trapezoid in blocks of about
+``_BLOCK`` points x nodes; their boundaries depend only on the inputs,
+never on the thread count.  Each row is reduced on its own (einsum on the
+graded rule, ``doppler.weighted_sum`` on the trapezoid), so its bits depend
+only on the row and its (padded) length; on the graded rule a row the
+channels of one g2 share is reduced once, and the channel scales are
+applied after the last block.  The closed form runs in one thread, and the
+channel sum runs in ascending-|M| order, so outputs are bit-identical for
+any ``threads`` value.
 """
 
 from dataclasses import dataclass, field
@@ -44,8 +47,8 @@ import numpy as np
 
 from . import __version__, analytic
 from .analytic import (
+    _poles,
     channel_populations,
-    coupling_groups,
     doppler_averaged_populations,
     group_factors,
     population_rho22,  # noqa: F401  (re-exported as spectrum.population_rho22)
@@ -56,6 +59,7 @@ from .doppler import (
     TRAPEZOID,
     Ensemble,
     QuadratureSpec,
+    graded_rule,
     node_plan,
     velocity_detunings,
     weighted_sum,
@@ -72,11 +76,12 @@ RHO22 = "rho22"
 RHO33 = "rho33"
 SIGNALS = (RHO22, RHO33)  # order of the written columns and the signal rows
 
-# points x nodes per work unit: the block-sized temporaries of
-# ``analytic.group_factors`` stay at or below 128 KiB; measured against
-# 2^13 ... 2^16 on the grouped spot-check (see CHANGES.md)
+# points x nodes per work unit of the oracle's trapezoid
 _BLOCK = 1 << 14
-_SPOT_CHECK_STRIDE = 50  # closed form: trapezoid-checked every 50th point
+# (g2, delta1) rows per block of the graded spot-check: fixed, so that a
+# row's padded width, and with it its bits, never depends on ``threads``
+_ROWS = 16
+_SPOT_CHECK_STRIDE = 50  # closed form: checked at every 50th point
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,10 +201,10 @@ def _spectra(sys, lasers, ensemble, pieces, scan, quadrature, threads):
     the kernel table on the delta1 grid without Doppler, else its velocity
     averages, in closed form (analytic engine) or on the trapezoid (oracle
     engine).  Each piece's channels are then summed once.  A verified
-    Doppler-averaged scan checks each piece against the doubled rule: the
-    closed form at the spot-check points of the pieces' summed totals, the
-    oracle's trapezoid at every point, its N-node rule being the reported
-    total itself."""
+    Doppler-averaged scan checks each piece against a fine rule: the
+    closed form at the spot-check points of the pieces' summed totals on
+    the graded rule, the oracle's trapezoid at every point on its doubled
+    rule, its N-node rule being the reported total itself."""
     if scan.doppler_on != (ensemble is not None):
         raise ValueError("an Ensemble is given exactly for a doppler_on scan")
     quadrature = quadrature or QuadratureSpec()
@@ -239,8 +244,8 @@ def _spectra(sys, lasers, ensemble, pieces, scan, quadrature, threads):
         # sum adds the pieces from +0.0 in ascending |M|, as _channel_sum
         # adds channels, so these are the bits of the whole set's sum
         idx = _spot_check_points(sum(totals), scan)
-        check = (idx, *_trapezoid(sys, ensemble, channels, scan, grid[idx],
-                                  node_plan(ensemble, quadrature), threads))
+        check = (idx, *_graded_check(sys, ensemble, channels, scan,
+                                     grid[idx], quadrature, threads))
     out, lo = [], 0
     for (channelset, piece), total in zip(pieces, totals):
         _require_finite(total, grid)
@@ -274,44 +279,21 @@ def _spot_check_points(total, scan):
 
 
 def _trapezoid(sys, ensemble, channels, scan, delta1_mhz, plan, threads):
-    """Trapezoid averages of each channel at ``delta1_mhz`` over ``plan``.
+    """The oracle engine's trapezoid averages of each channel at
+    ``delta1_mhz`` over ``plan``.
 
     Returns (coarse, fine), each of shape (signals, channels, points); fine
-    is None when the plan carries no doubled rule.  Rows a scan does not
-    evaluate stay zero.  Block by block (about ``_BLOCK`` points x nodes),
-    each row is reduced once for the channels sharing it (one g2, or one
-    oracle channel), with 1/D in the weights, into a (signal, group, point)
-    table per rule; after the last block each group's row is scaled for
-    each of its channels."""
+    is None when the plan carries no doubled rule.  A signal not requested
+    stays zero.  Block by block (about ``_BLOCK`` points x nodes), each
+    channel's rows of the 9x9 solve are reduced once per rule."""
     n = delta1_mhz.size
     rules = [rule for rule in (plan.coarse, plan.fine) if rule is not None]
     d2 = angular_from_mhz(scan.delta2_mhz)
     omega2 = sys.omega32_angular + d2
     d2_row = velocity_detunings(0.0, d2, 0.0, omega2, plan.nodes,
                                 ensemble.geometry)[1]
-    wanted = scan.requested
-    groups = []     # (channel indices, rules, scales per evaluated signal)
-    if scan.engine == ENGINE_ORACLE:
-        ones = tuple([1.0] if want else [] for want in wanted)
-        groups += [([i], rules, ones) for i in range(len(channels))]
-
-        def rows_of(big_d1):
-            for ch in channels:
-                pops = populations_grid(sys, ch.g1, ch.g2, big_d1, d2_row)
-                yield [p if want else None for p, want in zip(pops, wanted)]
-    else:
-        coupled = coupling_groups(sys, [ch.g2 for ch in channels], d2_row)
-        for g2, members, _, D, _ in coupled:
-            g1 = [channels[i].g1 for i in members]
-            groups.append((members, [(sl, w / D[sl]) for sl, w in rules],
-                           ([-(x**2 * sys.rho11_init) / 2.0
-                             for x in g1 if wanted[0]],
-                            [analytic._rho33_from(sys, x, g2, 1.0, 1.0)
-                             for x in g1 if wanted[1] and g2 != 0.0])))
-
-        def rows_of(big_d1):
-            return group_factors(sys, coupled, big_d1, d2_row, *wanted)
-    reduced = [np.zeros((len(SIGNALS), len(groups), n)) for _ in rules]
+    wanted = np.flatnonzero(scan.requested)
+    out = [np.zeros((len(SIGNALS), len(channels), n)) for _ in rules]
     step = max(1, _BLOCK // plan.nodes.size)
 
     def work(lo):
@@ -319,15 +301,80 @@ def _trapezoid(sys, ensemble, channels, scan, delta1_mhz, plan, threads):
         d1 = angular_from_mhz(delta1_mhz[lo:hi])[:, None]
         big_d1 = velocity_detunings(d1, d2, sys.omega21_angular + d1, omega2,
                                     plan.nodes, ensemble.geometry)[0]
-        factors = rows_of(big_d1)
-        for g, (_, g_rules, _) in enumerate(groups):
-            for s, row in enumerate(next(factors)):
-                if row is not None:
-                    for table, (sl, w) in zip(reduced, g_rules):
-                        table[s, g, lo:hi] = weighted_sum(row[..., sl], w)
-            del row     # freed, so the next group's rows reuse its memory
+        for i, ch in enumerate(channels):
+            pops = populations_grid(sys, ch.g1, ch.g2, big_d1, d2_row)
+            for s in wanted:
+                for table, (sl, w) in zip(out, rules):
+                    table[s, i, lo:hi] = weighted_sum(pops[s][..., sl], w)
 
-    blocks = range(0, n, step)
+    _run_blocks(work, range(0, n, step), threads)
+    return out[0], (out[1] if len(out) > 1 else None)
+
+
+def _graded_check(sys, ensemble, channels, scan, delta1_mhz, quadrature,
+                  threads):
+    """Each channel's average at ``delta1_mhz`` on both rules of
+    ``doppler.graded_rule``, as (coarse, fine) shaped like ``_trapezoid``'s.
+
+    A row is one distinct g2 at one point.  Its nodes are graded toward the
+    poles that ``analytic._poles`` places (no Z is evaluated); its values
+    come from the real-arithmetic kernel, ``group_factors`` with g2 as a
+    per-row column and 1/D in the weights, and it is reduced alone by
+    einsum.  The rows run in fixed blocks of ``_ROWS``, each padded to its
+    widest row, and ``threads`` splits the blocks.  After the last block
+    each row is scaled for each channel of its g2.  Rows a scan does not
+    evaluate stay zero, and so does rho33 at g2 == 0."""
+    wanted = scan.requested
+    members = {}    # g2 -> channel indices; rho33 alone skips g2 == 0
+    for i, ch in enumerate(channels):
+        if wanted[0] or ch.g2 != 0.0:
+            members.setdefault(ch.g2, []).append(i)
+    n = delta1_mhz.size
+    d1 = angular_from_mhz(delta1_mhz)
+    d2 = angular_from_mhz(scan.delta2_mhz)
+    b1, b2 = velocity_detunings(0.0, 0.0, sys.omega21_angular + d1,
+                                sys.omega32_angular + d2, ensemble.u_p,
+                                ensemble.geometry)
+    g2 = np.array(list(members), float)
+    poles = np.stack(np.broadcast_arrays(
+        *_poles(sys, g2[:, None], d1, d2, b1, b2)[0]), axis=-1)
+    # row r holds g2[r // n] at point r % n
+    poles = poles.reshape(-1, poles.shape[-1])
+    g2_row = np.repeat(g2, n)[:, None]
+    d1_row, b1_row = (np.tile(a, g2.size)[:, None] for a in (d1, b1))
+    reduced = np.zeros((2, len(SIGNALS), len(poles)))  # (rule, signal, row)
+
+    def work(lo):
+        at = slice(lo, lo + _ROWS)
+        t, *rules = graded_rule(poles[at], quadrature.span)
+        big_d1 = d1_row[at] + b1_row[at] * t
+        big_d2 = d2 + b2 * t
+        A, D, c = analytic._coupling_terms(sys, g2_row[at],
+                                           big_d2**2 + sys.G32**2)
+        [factors] = group_factors(sys, [(g2_row[at], None, A, D, c)],
+                                  big_d1, big_d2, *wanted)
+        for table, w in zip(reduced, rules):
+            w /= D
+            for s, f in enumerate(factors):
+                if f is not None:
+                    table[s, at] = np.einsum("rk,rk->r", f, w)
+
+    _run_blocks(work, range(0, len(poles), _ROWS), threads)
+    out = np.zeros((2, len(SIGNALS), len(channels), n))
+    for g, (value, idx) in enumerate(members.items()):
+        row = reduced[..., g * n:(g + 1) * n]
+        for i in idx:
+            g1 = channels[i].g1
+            if wanted[0]:
+                out[:, 0, i] = -(g1**2 * sys.rho11_init) / 2.0 * row[:, 0]
+            if wanted[1] and value != 0.0:
+                out[:, 1, i] = analytic._rho33_from(sys, g1, value, 1.0,
+                                                    1.0) * row[:, 1]
+    return out[0], out[1]
+
+
+def _run_blocks(work, blocks, threads):
+    """``work(block)`` for each block, on ``threads`` threads."""
     if threads <= 1:
         for lo in blocks:
             work(lo)
@@ -336,14 +383,6 @@ def _trapezoid(sys, ensemble, channels, scan, delta1_mhz, plan, threads):
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, blocks))
-    out = [np.zeros((len(SIGNALS), len(channels), n)) for _ in rules]
-    for g, (members, _, scales) in enumerate(groups):
-        for s, signal_scales in enumerate(scales):
-            if signal_scales:
-                for per, table in zip(out, reduced):
-                    per[s, members] = np.multiply.outer(signal_scales,
-                                                        table[s, g])
-    return out[0], (out[1] if len(out) > 1 else None)
 
 
 def _channel_sum(per, channels):
@@ -364,12 +403,13 @@ def _require_finite(total, delta1_mhz):
 
 
 def _check_refinement(total, coarse, fine, idx, scan, quadrature):
-    """Largest move of a reported point against the doubled rule, relative
-    to the peak of its signal.
+    """Largest move of a reported point against the fine rule, relative to
+    the peak of its signal.
 
-    At each checked index both the reported value and the N-node trapezoid
-    are compared with the doubled-rule trapezoid; on the trapezoid path the
-    reported value is the N-node average itself.
+    At each checked index both the reported value and the coarse rule are
+    compared with the fine rule: on the closed-form path the Gauss-7 and
+    Kronrod-15 rules of ``_graded_check``, on the oracle's the N-node
+    trapezoid, which is the reported value itself, and its doubled rule.
     """
     worst, where = 0.0, None
     for s, sig in compress(enumerate(SIGNALS), scan.requested):
@@ -385,14 +425,19 @@ def _check_refinement(total, coarse, fine, idx, scan, quadrature):
             where = sig, scan.delta1_mhz[idx[k]], rule[k] >= reported[k]
     if worst > quadrature.refinement_tolerance:
         sig, x, by_rule = where
-        hint = (f"increase node_count above {quadrature.node_count}"
-                if by_rule else
-                "the trapezoid agrees with its doubled rule but not with the"
-                f" closed form; widen span above {quadrature.span} u_p")
+        if scan.engine == ENGINE_ORACLE:
+            against = (f"the doubled {2 * quadrature.node_count - 1}-node"
+                       " trapezoid")
+            hint = f"increase node_count above {quadrature.node_count}"
+        else:
+            against = "the Kronrod-15 rule on pole-graded panels"
+            hint = ("its Gauss-7 rule disagrees as well: the panels do not"
+                    " resolve the integrand" if by_rule else
+                    "the rule agrees with its Gauss-7 rule but not with the"
+                    f" closed form; widen span above {quadrature.span} u_p")
         raise QuadratureNotConverged(
             f"{sig} at delta1 = {x:g} MHz moved by {worst:.3e} of peak"
-            f" against the doubled {2 * quadrature.node_count - 1}-node"
-            f" trapezoid; {hint}")
+            f" against {against}; {hint}")
     return worst
 
 

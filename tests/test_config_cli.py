@@ -376,12 +376,16 @@ def test_cli_json_errors(tmp_path, capsys):
 
 
 def test_cli_exit_code_for_unconverged_quadrature(tmp_path, capsys):
-    cfg = small_run_config(tmp_path, tmp_path)
+    """The oracle engine's trapezoid of 51 nodes moves against its doubled
+    rule, which names the point and asks for more nodes."""
+    cfg = small_run_config(tmp_path, tmp_path, **{
+        "delta2 = 0 MHz": "delta2 = 0 MHz\nengine = oracle"})
     with open(cfg, "a") as fh:
         fh.write(THERMAL + "\n[quadrature]\nnodes = 51\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert re.search(r"rho(22|33) at delta1 = -?\d+(\.\d+)? MHz", err), err
+    assert "increase node_count above 51" in err, err
 
 
 @pytest.mark.parametrize("ensemble, quadrature", [
@@ -500,16 +504,56 @@ def test_cli_extreme_finite_input_keeps_exit_codes(tmp_path, capsys, old, new,
 
 
 def test_cli_span_below_the_underflow_limit_is_accepted(tmp_path, capsys):
-    """span = 27 still reaches the engine: li2_fig6b's 4001 nodes are too
-    few that wide, and the check asks for more."""
+    """span = 27 still reaches the engine.  The closed form's graded check
+    places its panels by the poles, so it verifies that wide; the oracle
+    engine's 4001 trapezoid nodes are too few, and its check asks for
+    more."""
     text = (resources.files("eitmol") / "presets" / "li2_fig6b.cfg") \
         .read_text("utf-8").replace("delta1_points = 801",
                                     "delta1_points = 11")
     cfg = write_config(tmp_path, text.replace("span = 4.0", "span = 27"))
     assert main(["simulate", "--config", cfg, "--json-errors",
-                 "--out", str(tmp_path)]) == 3
+                 "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "li2_fig6b.json").read_text())["metadata"]
+    assert meta["quadrature.span_u_p"] == 27.0
+    assert meta["quadrature.verified"] is True
+    assert meta["quadrature.max_refinement_shift"] <= 1e-4
+    capsys.readouterr()
+    cfg = write_config(tmp_path, text.replace("span = 4.0", "span = 27")
+                       .replace("delta1_points = 11", "delta1_points = 3")
+                       .replace("engine = analytic", "engine = oracle"))
+    assert main(["simulate", "--config", cfg, "--json-errors",
+                 "--out", str(tmp_path / "oracle")]) == 3
     message = json.loads(capsys.readouterr().err)["message"]
     assert "increase node_count above 4001" in message, message
+
+
+# li2_fig4 with 10x the lifetimes and a tenth of the dephasing and transit
+# rates: lines 10x narrower against the same Doppler width
+LONG_LIVED = (("tau2 = 18 ns", "tau2 = 180 ns"),
+              ("tau3 = 16.15 ns", "tau3 = 161.5 ns"),
+              ("gamma12_col = 5 MHz", "gamma12_col = 0.5 MHz"),
+              ("gamma13_col = 1 MHz", "gamma13_col = 0.1 MHz"),
+              ("gamma23_col = 1 MHz", "gamma23_col = 0.1 MHz"),
+              ("transit_rate = 2 MHz", "transit_rate = 0.2 MHz"),
+              ("refill_rate = 2 MHz", "refill_rate = 0.2 MHz"))
+
+
+def test_long_lived_li2_fig4_verifies_at_default_settings(tmp_path):
+    """With lines 10x narrower than li2_fig4's, a uniform trapezoid needs
+    16001 nodes to pass its doubled rule; the pole-graded check verifies the
+    closed form at the preset's own settings."""
+    text = (resources.files("eitmol") / "presets" / "li2_fig4.cfg") \
+        .read_text("utf-8")
+    for old, new in LONG_LIVED:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = write_config(tmp_path, text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "li2_fig4.json").read_text())["metadata"]
+    assert meta["system.gamma12_col_Mrad_s"] == pytest.approx(np.pi)
+    assert meta["quadrature.verified"] is True
+    assert meta["quadrature.max_refinement_shift"] <= 1e-5
 
 
 FUZZ_BASE = (resources.files("eitmol") / "presets" / "li2_fig6b.cfg") \
@@ -548,6 +592,31 @@ def test_rate_at_its_cap_runs_without_overflow(tmp_path, capsys, old, new):
     cfg = write_config(tmp_path, FUZZ_BASE.replace(old, over))
     assert main(["simulate", "--config", cfg, "--json-errors"]) == 2
     assert f"key '{key}'" in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("pole", [np.nan, np.inf, 1e308 + 1e308j,
+                                  complex(0.0, np.inf)])
+def test_cli_non_finite_poles_exit_numeric(tmp_path, capsys, monkeypatch,
+                                           pole):
+    """Poles that are non-finite or overflow only misplace the spot-check's
+    nodes, without a warning: the check then fails, and the run exits 3
+    with one JSON object, never 1 with a traceback."""
+    from eitmol import spectrum
+
+    real = spectrum._poles
+
+    def broken(*args):
+        poles, *rest = real(*args)
+        return (tuple(np.full_like(z, pole) for z in poles), *rest)
+
+    monkeypatch.setattr(spectrum, "_poles", broken)
+    cfg = write_config(tmp_path, FUZZ_BASE)
+    assert main(["simulate", "--config", cfg, "--json-errors",
+                 "--out", str(tmp_path)]) == 3
+    payload = one_json_error(capsys)
+    assert payload["error"] == "QuadratureNotConverged"
+    assert payload["warnings"] == []
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("beam, key", [("probe", "mu_probe"),
@@ -1124,14 +1193,16 @@ def test_engine_is_set_by_the_config_alone(capsys, command):
 
 
 def test_cli_unallocatable_nodes_exit_numeric(tmp_path, capsys):
-    """A velocity-node count that cannot be allocated fails in the engine
-    and exits 3 with one JSON object.  The size exceeds the address space,
-    so the allocation fails at once without touching memory."""
+    """A velocity-node count that cannot be allocated fails in the oracle
+    engine's trapezoid, the one rule that ``nodes`` sizes, and exits 3 with
+    one JSON object.  The size exceeds the address space, so the
+    allocation fails at once without touching memory."""
     text = (resources.files("eitmol") / "presets" / "li2_fig3a.cfg") \
         .read_text("utf-8")
-    assert "nodes = 4001" in text
+    assert "nodes = 4001" in text and "engine = analytic" in text
     cfg = write_config(tmp_path, text.replace("nodes = 4001",
-                                              "nodes = 1000000000000001"))
+                                              "nodes = 1000000000000001")
+                       .replace("engine = analytic", "engine = oracle"))
     assert main(["simulate", "--config", cfg, "--json-errors",
                  "--out", str(tmp_path)]) == 3
     payload = one_json_error(capsys)

@@ -10,12 +10,16 @@ from eitmol.constants import SPEED_OF_LIGHT
 from eitmol.doppler import (
     CO_PROPAGATING,
     COUNTER_PROPAGATING,
+    GAUSS_WEIGHTS,
+    KRONROD_NODES,
+    KRONROD_WEIGHTS,
     MAX_SPAN,
     MIN_U_P,
     Ensemble,
     QuadratureSpec,
     doubled_rule,
     faddeeva,
+    graded_rule,
     node_plan,
     plasma_dispersion,
     velocity_detunings,
@@ -308,3 +312,67 @@ def test_plasma_dispersion_is_maxwellian_average_of_a_pole(z):
 
     ref = (part(np.real) + 1j * part(np.imag)) / np.sqrt(np.pi)
     assert abs(plasma_dispersion(z) - ref) <= 1e-10 * abs(ref)
+
+
+# the pole-graded Gauss-Kronrod rule ------------------------------------------
+
+def test_gauss_kronrod_constants():
+    """The Gauss-7 rule sits on the odd Kronrod-15 nodes, which are
+    numpy's 7-point Gauss-Legendre nodes, with its weights, to 1e-15; G7 is
+    exact on monomials to degree 13 and K15 to degree 22, and neither on
+    the next even degree."""
+    x, w = np.polynomial.legendre.leggauss(7)
+    assert np.all(np.diff(KRONROD_NODES) > 0.0)
+    assert np.array_equal(KRONROD_NODES, -KRONROD_NODES[::-1])
+    assert np.all(GAUSS_WEIGHTS[::2] == 0.0)
+    assert np.max(np.abs(KRONROD_NODES[1::2] - x)) <= 1e-15
+    assert np.max(np.abs(GAUSS_WEIGHTS[1::2] - w)) <= 1e-15
+
+    def error(weights, k):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        return abs(weights @ KRONROD_NODES**k - exact)
+
+    for weights, degree in ((GAUSS_WEIGHTS, 13), (KRONROD_WEIGHTS, 22)):
+        assert max(error(weights, k) for k in range(degree + 1)) <= 1e-15
+        assert error(weights, degree + 2 - degree % 2) > 1e-9
+
+
+def test_graded_rule_panels():
+    """Each row's panels run from -span to +span through every distinct
+    breakpoint, densest at its poles; a narrower row is padded with
+    zero-width panels at +span, carrying no weight, and both rules
+    integrate the Maxwellian over [-span, span] to erf(span)."""
+    span = 4.0
+    poles = np.array([[0.5 + 1e-3j, -2.0 - 0.3j, 1.0 + 40.0j],
+                      [0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j]])
+    rule = graded_rule(poles, span)
+    assert rule.nodes.shape == rule.coarse.shape == rule.fine.shape
+    assert rule.nodes.shape[1] % 15 == 0
+    panels = rule.nodes.reshape(2, -1, 15)
+    assert np.all(np.abs(rule.nodes) <= span)
+    assert np.all(np.diff(rule.nodes, axis=1) >= 0.0)
+    # row 1: its 13 uniform breakpoints and 0 (already one of them)
+    padded = np.all(panels[1] == span, axis=1)
+    assert np.count_nonzero(~padded) == 12
+    assert np.all(rule.fine.reshape(2, -1, 15)[1][padded] == 0.0)
+    # row 0: 1e-3 * 6^j stays inside +-span for j <= 7
+    assert np.count_nonzero(np.abs(rule.nodes[0] - 0.5) < 1e-3) == 30
+    for weights in (rule.coarse, rule.fine):
+        assert np.all(weights >= 0.0)
+        assert np.all(np.abs(weights.sum(axis=1) - math.erf(span)) <= 1e-13)
+
+
+def test_graded_rule_drops_non_finite_poles():
+    """A NaN, infinite or overflowing pole places no breakpoint inside the
+    span (an infinite one only the clipped ones at +-span), without a
+    floating-point warning: the rule keeps its uniform base, finite nodes
+    and weights."""
+    base = graded_rule(np.zeros((2, 3), complex), 2.0)
+    with np.errstate(all="raise"):
+        rule = graded_rule(np.array([
+            [complex(np.nan, 1.0), complex(np.inf, 0.0),
+             complex(0.0, np.nan)],
+            [complex(1e308, 1e308), complex(0.0, np.inf),
+             complex(-np.inf, np.inf)]]), 2.0)
+    assert np.array_equal(rule.nodes, base.nodes)
+    assert np.array_equal(rule.fine, base.fine)

@@ -29,6 +29,7 @@ from eitmol.doppler import (
     MIN_U_P,
     Ensemble,
     QuadratureSpec,
+    graded_rule,
     node_plan,
     velocity_detunings,
     weighted_sum,
@@ -349,6 +350,43 @@ def test_spot_check_catches_a_wrong_closed_form(monkeypatch, li2,
     assert sp.metadata["quadrature.verified"] is False
 
 
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+@pytest.mark.parametrize("delta2_mhz", [0.0, 420.0])
+def test_spot_check_does_not_trust_its_poles(monkeypatch, li2, li2_lasers,
+                                             li2_ensemble, li2_channels,
+                                             side, delta2_mhz):
+    """The poles only place the graded rule's nodes; its values come from
+    the kernel.  With every pole moved along the real axis by 10 of its
+    widths |Im z|, the check either raises or still agrees with the
+    closed form, and a closed form off by 1e-3 in rho33 still raises."""
+    real_poles = spectrum._poles
+
+    def shifted(*args):
+        poles, *rest = real_poles(*args)
+        return (tuple(z + side * 10.0 * np.abs(z.imag) for z in poles),
+                *rest)
+
+    monkeypatch.setattr(spectrum, "_poles", shifted)
+    sc = scan(np.linspace(-800, 800, 41), delta2_mhz=delta2_mhz)
+    args = li2, li2_lasers, li2_ensemble, li2_channels, sc
+    try:
+        sp = simulate(*args)
+    except QuadratureNotConverged:
+        pass
+    else:
+        assert sp.metadata["quadrature.max_refinement_shift"] <= 1e-4
+    real = spectrum.doppler_averaged_populations
+
+    def off_by_1e3(*args, **kw):
+        out = real(*args, **kw)
+        out[1] *= 1.0 + 1e-3
+        return out
+
+    monkeypatch.setattr(spectrum, "doppler_averaged_populations", off_by_1e3)
+    with pytest.raises(QuadratureNotConverged):
+        simulate(*args)
+
+
 def test_spot_check_blames_a_short_span(li2, li2_lasers, li2_ensemble,
                                         li2_channels):
     """A trapezoid truncated at +-0.5 u_p agrees with its doubled rule but
@@ -364,10 +402,10 @@ def test_spot_check_points(spy, li2, li2_lasers, li2_ensemble,
     """The spot-check points are every 50th point, the last one and the
     extremes of each summed signal, and nothing else; the summed signals
     are the reported ones before clipping, and the closed form is checked
-    on the trapezoid at exactly those points."""
+    on the graded rule at exactly those points."""
     grid = np.linspace(-3000, 3000, 161)
     picked = spy(spectrum, "_spot_check_points")
-    checked = spy(spectrum, "_trapezoid")
+    checked = spy(spectrum, "_graded_check")
     spec = simulate(li2, li2_lasers, li2_ensemble, li2_channels, scan(grid))
     [((total, _), idx)] = picked
     for name, row in zip(spectrum.SIGNALS, total):
@@ -487,12 +525,14 @@ def blocks_of(n, plan):
 
 def test_threads_do_not_change_blocked_trapezoid(li2, li2_ensemble,
                                                   li2_channels):
-    """40 points on the 4001 nodes of a verified 2001-node plan span several
-    blocks; one thread and three reduce them to the same bits."""
+    """12 points on the 4001 nodes of a verified 2001-node plan span several
+    blocks of the oracle's trapezoid; one thread and three reduce them to
+    the same bits."""
     plan = node_plan(li2_ensemble, QuadratureSpec(node_count=2001))
-    sc = scan(np.linspace(-1500, 1500, 40), delta2_mhz=420.0)
-    assert blocks_of(40, plan) >= 3
-    args = (li2, li2_ensemble, list(li2_channels.channels), sc,
+    sc = scan(np.linspace(-1500, 1500, 12), delta2_mhz=420.0,
+              engine="oracle")
+    assert blocks_of(12, plan) >= 3
+    args = (li2, li2_ensemble, list(li2_channels.channels)[::5], sc,
             sc.delta1_mhz, plan)
     one = spectrum._trapezoid(*args, threads=1)
     three = spectrum._trapezoid(*args, threads=3)
@@ -501,12 +541,27 @@ def test_threads_do_not_change_blocked_trapezoid(li2, li2_ensemble,
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("engine", ["analytic", "oracle"])
+def test_threads_do_not_change_blocked_graded_check(li2, li2_ensemble,
+                                                    li2_channels):
+    """40 points of 15 distinct couplings (g2 = 0 included) are 600 rows,
+    38 blocks of the graded spot-check; one thread and three reduce them
+    to the same bits."""
+    sc = scan(np.linspace(-1500, 1500, 40), delta2_mhz=420.0)
+    channels = list(li2_channels.channels)
+    assert len({ch.g2 for ch in channels}) == 15
+    args = (li2, li2_ensemble, channels, sc, sc.delta1_mhz, QuadratureSpec())
+    one = spectrum._graded_check(*args, threads=1)
+    three = spectrum._graded_check(*args, threads=3)
+    for a, b in zip(one, three):
+        assert np.any(a != 0.0)
+        assert np.array_equal(a, b)
+
+
 def test_trapezoid_bits_do_not_depend_on_the_block_size(
-        monkeypatch, li2, li2_ensemble, li2_channels, engine):
+        monkeypatch, li2, li2_ensemble, li2_channels):
     """One point per block reproduces the default blocks bit for bit."""
     plan = node_plan(li2_ensemble, QuadratureSpec(node_count=201))
-    sc = scan(np.linspace(-800, 800, 9), delta2_mhz=420.0, engine=engine)
+    sc = scan(np.linspace(-800, 800, 9), delta2_mhz=420.0, engine="oracle")
     args = (li2, li2_ensemble, list(li2_channels.channels), sc,
             sc.delta1_mhz, plan, 1)
     assert blocks_of(9, plan) == 1
@@ -519,36 +574,15 @@ def test_trapezoid_bits_do_not_depend_on_the_block_size(
         assert np.array_equal(a, b)
 
 
-def per_channel_trapezoid(sys, ensemble, channels, sc, plan):
-    """The trapezoid's (coarse, fine) the long way: the
-    ``channel_populations`` table on the whole grid, each row reduced
-    alone."""
-    d1 = angular_from_mhz(sc.delta1_mhz)[:, None]
-    d2 = angular_from_mhz(sc.delta2_mhz)
-    big_d1, big_d2 = velocity_detunings(
-        d1, d2, sys.omega21_angular + d1, sys.omega32_angular + d2,
-        plan.nodes[None, :], ensemble.geometry)
-    table = channel_populations(
-        sys, [ch.g1 for ch in channels], [ch.g2 for ch in channels], big_d1,
-        big_d2, *sc.requested)
-    return [weighted_sum(table[..., sl], w)
-            for sl, w in (plan.coarse, plan.fine)]
-
-
-@pytest.mark.parametrize("case", ["coupling off", "15 couplings",
-                                  "rho33 only"])
-def test_grouped_trapezoid_matches_per_channel_reduction(
-        case, li2, li2_lasers, li2_ensemble, li2_channels):
-    """Reduced once per g2 with 1/D folded into the weights, each channel's
-    average on both rules is within 1e-13 of its row's peak of the
-    per-channel reduction, and rows not evaluated stay exactly zero: one
-    group (coupling off), 15 groups of one (li2_fig6b), and groups with
-    g2 = 0 and g2 != 0 with only rho33 requested."""
+def grouping_case(case, li2, li2_lasers, li2_ensemble, li2_channels, grid,
+                  **kw):
+    """(system, ensemble, channels, scan) of one grouping case: one g2
+    (coupling off), 15 distinct g2 (li2_fig6b), and g2 = 0 next to
+    g2 != 0 with only rho33 requested."""
     sys, ens = li2, li2_ensemble
-    grid = np.linspace(-1500.0, 1500.0, 7)
     if case == "coupling off":
         channels = build_channels(li2, 1.0, 1.45, li2_lasers.field_probe, 0.0)
-        sc = scan(grid)
+        sc = scan(grid, **kw)
         assert len({ch.g2 for ch in channels}) == 1
     elif case == "15 couplings":
         cfg = preset_config("li2_fig6b")
@@ -556,42 +590,118 @@ def test_grouped_trapezoid_matches_per_channel_reduction(
         channels = build_channels(sys, cfg.mu_probe_au, cfg.mu_coupling_au,
                                   cfg.lasers.field_probe,
                                   cfg.lasers.field_coupling)
-        sc = scan(grid, delta2_mhz=cfg.scan.delta2_mhz)
+        sc = scan(grid, delta2_mhz=cfg.scan.delta2_mhz, **kw)
         assert len({ch.g2 for ch in channels}) == len(channels) == 15
     else:
         channels = li2_channels
-        sc = scan(grid, delta2_mhz=420.0, channels=("rho33",))
+        sc = scan(grid, delta2_mhz=420.0, channels=("rho33",), **kw)
         assert 0.0 in {ch.g2 for ch in channels}
-    channels = list(channels.channels)
+    return sys, ens, list(channels.channels), sc
+
+
+def per_channel_trapezoid(sys, ensemble, channels, sc, plan):
+    """The oracle trapezoid's (coarse, fine) the long way: the 9x9 solve's
+    table on the whole grid, each row reduced alone."""
+    from eitmol.bloch import populations_grid
+
+    d1 = angular_from_mhz(sc.delta1_mhz)[:, None]
+    d2 = angular_from_mhz(sc.delta2_mhz)
+    big_d1, big_d2 = velocity_detunings(
+        d1, d2, sys.omega21_angular + d1, sys.omega32_angular + d2,
+        plan.nodes[None, :], ensemble.geometry)
+    table = populations_grid(
+        sys, np.array([ch.g1 for ch in channels])[:, None, None],
+        np.array([ch.g2 for ch in channels])[:, None, None], big_d1, big_d2)
+    table[np.logical_not(sc.requested)] = 0.0
+    return [weighted_sum(table[..., sl], w)
+            for sl, w in (plan.coarse, plan.fine)]
+
+
+@pytest.mark.parametrize("case", ["coupling off", "15 couplings",
+                                  "rho33 only"])
+def test_trapezoid_matches_per_channel_reduction(
+        case, li2, li2_lasers, li2_ensemble, li2_channels):
+    """Each channel's oracle average on both rules is within 1e-13 of its
+    row's peak of the reduction of the whole table, and a signal not
+    requested stays exactly zero."""
+    sys, ens, channels, sc = grouping_case(
+        case, li2, li2_lasers, li2_ensemble, li2_channels,
+        np.linspace(-1500.0, 1500.0, 7), engine="oracle")
     plan = node_plan(ens, QuadratureSpec(node_count=1001))
     got = spectrum._trapezoid(sys, ens, channels, sc, sc.delta1_mhz, plan, 1)
     want = per_channel_trapezoid(sys, ens, channels, sc, plan)
     for g, w in zip(got, want):
         peak = np.max(np.abs(w), axis=-1, keepdims=True)
         assert np.all(np.abs(g - w) <= 1e-13 * peak)
+        assert np.all(g[np.logical_not(sc.requested)] == 0.0)
+        assert np.any(g[np.array(sc.requested)] != 0.0)
+
+
+def per_row_graded_check(sys, ensemble, channels, sc, span):
+    """The graded check's (coarse, fine) the long way: for each channel and
+    point, ``graded_rule`` of that row's poles alone, the complex-free
+    ``channel_populations`` on its nodes, reduced with its weights."""
+    d1 = angular_from_mhz(sc.delta1_mhz)
+    d2 = angular_from_mhz(sc.delta2_mhz)
+    b1, b2 = velocity_detunings(0.0, 0.0, sys.omega21_angular + d1,
+                                sys.omega32_angular + d2, ensemble.u_p,
+                                ensemble.geometry)
+    out = np.zeros((2, 2, len(channels), d1.size))
+    for i, ch in enumerate(channels):
+        for k in range(d1.size):
+            poles = np.stack(np.broadcast_arrays(*analytic._poles(
+                sys, ch.g2, d1[k], d2, b1[k], b2)[0]))
+            t, *rules = graded_rule(poles[None, :], span)
+            table = channel_populations(sys, [ch.g1], [ch.g2],
+                                        d1[k] + b1[k] * t, d2 + b2 * t,
+                                        *sc.requested)[:, 0, 0]
+            for r, w in enumerate(rules):
+                out[r, :, i, k] = table @ w[0]
+    return out
+
+
+@pytest.mark.parametrize("case", ["coupling off", "15 couplings",
+                                  "rho33 only"])
+def test_graded_check_matches_per_row_reduction(
+        case, li2, li2_lasers, li2_ensemble, li2_channels):
+    """Reduced once per g2 and point in padded blocks, with 1/D folded into
+    the weights, each channel's average on both rules is within 1e-13 of
+    its row's peak of the same rule built and reduced for that row alone;
+    a row not evaluated stays exactly zero, and the bits are those of three
+    threads."""
+    sys, ens, channels, sc = grouping_case(
+        case, li2, li2_lasers, li2_ensemble, li2_channels,
+        np.linspace(-1500.0, 1500.0, 7))
+    args = sys, ens, channels, sc, sc.delta1_mhz, QuadratureSpec()
+    got = spectrum._graded_check(*args, 1)
+    for a, b in zip(got, spectrum._graded_check(*args, 3)):
+        assert np.array_equal(a, b)
+    want = per_row_graded_check(sys, ens, channels, sc, 4.0)
+    for g, w in zip(got, want):
+        peak = np.max(np.abs(w), axis=-1, keepdims=True)
+        assert np.all(np.abs(g - w) <= 1e-13 * peak)
     lit = [ch.g2 != 0.0 for ch in channels]
-    assert np.all(np.any(want[0][1] != 0.0, axis=-1) == lit)
-    assert np.all((want[0][0] != 0.0) == (case != "rho33 only"))
+    assert np.all(np.any(want[1][1] != 0.0, axis=-1) == lit)
+    assert np.all((got[1][0] != 0.0) == (case != "rho33 only"))
+    assert np.all((got[1][1] != 0.0) == np.array(lit)[:, None])
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_grouped_trapezoid_keeps_the_bits_of_each_channel_alone(
+def test_graded_check_keeps_the_bits_of_each_channel_alone(
         li2, li2_lasers, li2_ensemble, threads):
-    """The 15 coupling-off channels share one g2 group; scaling its row for
-    each channel after the last block gives, on both rules, the bits of
-    the trapezoid of each channel alone."""
+    """The 15 coupling-off channels share one g2 row per point; scaling it
+    for each channel after the last block gives, on both rules, the bits
+    of the graded check of each channel alone."""
     channels = list(build_channels(li2, 1.0, 1.45, li2_lasers.field_probe,
                                    0.0).channels)
     assert len(channels) == 15 and len({ch.g2 for ch in channels}) == 1
-    plan = node_plan(li2_ensemble, QuadratureSpec(node_count=2001))
     sc = scan(np.linspace(-1500.0, 1500.0, 40))
-    assert blocks_of(40, plan) >= 3
     args = (li2, li2_ensemble)
-    group = spectrum._trapezoid(*args, channels, sc, sc.delta1_mhz, plan,
-                                threads)
+    group = spectrum._graded_check(*args, channels, sc, sc.delta1_mhz,
+                                   QuadratureSpec(), threads)
     for i, ch in enumerate(channels):
-        alone = spectrum._trapezoid(*args, [ch], sc, sc.delta1_mhz, plan,
-                                    threads)
+        alone = spectrum._graded_check(*args, [ch], sc, sc.delta1_mhz,
+                                       QuadratureSpec(), threads)
         for g, a in zip(group, alone):
             assert np.any(a != 0.0)
             assert np.array_equal(g[:, i], a[:, 0])

@@ -38,7 +38,14 @@ tree next to this script:
   makes the coupling a P-branch transition, which no preset has;
 - ``simulate --threads 1`` on ``li2_fig4`` with ``transit_rate = 5 MHz``,
   ``refill_rate = 1 MHz`` and ``gamma13_col = 3 MHz``: transit apart from
-  refill, so every transit-broadened rate and rho11_0 != 1 are covered.
+  refill, so every transit-broadened rate and rho11_0 != 1 are covered;
+- ``simulate --threads 1`` on ``li2_fig4`` with 10x its lifetimes
+  (``tau2 = 180 ns``, ``tau3 = 161.5 ns``) and a tenth of its dephasing and
+  transit rates (``gamma12_col = 0.5 MHz``, ``gamma13_col = gamma23_col =
+  0.1 MHz``, ``transit_rate = refill_rate = 0.2 MHz``): lines narrow
+  enough that a 4001-node trapezoid could not check the closed form.  A
+  tree on which this run fails lists ``exit`` and its exit code instead of
+  the hashes.
 
 Each line gives the label, the SHA-256 of the files, after ``rows`` the
 SHA-256 of their CSV data rows alone (every line of the CSVs but the ``#``
@@ -76,10 +83,13 @@ SRC = ROOT / "src"
 PRESETS = ("li2_fig3a", "li2_fig3b", "li2_fig4", "li2_fig6a", "li2_fig6b")
 
 
-def run_cli(src, *args):
+def run_cli(src, *args, check=True):
+    """Run the CLI; without ``check`` a failed run is no error, and its exit
+    code is returned."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    subprocess.run([sys.executable, "-m", "eitmol.cli", *args, "--threads",
-                    "1"], env=env, check=True, stdout=subprocess.DEVNULL)
+    return subprocess.run([sys.executable, "-m", "eitmol.cli", *args,
+                           "--threads", "1"], env=env, check=check,
+                          stdout=subprocess.DEVNULL).returncode
 
 
 def sha256_of(paths, rows_only=False):
@@ -140,6 +150,14 @@ GAMMA12_FREE = (("free = mu_coupling amplitude_scale",
                 ("amplitude_scale_init", "gamma12_col_init = 8 MHz\n"
                  "gamma12_col_min = 1 MHz\ngamma12_col_max = 20 MHz\n"
                  "amplitude_scale_init"))
+
+LONG_LIVED = (("tau2 = 18 ns", "tau2 = 180 ns"),
+              ("tau3 = 16.15 ns", "tau3 = 161.5 ns"),
+              ("gamma12_col = 5 MHz", "gamma12_col = 0.5 MHz"),
+              ("gamma13_col = 1 MHz", "gamma13_col = 0.1 MHz"),
+              ("gamma23_col = 1 MHz", "gamma23_col = 0.1 MHz"),
+              ("transit_rate = 2 MHz", "transit_rate = 0.2 MHz"),
+              ("refill_rate = 2 MHz", "refill_rate = 0.2 MHz"))
 
 
 def write_noisy_trace(spectrum_csv, path, seed=20240817):
@@ -248,6 +266,14 @@ def listing(src):
         run_cli(src, "simulate", "--config", cfg, "--out", str(out))
         yield report("li2_fig4 transit 5 MHz, refill 1 MHz, gamma13 3 MHz",
                      [out / "li2_fig4.csv"])
+
+        out = Path(tmp) / "long_lived"
+        cfg = edited_config(src, tmp, "li2_fig4", "long_lived", LONG_LIVED)
+        code = run_cli(src, "simulate", "--config", cfg, "--out", str(out),
+                       check=False)
+        label = "li2_fig4 long-lived: 10x lifetimes, rates / 10"
+        yield (report(label, [out / "li2_fig4.csv"]) if code == 0 else
+               (label, f"exit {code}"))
 
 
 def moved(mine, other):

@@ -190,9 +190,11 @@ def doppler_averaged_populations(sys, g1, g2, delta1, delta2, slope1, slope2,
     ``g1``, ``g2`` are per-channel arrays of shape (C,); ``delta1`` and
     ``slope1`` are per-point arrays of shape (n,) (or scalars); ``delta2``
     and ``slope2`` are scalars.  Returns one (2, C, n) array, rho22 then
-    rho33.  A population not requested stays +0.0 and is not evaluated, nor
-    is rho33 at g2 == 0, where its factor g2^2 makes it exactly zero.  Each
-    distinct g2 is summed once (channels sharing it differ only by g1^2),
+    rho33.  A population not requested stays +0.0 and is not evaluated.
+    rho33 at g2 == 0, where its factor g2^2 makes it exactly zero, stays
+    +0.0 too: its sum over the poles is formed with the other g2, when
+    rho22 needs that g2's poles, but never read.  Each distinct g2 is
+    summed once (channels sharing it differ only by g1^2),
     and Z is evaluated on the two roots of P at each point and on the upper
     root of Dn, which does not move with delta1, once.
     """
@@ -214,11 +216,9 @@ def doppler_averaged_populations(sys, g1, g2, delta1, delta2, slope1, slope2,
                                        coupling) * weight, axis=0)
         out[0, rows] = _rho22_from(sys, g1[rows], 1.0, frac[at])
     if lit.any():
-        on = values != 0.0
-        frac = np.zeros((on.size, out.shape[2]))   # a row per g2, 0 at g2 = 0
-        frac[on] = np.imag(np.sum(_rho33_numerator(sys, two_photon[:, on],
-                                                   coupling[:, on])
-                                  * weight[:, on], axis=0))
+        # a row per g2, g2 = 0 included: no channel reads that one
+        frac = np.imag(np.sum(_rho33_numerator(sys, two_photon, coupling)
+                              * weight, axis=0))
         out[1, lit] = _rho33_from(sys, g1[lit], g2[lit], 1.0,
                                   frac[at[lit[rows]]])
     return out

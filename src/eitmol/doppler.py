@@ -238,13 +238,27 @@ _BASE_CUTS = 13
 
 
 class GradedRule(NamedTuple):
-    """Nodes t of shape (rows, K) with the Maxwellian-folded weights of
-    both rules on them: ``coarse`` Gauss-7 (0 at the Kronrod-only nodes)
-    and ``fine`` Kronrod-15."""
+    """The panels of every row, in one flat list: row r owns the panels
+    from ``first[r]`` up to the next row's first one.  ``nodes`` are the
+    (panels, 15) Kronrod nodes t, ``density`` exp(-t^2) on them, and
+    ``scale`` each panel's half-width / sqrt(pi)."""
 
     nodes: np.ndarray
-    coarse: np.ndarray
-    fine: np.ndarray
+    density: np.ndarray
+    scale: np.ndarray
+    first: np.ndarray
+
+    @property
+    def owner(self) -> np.ndarray:
+        """The row of each panel."""
+        return np.repeat(np.arange(self.first.size),
+                         np.diff(self.first, append=len(self.nodes)))
+
+    def averages(self, values) -> np.ndarray:
+        """Both rules' averages over each row of ``values`` (..., panels,
+        15) on ``nodes``: (coarse, fine), shape (2, ..., rows)."""
+        return np.add.reduceat(panel_sums(values * self.density, self.scale),
+                               self.first, axis=-1)
 
 
 def graded_rule(poles, span) -> GradedRule:
@@ -254,13 +268,13 @@ def graded_rule(poles, span) -> GradedRule:
     ``poles`` is a complex (rows, P) array.  A row's breakpoints are the
     13 uniform ones and, for each pole z, Re z and Re z +- |Im z| 6^j for
     j = 0 ... 11, clipped to +-span; a repeated breakpoint (or NaN) is
-    dropped, and the row is padded with zero-width panels at +span to the
-    widest row of the call.  A pole only places nodes: the rule's averages
-    are of whatever is evaluated on them.  The weights are those of
-    exp(-t^2)/sqrt(pi) over [-span, span], unnormalized.
+    dropped, so every panel has a width.  A pole only places nodes: the
+    rule's averages are of whatever is evaluated on them, over
+    exp(-t^2)/sqrt(pi) on [-span, span], unnormalized.
     """
     poles = np.asarray(poles, complex)
     rows = poles.shape[0]
+    flat = (rows, poles.shape[1] * _GRADING.size)   # also for no rows
     centre = poles.real[..., None]
     # a breakpoint that overflows is clipped, and a NaN one dropped, below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -268,22 +282,27 @@ def graded_rule(poles, span) -> GradedRule:
         cuts = np.concatenate(
             (np.broadcast_to(np.linspace(-span, span, _BASE_CUTS),
                              (rows, _BASE_CUTS)),
-             poles.real, (centre - reach).reshape(rows, -1),
-             (centre + reach).reshape(rows, -1)), axis=1)
+             poles.real, (centre - reach).reshape(flat),
+             (centre + reach).reshape(flat)), axis=1)
     cuts = np.sort(np.clip(cuts, -span, span), axis=1)   # NaN sorts last
-    keep = np.ones(cuts.shape, bool)
-    np.greater(cuts[:, 1:], cuts[:, :-1], out=keep[:, 1:])
-    # a dropped breakpoint reads +span and sorts after the kept ones, which
-    # are at most +span: the zero-width panels that pad the row
-    cuts = np.sort(np.where(keep, cuts, span), axis=1)
-    cuts = cuts[:, :keep.sum(axis=1).max()]
-    lo, hi = cuts[:, :-1, None], cuts[:, 1:, None]
+    # a panel ends at each breakpoint above the one before it
+    ends = cuts[:, 1:] > cuts[:, :-1]
+    lo, hi = cuts[:, :-1][ends], cuts[:, 1:][ends]
+    first = np.zeros(rows, int)
+    np.cumsum(ends.sum(axis=1)[:-1], out=first[1:])
     half = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi) + half * KRONROD_NODES).reshape(rows, -1)
-    density = np.exp(-nodes**2) / sqrt(pi)
-    return GradedRule(nodes,
-                      (half * GAUSS_WEIGHTS).reshape(rows, -1) * density,
-                      (half * KRONROD_WEIGHTS).reshape(rows, -1) * density)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * KRONROD_NODES
+    return GradedRule(nodes, np.exp(-nodes**2), half / sqrt(pi), first)
+
+
+def panel_sums(values, scale) -> np.ndarray:
+    """The Gauss-7 and Kronrod-15 sums of ``values`` (..., 15) over each
+    panel's nodes, the Gauss-7 sum over its 7 nodes only, each times the
+    panel's ``scale``: shape (2, ...).  einsum reduces each panel alone,
+    so its bits depend on its 15 values only."""
+    return np.stack((
+        np.einsum("...k,k->...", values[..., 1::2], GAUSS_WEIGHTS[1::2]),
+        np.einsum("...k,k->...", values, KRONROD_WEIGHTS))) * scale
 
 
 # Weideman's rational approximation of the Faddeeva function w(z) with

@@ -28,16 +28,17 @@ channel's table comes from one kernel call, and each spectrum's channels
 are summed once.  The spot-check points are read from those sums, and the
 oracle's N-node rule is the reported sum itself.
 
-Determinism: the graded check runs in fixed blocks of ``_ROWS`` rows, each
-padded to its widest row, and the oracle's trapezoid in blocks of about
-``_BLOCK`` points x nodes; their boundaries depend only on the inputs,
-never on the thread count.  Each row is reduced on its own (einsum on the
-graded rule, ``doppler.weighted_sum`` on the trapezoid), so its bits depend
-only on the row and its (padded) length; on the graded rule a row the
-channels of one g2 share is reduced once, and the channel scales are
-applied after the last block.  The closed form runs in one thread, and the
-channel sum runs in ascending-|M| order, so outputs are bit-identical for
-any ``threads`` value.
+Determinism: the graded check builds one flat list of the panels of all
+its rows and runs the kernel over it in chunks of ``_PANELS`` panels; the
+oracle's trapezoid runs in blocks of about ``_BLOCK`` points x nodes, whose
+boundaries depend only on the inputs.  Each panel of the graded rule is
+reduced alone and each row's panels are summed after the last chunk, so a
+row's bits depend on that row alone: not on the chunk size, the thread
+count or the other rows.  A row the channels of one g2 share is reduced
+once, and the channel scales are applied after that sum.  On the
+trapezoid each row is reduced on its own by ``doppler.weighted_sum``.  The
+closed form runs in one thread, and the channel sum runs in ascending-|M|
+order, so outputs are bit-identical for any ``threads`` value.
 """
 
 from dataclasses import dataclass, field
@@ -61,6 +62,7 @@ from .doppler import (
     QuadratureSpec,
     graded_rule,
     node_plan,
+    panel_sums,
     velocity_detunings,
     weighted_sum,
 )
@@ -78,9 +80,8 @@ SIGNALS = (RHO22, RHO33)  # order of the written columns and the signal rows
 
 # points x nodes per work unit of the oracle's trapezoid
 _BLOCK = 1 << 14
-# (g2, delta1) rows per block of the graded spot-check: fixed, so that a
-# row's padded width, and with it its bits, never depends on ``threads``
-_ROWS = 16
+# panels per chunk of the graded spot-check (11,520 nodes)
+_PANELS = 768
 _SPOT_CHECK_STRIDE = 50  # closed form: checked at every 50th point
 
 
@@ -319,11 +320,13 @@ def _graded_check(sys, ensemble, channels, scan, delta1_mhz, quadrature,
     A row is one distinct g2 at one point.  Its nodes are graded toward the
     poles that ``analytic._poles`` places (no Z is evaluated); its values
     come from the real-arithmetic kernel, ``group_factors`` with g2 as a
-    per-row column and 1/D in the weights, and it is reduced alone by
-    einsum.  The rows run in fixed blocks of ``_ROWS``, each padded to its
-    widest row, and ``threads`` splits the blocks.  After the last block
-    each row is scaled for each channel of its g2.  Rows a scan does not
-    evaluate stay zero, and so does rho33 at g2 == 0."""
+    per-panel column and 1/D folded into the Maxwellian.  One rule is
+    built for all rows, and the kernel runs over its flat panel list in
+    fixed chunks of ``_PANELS`` panels, which ``threads`` splits.  Each
+    panel is reduced alone by ``doppler.panel_sums``, and after the last
+    chunk one ``np.add.reduceat`` sums each row's panels; each row is then
+    scaled for each channel of its g2.  Rows a scan does not evaluate stay
+    zero, and so does rho33 at g2 == 0."""
     wanted = scan.requested
     members = {}    # g2 -> channel indices; rho33 alone skips g2 == 0
     for i, ch in enumerate(channels):
@@ -339,27 +342,28 @@ def _graded_check(sys, ensemble, channels, scan, delta1_mhz, quadrature,
     poles = np.stack(np.broadcast_arrays(
         *_poles(sys, g2[:, None], d1, d2, b1, b2)[0]), axis=-1)
     # row r holds g2[r // n] at point r % n
-    poles = poles.reshape(-1, poles.shape[-1])
-    g2_row = np.repeat(g2, n)[:, None]
-    d1_row, b1_row = (np.tile(a, g2.size)[:, None] for a in (d1, b1))
-    reduced = np.zeros((2, len(SIGNALS), len(poles)))  # (rule, signal, row)
+    rule = graded_rule(poles.reshape(-1, poles.shape[-1]), quadrature.span)
+    point = rule.owner % n    # the inputs of each panel, as columns
+    g2_p, d1_p, b1_p = (g2[rule.owner // n, None], d1[point, None],
+                        b1[point, None])
+    panels = np.zeros((2, len(SIGNALS), len(rule.nodes)))  # (rule, signal)
 
     def work(lo):
-        at = slice(lo, lo + _ROWS)
-        t, *rules = graded_rule(poles[at], quadrature.span)
-        big_d1 = d1_row[at] + b1_row[at] * t
+        at = slice(lo, lo + _PANELS)
+        t = rule.nodes[at]
+        big_d1 = d1_p[at] + b1_p[at] * t
         big_d2 = d2 + b2 * t
-        A, D, c = analytic._coupling_terms(sys, g2_row[at],
+        A, D, c = analytic._coupling_terms(sys, g2_p[at],
                                            big_d2**2 + sys.G32**2)
-        [factors] = group_factors(sys, [(g2_row[at], None, A, D, c)],
+        [factors] = group_factors(sys, [(g2_p[at], None, A, D, c)],
                                   big_d1, big_d2, *wanted)
-        for table, w in zip(reduced, rules):
-            w /= D
-            for s, f in enumerate(factors):
-                if f is not None:
-                    table[s, at] = np.einsum("rk,rk->r", f, w)
+        w = rule.density[at] / D
+        for s, f in enumerate(factors):
+            if f is not None:
+                panels[:, s, at] = panel_sums(f * w, rule.scale[at])
 
-    _run_blocks(work, range(0, len(poles), _ROWS), threads)
+    _run_blocks(work, range(0, len(rule.nodes), _PANELS), threads)
+    reduced = np.add.reduceat(panels, rule.first, axis=-1)
     out = np.zeros((2, len(SIGNALS), len(channels), n))
     for g, (value, idx) in enumerate(members.items()):
         row = reduced[..., g * n:(g + 1) * n]

@@ -273,12 +273,12 @@ def graded_populations(sys, ensemble, g1, g2, d1, d2, span):
     for i in range(len(g1)):
         poles = np.stack(np.broadcast_arrays(*analytic._poles(
             sys, g2[i], d1, d2, b1, b2)[0]), axis=-1)
-        t, *rules = graded_rule(poles, span)
+        rule = graded_rule(poles, span)
+        row = rule.owner[:, None]
         table = channel_populations(sys, [g1[i]], [g2[i]],
-                                    d1[:, None] + b1[:, None] * t,
-                                    d2 + b2 * t)[:, 0]
-        for r, w in enumerate(rules):
-            out[r, :, i] = np.einsum("snk,nk->sn", table, w)
+                                    d1[row] + b1[row] * rule.nodes,
+                                    d2 + b2 * rule.nodes)[:, 0]
+        out[:, :, i] = rule.averages(table)
     return out
 
 
@@ -502,12 +502,12 @@ def test_real_kernel_matches_complex_form_on_spot_check_points(spy, preset):
     g2 = np.unique([ch.g2 for ch in channels])[:, None]
     poles = np.stack(np.broadcast_arrays(*analytic._poles(
         sys, g2, d1, d2, b1, b2)[0]), axis=-1)
-    t = graded_rule(poles.reshape(-1, 3), cfg.quadrature.span).nodes
-    # each point's nodes of every g2 in one row
-    t = t.reshape(g2.size, idx.size, -1).swapaxes(0, 1).reshape(idx.size, -1)
+    rule = graded_rule(poles.reshape(-1, 3), cfg.quadrature.span)
+    # each panel's nodes, at the point of its row, for every channel
+    point = rule.owner[:, None] % idx.size
     assert_kernel_matches_complex_form(
         sys, [ch.g1 for ch in channels], [ch.g2 for ch in channels],
-        d1[:, None] + b1[:, None] * t, d2 + b2 * t)
+        d1[point] + b1[point] * rule.nodes, d2 + b2 * rule.nodes)
 
 
 @pytest.mark.parametrize("rate", ["gamma2", "gamma3", "transit_rate",
@@ -538,6 +538,33 @@ def test_closed_form_shares_repeated_couplings_bit_for_bit(li2, li2_ensemble):
                 li2, g1[i:i + 1], g2[i:i + 1], d1, d2, b1, b2, rho22=rho22)
             assert np.array_equal(r22[i], one22[0])
             assert np.array_equal(r33[i], one33[0])
+
+
+def test_closed_form_rho33_of_a_preset_keeps_each_channel_alone():
+    """li2_fig4's 15 channels, the g2 = 0 channel of |M| = 0 next to 14
+    coupled ones, with both signals: rho33 is summed for every g2, g2 = 0
+    included, without a gather.  Each channel's row has the bits of that
+    channel averaged alone, the g2 = 0 row is +0.0, and no floating-point
+    warning is raised."""
+    cfg = preset_config("li2_fig4")
+    sys = cfg.system
+    cs = build_channels(sys, cfg.mu_probe_au, cfg.mu_coupling_au,
+                        cfg.lasers.field_probe, cfg.lasers.field_coupling)
+    g1 = np.array([ch.g1 for ch in cs])
+    g2 = np.array([ch.g2 for ch in cs])
+    assert g2[0] == 0.0 and np.all(g2[1:] != 0.0)
+    d1, d2, b1, b2 = averaging_inputs(sys, cfg.ensemble,
+                                      cfg.scan.delta1_mhz[::10],
+                                      cfg.scan.delta2_mhz)
+    with np.errstate(all="raise"):
+        r33 = doppler_averaged_populations(sys, g1, g2, d1, d2, b1, b2)[1]
+        for i in range(g1.size):
+            alone = doppler_averaged_populations(sys, g1[i:i + 1],
+                                                 g2[i:i + 1], d1, d2, b1,
+                                                 b2)[1, 0]
+            assert np.array_equal(r33[i], alone)
+    assert is_plus_zero(r33[0])
+    assert np.all(r33[1:] > 0.0)
 
 
 @pytest.mark.parametrize("g2, distinct", [

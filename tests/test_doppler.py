@@ -338,28 +338,43 @@ def test_gauss_kronrod_constants():
 
 
 def test_graded_rule_panels():
-    """Each row's panels run from -span to +span through every distinct
-    breakpoint, densest at its poles; a narrower row is padded with
-    zero-width panels at +span, carrying no weight, and both rules
-    integrate the Maxwellian over [-span, span] to erf(span)."""
+    """The panels of all rows form one flat list, each row's contiguous
+    from its first panel on; a row's panels tile [-span, span] through
+    every distinct breakpoint, densest at its poles, and none has zero
+    width.  Both rules integrate the Maxwellian over [-span, span] to
+    erf(span), and a rule of no rows has no panels."""
     span = 4.0
     poles = np.array([[0.5 + 1e-3j, -2.0 - 0.3j, 1.0 + 40.0j],
                       [0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j]])
     rule = graded_rule(poles, span)
-    assert rule.nodes.shape == rule.coarse.shape == rule.fine.shape
-    assert rule.nodes.shape[1] % 15 == 0
-    panels = rule.nodes.reshape(2, -1, 15)
-    assert np.all(np.abs(rule.nodes) <= span)
-    assert np.all(np.diff(rule.nodes, axis=1) >= 0.0)
+    panels = len(rule.nodes)
+    assert rule.nodes.shape == rule.density.shape == (panels, 15)
+    assert rule.scale.shape == (panels,)
+    assert rule.first[0] == 0 and np.all(np.diff(rule.first) > 0)
     # row 1: its 13 uniform breakpoints and 0 (already one of them)
-    padded = np.all(panels[1] == span, axis=1)
-    assert np.count_nonzero(~padded) == 12
-    assert np.all(rule.fine.reshape(2, -1, 15)[1][padded] == 0.0)
+    assert panels - rule.first[1] == 12
+    assert np.array_equal(rule.owner,
+                          np.repeat([0, 1], [rule.first[1], 12]))
+    half = rule.scale * math.sqrt(math.pi)
+    assert np.all(half > 0.0)
+    centre = rule.nodes[:, 7]       # the Kronrod node at 0
+    for lo, hi in zip(rule.first, [*rule.first[1:], panels]):
+        left = centre[lo:hi] - half[lo:hi]
+        right = centre[lo:hi] + half[lo:hi]
+        assert abs(left[0] + span) <= 1e-15 * span
+        assert np.all(np.abs(right[:-1] - left[1:]) <= 1e-15 * span)
+        assert abs(right[-1] - span) <= 1e-15 * span
+        assert np.all(np.diff(rule.nodes[lo:hi].ravel()) > 0.0)
     # row 0: 1e-3 * 6^j stays inside +-span for j <= 7
-    assert np.count_nonzero(np.abs(rule.nodes[0] - 0.5) < 1e-3) == 30
-    for weights in (rule.coarse, rule.fine):
-        assert np.all(weights >= 0.0)
-        assert np.all(np.abs(weights.sum(axis=1) - math.erf(span)) <= 1e-13)
+    assert np.count_nonzero(np.abs(rule.nodes[:rule.first[1]] - 0.5)
+                            < 1e-3) == 30
+    assert np.all(rule.density > 0.0)
+    averages = rule.averages(np.ones((panels, 15)))
+    assert averages.shape == (2, 2)
+    assert np.all(np.abs(averages - math.erf(span)) <= 1e-13)
+    empty = graded_rule(np.zeros((0, 3), complex), span)
+    assert empty.nodes.shape == (0, 15) and empty.first.shape == (0,)
+    assert empty.averages(np.ones((2, 0, 15))).shape == (2, 2, 0)
 
 
 def test_graded_rule_drops_non_finite_poles():
@@ -374,5 +389,5 @@ def test_graded_rule_drops_non_finite_poles():
              complex(0.0, np.nan)],
             [complex(1e308, 1e308), complex(0.0, np.inf),
              complex(-np.inf, np.inf)]]), 2.0)
-    assert np.array_equal(rule.nodes, base.nodes)
-    assert np.array_equal(rule.fine, base.fine)
+    for got, want in zip(rule, base):
+        assert np.array_equal(got, want)

@@ -541,20 +541,67 @@ def test_threads_do_not_change_blocked_trapezoid(li2, li2_ensemble,
         assert np.array_equal(a, b)
 
 
-def test_threads_do_not_change_blocked_graded_check(li2, li2_ensemble,
+def graded_chunks(spy, *args):
+    """The number of panel chunks the graded check of ``args`` runs."""
+    rules = spy(spectrum, "graded_rule")
+    spectrum._graded_check(*args, threads=1)
+    [(_, rule)] = rules
+    return -(-len(rule.nodes) // spectrum._PANELS)
+
+
+def test_threads_do_not_change_blocked_graded_check(spy, li2, li2_ensemble,
                                                     li2_channels):
     """40 points of 15 distinct couplings (g2 = 0 included) are 600 rows,
-    38 blocks of the graded spot-check; one thread and three reduce them
-    to the same bits."""
+    whose panels run in at least 3 chunks of the graded spot-check; one
+    thread and three reduce them to the same bits."""
     sc = scan(np.linspace(-1500, 1500, 40), delta2_mhz=420.0)
     channels = list(li2_channels.channels)
     assert len({ch.g2 for ch in channels}) == 15
     args = (li2, li2_ensemble, channels, sc, sc.delta1_mhz, QuadratureSpec())
+    assert graded_chunks(spy, *args) >= 3
     one = spectrum._graded_check(*args, threads=1)
     three = spectrum._graded_check(*args, threads=3)
     for a, b in zip(one, three):
         assert np.any(a != 0.0)
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_graded_check_bits_do_not_depend_on_the_chunk_size(
+        spy, monkeypatch, li2, li2_ensemble, li2_channels, threads):
+    """One panel per chunk, and one chunk of every panel, reproduce the
+    default chunks bit for bit: each panel is reduced alone and each row's
+    panels are summed after the last chunk."""
+    sc = scan(np.linspace(-1500, 1500, 12), delta2_mhz=420.0)
+    channels = list(li2_channels.channels)
+    args = (li2, li2_ensemble, channels, sc, sc.delta1_mhz, QuadratureSpec())
+    assert graded_chunks(spy, *args) >= 2
+    default = spectrum._graded_check(*args, threads=threads)
+    for panels in (1, 1 << 30):
+        monkeypatch.setattr(spectrum, "_PANELS", panels)
+        got = spectrum._graded_check(*args, threads=threads)
+        for a, b in zip(default, got):
+            assert np.any(a != 0.0)
+            assert np.array_equal(a, b)
+
+
+def test_verified_coupling_off_rho33_checks_no_rows():
+    """li2_fig3a with rho33 alone: every channel has g2 = 0, so the graded
+    check has no row and no panel; the scan verifies with a shift of 0.0
+    and an all-zero rho33 column."""
+    cfg = preset_config("li2_fig3a")
+    sys = cfg.system
+    channels = build_channels(sys, cfg.mu_probe_au, cfg.mu_coupling_au,
+                              cfg.lasers.field_probe,
+                              cfg.lasers.field_coupling)
+    assert {ch.g2 for ch in channels} == {0.0}
+    sc = scan(cfg.scan.delta1_mhz, delta2_mhz=cfg.scan.delta2_mhz,
+              channels=("rho33",))
+    spec = simulate(sys, cfg.lasers, cfg.ensemble, channels, sc,
+                    cfg.quadrature)
+    assert spec.metadata["quadrature.verified"] is True
+    assert spec.metadata["quadrature.max_refinement_shift"] == 0.0
+    assert np.all(spec.signals["rho33"] == 0.0)
 
 
 def test_trapezoid_bits_do_not_depend_on_the_block_size(
@@ -651,12 +698,12 @@ def per_row_graded_check(sys, ensemble, channels, sc, span):
         for k in range(d1.size):
             poles = np.stack(np.broadcast_arrays(*analytic._poles(
                 sys, ch.g2, d1[k], d2, b1[k], b2)[0]))
-            t, *rules = graded_rule(poles[None, :], span)
+            rule = graded_rule(poles[None, :], span)
+            t = rule.nodes
             table = channel_populations(sys, [ch.g1], [ch.g2],
                                         d1[k] + b1[k] * t, d2 + b2 * t,
-                                        *sc.requested)[:, 0, 0]
-            for r, w in enumerate(rules):
-                out[r, :, i, k] = table @ w[0]
+                                        *sc.requested)[:, 0]
+            out[..., i, k] = rule.averages(table)[..., 0]
     return out
 
 
@@ -664,11 +711,11 @@ def per_row_graded_check(sys, ensemble, channels, sc, span):
                                   "rho33 only"])
 def test_graded_check_matches_per_row_reduction(
         case, li2, li2_lasers, li2_ensemble, li2_channels):
-    """Reduced once per g2 and point in padded blocks, with 1/D folded into
-    the weights, each channel's average on both rules is within 1e-13 of
-    its row's peak of the same rule built and reduced for that row alone;
-    a row not evaluated stays exactly zero, and the bits are those of three
-    threads."""
+    """Reduced once per g2 and point over chunks of one flat panel list,
+    with 1/D folded into the Maxwellian, each channel's average on both
+    rules is within 1e-13 of its row's peak of the same rule built and
+    reduced for that row alone; a row not evaluated stays exactly zero,
+    and the bits are those of three threads."""
     sys, ens, channels, sc = grouping_case(
         case, li2, li2_lasers, li2_ensemble, li2_channels,
         np.linspace(-1500.0, 1500.0, 7))
